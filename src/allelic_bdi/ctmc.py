@@ -21,9 +21,8 @@ level instead.
 
 from __future__ import annotations
 
-import io
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -36,39 +35,25 @@ from .partitions import AllelicPartition, EventKind, TransitionEvent
 DEFAULT_MAX_EVENTS = 10**8
 
 
-def _event_weights(counts: dict[int, int], num_groups: int, params: ModelParams):
-    """Yield (kind, index, weight) in the fixed selection order.
-
-    The new-family weight theta + alpha * k is emitted only when positive;
-    with k >= 1 it cannot be negative on the valid parameter range, and at
-    the empty state a nonpositive value means the chain is frozen.
-    """
-    new_family = params.theta + params.alpha * num_groups
-    if num_groups:
-        assert new_family >= 0.0
-    if new_family > 0.0:
-        yield EventKind.NEW_FAMILY, None, new_family
-    sizes = sorted(counts)
-    alpha = params.alpha
-    for i in sizes:
-        yield EventKind.GROWTH, i, (i - alpha) * counts[i]
-    if params.mu > 0.0:
-        mu = params.mu
-        for i in sizes:
-            yield EventKind.DEATH, i, mu * i * counts[i]
-
-
 def rates(m: AllelicPartition, params: ModelParams) -> list[tuple[TransitionEvent, float]]:
-    """Positive-rate transition table from state ``m``.
+    """Positive-rate transition table from state ``m``, in selection order.
 
-    The rates sum to theta + (1 + mu) * s(m) whenever the new-family rate is
-    positive; with mu = 0 no death events appear.
+    The order is the one :func:`simulate` walks: new family, growth by
+    increasing group size, death by increasing group size.  The new-family
+    rate theta + alpha * k is listed only when positive (at the empty state
+    a nonpositive value means the chain is frozen).  The rates sum to
+    theta + (1 + mu) * s(m) whenever the new-family rate is positive; with
+    mu = 0 no death events appear.
     """
-    return [
-        (TransitionEvent(kind, index), w)
-        for kind, index, w in _event_weights(m.as_dict(), m.num_groups, params)
-        if w > 0.0
-    ]
+    alpha, mu = params.alpha, params.mu
+    out = []
+    new_family = params.theta + alpha * m.num_groups
+    if new_family > 0.0:
+        out.append((TransitionEvent.new_family(), new_family))
+    out.extend((TransitionEvent.growth(i), (i - alpha) * c) for i, c in m)
+    if mu > 0.0:
+        out.extend((TransitionEvent.death(i), mu * i * c) for i, c in m)
+    return out
 
 
 def size_process_rates(n: int, params: ModelParams) -> tuple[float, float]:
@@ -84,12 +69,14 @@ class Trajectory:
 
     ``events`` holds (jump time, event) pairs with strictly increasing times
     in (0, horizon]; the state at any time is recovered by replaying them
-    from ``initial``.
+    from ``initial``.  Paths returned by the engines also carry the final
+    state the engine reached (not part of equality or the constructor).
     """
 
     initial: AllelicPartition
     events: tuple[tuple[float, TransitionEvent], ...]
     horizon: float
+    _final: AllelicPartition | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 0.0:
@@ -123,6 +110,15 @@ class Trajectory:
         return state
 
     def final_state(self) -> AllelicPartition:
+        """The state at the horizon.
+
+        O(1) on paths returned by :func:`simulate` and
+        :func:`simulate_branching`, which record the state they ended in;
+        paths built by hand replay their events, O(events * distinct sizes).
+        Both give the same partition for the same events.
+        """
+        if self._final is not None:
+            return self._final
         state = None
         for _, state in self._replay():
             pass
@@ -177,6 +173,26 @@ class SizeTrajectory:
         return out
 
 
+def _engine_path(
+    start: AllelicPartition, events: list, t_end: float, final: AllelicPartition
+) -> Trajectory:
+    path = Trajectory(start, tuple(events), t_end)
+    object.__setattr__(path, "_final", final)
+    return path
+
+
+class _EventCache(dict):
+    """size -> TransitionEvent of one kind, built on first use."""
+
+    def __init__(self, kind: EventKind):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, index: int) -> TransitionEvent:
+        event = self[index] = TransitionEvent(self.kind, index)
+        return event
+
+
 def _runaway(engine: str, events: int, t: float, cap: int) -> RunawayError:
     return RunawayError(
         f"{engine} run exceeded the event cap of {cap} at simulated time {t:.6g}",
@@ -195,18 +211,30 @@ def simulate(
 ) -> Trajectory:
     """Gillespie simulation of the multiplicity-level chain on [0, t_end].
 
-    Starts from the empty state unless ``initial`` is given.  The total jump
-    rate theta + (1 + mu) * s is updated in O(1) from the running size; event
-    selection walks the sparse support (new family, then growth and death by
-    increasing group size).  Exceeding ``max_events`` raises
-    :class:`RunawayError`.
+    Starts from the empty state unless ``initial`` is given.  Each event
+    costs two draws (holding time, then a uniform selector), an O(1) update
+    of the total rate theta + (1 + mu) * s, and a selection walk over the
+    sorted support, O(distinct sizes).  The support list changes (by bisect)
+    only when a size appears or vanishes.  The returned path carries its
+    final state, so ``final_state()`` is O(1).
+
+    Bit-identity: the walk visits the events in the order of :func:`rates`
+    (new family, growth by increasing size, death by increasing size),
+    accumulates their weights in that order and falls through to the last
+    event on round-off.  A seeded generator therefore draws the same path
+    as long as this walk is kept; ``tests/test_reproducibility.py`` pins
+    seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
     """
     if t_end < 0.0:
         raise DomainError("t_end must be >= 0")
     start = AllelicPartition.empty() if initial is None else initial
     counts = start.as_dict()
+    support = sorted(counts)
     s, k = start.size, start.num_groups
-    theta, mu = params.theta, params.mu
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    new_family_event = TransitionEvent.new_family()
+    growth_events = _EventCache(EventKind.GROWTH)
+    death_events = _EventCache(EventKind.DEATH)
     t = 0.0
     events: list[tuple[float, TransitionEvent]] = []
     while True:
@@ -220,36 +248,48 @@ def simulate(
         if len(events) >= max_events:
             raise _runaway("multiplicity", len(events), t, max_events)
         u = rng.random() * total
-        acc = 0.0
-        kind = index = None
-        for kind, index, w in _event_weights(counts, k, params):
-            acc += w
-            if u < acc:
-                break
-        # on accumulated round-off the walk falls through to the last event
-        if kind is EventKind.NEW_FAMILY:
-            counts[1] = counts.get(1, 0) + 1
+        new_family = theta + alpha * k
+        acc = new_family if new_family > 0.0 else 0.0
+        if u < acc or not support:  # with no groups, round-off included
+            counts[1] = c = counts.get(1, 0) + 1
+            if c == 1:
+                support.insert(0, 1)
             s += 1
             k += 1
-        elif kind is EventKind.GROWTH:
-            if counts[index] == 1:
-                del counts[index]
-            else:
-                counts[index] -= 1
-            counts[index + 1] = counts.get(index + 1, 0) + 1
-            s += 1
+            events.append((t, new_family_event))
+            continue
+        grow = True
+        for index in support:
+            acc += (index - alpha) * counts[index]
+            if u < acc:
+                break
         else:
-            if counts[index] == 1:
-                del counts[index]
-            else:
-                counts[index] -= 1
-            if index > 1:
-                counts[index - 1] = counts.get(index - 1, 0) + 1
-            else:
-                k -= 1
+            if mu > 0.0:
+                grow = False
+                for index in support:
+                    acc += mu * index * counts[index]
+                    if u < acc:
+                        break
+        c = counts[index]
+        if c == 1:
+            del counts[index]
+            del support[bisect_left(support, index)]
+        else:
+            counts[index] = c - 1
+        j = index + 1 if grow else index - 1
+        if j:
+            counts[j] = c = counts.get(j, 0) + 1
+            if c == 1:
+                insort(support, j)
+        else:
+            k -= 1
+        if grow:
+            s += 1
+            events.append((t, growth_events[index]))
+        else:
             s -= 1
-        events.append((t, TransitionEvent(kind, index)))
-    return Trajectory(start, tuple(events), t_end)
+            events.append((t, death_events[index]))
+    return _engine_path(start, events, t_end, AllelicPartition(counts.items()))
 
 
 def simulate_bdi(
@@ -342,7 +382,7 @@ class AgentPopulation:
         """Index of the family holding the population's oldest member."""
         if not self.families:
             raise DomainError("the population is empty")
-        return min(range(len(self.families)), key=lambda fi: self.families[fi][0])
+        return _oldest_family(self.families)
 
     def locate(self, idx: int) -> tuple[int, int]:
         """(family, position) of the idx-th individual in family-list order."""
@@ -383,6 +423,53 @@ class AgentPopulation:
         return out
 
 
+class _FamilySlots:
+    """Fenwick tree over family sizes, one slot per family ever founded.
+
+    A family that dies out keeps its slot at size zero, so slot order stays
+    founding order and :meth:`locate` maps individual ``idx`` to the same
+    family and position as :meth:`AgentPopulation.locate` does on the list
+    with the empty families removed.  Every operation is O(log slots).
+    """
+
+    __slots__ = ("tree",)
+
+    def __init__(self, sizes: Iterable[int] = ()):
+        self.tree = [0]
+        for size in sizes:
+            self.append(size)
+
+    def append(self, size: int) -> None:
+        tree = self.tree
+        i = len(tree)
+        j, stop = i - 1, i - (i & -i)
+        while j > stop:
+            size += tree[j]
+            j -= j & -j
+        tree.append(size)
+
+    def add(self, slot: int, delta: int) -> None:
+        tree = self.tree
+        i, end = slot + 1, len(tree)
+        while i < end:
+            tree[i] += delta
+            i += i & -i
+
+    def locate(self, idx: int) -> tuple[int, int]:
+        """(slot, position) of individual ``idx`` (0 <= idx < population size)."""
+        tree = self.tree
+        n = len(tree) - 1
+        pos = 0
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= idx:
+                pos = nxt
+                idx -= tree[nxt]
+            step >>= 1
+        return pos, idx
+
+
 def simulate_branching(
     params: ModelParams,
     t_end: float,
@@ -397,17 +484,34 @@ def simulate_branching(
     uniform victim, and births one at the aggregate birth rate plus a
     weighted parent choice, which is distributionally identical to
     per-individual clocks.  The returned trajectory has the same law as the
-    one produced by :func:`simulate`.
+    one produced by :func:`simulate` and carries its final state, so
+    ``final_state()`` is O(1).
+
+    Cost per event: with theta > 0 (every run the CLI starts) the population
+    size is a counter and the parent or victim is found in a Fenwick tree
+    over family slots, O(log families).  With theta <= 0 the parent walk
+    stays linear in the population: it accumulates the overall oldest
+    member's rate 1 + theta in floating point, and that sum cannot be
+    reproduced by an index lookup without changing which parent is drawn.
+
+    Bit-identity: each draw selects the individual that the list walk of
+    :meth:`AgentPopulation.locate` selects, so a seeded generator draws the
+    same path as that walk would; ``tests/test_reproducibility.py`` pins
+    seeded outputs.
     """
     if t_end < 0.0:
         raise DomainError("t_end must be >= 0")
-    pop = AgentPopulation() if initial is None else AgentPopulation(initial.families)
-    start = pop.to_partition()
+    families = [] if initial is None else AgentPopulation(initial.families).families
+    start = AllelicPartition.from_group_sizes(len(fam) for fam in families)
+    slots = _FamilySlots(len(fam) for fam in families)
+    s = start.size
     theta, alpha, mu = params.theta, params.alpha, params.mu
+    new_family_event = TransitionEvent.new_family()
+    growth_events = _EventCache(EventKind.GROWTH)
+    death_events = _EventCache(EventKind.DEATH)
     t = 0.0
     events: list[tuple[float, TransitionEvent]] = []
     while True:
-        s = pop.size
         if theta > 0.0:
             immigration = theta
             birth_total = float(s)
@@ -425,49 +529,58 @@ def simulate_branching(
             raise _runaway("branching", len(events), t, max_events)
         u = rng.random() * total
         if u < immigration:
-            pop.families.append([t])
-            event = TransitionEvent.new_family()
+            families.append([t])
+            slots.append(1)
+            s += 1
+            event = new_family_event
         elif u < immigration + birth_total:
             v = u - immigration
             if theta > 0.0:
-                fi, pos = pop.locate(min(s - 1, int(v)))
+                fi, pos = slots.locate(min(s - 1, int(v)))
+                p_new = alpha if pos == 0 else 0.0
             else:
-                fi, pos = _weighted_parent(pop, v, theta)
-            fam = pop.families[fi]
-            i = len(fam)
-            if pos == 0:
-                if theta > 0.0 or fi != pop.oldest_family():
-                    p_new = alpha
+                oldest = _oldest_family(families)
+                fi, pos = _weighted_parent(families, oldest, v, theta)
+                if pos:
+                    p_new = 0.0
                 else:
-                    p_new = (alpha + theta) / (1.0 + theta)
-            else:
-                p_new = 0.0
+                    p_new = alpha if fi != oldest else (alpha + theta) / (1.0 + theta)
+            s += 1
             if p_new > 0.0 and rng.random() < p_new:
-                pop.families.append([t])
-                event = TransitionEvent.new_family()
+                families.append([t])
+                slots.append(1)
+                event = new_family_event
             else:
+                fam = families[fi]
+                event = growth_events[len(fam)]
                 fam.append(t)
-                event = TransitionEvent.growth(i)
+                slots.add(fi, 1)
         else:
             v = u - immigration - birth_total
-            fi, pos = pop.locate(min(s - 1, int(v / mu)))
-            fam = pop.families[fi]
-            i = len(fam)
+            fi, pos = slots.locate(min(s - 1, int(v / mu)))
+            fam = families[fi]
+            event = death_events[len(fam)]
             del fam[pos]
-            if not fam:
-                del pop.families[fi]
-            event = TransitionEvent.death(i)
+            slots.add(fi, -1)
+            s -= 1
         events.append((t, event))
-    return Trajectory(start, tuple(events), t_end)
+    final = AllelicPartition.from_group_sizes(len(fam) for fam in families if fam)
+    return _engine_path(start, events, t_end, final)
 
 
-def _weighted_parent(pop: AgentPopulation, v: float, theta: float) -> tuple[int, int]:
+def _oldest_family(families: list[list[float]]) -> int:
+    """Index of the nonempty family holding the earliest-born member."""
+    return min((fi for fi, fam in enumerate(families) if fam), key=lambda fi: families[fi][0])
+
+
+def _weighted_parent(
+    families: list[list[float]], oldest: int, v: float, theta: float
+) -> tuple[int, int]:
     # theta <= 0: every individual reproduces at unit rate except the overall
-    # oldest, whose rate is 1 + theta
-    oldest = pop.oldest_family()
+    # oldest, whose rate is 1 + theta; empty families add nothing to the sum
     acc = 0.0
     last = (0, 0)
-    for fi, fam in enumerate(pop.families):
+    for fi, fam in enumerate(families):
         for pos in range(len(fam)):
             acc += 1.0 + theta if (fi == oldest and pos == 0) else 1.0
             last = (fi, pos)
@@ -487,7 +600,8 @@ def write_trajectory_csv(
     """Write a trajectory as CSV with a commented metadata header.
 
     Columns are time, event_kind, event_index (empty for new-family events)
-    and the population size and group count after the event.
+    and the population size and group count after the event, both tracked
+    from the events themselves without replaying partitions.
     """
     own = isinstance(file, str)
     fh: IO[str] = open(file, "w", newline="") if own else file
@@ -504,11 +618,15 @@ def write_trajectory_csv(
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
         fh.write("time,event_kind,event_index,s,k\n")
-        states = trajectory.iter_states()
-        next(states)  # skip the initial state row
-        for (t, ev), (_, state) in zip(trajectory.events, states):
+        s, k = trajectory.initial.size, trajectory.initial.num_groups
+        for t, ev in trajectory.events:
+            s += ev.size_delta
+            if ev.kind is EventKind.NEW_FAMILY:
+                k += 1
+            elif ev.kind is EventKind.DEATH and ev.index == 1:
+                k -= 1
             idx = "" if ev.index is None else str(ev.index)
-            fh.write(f"{t!r},{ev.kind.value},{idx},{state.size},{state.num_groups}\n")
+            fh.write(f"{t!r},{ev.kind.value},{idx},{s},{k}\n")
     finally:
         if own:
             fh.close()

@@ -28,3 +28,8 @@ class RunawayError(RuntimeError):
         super().__init__(message)
         self.events = events
         self.time = time
+
+    def __reduce__(self):
+        # the default reduction replays only ``args`` and would fail to
+        # rebuild the error when a pool worker sends it back
+        return type(self), (self.args[0], self.events, self.time)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_bdi, simulate_branching
-from .errors import DomainError
+from .errors import DomainError, RunawayError
 from .formulae import ModelParams
 from .partitions import AllelicPartition
 from .urn import group_count_trace
@@ -96,7 +96,16 @@ def _run_chunk(args: tuple) -> Counter:
     tallies: Counter = Counter()
     for i in range(start, stop):
         rng = np.random.default_rng([seed, i])
-        tallies[_replicate_outcome(engine, params, t_end, rng, max_events)] += 1
+        try:
+            outcome = _replicate_outcome(engine, params, t_end, rng, max_events)
+        except RunawayError as exc:
+            raise RunawayError(
+                f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
+                f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
+                events=exc.events,
+                time=exc.time,
+            ) from exc
+        tallies[outcome] += 1
     return tallies
 
 

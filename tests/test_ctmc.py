@@ -466,6 +466,65 @@ class TestSimulateBranching:
 
 
 # ---------------------------------------------------------------------------
+# engine-supplied final states against replay
+# ---------------------------------------------------------------------------
+
+# (params, horizon, initial family sizes): theta > 0 with mu = 0 and mu > 0,
+# theta <= 0 from a populated start, several-family starts on both signs
+FINAL_STATE_CASES = [
+    (ModelParams(0.5, 2.0, 0.0), 3.0, None),
+    (ModelParams(0.0, 1.0, 2.0), 5.0, None),
+    (ModelParams(0.3, 1.0, 1.5), 4.0, (3, 1, 2)),
+    (ModelParams(0.9, 0.5, 0.0), 2.0, (1, 4, 2, 1)),
+    (ModelParams(0.5, -0.25, 0.8), 4.0, (2, 3, 1, 2)),
+    (ModelParams(0.7, -0.6, 0.0), 2.0, (1, 2, 5)),
+    (ModelParams(0.5, 0.0, 1.2), 6.0, (2, 1, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("engine", ["multiplicity", "branching"])
+@pytest.mark.parametrize("params,t_end,sizes", FINAL_STATE_CASES)
+def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 77])
+        if engine == "multiplicity":
+            start = None if sizes is None else AllelicPartition.from_group_sizes(sizes)
+            path = simulate(params, t_end, rng, initial=start)
+        else:
+            start = None if sizes is None else AgentPopulation.from_group_sizes(sizes)
+            path = simulate_branching(params, t_end, rng, initial=start)
+        replayed = Trajectory(path.initial, path.events, path.horizon)
+        assert replayed == path
+        assert path.final_state() == replayed.final_state()
+        assert path.final_state() == path.state_at(t_end)
+
+
+def test_family_slots_locate_matches_population_locate():
+    # empty slots stand for families that died out; they must be skipped
+    # exactly as if they had been removed from the list
+    from allelic_bdi.ctmc import _FamilySlots
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        sizes = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(1, 40)))]
+        if not any(sizes):
+            continue
+        slots = _FamilySlots(sizes)
+        live = [fi for fi, n in enumerate(sizes) if n]
+        pop = AgentPopulation.from_group_sizes(sizes[fi] for fi in live)
+        for idx in range(sum(sizes)):
+            fi, pos = pop.locate(idx)
+            assert slots.locate(idx) == (live[fi], pos)
+        slot = int(rng.choice(live))
+        slots.add(slot, -1)
+        sizes[slot] -= 1
+        slots.append(2)
+        sizes.append(2)
+        flat = [(fi, pos) for fi, n in enumerate(sizes) for pos in range(n)]
+        assert [slots.locate(idx) for idx in range(len(flat))] == flat
+
+
+# ---------------------------------------------------------------------------
 # trajectory CSV
 # ---------------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from allelic_bdi import (
     neg_bin_pmf,
     partition_stationary_truncated,
     run_ensemble,
+    simulate,
     stationary_occupation,
     tv_distance,
     write_growth_csv,
@@ -160,8 +161,26 @@ class TestRunEnsemble:
             run_ensemble(params, 1.0, 10, -1)
 
     def test_event_cap_propagates(self):
-        with pytest.raises(RunawayError):
+        with pytest.raises(RunawayError) as exc:
             run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 4, 1, max_events=50)
+        assert "event cap" in str(exc.value)
+        assert str(exc.value).startswith("replicate 0 of seed 1 (alpha=0.5, theta=5.0, mu=0.0")
+        assert exc.value.events == 50
+
+    def test_event_cap_names_the_failing_replicate(self):
+        params = ModelParams(0.5, 1.0, 0.0)
+        lengths = [len(simulate(params, 2.0, np.random.default_rng([0, i]))) for i in range(3)]
+        assert lengths[0] <= 6 and lengths[1] <= 6 < lengths[2]  # 5, 0 and 8 events
+        with pytest.raises(RunawayError) as exc:
+            run_ensemble(params, 2.0, 5, 0, max_events=6)
+        assert str(exc.value).startswith("replicate 2 of seed 0 (alpha=0.5, theta=1.0, mu=0.0")
+        assert exc.value.events == 6
+
+    def test_event_cap_survives_the_pool(self):
+        with pytest.raises(RunawayError) as exc:
+            run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 256, 1, workers=2, max_events=50)
+        assert "event cap" in str(exc.value)
+        assert exc.value.events == 50
 
     def test_error_shrinks_with_replicates(self):
         # TV against the exact transient size law should fall roughly as

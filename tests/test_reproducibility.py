@@ -1,0 +1,67 @@
+"""Golden hashes of seeded CLI artifacts.
+
+Each hash is the sha256 of a file written by ``allelic-bdi simulate`` for a
+fixed flag set.  They pin the random draws and the event selection of both
+partition engines: a change to either changes these bytes.  A change to the
+package version or the CSV layout changes them too, and then the hashes must
+be regenerated on purpose alongside that change.
+"""
+
+import hashlib
+
+import pytest
+
+from allelic_bdi.cli import main
+
+SEED = "7"
+
+# (name, flags): alpha = 0 with deaths, pure birth at alpha = 0.7, and the
+# reversible regime at alpha = 0.5
+HISTOGRAM_POINTS = {
+    "a0-mu2": "--alpha 0 --theta 1 --mu 2 --t 5 --replicates 400".split(),
+    "a0.7-mu0": "--alpha 0.7 --theta 3 --mu 0 --t 2.5 --replicates 60".split(),
+    "a0.5-mu1.5": "--alpha 0.5 --theta 2 --mu 1.5 --t 4 --replicates 300".split(),
+}
+
+HISTOGRAM_SHA256 = {
+    "multiplicity": {
+        "a0-mu2": "68d8379d2613325111431502bd116f04a69af9fa46b9f3a4cc9d7d06ef7e3858",
+        "a0.7-mu0": "eb5427be6cb6409d9e88b9580f5895ff6e64022ec6cd249438421a95067d899f",
+        "a0.5-mu1.5": "ea9009b696fe442adbf8a36db15cbe932c31ac1f47c4dde18c93c1d2b5174387",
+    },
+    "branching": {
+        "a0-mu2": "30c573300e95efd3ca1fbad3c532dfa2c6525b7c7d30997b69474634b45dd02c",
+        "a0.7-mu0": "42337afa9d4b746b347b6b21a938b9d30d39ebca582bfbb0aa2b07fcde46e15d",
+        "a0.5-mu1.5": "7f562316a19ce6972eeee01dd05ae460b31612e95c81480253d256d5834c8de8",
+    },
+}
+
+# one path with new families, growth, deaths and extinct families
+TRAJECTORY_FLAGS = "--alpha 0.5 --theta 2 --mu 0.8 --t 6".split()
+
+TRAJECTORY_SHA256 = {
+    "multiplicity": "b2b0575c2b667bd815a0b93b60138d2b54db00bd3adef4652a65da7f09c0dc4d",
+    "branching": "4d8e2c420a7406621bcc25a4e1f7c56f248970656b95240c6ad93d33f5a7bf95",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("engine", sorted(HISTOGRAM_SHA256))
+@pytest.mark.parametrize("point", sorted(HISTOGRAM_POINTS))
+def test_histogram_bytes_are_pinned(tmp_path, engine, point):
+    histogram = tmp_path / "histogram.csv"
+    argv = ["simulate", *HISTOGRAM_POINTS[point], "--seed", SEED, "--engine", engine]
+    argv += ["--workers", "1", "--histogram", str(histogram), "--summary", str(tmp_path / "s.json")]
+    assert main(argv) == 0
+    assert sha256_of(histogram) == HISTOGRAM_SHA256[engine][point]
+
+
+@pytest.mark.parametrize("engine", sorted(TRAJECTORY_SHA256))
+def test_trajectory_bytes_are_pinned(tmp_path, engine):
+    trajectory = tmp_path / "trajectory.csv"
+    argv = ["simulate", *TRAJECTORY_FLAGS, "--seed", SEED, "--engine", engine]
+    assert main(argv + ["--trajectory", str(trajectory)]) == 0
+    assert sha256_of(trajectory) == TRAJECTORY_SHA256[engine]
