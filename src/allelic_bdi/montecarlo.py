@@ -20,7 +20,7 @@ from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_bdi, simulate_branching
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
-from .partitions import AllelicPartition
+from .partitions import AllelicPartition, EventKind
 from .urn import group_count_trace
 
 ENGINES = ("multiplicity", "branching", "bdi")
@@ -196,7 +196,10 @@ def stationary_occupation(
     """Occupation fractions of one long run after a burn-in (mu > 1).
 
     Simulates a single trajectory on [0, horizon] and weights each visited
-    partition by the time spent there beyond ``burn_in``.
+    partition by the time spent there beyond ``burn_in``.  The path is
+    walked on a mutable multiplicity dict, and occupation is keyed by its
+    sorted entries, so a partition object is built once per distinct state
+    rather than once per event.
     """
     params.require_reversible()
     if not 0.0 <= burn_in < horizon:
@@ -204,21 +207,33 @@ def stationary_occupation(
     trajectory = simulate(
         params, horizon, np.random.default_rng([seed, 0]), max_events=max_events
     )
-    weights: dict[AllelicPartition, float] = {}
+    counts = trajectory.initial.as_dict()
+    weights: dict[tuple[tuple[int, int], ...], float] = {}
+
+    def occupy(lo: float, hi: float) -> None:
+        if hi > lo:
+            key = tuple(sorted(counts.items()))
+            weights[key] = weights.get(key, 0.0) + (hi - lo)
+
     t_prev = 0.0
-    state_prev = trajectory.initial
-    for t, state in trajectory.iter_states():
-        if t > 0.0:
-            lo, hi = max(t_prev, burn_in), t
-            if hi > lo:
-                weights[state_prev] = weights.get(state_prev, 0.0) + (hi - lo)
-            t_prev, state_prev = t, state
+    for t, event in trajectory.events:
+        occupy(max(t_prev, burn_in), t)
+        t_prev = t
+        if event.kind is EventKind.NEW_FAMILY:
+            counts[1] = counts.get(1, 0) + 1
+            continue
+        i = event.index
+        if counts[i] == 1:
+            del counts[i]
         else:
-            state_prev = state
-    lo = max(t_prev, burn_in)
-    if horizon > lo:
-        weights[state_prev] = weights.get(state_prev, 0.0) + (horizon - lo)
-    return EmpiricalDistribution(weights, horizon - burn_in, None, seed)
+            counts[i] -= 1
+        j = i + 1 if event.kind is EventKind.GROWTH else i - 1
+        if j:  # a death in a group of size 1 leaves no group behind
+            counts[j] = counts.get(j, 0) + 1
+    occupy(max(t_prev, burn_in), horizon)
+    return EmpiricalDistribution(
+        {AllelicPartition(key): w for key, w in weights.items()}, horizon - burn_in, None, seed
+    )
 
 
 @dataclass(frozen=True)

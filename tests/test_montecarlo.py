@@ -221,6 +221,30 @@ class TestStationaryOccupation:
         table = partition_stationary_truncated(params, 6)
         assert tv_distance(occ, table) < 0.15
 
+    @pytest.mark.parametrize(
+        "params,horizon,burn_in,seed",
+        [(ModelParams(0.5, 2.0, 1.5), 400.0, 25.0, 8), (ModelParams(0.0, 3.0, 1.5), 300.0, 0.5, 21)],
+    )
+    def test_equals_replayed_path(self, params, horizon, burn_in, seed):
+        # occupation summed over the replayed states must agree exactly:
+        # same keys, same first-visit key order, same float sums
+        path = simulate(params, horizon, np.random.default_rng([seed, 0]))
+        expected: dict[AllelicPartition, float] = {}
+        t_prev, state_prev = 0.0, path.initial
+        for t, state in path.iter_states():
+            if t > 0.0:
+                lo = max(t_prev, burn_in)
+                if t > lo:
+                    expected[state_prev] = expected.get(state_prev, 0.0) + (t - lo)
+                t_prev = t
+            state_prev = state
+        lo = max(t_prev, burn_in)
+        if horizon > lo:
+            expected[state_prev] = expected.get(state_prev, 0.0) + (horizon - lo)
+        occ = stationary_occupation(params, horizon, burn_in, seed)
+        assert list(occ.weights.items()) == list(expected.items())
+        assert len(expected) > 20
+
     def test_validation(self):
         good = ModelParams(0.5, 1.0, 2.0)
         with pytest.raises(DomainError):

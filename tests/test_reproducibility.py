@@ -1,10 +1,12 @@
 """Golden hashes of seeded CLI artifacts.
 
-Each hash is the sha256 of a file written by ``allelic-bdi simulate`` for a
-fixed flag set.  They pin the random draws and the event selection of both
-partition engines: a change to either changes these bytes.  A change to the
-package version or the CSV layout changes them too, and then the hashes must
-be regenerated on purpose alongside that change.
+Each hash is the sha256 of a file written by ``allelic-bdi simulate`` or
+``allelic-bdi diagnose`` for a fixed flag set.  The ``simulate`` hashes pin
+the random draws and the event selection of both partition engines; the
+``diagnose`` hashes pin the urn's draws, its group-count sequence and the
+growth-report arithmetic.  A change to any of these changes the bytes.  A
+change to the package version or the CSV layout changes them too, and then
+the hashes must be regenerated on purpose alongside that change.
 """
 
 import hashlib
@@ -65,3 +67,21 @@ def test_trajectory_bytes_are_pinned(tmp_path, engine):
     argv = ["simulate", *TRAJECTORY_FLAGS, "--seed", SEED, "--engine", engine]
     assert main(argv + ["--trajectory", str(trajectory)]) == 0
     assert sha256_of(trajectory) == TRAJECTORY_SHA256[engine]
+
+
+# (alpha, theta): the Hoppe urn, the two-parameter urn, and theta < 0
+DIAGNOSE_FLAGS = "--n-max 20000 --runs 5".split()
+
+DIAGNOSE_SHA256 = {
+    ("0", "1"): "a2ce9feac02251ccb7b57dc630cd0b885d755fef38320aa9b92e055c5955a9ec",
+    ("0.5", "1"): "d0612af3369592daca14b0c27aae018198b4bf62424650518618d6017619929d",
+    ("0.9", "-0.5"): "c52fbd94a9fd67c17d65bf0fd3427d2b911b7b76722c5eb36aec4eed5a9f2e86",
+}
+
+
+@pytest.mark.parametrize("alpha,theta", sorted(DIAGNOSE_SHA256))
+def test_diagnose_bytes_are_pinned(tmp_path, alpha, theta):
+    report = tmp_path / "growth.csv"
+    argv = ["diagnose", "--alpha", alpha, "--theta", theta, *DIAGNOSE_FLAGS, "--seed", SEED]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert sha256_of(report) == DIAGNOSE_SHA256[(alpha, theta)]

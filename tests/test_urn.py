@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allelic_bdi import (
     AllelicPartition,
@@ -15,6 +17,7 @@ from allelic_bdi import (
     tv_distance,
 )
 from allelic_bdi.urn import (
+    _BLOCK,
     default_checkpoints,
     group_count_trace,
     sample_psf,
@@ -133,3 +136,89 @@ def test_group_count_mean_matches_exact_expectation():
     ]
     standard_error = math.sqrt(variance / runs)
     assert abs(np.mean(finals) - expected) < 5.0 * standard_error
+
+
+def reference_trace(n_max, params, rng, checkpoints=None):
+    """The step-by-step urn loop that ``group_count_trace`` must reproduce.
+
+    One uniform per step from blocks of ``_BLOCK`` draws; step n founds a
+    group when u * (theta + n) < theta + alpha * k, and step 0 always does.
+    """
+    marks = default_checkpoints(n_max) if checkpoints is None else tuple(sorted(set(checkpoints)))
+    mark_set = set(marks)
+    theta, alpha = params.theta, params.alpha
+    out = []
+    k = 0
+    block = rng.random(_BLOCK)
+    bi = 0
+    for n in range(n_max):
+        if bi == len(block):
+            block = rng.random(_BLOCK)
+            bi = 0
+        u = block[bi]
+        bi += 1
+        if n == 0:
+            k = 1
+        elif u * (theta + n) < theta + alpha * k:
+            k += 1
+        if (n + 1) in mark_set:
+            out.append((n + 1, k))
+    return out
+
+
+def assert_trace_matches_reference(n_max, params, seed, checkpoints=None):
+    rng, reference_rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+    trace = group_count_trace(n_max, params, rng, checkpoints)
+    assert trace == reference_trace(n_max, params, reference_rng, checkpoints)
+    assert all(type(n) is int and type(k) is int for n, k in trace)
+    # the same number of blocks was drawn, so the stream continues identically
+    assert rng.random() == reference_rng.random()
+
+
+TRACE_POINTS = [(0.0, 1.0), (0.0, 2.5)] + [
+    (alpha, theta)
+    for alpha in (0.3, 0.5, 0.9, 0.999)
+    for theta in (0.0, -alpha + 1e-3, 1.0)
+]
+
+
+@pytest.mark.parametrize("n_max", [10, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("alpha,theta", TRACE_POINTS)
+def test_group_count_trace_equals_reference_loop(alpha, theta, n_max):
+    params = ModelParams(alpha, theta)
+    for seed in (0, 41):
+        assert_trace_matches_reference(n_max, params, seed)
+    # custom checkpoints on both sides of each block boundary
+    marks = {1, 2, n_max}
+    for b in range(_BLOCK, n_max + 1, _BLOCK):
+        marks |= {b - 1, b, min(b + 1, n_max)}
+    assert_trace_matches_reference(n_max, params, 97, tuple(marks))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    alpha=st.floats(0.0, 0.999),
+    theta_offset=st.floats(1e-6, 10.0),
+    n_max=st.integers(10, 50_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_count_trace_property_equals_reference_loop(alpha, theta_offset, n_max, seed):
+    # theta ranges over (-alpha, -alpha + 10], which at alpha = 0 is theta > 0
+    params = ModelParams(alpha, -alpha + theta_offset)
+    assert_trace_matches_reference(n_max, params, seed)
+
+
+@pytest.mark.parametrize("bad", [(10.5, 50), (True, 50), (50, 20.0), (np.True_,)])
+def test_group_count_trace_rejects_non_integer_checkpoints(bad):
+    with pytest.raises(DomainError, match="integers"):
+        group_count_trace(100, ModelParams(0.5, 1.0), np.random.default_rng(0), bad)
+
+
+def test_group_count_trace_checkpoint_range_and_integer_types():
+    params = ModelParams(0.5, 1.0)
+    for bad in ((0, 50), (50, 101)):
+        with pytest.raises(DomainError, match="lie in"):
+            group_count_trace(100, params, np.random.default_rng(0), bad)
+    trace = group_count_trace(100, params, np.random.default_rng(0), (np.int64(50), 7, 7))
+    assert [n for n, _ in trace] == [7, 50]
+    assert trace == group_count_trace(100, params, np.random.default_rng(0), (7, 50))
