@@ -16,21 +16,23 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching, write_trajectory_csv
+from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
 from .errors import DomainError, PartitionParseError, RunawayError
 from .formulae import ModelParams, esf, neg_bin_pmf, nbin_time_param, psf
 from .montecarlo import (
     ENGINES,
+    _open_artifact,
     growth_report,
     run_ensemble,
     tv_distance,
     write_growth_csv,
     write_histogram_csv,
+    write_trajectory_csv,
 )
 from .partitions import AllelicPartition, enumerate_partitions
 from .stationary import (
@@ -64,37 +66,6 @@ def _need(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _open_out(path: str | None) -> tuple[IO[str], bool]:
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _write_table(path: str | None, key_name: str, rows, meta: dict) -> None:
-    fh, own = _open_out(path)
-    try:
-        header = {"artifact": "allelic-bdi", "version": _pkg_version}
-        header.update(meta)
-        for key, value in header.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"{key_name},value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value:.12g}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    fh, own = _open_out(path)
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if own:
-            fh.close()
-
-
 def cmd_exact(args) -> int:
     kind = args.kind
     if kind == "bt":
@@ -102,39 +73,50 @@ def cmd_exact(args) -> int:
         _need(args.t is not None, "bt requires --t")
         print(f"{nbin_time_param(args.mu, args.t):.12g}")
         return 0
+    if args.table and kind in ("pi", "lambda"):
+        _need(args.max_size >= 0, "--max-size must be >= 0")
 
     if kind == "lambda":
         _need(args.theta is not None, "lambda requires --theta")
         _need(args.mu is not None, "lambda requires --mu")
-        if args.table:
-            rows = [
-                (str(n), size_stationary_pmf(n, args.theta, args.mu))
-                for n in range(args.max_size + 1)
-            ]
-            meta = {"kind": "lambda", "theta": args.theta, "mu": args.mu}
-            _write_table(args.out, "n", rows, meta)
-        else:
+        if not args.table:
             _need(args.n is not None, "lambda requires --n or --table")
             print(f"{size_stationary_pmf(args.n, args.theta, args.mu):.12g}")
-        return 0
+            return 0
+        key_name = "n"
+        rows = [
+            (str(n), size_stationary_pmf(n, args.theta, args.mu))
+            for n in range(args.max_size + 1)
+        ]
+        meta = {"kind": "lambda", "theta": args.theta, "mu": args.mu}
+    else:
+        if kind == "esf":
+            _need(args.theta is not None, "esf requires --theta")
+            params = ModelParams(0.0, args.theta)
+            meta = {"kind": kind, "theta": args.theta}
+        elif kind == "psf":
+            _need(args.alpha is not None, "psf requires --alpha")
+            _need(args.theta is not None, "psf requires --theta")
+            params = ModelParams(args.alpha, args.theta)
+            meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta}
+        else:  # pi
+            _need(args.alpha is not None, "pi requires --alpha")
+            _need(args.theta is not None, "pi requires --theta")
+            _need(args.mu is not None, "pi requires --mu")
+            params = ModelParams(args.alpha, args.theta, args.mu)
+            meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta, "mu": args.mu}
 
-    if kind == "esf":
-        _need(args.theta is not None, "esf requires --theta")
-        params = ModelParams(0.0, args.theta)
-        meta = {"kind": kind, "theta": args.theta}
-    elif kind == "psf":
-        _need(args.alpha is not None, "psf requires --alpha")
-        _need(args.theta is not None, "psf requires --theta")
-        params = ModelParams(args.alpha, args.theta)
-        meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta}
-    else:  # pi
-        _need(args.alpha is not None, "pi requires --alpha")
-        _need(args.theta is not None, "pi requires --theta")
-        _need(args.mu is not None, "pi requires --mu")
-        params = ModelParams(args.alpha, args.theta, args.mu)
-        meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta, "mu": args.mu}
-
-    if args.table:
+        if not args.table:
+            _need(args.partition is not None, f"{kind} requires --partition or --table")
+            m = AllelicPartition.decode(args.partition)
+            if kind == "pi":
+                value = partition_stationary_pmf(m, params)
+            else:
+                n = args.n if args.n is not None else m.size
+                value = esf(n, args.theta, m) if kind == "esf" else psf(n, params, m)
+            print(f"{value:.12g}")
+            return 0
+        key_name = "partition"
         if kind == "pi":
             rows = [
                 (m.encode(), partition_stationary_pmf(m, params))
@@ -146,17 +128,11 @@ def cmd_exact(args) -> int:
             _need(args.n is not None, f"{kind} --table requires --n")
             rows = [(m.encode(), psf(args.n, params, m)) for m in enumerate_partitions(args.n)]
             meta["n"] = args.n
-        _write_table(args.out, "partition", rows, meta)
-        return 0
 
-    _need(args.partition is not None, f"{kind} requires --partition or --table")
-    m = AllelicPartition.decode(args.partition)
-    if kind == "pi":
-        value = partition_stationary_pmf(m, params)
-    else:
-        n = args.n if args.n is not None else m.size
-        value = esf(n, args.theta, m) if kind == "esf" else psf(n, params, m)
-    print(f"{value:.12g}")
+    with _open_artifact(args.out, meta) as fh:
+        fh.write(f"{key_name},value\n")
+        for key, value in rows:
+            fh.write(f"{key},{value:.12g}\n")
     return 0
 
 
@@ -187,7 +163,7 @@ def _simulate_summary(args, params: ModelParams, dist) -> dict:
             tv["partition_vs_poisson_product"] = tv_distance(empirical, exact)
             tv["partition_truncation"] = bound
         elif params.mu > 1.0:
-            exact = partition_stationary_truncated(params, bound).probs
+            exact = partition_stationary_truncated(params, bound)
             tv["partition_vs_stationary"] = tv_distance(empirical, exact)
             tv["partition_truncation"] = bound
 
@@ -216,6 +192,8 @@ def cmd_simulate(args) -> int:
     _need(args.t >= 0.0, "--t must be >= 0")
     _need(args.replicates >= 1, "--replicates must be >= 1")
     _need(args.workers >= 1, "--workers must be >= 1")
+    _need(args.seed >= 0, "--seed must be >= 0")
+    _need(args.tv_max_size >= 0, "--tv-max-size must be >= 0")
 
     if args.trajectory is not None:
         if args.engine == "bdi":
@@ -254,7 +232,9 @@ def cmd_simulate(args) -> int:
             "engine": args.engine,
         }
         write_histogram_csv(dist, args.histogram, metadata=meta)
-    _write_json(args.summary, _simulate_summary(args, params, dist))
+    with _open_artifact(args.summary) as fh:
+        json.dump(_simulate_summary(args, params, dist), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
@@ -382,7 +362,9 @@ def cmd_verify(args) -> int:
         "suites": suites,
         "pass": ok,
     }
-    _write_json(args.out, report)
+    with _open_artifact(args.out) as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0 if ok else 1
 
 
@@ -397,12 +379,7 @@ def cmd_diagnose(args) -> int:
         "seed": args.seed,
         "power": args.power if args.power is not None else params.alpha,
     }
-    fh, own = _open_out(args.out)
-    try:
-        write_growth_csv(rows, fh, metadata=meta)
-    finally:
-        if own:
-            fh.close()
+    write_growth_csv(rows, sys.stdout if args.out is None else args.out, metadata=meta)
     return 0
 
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__ as _pkg_version
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
 from .partitions import AllelicPartition, EventKind, TransitionEvent
@@ -588,45 +587,3 @@ def _weighted_parent(
                 return fi, pos
     return last
 
-
-def write_trajectory_csv(
-    trajectory: Trajectory,
-    file: str | IO[str],
-    *,
-    params: ModelParams | None = None,
-    seed: int | None = None,
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Write a trajectory as CSV with a commented metadata header.
-
-    Columns are time, event_kind, event_index (empty for new-family events)
-    and the population size and group count after the event, both tracked
-    from the events themselves without replaying partitions.
-    """
-    own = isinstance(file, str)
-    fh: IO[str] = open(file, "w", newline="") if own else file
-    try:
-        meta: dict[str, object] = {"artifact": "allelic-bdi", "version": _pkg_version}
-        if params is not None:
-            meta.update(alpha=params.alpha, theta=params.theta, mu=params.mu)
-        if seed is not None:
-            meta["seed"] = seed
-        meta["horizon"] = trajectory.horizon
-        meta["initial"] = trajectory.initial.encode()
-        if metadata:
-            meta.update(metadata)
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("time,event_kind,event_index,s,k\n")
-        s, k = trajectory.initial.size, trajectory.initial.num_groups
-        for t, ev in trajectory.events:
-            s += ev.size_delta
-            if ev.kind is EventKind.NEW_FAMILY:
-                k += 1
-            elif ev.kind is EventKind.DEATH and ev.index == 1:
-                k -= 1
-            idx = "" if ev.index is None else str(ev.index)
-            fh.write(f"{t!r},{ev.kind.value},{idx},{s},{k}\n")
-    finally:
-        if own:
-            fh.close()

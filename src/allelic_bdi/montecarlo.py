@@ -9,15 +9,17 @@ inputs no matter how replicates are partitioned across workers.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterable, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_bdi, simulate_branching
+from .ctmc import DEFAULT_MAX_EVENTS, Trajectory, simulate, simulate_bdi, simulate_branching
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
 from .partitions import AllelicPartition, EventKind
@@ -152,11 +154,14 @@ def _tail(probs: Mapping[Any, float]) -> float:
     return max(0.0, 1.0 - sum(probs.values()))
 
 
-def _coerce_probs(dist) -> Mapping[Any, float]:
+def _probabilities(dist) -> Mapping[Any, float]:
+    """Probabilities of an empirical law, or a mapping of them as given.
+
+    Exact laws are plain ``{outcome: probability}`` mappings; mass they do
+    not store (beyond a truncation bound) is their tail.
+    """
     if isinstance(dist, EmpiricalDistribution):
         return dist.probabilities()
-    if hasattr(dist, "probs"):  # TruncatedDistribution
-        return dist.probs
     if isinstance(dist, Mapping):
         return dist
     raise DomainError(f"unsupported distribution type {type(dist).__name__}")
@@ -170,7 +175,7 @@ def tv_distance(p, q) -> float:
     missing mass lives where the other has none (truncation against an
     empirical law, in particular).
     """
-    p_probs, q_probs = _coerce_probs(p), _coerce_probs(q)
+    p_probs, q_probs = _probabilities(p), _probabilities(q)
     for probs in (p_probs, q_probs):
         mass = 0.0
         for value in probs.values():
@@ -183,6 +188,23 @@ def tv_distance(p, q) -> float:
     for key in p_probs.keys() | q_probs.keys():
         core += abs(p_probs.get(key, 0.0) - q_probs.get(key, 0.0))
     return 0.5 * core + 0.5 * (_tail(p_probs) + _tail(q_probs))
+
+
+def conditional_given_size(dist, n: int) -> dict[AllelicPartition, float]:
+    """Renormalized slice {s(m) = n} of a distribution over partitions.
+
+    Accepts an empirical distribution or a mapping of probabilities; raises
+    if the slice carries no mass.  Applied to the exact stationary table
+    this recovers the Pitman sampling formula at n.
+    """
+    if n < 0:
+        raise DomainError("the slice size must be >= 0")
+    probs = _probabilities(dist)
+    slice_probs = {m: p for m, p in probs.items() if m.size == n and p > 0.0}
+    total = sum(slice_probs.values())
+    if total <= 0.0:
+        raise DomainError(f"the distribution carries no mass on partitions of size {n}")
+    return {m: p / total for m, p in slice_probs.items()}
 
 
 def stationary_occupation(
@@ -204,6 +226,8 @@ def stationary_occupation(
     params.require_reversible()
     if not 0.0 <= burn_in < horizon:
         raise DomainError("need 0 <= burn_in < horizon")
+    if seed < 0:
+        raise DomainError("the seed must be >= 0")
     trajectory = simulate(
         params, horizon, np.random.default_rng([seed, 0]), max_events=max_events
     )
@@ -270,6 +294,8 @@ def growth_report(
     """
     if runs < 2:
         raise DomainError("need at least two runs for dispersion statistics")
+    if seed < 0:
+        raise DomainError("the seed must be >= 0")
     if power is None:
         power = params.alpha
     traces = []
@@ -317,44 +343,54 @@ def _sort_key(key):
     raise DomainError(f"cannot serialize histogram key of type {type(key).__name__}")
 
 
-def write_histogram_csv(
-    dist: EmpiricalDistribution, file: str | IO[str], metadata: Mapping[str, object] | None = None
-) -> None:
-    """Write tallies as ``key,count,probability`` CSV with a metadata header."""
+@contextmanager
+def _open_artifact(
+    file: str | IO[str] | None, header: Mapping[str, object] | None = None
+) -> Iterator[IO[str]]:
+    """A text handle on ``file`` for one artifact, header lines first.
+
+    ``file`` is a path (opened here and closed on exit), an open handle
+    (left open) or None for stdout.  With a ``header``, the lines
+    ``# artifact=allelic-bdi``, ``# version=...`` and one ``# key=value``
+    per header entry are written before the body.
+    """
     own = isinstance(file, str)
-    fh: IO[str] = open(file, "w", newline="") if own else file
+    if own:
+        fh: IO[str] = open(file, "w", newline="")
+    else:
+        fh = sys.stdout if file is None else file
     try:
-        meta: dict[str, object] = {"artifact": "allelic-bdi", "version": _pkg_version}
-        meta["total_weight"] = dist.total
-        if dist.replicates is not None:
-            meta["replicates"] = dist.replicates
-        if dist.seed is not None:
-            meta["seed"] = dist.seed
-        if metadata:
-            meta.update(metadata)
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("key,count,probability\n")
-        for key in sorted(dist.weights, key=_sort_key):
-            w = dist.weights[key]
-            count = int(w) if float(w).is_integer() else repr(w)
-            fh.write(f"{_key_text(key)},{count},{w / dist.total!r}\n")
+        if header is not None:
+            meta = {"artifact": "allelic-bdi", "version": _pkg_version, **header}
+            for key, value in meta.items():
+                fh.write(f"# {key}={value}\n")
+        yield fh
     finally:
         if own:
             fh.close()
 
 
+def write_histogram_csv(
+    dist: EmpiricalDistribution, file: str | IO[str], metadata: Mapping[str, object] | None = None
+) -> None:
+    """Write tallies as ``key,count,probability`` CSV with a metadata header."""
+    header: dict[str, object] = {"total_weight": dist.total}
+    if dist.replicates is not None:
+        header["replicates"] = dist.replicates
+    if dist.seed is not None:
+        header["seed"] = dist.seed
+    with _open_artifact(file, {**header, **(metadata or {})}) as fh:
+        fh.write("key,count,probability\n")
+        for key in sorted(dist.weights, key=_sort_key):
+            w = dist.weights[key]
+            count = int(w) if float(w).is_integer() else repr(w)
+            fh.write(f"{_key_text(key)},{count},{w / dist.total!r}\n")
+
+
 def write_growth_csv(
     rows: Iterable[GrowthRow], file: str | IO[str], metadata: Mapping[str, object] | None = None
 ) -> None:
-    own = isinstance(file, str)
-    fh: IO[str] = open(file, "w", newline="") if own else file
-    try:
-        meta: dict[str, object] = {"artifact": "allelic-bdi", "version": _pkg_version}
-        if metadata:
-            meta.update(metadata)
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
+    with _open_artifact(file, metadata or {}) as fh:
         fh.write(
             "n,mean_groups,sd_groups,log_norm_mean,log_norm_cv,pow_norm_mean,pow_norm_cv\n"
         )
@@ -363,6 +399,37 @@ def write_growth_csv(
                 f"{row.n},{row.mean_groups!r},{row.sd_groups!r},{row.log_norm_mean!r},"
                 f"{row.log_norm_cv!r},{row.pow_norm_mean!r},{row.pow_norm_cv!r}\n"
             )
-    finally:
-        if own:
-            fh.close()
+
+
+def write_trajectory_csv(
+    trajectory: Trajectory,
+    file: str | IO[str],
+    *,
+    params: ModelParams | None = None,
+    seed: int | None = None,
+    metadata: Mapping[str, object] | None = None,
+) -> None:
+    """Write a trajectory as CSV with a commented metadata header.
+
+    Columns are time, event_kind, event_index (empty for new-family events)
+    and the population size and group count after the event, both tracked
+    from the events themselves without replaying partitions.
+    """
+    header: dict[str, object] = {}
+    if params is not None:
+        header.update(alpha=params.alpha, theta=params.theta, mu=params.mu)
+    if seed is not None:
+        header["seed"] = seed
+    header["horizon"] = trajectory.horizon
+    header["initial"] = trajectory.initial.encode()
+    with _open_artifact(file, {**header, **(metadata or {})}) as fh:
+        fh.write("time,event_kind,event_index,s,k\n")
+        s, k = trajectory.initial.size, trajectory.initial.num_groups
+        for t, ev in trajectory.events:
+            s += ev.size_delta
+            if ev.kind is EventKind.NEW_FAMILY:
+                k += 1
+            elif ev.kind is EventKind.DEATH and ev.index == 1:
+                k -= 1
+            idx = "" if ev.index is None else str(ev.index)
+            fh.write(f"{t!r},{ev.kind.value},{idx},{s},{k}\n")

@@ -13,7 +13,8 @@ with w_i = alpha_weight(alpha, i).  The infinite product of Poisson vacancy
 factors collapses against C (the weight series sums to 1 - (1 - 1/mu)^alpha),
 so pi is evaluated from the stored entries alone.  Equivalently pi is the
 lambda-mixture of Pitman sampling formulae, which collapses to the single
-term at n = s(m); both routes are exposed and checked against each other.
+term at n = s(m); ``mixture_consistency_scan`` checks the closed form
+against that term.
 
 For theta in (-alpha, 0) the same expressions satisfy the detailed-balance
 identities algebraically but carry a sign ((theta/alpha)_(k) < 0 for k >= 1),
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .formulae import (
     log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
-    neg_bin_pmf,
     nbin_time_param,
     poisson_product_prob,
     psf,
@@ -46,6 +46,26 @@ from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
 
 #: States with populations beyond this are never enumerated by the scanners.
 PARTITION_BALANCE_MAX_SIZE = 14
+
+
+def _require_partition_regime(params: ModelParams) -> None:
+    """The partition-level law needs alpha in (0, 1) and mu > 1."""
+    if params.alpha == 0.0:
+        raise DomainError(
+            "pi is parameterized by alpha in (0, 1); the alpha = 0 regime "
+            "is covered by the Poisson-product limit"
+        )
+    params.require_reversible()
+
+
+def _require_bound(bound: int) -> None:
+    """Tables and scans enumerate partitions with 0 <= s(m) <= bound."""
+    if bound < 0:
+        raise DomainError("the size bound must be >= 0")
+    if bound > PARTITION_BALANCE_MAX_SIZE:
+        raise BoundExceededError(
+            f"stationary tables and scans are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
+        )
 
 
 def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
@@ -104,87 +124,33 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     for theta > 0, where summing over all partitions with s(m) = n yields
     exactly lambda(n).
     """
-    if params.alpha == 0.0:
-        raise DomainError(
-            "pi is parameterized by alpha in (0, 1); the alpha = 0 regime "
-            "is covered by the Poisson-product limit"
-        )
-    params.require_reversible()
+    _require_partition_regime(params)
     return _signed_log_pi(m, params).to_float()
 
 
 def normalizing_constant(params: ModelParams) -> float:
     """C = exp(1 - (1 - 1/mu)^alpha) * (1 - 1/mu)^theta."""
-    if params.alpha == 0.0:
-        raise DomainError("the constant is defined for alpha in (0, 1)")
-    params.require_reversible()
+    _require_partition_regime(params)
     base = -math.expm1(math.log1p(-1.0 / params.mu) * params.alpha)  # 1 - (1-1/mu)^alpha
     return math.exp(base) * math.exp(params.theta * math.log1p(-1.0 / params.mu))
 
 
-def partition_stationary_via_mixture(
-    m: AllelicPartition, params: ModelParams, n_trunc: int
-) -> float:
-    """pi(m) evaluated as the mixture sum_n PSF_n(m) * lambda(n).
+def partition_stationary_truncated(
+    params: ModelParams, bound: int
+) -> dict[AllelicPartition, float]:
+    """pi tabulated as ``{m: pi(m)}`` over all partitions with s(m) <= bound.
 
-    The Pitman formula vanishes except at n = s(m), so the sum is the single
-    product psf(s(m)) * lambda(s(m)); the result is asserted to match the
-    closed form within 1e-10 relative before being returned.
+    Requires theta > 0, so the values are probabilities; the mass beyond
+    the bound is not stored, and ``tv_distance`` counts it as tail.
     """
-    if params.alpha == 0.0:
-        raise DomainError("the mixture is parameterized by alpha in (0, 1)")
-    params.require_reversible()
-    n = m.size
-    if n > n_trunc:
-        raise DomainError(f"truncation bound {n_trunc} is below the partition size {n}")
-    value = psf(n, params, m) * size_stationary_pmf(n, params.theta, params.mu)
-    closed = partition_stationary_pmf(m, params)
-    if not math.isclose(value, closed, rel_tol=1e-10):
-        raise ArithmeticError(
-            f"mixture and closed form disagree at {m.encode()!r}: {value!r} vs {closed!r}"
-        )
-    return value
-
-
-@dataclass(frozen=True)
-class TruncatedDistribution:
-    """A distribution restricted to states within a size bound.
-
-    Stores genuine probabilities (all >= 0, total mass <= 1); whatever mass
-    lies beyond the bound is implicit and picked up by total-variation
-    computations as tail mass.
-    """
-
-    bound: int
-    probs: Mapping[object, float]
-
-    def __post_init__(self):
-        mass = 0.0
-        for p in self.probs.values():
-            if p < 0.0:
-                raise DomainError("probabilities must be >= 0")
-            mass += p
-        if mass > 1.0 + 1e-9:
-            raise DomainError(f"captured mass {mass} exceeds 1")
-
-    @property
-    def mass(self) -> float:
-        return sum(self.probs.values())
-
-
-def partition_stationary_truncated(params: ModelParams, bound: int) -> TruncatedDistribution:
-    """pi tabulated over all partitions with s(m) <= bound (theta > 0)."""
     if params.theta <= 0.0:
         raise DomainError("the truncated stationary table requires theta > 0")
-    if bound > PARTITION_BALANCE_MAX_SIZE:
-        raise BoundExceededError(
-            f"stationary tables are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
-        )
-    probs: dict[AllelicPartition, float] = {}
-    for n in range(bound + 1):
-        for m in enumerate_partitions(n):
-            probs[m] = partition_stationary_pmf(m, params)
-    return TruncatedDistribution(bound, probs)
+    _require_bound(bound)
+    return {
+        m: partition_stationary_pmf(m, params)
+        for n in range(bound + 1)
+        for m in enumerate_partitions(n)
+    }
 
 
 @dataclass(frozen=True)
@@ -238,12 +204,6 @@ def size_balance_scan(
     )
 
 
-def size_detailed_balance_residual(
-    theta: float, mu: float, n_max: int, pmf: Callable[[int], float] | None = None
-) -> float:
-    return size_balance_scan(theta, mu, n_max, pmf).max_residual
-
-
 def _up_transitions(m: AllelicPartition, params: ModelParams):
     """(event, formal up-rate, reverse death index) for every up move from m.
 
@@ -268,15 +228,8 @@ def partition_balance_scan(
     values so the theta < 0 regime is covered.  A sign mismatch or one-sided
     zero reports an infinite residual.
     """
-    if params.alpha == 0.0:
-        raise DomainError("the partition balance scan requires alpha in (0, 1)")
-    params.require_reversible()
-    if s_max < 0:
-        raise DomainError("s_max must be >= 0")
-    if s_max > PARTITION_BALANCE_MAX_SIZE:
-        raise BoundExceededError(
-            f"balance scans are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
-        )
+    _require_partition_regime(params)
+    _require_bound(s_max)
 
     if pmf is None:
         log_pi_of = lambda m: _signed_log_pi(m, params)  # noqa: E731
@@ -315,14 +268,6 @@ def partition_balance_scan(
     return BalanceScan(worst, worst_state, worst_transition, pairs)
 
 
-def partition_detailed_balance_residual(
-    params: ModelParams,
-    s_max: int,
-    pmf: Callable[[AllelicPartition], float] | None = None,
-) -> float:
-    return partition_balance_scan(params, s_max, pmf).max_residual
-
-
 def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     """Worst relative gap between pi and its mixture form over s(m) <= s_max.
 
@@ -330,15 +275,8 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     the size mixture); residuals are relative to the closed form, compared on
     signed values so theta < 0 is covered.
     """
-    if params.alpha == 0.0:
-        raise DomainError("the mixture scan requires alpha in (0, 1)")
-    params.require_reversible()
-    if s_max < 0:
-        raise DomainError("s_max must be >= 0")
-    if s_max > PARTITION_BALANCE_MAX_SIZE:
-        raise BoundExceededError(
-            f"stationary scans are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
-        )
+    _require_partition_regime(params)
+    _require_bound(s_max)
     worst = -1.0
     worst_state = ""
     checked = 0
@@ -365,13 +303,8 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
     is a probability distribution on each size slice; the observable gap is
     pure floating-point error.  Signed for theta < 0.
     """
-    if params.alpha == 0.0:
-        raise DomainError("the mass comparison requires alpha in (0, 1)")
-    params.require_reversible()
-    if bound > PARTITION_BALANCE_MAX_SIZE:
-        raise BoundExceededError(
-            f"stationary scans are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
-        )
+    _require_partition_regime(params)
+    _require_bound(bound)
     pi_sum = 0.0
     lambda_sum = 0.0
     for n in range(bound + 1):
@@ -425,29 +358,3 @@ def alpha0_limit_rate(i: int, theta: float, mu: float) -> float:
         return theta * mu ** (-i) / i
     return theta / i
 
-
-def _as_probabilities(dist) -> Mapping[object, float]:
-    if isinstance(dist, TruncatedDistribution):
-        return dist.probs
-    if hasattr(dist, "probabilities"):
-        return dist.probabilities()
-    if isinstance(dist, Mapping):
-        return dist
-    raise DomainError(f"unsupported distribution type {type(dist).__name__}")
-
-
-def conditional_given_size(dist, n: int) -> dict[AllelicPartition, float]:
-    """Renormalized slice {s(m) = n} of a distribution over partitions.
-
-    Accepts a TruncatedDistribution, an empirical distribution or a plain
-    mapping; raises if the slice carries no mass.  Applied to the exact
-    stationary table this recovers the Pitman sampling formula at n.
-    """
-    if n < 0:
-        raise DomainError("the slice size must be >= 0")
-    probs = _as_probabilities(dist)
-    slice_probs = {m: p for m, p in probs.items() if m.size == n and p > 0.0}
-    total = sum(slice_probs.values())
-    if total <= 0.0:
-        raise DomainError(f"the distribution carries no mass on partitions of size {n}")
-    return {m: p / total for m, p in slice_probs.items()}

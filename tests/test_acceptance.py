@@ -192,7 +192,7 @@ def test_criterion_08_ergodic_occupation():
     empty_frac = probs.get(AllelicPartition.empty(), 0.0)
     table = partition_stationary_truncated(params, 6)
     empirical = {m: p for m, p in probs.items() if m.size <= 6}
-    tv = tv_distance(empirical, table.probs)
+    tv = tv_distance(empirical, table)
     ok = abs(empty_frac - 0.5) <= 0.02 and tv < 0.03 and elapsed < 120.0
     _report(
         8,

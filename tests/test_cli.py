@@ -128,6 +128,9 @@ class TestExact:
             ("exact", "bt", "--mu", "-1", "--t", "2"),  # mu < 0
             ("exact", "psf", "--alpha", "0.5", "--theta", "1", "--table"),  # table needs --n
             ("exact", "pi", "--alpha", "0", "--theta", "1", "--mu", "2", "--partition", "0"),
+            ("exact", "pi", "--alpha", "0.5", "--theta", "1", "--mu", "2", "--table",
+             "--max-size", "-3"),
+            ("exact", "lambda", "--theta", "1", "--mu", "2", "--table", "--max-size", "-3"),
         ],
     )
     def test_domain_errors_exit_2(self, capsys, argv):
@@ -282,6 +285,10 @@ class TestSimulate:
             ("simulate", "--theta", "1", "--t", "1", "--seed", "1", "--workers", "0"),
             ("simulate", "--alpha", "1.5", "--theta", "1", "--t", "1", "--seed", "1"),
             ("simulate", "--theta", "1", "--t", "1", "--seed", "1", "--engine", "urn"),
+            ("simulate", "--theta", "1", "--t", "1", "--seed", "-1", "--trajectory", "unused.csv"),
+            ("simulate", "--theta", "1", "--t", "1", "--seed", "1", "--tv-max-size", "-1"),
+            ("simulate", "--alpha", "0.5", "--theta", "1", "--mu", "2", "--t", "1", "--seed",
+             "1", "--tv-max-size", "-1"),
         ],
     )
     def test_invalid_usage_exits_2(self, capsys, argv):
@@ -406,6 +413,7 @@ class TestDiagnose:
             ("diagnose", "--theta", "1", "--n-max", "5", "--seed", "1"),
             ("diagnose", "--theta", "1", "--n-max", "100"),  # missing --seed
             ("diagnose", "--alpha", "0.5", "--theta", "-0.5", "--n-max", "100", "--seed", "1"),
+            ("diagnose", "--theta", "1", "--n-max", "100", "--seed", "-1"),
         ],
     )
     def test_invalid_usage_exits_2(self, capsys, argv):

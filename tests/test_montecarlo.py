@@ -13,7 +13,6 @@ from allelic_bdi import (
     EmpiricalDistribution,
     ModelParams,
     RunawayError,
-    TruncatedDistribution,
     default_checkpoints,
     growth_report,
     nbin_time_param,
@@ -100,8 +99,6 @@ class TestTvDistance:
 
     def test_accepts_all_distribution_types(self):
         emp = EmpiricalDistribution({0: 3.0, 1: 1.0}, 4.0)
-        trunc = TruncatedDistribution(2, {0: 0.75, 1: 0.25})
-        assert tv_distance(emp, trunc) == pytest.approx(0.0, abs=1e-15)
         assert tv_distance(emp, {0: 0.75, 1: 0.25}) == pytest.approx(0.0, abs=1e-15)
 
     def test_validation(self):
@@ -253,6 +250,8 @@ class TestStationaryOccupation:
             stationary_occupation(good, 100.0, 100.0, 1)
         with pytest.raises(DomainError):
             stationary_occupation(good, 100.0, -1.0, 1)
+        with pytest.raises(DomainError):
+            stationary_occupation(good, 100.0, 10.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +314,8 @@ class TestGrowthReport:
     def test_validation(self):
         with pytest.raises(DomainError):
             growth_report(ModelParams(0.5, 1.0), 100, 1, seed=3)
+        with pytest.raises(DomainError):
+            growth_report(ModelParams(0.5, 1.0), 100, 4, seed=-1)
 
 
 # ---------------------------------------------------------------------------

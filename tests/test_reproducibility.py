@@ -1,12 +1,15 @@
-"""Golden hashes of seeded CLI artifacts.
+"""Golden hashes of CLI artifacts.
 
-Each hash is the sha256 of a file written by ``allelic-bdi simulate`` or
-``allelic-bdi diagnose`` for a fixed flag set.  The ``simulate`` hashes pin
-the random draws and the event selection of both partition engines; the
-``diagnose`` hashes pin the urn's draws, its group-count sequence and the
-growth-report arithmetic.  A change to any of these changes the bytes.  A
-change to the package version or the CSV layout changes them too, and then
-the hashes must be regenerated on purpose alongside that change.
+Each hash is the sha256 of a file written by ``allelic-bdi`` for a fixed
+flag set.  The ``simulate`` hashes pin the random draws and the event
+selection of both partition engines, and the summary hashes also pin the
+moments and the exact reference laws the TV entries are measured against;
+the ``diagnose`` hashes pin the urn's draws, its group-count sequence and
+the growth-report arithmetic; the ``exact`` and ``verify`` hashes pin the
+tabulated laws and the scan residuals.  A change to any of these changes the
+bytes.  A change to the package version or an artifact layout changes them
+too, and then the hashes must be regenerated on purpose alongside that
+change.
 """
 
 import hashlib
@@ -85,3 +88,51 @@ def test_diagnose_bytes_are_pinned(tmp_path, alpha, theta):
     argv = ["diagnose", "--alpha", alpha, "--theta", theta, *DIAGNOSE_FLAGS, "--seed", SEED]
     assert main(argv + ["--out", str(report)]) == 0
     assert sha256_of(report) == DIAGNOSE_SHA256[(alpha, theta)]
+
+
+# the reversible regime, so multiplicity and branching summaries carry a
+# partition_vs_stationary entry; bdi reports the size TV only
+SUMMARY_FLAGS = (
+    "--alpha 0.5 --theta 2 --mu 1.5 --t 4 --replicates 300 --tv-max-size 8 --workers 1".split()
+)
+
+SUMMARY_SHA256 = {
+    "multiplicity": "cdf194828dec863ea48036f04ed98b503cacbfb44b8cd2bcac5e99cd9cc9f060",
+    "branching": "ecdbf459e1918d4f2875eb704b0914ac00e35ab82627624ea3d39d63025620a3",
+    "bdi": "e2557077a67cc076a38880c50c3fe9df542e566e2b0645811d905ef06d618268",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(SUMMARY_SHA256))
+def test_summary_bytes_are_pinned(tmp_path, engine):
+    summary = tmp_path / "summary.json"
+    argv = ["simulate", *SUMMARY_FLAGS, "--seed", SEED, "--engine", engine]
+    assert main(argv + ["--summary", str(summary)]) == 0
+    assert sha256_of(summary) == SUMMARY_SHA256[engine]
+
+
+# deterministic artifacts: the four exact tables and one verify report
+EXACT_SHA256 = {
+    "exact esf --theta 1 --n 6 --table": (
+        "d00615aac33bd61862392b31602e04aae894c39265b5b308d01de1ccf767c82c"
+    ),
+    "exact psf --alpha 0.5 --theta 0.5 --n 6 --table": (
+        "dd77b360b974f4f69839584b56f1a5c66d8fa11b467fbc16d8e4c7b47f4eed77"
+    ),
+    "exact pi --alpha 0.5 --theta 1 --mu 2 --table --max-size 6": (
+        "2b734e9bee767d66b91c008c22ed0868c4c1ddb0194c3145b5b5e4f283f31fd1"
+    ),
+    "exact lambda --theta 1 --mu 2 --table --max-size 20": (
+        "d16d5c86c34f34f6db27d408ff47229996365eba6976d70c4664a246814320ed"
+    ),
+    "verify --alpha 0.5 --theta 1 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
+        "d9f2dd9179d9f761a3e1351a8d2f94468d9f74bc255fbaf90e88bea2b21faa53"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_SHA256))
+def test_exact_and_verify_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / "artifact"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert sha256_of(out) == EXACT_SHA256[command]

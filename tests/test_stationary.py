@@ -12,7 +12,6 @@ from allelic_bdi import (
     BoundExceededError,
     DomainError,
     ModelParams,
-    TruncatedDistribution,
     alpha0_limit_rate,
     alpha0_marginal,
     alpha_weight,
@@ -24,15 +23,12 @@ from allelic_bdi import (
     neg_bin_pmf,
     normalizing_constant,
     partition_balance_scan,
-    partition_detailed_balance_residual,
     partition_stationary_pmf,
     partition_stationary_truncated,
-    partition_stationary_via_mixture,
     poisson_pmf,
     poisson_product_prob,
     psf,
     size_balance_scan,
-    size_detailed_balance_residual,
     size_stationary_log_range,
     size_stationary_pmf,
     stationary_mass_comparison,
@@ -190,15 +186,7 @@ class TestNormalizingConstant:
 class TestMixtureForm:
     @pytest.mark.parametrize("params", REVERSIBLE_GRID, ids=str)
     def test_mixture_equals_closed_form(self, params):
-        for n in range(8):
-            for m in enumerate_partitions(n):
-                mixed = partition_stationary_via_mixture(m, params, 10)
-                closed = partition_stationary_pmf(m, params)
-                assert mixed == pytest.approx(closed, rel=1e-10, abs=1e-300)
-
-    def test_truncation_below_size_rejected(self):
-        with pytest.raises(DomainError):
-            partition_stationary_via_mixture(decode("3^2"), ModelParams(0.5, 1.0, 2.0), 5)
+        assert mixture_consistency_scan(params, 7).max_residual <= 1e-10
 
     def test_scan_is_tiny_on_exact_law(self):
         for params in REVERSIBLE_GRID[::5]:
@@ -222,11 +210,10 @@ class TestTruncatedTable:
     def test_table_contents(self):
         params = ModelParams(0.5, 1.0, 2.0)
         table = partition_stationary_truncated(params, 8)
-        assert table.bound == 8
-        assert len(table.probs) == 67
-        assert 0.9 < table.mass < 1.0
-        assert table.probs[AllelicPartition.empty()] == pytest.approx(0.5, rel=1e-14)
-        for m, p in table.probs.items():
+        assert len(table) == 67
+        assert 0.9 < sum(table.values()) < 1.0
+        assert table[AllelicPartition.empty()] == pytest.approx(0.5, rel=1e-14)
+        for m, p in table.items():
             assert p == pytest.approx(partition_stationary_pmf(m, params), rel=1e-13)
 
     def test_domain(self):
@@ -234,14 +221,8 @@ class TestTruncatedTable:
             partition_stationary_truncated(ModelParams(0.5, -0.25, 2.0), 6)
         with pytest.raises(BoundExceededError):
             partition_stationary_truncated(ModelParams(0.5, 1.0, 2.0), 15)
-
-    def test_container_validation(self):
         with pytest.raises(DomainError):
-            TruncatedDistribution(3, {decode("1^1"): -0.1})
-        with pytest.raises(DomainError):
-            TruncatedDistribution(3, {decode("1^1"): 0.7, decode("2^1"): 0.7})
-        dist = TruncatedDistribution(3, {decode("1^1"): 0.25})
-        assert dist.mass == pytest.approx(0.25)
+            partition_stationary_truncated(ModelParams(0.5, 1.0, 2.0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +246,7 @@ class TestSizeBalance:
             lam = size_stationary_pmf(n, theta, mu)
             return lam * 1.01 if n == 3 else lam
 
-        residual = size_detailed_balance_residual(theta, mu, 10, warped)
+        residual = size_balance_scan(theta, mu, 10, warped).max_residual
         assert residual > 0.005
 
     def test_one_sided_zero_is_infinite(self):
@@ -274,7 +255,7 @@ class TestSizeBalance:
         def gapped(n):
             return 0.0 if n == 5 else size_stationary_pmf(n, theta, mu)
 
-        assert size_detailed_balance_residual(theta, mu, 10, gapped) == math.inf
+        assert size_balance_scan(theta, mu, 10, gapped).max_residual == math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -299,7 +280,7 @@ class TestPartitionBalance:
             p = partition_stationary_pmf(m, params)
             return p * 1.01 if m.num_groups % 2 == 1 else p
 
-        residual = partition_detailed_balance_residual(params, 6, warped)
+        residual = partition_balance_scan(params, 6, warped).max_residual
         assert residual > 0.005
 
     def test_one_sided_zero_is_infinite(self):
@@ -309,7 +290,7 @@ class TestPartitionBalance:
         def gapped(m):
             return 0.0 if m == hole else partition_stationary_pmf(m, params)
 
-        assert partition_detailed_balance_residual(params, 4, gapped) == math.inf
+        assert partition_balance_scan(params, 4, gapped).max_residual == math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -342,6 +323,8 @@ class TestMassComparison:
             stationary_mass_comparison(ModelParams(0.0, 1.0, 2.0), 5)
         with pytest.raises(DomainError):
             stationary_mass_comparison(ModelParams(0.5, 1.0, 1.0), 5)
+        with pytest.raises(DomainError):
+            stationary_mass_comparison(ModelParams(0.5, 1.0, 2.0), -1)
 
 
 class TestWeightSeries:
