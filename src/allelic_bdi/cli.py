@@ -66,7 +66,15 @@ def _need(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _need_output_dir(flag: str, path: str | None) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    if path is not None:
+        parent = os.path.dirname(path) or os.curdir
+        _need(os.path.isdir(parent), f"{flag} {path!r}: no directory {parent!r}")
+
+
 def cmd_exact(args) -> int:
+    _need_output_dir("--out", args.out)
     kind = args.kind
     if kind == "bt":
         _need(args.mu is not None, "bt requires --mu")
@@ -194,6 +202,10 @@ def cmd_simulate(args) -> int:
     _need(args.workers >= 1, "--workers must be >= 1")
     _need(args.seed >= 0, "--seed must be >= 0")
     _need(args.tv_max_size >= 0, "--tv-max-size must be >= 0")
+    _need(args.max_events >= 1, "--max-events must be >= 1")
+    _need_output_dir("--histogram", args.histogram)
+    _need_output_dir("--summary", args.summary)
+    _need_output_dir("--trajectory", args.trajectory)
 
     if args.trajectory is not None:
         if args.engine == "bdi":
@@ -241,7 +253,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.mu is not None and not args.mu > 1.0:
         raise DomainError("reversible regime requires mu > 1")
+    if args.alpha is not None:
+        _need(0.0 < args.alpha < 1.0, f"--alpha must lie in (0, 1), got {args.alpha}")
     _need(args.size_max >= 1, "--size-max must be >= 1")
+    _need_output_dir("--out", args.out)
     fault = args.inject_fault
 
     size_thetas = [args.theta] if args.theta is not None else list(SIZE_THETA_GRID)
@@ -262,6 +277,10 @@ def cmd_verify(args) -> int:
                 pmf = lambda n, th=theta, m=mu: size_stationary_pmf(n, th, m) * (
                     1.01 if n == 3 else 1.0
                 )
+            elif theta <= 0.0:
+                # the log-space scan needs theta > 0; the signed values
+                # satisfy the same identity in plain floats
+                pmf = lambda n, th=theta, m=mu: size_stationary_pmf(n, th, m)
             scan = size_balance_scan(theta, mu, args.size_max, pmf)
             size_points.append(
                 {
@@ -370,6 +389,7 @@ def cmd_verify(args) -> int:
 
 def cmd_diagnose(args) -> int:
     params = ModelParams(args.alpha, args.theta)
+    _need_output_dir("--out", args.out)
     rows = growth_report(params, args.n_max, args.runs, args.seed, power=args.power)
     meta = {
         "alpha": args.alpha,
@@ -655,6 +675,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RunawayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
@@ -101,37 +103,107 @@ def log_factorial(n: int) -> float:
     return _LOG_FACTORIAL[n]
 
 
+class _AscendingPrefix:
+    """The values ``log_ascending_factorial(x, n)`` for every n >= 0 at one x.
+
+    Entry n + 1 is entry n with the factor x + n folded in, so the table is
+    extended one index at a time, on demand, and a caller that walks n
+    pays one logarithm per new index instead of rebuilding the product.
+    The arithmetic is the single-value definition's, which makes every
+    entry bit-identical to it:
+
+    * non-positive leading factors (x + j < 0.5) are folded in one by one,
+      so the sign comes out right for negative x, and a factor that is
+      exactly zero makes this entry and all later ones the zero value;
+    * after the J folded factors, entries up to J + _DIRECT_PRODUCT_LIMIT
+      add log(base + r), base = x + J, to the running sum in order, which
+      is the same float sequence as accumulating term by term from scratch
+      (absolute log error ~1e-14, needed by the detailed-balance checks);
+    * beyond that, entry n is entry J plus gammaln(base + n - J) -
+      gammaln(base), computed in O(1) and not stored.
+
+    So at most J + _DIRECT_PRODUCT_LIMIT + 1 entries are kept, however far
+    n goes.  Extending is not thread-safe; the package's workers are
+    processes.
+    """
+
+    __slots__ = ("_x", "_signs", "_logs", "_folded")
+
+    def __init__(self, x: float):
+        self._x = x
+        self._signs = [1]
+        self._logs = [0.0]
+        self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
+
+    def _extend(self, n: int) -> None:
+        """Store the entries up to n, or up to the end of the stored head."""
+        x, signs, logs = self._x, self._signs, self._logs
+        while len(logs) <= n and signs[-1] != 0:
+            j = len(logs) - 1  # factor x + j turns entry j into entry j + 1
+            sign, log_mag = signs[j], logs[j]
+            if self._folded is None:
+                factor = x + j
+                if factor < 0.5:
+                    if factor == 0.0:
+                        sign, log_mag = 0, float("-inf")
+                    else:
+                        if factor < 0.0:
+                            sign = -sign
+                        log_mag += math.log(abs(factor))
+                    signs.append(sign)
+                    logs.append(log_mag)
+                    continue
+                self._folded = j
+            r = j - self._folded
+            if r == _DIRECT_PRODUCT_LIMIT:
+                return
+            signs.append(sign)
+            logs.append(log_mag + math.log((x + self._folded) + r))
+
+    def _past_head(self, remaining):
+        """Log magnitude of entry J + remaining (a count or an array of them)."""
+        base = self._x + self._folded
+        return self._logs[self._folded] + (gammaln(base + remaining) - gammaln(base))
+
+    def at(self, n: int) -> SignedLogValue:
+        """x * (x+1) * ... * (x+n-1) as a SignedLogValue."""
+        self._extend(n)
+        if n < len(self._logs):
+            return SignedLogValue(self._signs[n], self._logs[n])
+        if self._signs[-1] == 0:
+            return SignedLogValue.zero()
+        return SignedLogValue(self._signs[-1], float(self._past_head(n - self._folded)))
+
+    def log_magnitudes(self, n: int) -> list[float]:
+        """[at(j).log_magnitude for j in 0..n], the gammaln entries in one array call."""
+        self._extend(n)
+        out = self._logs[: n + 1]
+        if len(out) <= n:
+            if self._signs[-1] == 0:
+                return out + [float("-inf")] * (n + 1 - len(out))
+            first = len(out) - self._folded
+            remaining = np.arange(first, n - self._folded + 1, dtype=float)
+            out.extend(self._past_head(remaining).tolist())
+        return out
+
+
+@lru_cache(maxsize=64)
+def _ascending_prefix(x: float) -> _AscendingPrefix:
+    """The prefix table at x, kept for the 64 most recently used x."""
+    return _AscendingPrefix(x)
+
+
 def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
     """x * (x+1) * ... * (x+n-1) as a SignedLogValue; the empty product is 1.
 
     Non-positive leading factors (possible while x + j < 0.5) are folded in
     one by one, so the sign comes out right for negative ``x``; a factor that
-    is exactly zero short-circuits to the zero value.
+    is exactly zero short-circuits to the zero value.  Read from the prefix
+    table of ``x``: O(1) once the table reaches n, or n is past its head.
     """
     if n < 0:
         raise DomainError("ascending factorial needs n >= 0")
-    if n == 0:
-        return SignedLogValue.one()
-    sign = 1
-    log_mag = 0.0
-    j = 0
-    while j < n and x + j < 0.5:
-        factor = x + j
-        if factor == 0.0:
-            return SignedLogValue.zero()
-        if factor < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(factor))
-        j += 1
-    remaining = n - j
-    if remaining:
-        base = x + j
-        if remaining <= _DIRECT_PRODUCT_LIMIT:
-            for r in range(remaining):
-                log_mag += math.log(base + r)
-        else:
-            log_mag += float(gammaln(base + remaining) - gammaln(base))
-    return SignedLogValue(sign, log_mag)
+    return _ascending_prefix(x).at(n)
 
 
 def esf(n: int, theta: float, m: "AllelicPartition") -> float:
@@ -190,17 +262,35 @@ def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
     return math.exp(log_p)
 
 
-def log_alpha_weight(alpha: float, i: int) -> float:
-    """log of alpha_weight(alpha, i); positive arguments throughout."""
+def _require_weight_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha weights are defined for alpha in (0, 1)")
+
+
+def log_alpha_weight(alpha: float, i: int) -> float:
+    """log of alpha_weight(alpha, i); positive arguments throughout.
+
+    log(alpha) + log (1-alpha)_(i-1) - log(i!), with the ascending factorial
+    read from the prefix table at 1 - alpha: O(1) once the table covers
+    i - 1, where rebuilding the product per call cost O(min(i, 512)).  The
+    table entry is bit-identical to the rebuilt product, so the weight is too.
+    """
+    _require_weight_alpha(alpha)
     if i < 1:
         raise DomainError("the weight index must be >= 1")
     return (
         math.log(alpha)
-        + log_ascending_factorial(1.0 - alpha, i - 1).log_magnitude
+        + _ascending_prefix(1.0 - alpha).at(i - 1).log_magnitude
         - log_factorial(i)
     )
+
+
+def _log_alpha_weights(alpha: float, n: int) -> list[float]:
+    """[log_alpha_weight(alpha, i) for i in 1..n] from one pass over the table."""
+    _require_weight_alpha(alpha)
+    log_alpha = math.log(alpha)
+    logs = _ascending_prefix(1.0 - alpha).log_magnitudes(n - 1)
+    return [log_alpha + logs[i - 1] - log_factorial(i) for i in range(1, n + 1)]
 
 
 def alpha_weight(alpha: float, i: int) -> float:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import BoundExceededError, DomainError
 from .formulae import (
     ModelParams,
     SignedLogValue,
+    _log_alpha_weights,
     log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
@@ -101,20 +103,37 @@ def size_stationary_log_range(theta: float, mu: float, n_max: int) -> np.ndarray
     return log_asc - log_fact - n * math.log(mu) + theta * math.log1p(-1.0 / mu)
 
 
-def _signed_log_pi(m: AllelicPartition, params: ModelParams) -> SignedLogValue:
-    log_p = params.theta * math.log1p(-1.0 / params.mu)
-    sign = 1
-    k = m.num_groups
-    if k:
-        lead = log_ascending_factorial(params.theta / params.alpha, k)
-        if lead.sign == 0:
-            return SignedLogValue.zero()
-        sign = lead.sign
-        log_p += lead.log_magnitude
-    log_mu = math.log(params.mu)
-    for i, mi in m:
-        log_p += mi * (log_alpha_weight(params.alpha, i) - i * log_mu) - log_factorial(mi)
-    return SignedLogValue(sign, log_p)
+def _log_pi_evaluator(params: ModelParams) -> Callable[[AllelicPartition], SignedLogValue]:
+    """m -> log pi(m) as a SignedLogValue, with the per-parameter terms shared.
+
+    The leading factor (theta/alpha)_(k) and the weights come from the
+    prefix tables of ``formulae``; the per-size terms log w_i - i log mu
+    are computed once per evaluator and reused across states.
+    """
+    alpha, theta, mu = params.alpha, params.theta, params.mu
+    base = theta * math.log1p(-1.0 / mu)
+    log_mu = math.log(mu)
+    lead_factor = theta / alpha
+    size_terms: dict[int, float] = {}
+
+    def log_pi(m: AllelicPartition) -> SignedLogValue:
+        log_p = base
+        sign = 1
+        k = m.num_groups
+        if k:
+            lead = log_ascending_factorial(lead_factor, k)
+            if lead.sign == 0:
+                return SignedLogValue.zero()
+            sign = lead.sign
+            log_p += lead.log_magnitude
+        for i, mi in m:
+            term = size_terms.get(i)
+            if term is None:
+                term = size_terms[i] = log_alpha_weight(alpha, i) - i * log_mu
+            log_p += mi * term - log_factorial(mi)
+        return SignedLogValue(sign, log_p)
+
+    return log_pi
 
 
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
@@ -125,7 +144,7 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     exactly lambda(n).
     """
     _require_partition_regime(params)
-    return _signed_log_pi(m, params).to_float()
+    return _log_pi_evaluator(params)(m).to_float()
 
 
 def normalizing_constant(params: ModelParams) -> float:
@@ -204,16 +223,53 @@ def size_balance_scan(
     )
 
 
-def _up_transitions(m: AllelicPartition, params: ModelParams):
-    """(event, formal up-rate, reverse death index) for every up move from m.
+class _UpMoveGraph(NamedTuple):
+    """Every state with s(m) <= PARTITION_BALANCE_MAX_SIZE + 1 and its up moves.
 
-    The new-family rate theta + alpha * k is used exactly as written even
-    when nonpositive (possible only at the empty state with theta <= 0),
-    because that is the expression the balance identity is stated with.
+    ``states`` runs by size, each size in ``enumerate_partitions`` order, and
+    ``ends[n]`` counts the states with s(m) <= n, so the states up to any
+    bound are a prefix.  ``moves[j]`` lists the up moves of state j (for
+    s(m) <= PARTITION_BALANCE_MAX_SIZE): the new family first, then the
+    growth of each group size in increasing order, each as (event, group
+    size i or 0 for a new family, count the up-rate is built from, target
+    index, size of the target's reversing death, the target's multiplicity
+    at that size).  None of it depends on the parameters.
     """
-    yield TransitionEvent.new_family(), params.theta + params.alpha * m.num_groups, 1
-    for i, c in m:
-        yield TransitionEvent.growth(i), (i - params.alpha) * c, i + 1
+
+    states: tuple[AllelicPartition, ...]
+    ends: tuple[int, ...]
+    moves: tuple[tuple[tuple[TransitionEvent, int, int, int, int, int], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _up_move_graph() -> _UpMoveGraph:
+    states: list[AllelicPartition] = []
+    ends = []
+    for n in range(PARTITION_BALANCE_MAX_SIZE + 2):
+        states.extend(enumerate_partitions(n))
+        ends.append(len(states))
+    index = {m: j for j, m in enumerate(states)}
+    moves = []
+    for m in states[: ends[PARTITION_BALANCE_MAX_SIZE]]:
+        row = [(TransitionEvent.new_family(), 0, m.num_groups, 1)]
+        row += [(TransitionEvent.growth(i), i, c, i + 1) for i, c in m]
+        out = []
+        for event, i, count, rev_index in row:
+            target = m.apply_event(event)
+            out.append((event, i, count, index[target], rev_index, target.multiplicity(rev_index)))
+        moves.append(tuple(out))
+    return _UpMoveGraph(tuple(states), tuple(ends), tuple(moves))
+
+
+@lru_cache(maxsize=4)
+def _log_pi_values(params: ModelParams) -> tuple[SignedLogValue, ...]:
+    """log pi of every state of the up-move graph, in its order.
+
+    Shared by the balance, mixture and mass scans at one parameter point;
+    kept for the 4 most recent points only.
+    """
+    log_pi = _log_pi_evaluator(params)
+    return tuple(log_pi(m) for m in _up_move_graph().states)
 
 
 def partition_balance_scan(
@@ -226,46 +282,56 @@ def partition_balance_scan(
     Each up transition (new family, or growth of a size-i group) is paired
     with its reversing death; relative residuals are computed on signed log
     values so the theta < 0 regime is covered.  A sign mismatch or one-sided
-    zero reports an infinite residual.
+    zero reports an infinite residual.  The new-family rate theta + alpha * k
+    is used exactly as written even when nonpositive (possible only at the
+    empty state with theta <= 0), because that is the expression the
+    balance identity is stated with.
+
+    The moves come from the cached up-move graph and log pi from the values
+    shared with the other partition scans (or one ``pmf`` call per state),
+    so each pair costs O(1): two logarithms and an expm1, with no partition
+    built, sorted or hashed.  The floats are the same expressions in the
+    same order as building each target state and multiplying
+    SignedLogValues, so the residuals are bit-identical to doing that.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
-
+    graph = _up_move_graph()
     if pmf is None:
-        log_pi_of = lambda m: _signed_log_pi(m, params)  # noqa: E731
+        values = _log_pi_values(params)
     else:
-        log_pi_of = lambda m: SignedLogValue.from_float(pmf(m))  # noqa: E731
-    cache: dict[AllelicPartition, SignedLogValue] = {}
+        values = [
+            SignedLogValue.from_float(pmf(m)) for m in graph.states[: graph.ends[s_max + 1]]
+        ]
 
-    def log_pi(m: AllelicPartition) -> SignedLogValue:
-        out = cache.get(m)
-        if out is None:
-            out = cache[m] = log_pi_of(m)
-        return out
-
-    mu = params.mu
+    alpha, theta, mu = params.alpha, params.theta, params.mu
     worst = -1.0
-    worst_state = worst_transition = ""
+    worst_source = -1
+    worst_event = None
     pairs = 0
-    for n in range(s_max + 1):
-        for m in enumerate_partitions(n):
-            for event, q_up, rev_index in _up_transitions(m, params):
-                m_next = m.apply_event(event)
-                q_down = mu * rev_index * m_next.multiplicity(rev_index)
-                lhs = log_pi(m) * SignedLogValue.from_float(q_up)
-                rhs = log_pi(m_next) * SignedLogValue.from_float(q_down)
-                pairs += 1
-                if lhs.sign == 0 and rhs.sign == 0:
-                    residual = 0.0
-                elif lhs.sign != rhs.sign:
-                    residual = math.inf
-                else:
-                    residual = abs(math.expm1(lhs.log_magnitude - rhs.log_magnitude))
-                if residual > worst:
-                    worst = residual
-                    worst_state = m.encode()
-                    worst_transition = str(event)
-    return BalanceScan(worst, worst_state, worst_transition, pairs)
+    for source in range(graph.ends[s_max]):
+        pi_m = values[source]
+        for event, i, count, target, rev_index, rev_count in graph.moves[source]:
+            q_up = theta + alpha * count if i == 0 else (i - alpha) * count
+            q_down = mu * rev_index * rev_count
+            pi_next = values[target]
+            pairs += 1
+            lhs_sign = 0 if q_up == 0.0 else pi_m.sign * (1 if q_up > 0.0 else -1)
+            if lhs_sign == 0 and pi_next.sign == 0:
+                residual = 0.0
+            elif lhs_sign != pi_next.sign:
+                residual = math.inf
+            else:
+                lhs = pi_m.log_magnitude + math.log(abs(q_up))
+                rhs = pi_next.log_magnitude + math.log(q_down)
+                residual = abs(math.expm1(lhs - rhs))
+            if residual > worst:
+                worst = residual
+                worst_source = source
+                worst_event = event
+    return BalanceScan(
+        worst, graph.states[worst_source].encode(), str(worst_event), pairs
+    )
 
 
 def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
@@ -273,17 +339,22 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
 
     The mixture form is psf(s(m)) * lambda(s(m)) (the only surviving term of
     the size mixture); residuals are relative to the closed form, compared on
-    signed values so theta < 0 is covered.
+    signed values so theta < 0 is covered.  The closed form is read from the
+    log pi values shared with the other partition scans.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
+    graph = _up_move_graph()
+    values = _log_pi_values(params)
     worst = -1.0
     worst_state = ""
     checked = 0
     for n in range(s_max + 1):
         lam = size_stationary_pmf(n, params.theta, params.mu)
-        for m in enumerate_partitions(n):
-            closed = partition_stationary_pmf(m, params)
+        start = graph.ends[n - 1] if n else 0
+        for j in range(start, graph.ends[n]):
+            m = graph.states[j]
+            closed = values[j].to_float()
             mixed = psf(n, params, m) * lam
             checked += 1
             if closed == 0.0:
@@ -301,16 +372,17 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
 
     The two sums agree exactly in real arithmetic because the Pitman formula
     is a probability distribution on each size slice; the observable gap is
-    pure floating-point error.  Signed for theta < 0.
+    pure floating-point error.  Signed for theta < 0.  The pi terms are the
+    log pi values shared with the other partition scans.
     """
     _require_partition_regime(params)
     _require_bound(bound)
-    pi_sum = 0.0
     lambda_sum = 0.0
     for n in range(bound + 1):
         lambda_sum += size_stationary_pmf(n, params.theta, params.mu)
-        for m in enumerate_partitions(n):
-            pi_sum += partition_stationary_pmf(m, params)
+    pi_sum = 0.0
+    for value in _log_pi_values(params)[: _up_move_graph().ends[bound]]:
+        pi_sum += value.to_float()
     return pi_sum, lambda_sum
 
 
@@ -318,16 +390,23 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1.
 
     The series converges geometrically (ratio 1/mu), so a few hundred terms
-    already put the truncation error below double precision.
+    already put the truncation error below double precision.  The log
+    weights come from one pass over the prefix table at 1 - alpha, so the
+    cost is O(terms), where rebuilding each weight's product cost
+    O(terms * min(terms, 512)); each weight is bit-identical to
+    ``log_alpha_weight`` and the terms are summed in the same order, so the
+    gap is too.
     """
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
     if terms < 1:
         raise DomainError("need at least one term")
+    log_weights = _log_alpha_weights(alpha, terms)
+    log_mu = math.log(mu)
     # smallest to largest so the partial sum accumulates without cancellation
     total = 0.0
     for i in range(terms, 0, -1):
-        total += math.exp(log_alpha_weight(alpha, i) - i * math.log(mu))
+        total += math.exp(log_weights[i - 1] - i * log_mu)
     closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
     return abs(total - closed)
 

@@ -12,8 +12,15 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
+from hypothesis import settings
+
 from allelic_bdi import AllelicPartition, ModelParams
 from allelic_bdi.urn import urn_step_distribution
+
+# property tests draw the same examples on every run and keep no example
+# database on disk; timing limits are left to the suite, not to hypothesis
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 # (alpha, theta) points for the sampling-formula checks; all exactly
 # representable as rationals so the Fraction oracle is exact

@@ -275,6 +275,33 @@ class TestSimulate:
         assert code == 3
         assert "event cap" in err
 
+    @pytest.mark.parametrize("flag", ["--histogram", "--summary", "--trajectory"])
+    def test_missing_output_directory_refused_before_the_ensemble(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr("allelic_bdi.cli.run_ensemble", no_ensemble)
+        path = str(tmp_path / "missing" / "out.csv")
+        code, _, err = run_cli(
+            capsys, "simulate", "--theta", "1", "--t", "1", "--seed", "1",
+            "--replicates", "20", "--workers", "1", flag, path,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and flag in err and path in err
+
+    def test_negative_event_cap_refused_before_any_replicate(self, capsys, monkeypatch):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr("allelic_bdi.cli.run_ensemble", no_ensemble)
+        code, _, err = run_cli(
+            capsys, "simulate", "--theta", "1", "--t", "1", "--seed", "1", "--max-events", "-5",
+        )
+        assert code == 2
+        assert "--max-events" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -370,6 +397,28 @@ class TestVerify:
         assert run_cli(capsys, *argv)[0] == 2
 
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
+    def test_alpha_outside_unit_interval_names_the_flag(self, capsys, alpha):
+        code, _, err = run_cli(capsys, "verify", "--alpha", alpha, "--max-size", "4")
+        assert code == 2
+        assert "--alpha" in err and "(0, 1)" in err
+
+    @pytest.mark.parametrize("theta", ["-0.29", "-0.1", "0"])
+    def test_pinned_nonpositive_theta_passes(self, capsys, tmp_path, theta):
+        target = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "verify", "--alpha", "0.3", "--theta", theta, "--max-size", "8",
+            "--series-terms", "500", "--out", str(target),
+        )
+        assert code == 0 and err == ""
+        report = json.loads(target.read_text())
+        assert report["pass"] is True
+        size_suite = report["suites"][0]
+        assert size_suite["name"] == "size_detailed_balance"
+        assert [p["theta"] for p in size_suite["points"]] == [float(theta)] * 3
+        assert size_suite["max_residual"] <= size_suite["tolerance"]
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------
@@ -418,6 +467,30 @@ class TestDiagnose:
     )
     def test_invalid_usage_exits_2(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+
+UNOPENABLE_OUTPUTS = {
+    "exact": ("exact", "lambda", "--theta", "1", "--mu", "2", "--table", "--out"),
+    "simulate": ("simulate", "--theta", "1", "--t", "1", "--seed", "1", "--replicates", "5",
+                 "--workers", "1", "--summary"),
+    "verify": ("verify", "--max-size", "3", "--size-max", "5", "--series-terms", "10", "--out"),
+    "diagnose": ("diagnose", "--theta", "1", "--n-max", "100", "--runs", "2", "--seed", "1",
+                 "--out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNOPENABLE_OUTPUTS))
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unopenable_output_exits_2_naming_the_path(capsys, tmp_path, command, where):
+    path = str(tmp_path / "missing" / "out") if where == "missing directory" else str(tmp_path)
+    code, _, err = run_cli(capsys, *UNOPENABLE_OUTPUTS[command], path)
+    assert code == 2
+    assert err.startswith("error: ") and path in err
 
 
 # ---------------------------------------------------------------------------

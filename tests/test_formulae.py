@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from scipy.special import gammaln
 
 from allelic_bdi import (
     AllelicPartition,
@@ -11,6 +14,7 @@ from allelic_bdi import (
     alpha_weight,
     enumerate_partitions,
     esf,
+    log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
     nbin_time_param,
@@ -18,6 +22,12 @@ from allelic_bdi import (
     poisson_pmf,
     poisson_product_prob,
     psf,
+)
+from allelic_bdi.formulae import (
+    _DIRECT_PRODUCT_LIMIT,
+    _AscendingPrefix,
+    _ascending_prefix,
+    _log_alpha_weights,
 )
 from conftest import PSF_GRID, esf_fraction, psf_fraction
 
@@ -78,6 +88,116 @@ def test_log_ascending_factorial_long_products_match_lgamma():
         expected = math.lgamma(1.25 + n) - math.lgamma(1.25)
         assert v.sign == 1
         assert v.log_magnitude == pytest.approx(expected, rel=1e-12)
+
+
+def reference_log_ascending_factorial(x: float, n: int) -> SignedLogValue:
+    """The product rebuilt factor by factor for one n, as the library did
+    before it kept prefix tables; the reference the tables must reproduce
+    bit for bit."""
+    if n == 0:
+        return SignedLogValue.one()
+    sign = 1
+    log_mag = 0.0
+    j = 0
+    while j < n and x + j < 0.5:
+        factor = x + j
+        if factor == 0.0:
+            return SignedLogValue.zero()
+        if factor < 0.0:
+            sign = -sign
+        log_mag += math.log(abs(factor))
+        j += 1
+    remaining = n - j
+    if remaining:
+        base = x + j
+        if remaining <= _DIRECT_PRODUCT_LIMIT:
+            for r in range(remaining):
+                log_mag += math.log(base + r)
+        else:
+            log_mag += float(gammaln(base + remaining) - gammaln(base))
+    return SignedLogValue(sign, log_mag)
+
+
+def reference_log_alpha_weight(alpha: float, i: int) -> float:
+    """log w_i with the ascending factorial rebuilt per index."""
+    return (
+        math.log(alpha)
+        + reference_log_ascending_factorial(1.0 - alpha, i - 1).log_magnitude
+        - log_factorial(i)
+    )
+
+
+WEIGHT_ALPHAS = (1e-9, 0.1, 0.4999999, 0.5, 0.5000001, 0.9, 0.999)
+# the three tabulated starts at every (alpha, theta) of the verify grid and
+# at the weight alphas, plus negative starts, exact zero factors, and starts
+# either side of the fold threshold 0.5
+PREFIX_STARTS = sorted(
+    {1.0 - alpha for alpha in WEIGHT_ALPHAS}
+    | {
+        x
+        for alpha in (0.1, 0.5, 0.9)
+        for theta in (-alpha / 2.0, 0.5, 2.0)
+        for x in (theta / alpha, theta / alpha + 1.0)
+    }
+    | {-3.5, -2.0, -0.999, -1e-9, 0.0, 0.4999999, 0.5, 2.5}
+)
+# every n across the switch at the head's end, then a sweep up to 10^4
+PREFIX_NS = list(range(0, 600)) + list(range(600, 10_001, 37)) + [10_000]
+
+
+def same_bits(a: SignedLogValue, b: SignedLogValue) -> bool:
+    return a.sign == b.sign and (
+        a.log_magnitude == b.log_magnitude
+        or (math.isnan(a.log_magnitude) and math.isnan(b.log_magnitude))
+    )
+
+
+@pytest.mark.parametrize("x", PREFIX_STARTS)
+def test_ascending_prefix_equals_reference_loop(x):
+    # a fresh table read upwards, one read from the far end first, and the
+    # cached table behind log_ascending_factorial must all agree bit for bit
+    upward, far_first = _AscendingPrefix(x), _AscendingPrefix(x)
+    far_first.at(10_000)
+    magnitudes = _AscendingPrefix(x).log_magnitudes(10_000)
+    for n in PREFIX_NS:
+        expected = reference_log_ascending_factorial(x, n)
+        for got in (upward.at(n), far_first.at(n), log_ascending_factorial(x, n)):
+            assert same_bits(got, expected), (x, n, got, expected)
+        assert magnitudes[n] == expected.log_magnitude or expected.sign == 0, (x, n)
+
+
+def test_ascending_prefix_storage_is_bounded():
+    for x in (0.25, -2.5):
+        table = _AscendingPrefix(x)
+        table.at(10**7)
+        table.log_magnitudes(20_000)
+        folded = math.ceil(0.5 - x) if x < 0.5 else 0
+        assert len(table._logs) == folded + _DIRECT_PRODUCT_LIMIT + 1
+    zero = _AscendingPrefix(-2.0)
+    assert zero.at(10**7) == SignedLogValue.zero()
+    assert len(zero._logs) == 4  # entries 0..2, then the zero entry
+    assert _ascending_prefix.cache_info().maxsize is not None
+
+
+def test_nothing_is_tabulated_at_import():
+    code = (
+        "import allelic_bdi.cli, allelic_bdi.formulae as f, allelic_bdi.stationary as s;"
+        "assert f._ascending_prefix.cache_info().currsize == 0;"
+        "assert s._up_move_graph.cache_info().currsize == 0;"
+        "assert s._log_pi_values.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+def test_log_alpha_weight_equals_reference(alpha):
+    indices = list(range(1, 1200)) + list(range(1200, 10_001, 97)) + [10_000]
+    table = _log_alpha_weights(alpha, 10_000)
+    for i in indices:
+        expected = reference_log_alpha_weight(alpha, i)
+        assert log_alpha_weight(alpha, i) == expected, (alpha, i)
+        assert table[i - 1] == expected, (alpha, i)
+        assert alpha_weight(alpha, i) == math.exp(expected)
 
 
 def test_signed_log_value_round_trip():

@@ -111,7 +111,7 @@ def test_summary_bytes_are_pinned(tmp_path, engine):
     assert sha256_of(summary) == SUMMARY_SHA256[engine]
 
 
-# deterministic artifacts: the four exact tables and one verify report
+# deterministic artifacts: the four exact tables and three verify reports
 EXACT_SHA256 = {
     "exact esf --theta 1 --n 6 --table": (
         "d00615aac33bd61862392b31602e04aae894c39265b5b308d01de1ccf767c82c"
@@ -128,6 +128,10 @@ EXACT_SHA256 = {
     "verify --alpha 0.5 --theta 1 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
         "d9f2dd9179d9f761a3e1351a8d2f94468d9f74bc255fbaf90e88bea2b21faa53"
     ),
+    # the default grid: 10^4 series terms reach the log-gamma branch of the
+    # ascending factorials, and alpha = 0.999 folds a leading factor below 0.5
+    "verify": "9b6010fa886b287dd8bc6f90a752014962ac75fd8452bf3eca27f41a203b963f",
+    "verify --alpha 0.999": "e9a114756812baf097bfe5b4b81d5a7c08cef902a1cd34b96476067ad72baf92",
 }
 
 

@@ -6,18 +6,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from allelic_bdi import (
     AllelicPartition,
     BoundExceededError,
     DomainError,
     ModelParams,
+    SignedLogValue,
     alpha0_limit_rate,
     alpha0_marginal,
     alpha_weight,
     conditional_given_size,
     enumerate_partitions,
+    log_alpha_weight,
     log_ascending_factorial,
+    log_factorial,
     mixture_consistency_scan,
     nbin_time_param,
     neg_bin_pmf,
@@ -34,6 +39,15 @@ from allelic_bdi import (
     stationary_mass_comparison,
     weight_series_gap,
 )
+from allelic_bdi.cli import (
+    MASS_TOLERANCE,
+    MIXTURE_TOLERANCE,
+    PARTITION_BALANCE_TOLERANCE,
+    SERIES_TOLERANCE,
+    SIZE_BALANCE_TOLERANCE,
+)
+from allelic_bdi.partitions import TransitionEvent
+from allelic_bdi.stationary import BalanceScan, PARTITION_BALANCE_MAX_SIZE
 
 from conftest import REVERSIBLE_GRID
 
@@ -301,6 +315,184 @@ class TestPartitionBalance:
             partition_balance_scan(ModelParams(0.5, 1.0, 2.0), -1)
         with pytest.raises(BoundExceededError):
             partition_balance_scan(ModelParams(0.5, 1.0, 2.0), 15)
+
+
+def reference_log_pi(m, params):
+    """log pi(m) term by term from the public evaluators."""
+    log_p = params.theta * math.log1p(-1.0 / params.mu)
+    sign = 1
+    k = m.num_groups
+    if k:
+        lead = log_ascending_factorial(params.theta / params.alpha, k)
+        if lead.sign == 0:
+            return SignedLogValue.zero()
+        sign = lead.sign
+        log_p += lead.log_magnitude
+    log_mu = math.log(params.mu)
+    for i, mi in m:
+        log_p += mi * (log_alpha_weight(params.alpha, i) - i * log_mu) - log_factorial(mi)
+    return SignedLogValue(sign, log_p)
+
+
+def reference_partition_balance_scan(params, s_max, pmf=None):
+    """The balance walk that builds every target with ``apply_event`` and
+    multiplies SignedLogValues; the scan must reproduce it bit for bit."""
+    if pmf is None:
+        log_pi = lambda m: reference_log_pi(m, params)  # noqa: E731
+    else:
+        log_pi = lambda m: SignedLogValue.from_float(pmf(m))  # noqa: E731
+    worst, worst_state, worst_transition, pairs = -1.0, "", "", 0
+    for n in range(s_max + 1):
+        for m in enumerate_partitions(n):
+            moves = [(TransitionEvent.new_family(), params.theta + params.alpha * m.num_groups, 1)]
+            moves += [(TransitionEvent.growth(i), (i - params.alpha) * c, i + 1) for i, c in m]
+            for event, q_up, rev_index in moves:
+                m_next = m.apply_event(event)
+                q_down = params.mu * rev_index * m_next.multiplicity(rev_index)
+                lhs = log_pi(m) * SignedLogValue.from_float(q_up)
+                rhs = log_pi(m_next) * SignedLogValue.from_float(q_down)
+                pairs += 1
+                if lhs.sign == 0 and rhs.sign == 0:
+                    residual = 0.0
+                elif lhs.sign != rhs.sign:
+                    residual = math.inf
+                else:
+                    residual = abs(math.expm1(lhs.log_magnitude - rhs.log_magnitude))
+                if residual > worst:
+                    worst, worst_state, worst_transition = residual, m.encode(), str(event)
+    return BalanceScan(worst, worst_state, worst_transition, pairs)
+
+
+SCAN_POINTS = REVERSIBLE_GRID + [ModelParams(0.3, 0.0, 1.5), ModelParams(0.999, -0.998, 1.0 + 1e-9)]
+
+
+class TestScansEqualReferenceWalks:
+    @pytest.mark.parametrize("params", SCAN_POINTS, ids=str)
+    def test_partition_balance(self, params):
+        for s_max in (0, 5, 9):
+            scan = partition_balance_scan(params, s_max)
+            assert scan == reference_partition_balance_scan(params, s_max)
+
+    def test_partition_balance_with_pmf(self):
+        params = ModelParams(0.5, 1.0, 2.0)
+
+        def warped(m):
+            p = partition_stationary_pmf(m, params)
+            return p * 1.01 if m.num_groups % 2 == 1 else p
+
+        def gapped(m):
+            return 0.0 if m == decode("2^1 3^1") else partition_stationary_pmf(m, params)
+
+        for pmf in (warped, gapped):
+            for s_max in (4, PARTITION_BALANCE_MAX_SIZE):
+                scan = partition_balance_scan(params, s_max, pmf)
+                assert scan == reference_partition_balance_scan(params, s_max, pmf)
+
+    @pytest.mark.parametrize("params", SCAN_POINTS, ids=str)
+    def test_mixture_and_mass(self, params):
+        worst, worst_state, pi_sum, lambda_sum = -1.0, "", 0.0, 0.0
+        for n in range(PARTITION_BALANCE_MAX_SIZE + 1):
+            lam = size_stationary_pmf(n, params.theta, params.mu)
+            lambda_sum += lam
+            for m in enumerate_partitions(n):
+                closed = reference_log_pi(m, params).to_float()
+                pi_sum += closed
+                if n > 9:
+                    continue
+                mixed = psf(n, params, m) * lam
+                if closed == 0.0:
+                    residual = 0.0 if mixed == 0.0 else math.inf
+                else:
+                    residual = abs(mixed - closed) / abs(closed)
+                if residual > worst:
+                    worst, worst_state = residual, m.encode()
+        scan = mixture_consistency_scan(params, 9)
+        assert (scan.max_residual, scan.worst_state) == (worst, worst_state)
+        assert stationary_mass_comparison(params, PARTITION_BALANCE_MAX_SIZE) == (
+            pi_sum,
+            lambda_sum,
+        )
+
+    @pytest.mark.parametrize("alpha,mu", [(0.1, 1.2), (0.7, 1.05), (0.999, 3.0)])
+    def test_weight_series(self, alpha, mu):
+        terms = 1500  # past the 513-entry head of the table
+        total = 0.0
+        for i in range(terms, 0, -1):
+            total += math.exp(log_alpha_weight(alpha, i) - i * math.log(mu))
+        closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
+        assert weight_series_gap(alpha, mu, terms) == abs(total - closed)
+
+
+# ---------------------------------------------------------------------------
+# edges of the parameter domain: alpha -> 1, theta -> -alpha, mu -> 1+
+# ---------------------------------------------------------------------------
+
+
+def near(edge_value, direction):
+    """edge_value + direction * 10^-e for e in [1, 9]."""
+    return st.floats(1.0, 9.0).map(lambda e: edge_value + direction * 10.0**-e)
+
+
+@st.composite
+def edge_points(draw):
+    """A parameter point with each of alpha, theta, mu either at its edge
+    or in the interior, so single edges and their combinations all occur."""
+    alpha = draw(st.one_of(near(1.0, -1.0), st.floats(0.01, 0.99)))
+    theta = -alpha + draw(st.one_of(near(0.0, 1.0), st.floats(0.01, 3.0)))
+    mu = draw(st.one_of(near(1.0, 1.0), st.floats(1.01, 6.0)))
+    return ModelParams(alpha, theta, mu)
+
+
+@given(edge_points())
+def test_mixture_and_size_balance_hold_at_edge_points(params):
+    assert mixture_consistency_scan(params, 12).max_residual <= MIXTURE_TOLERANCE
+    theta, mu = params.theta, params.mu
+    # the signed law below theta = 0 goes through the plain-float branch,
+    # as ``verify`` runs it
+    pmf = (lambda n: size_stationary_pmf(n, theta, mu)) if theta <= 0.0 else None
+    assert size_balance_scan(theta, mu, 200, pmf).max_residual <= SIZE_BALANCE_TOLERANCE
+
+
+# The three checks below fail at edge points, each for a reason recorded in
+# CHANGES.md; the examples are such points.  They are strict, so a fix
+# that makes them pass must also remove the mark.
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="theta -> -alpha: (theta/alpha)_(k) rounds theta/alpha before adding 1, "
+    "while the new-family rate theta + alpha*k does not, so the two cancel differently",
+)
+@given(edge_points())
+@example(ModelParams(0.9, -0.9 + 1e-9, 2.0))
+def test_partition_balance_holds_at_edge_points(params):
+    assert partition_balance_scan(params, 12).max_residual <= PARTITION_BALANCE_TOLERANCE
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="theta -> -alpha with mu -> 1+: the signed sums grow like (1 - 1/mu)^theta "
+    "and the tolerance is absolute",
+)
+@given(edge_points())
+@example(ModelParams(0.999, -0.998, 1.0 + 1e-9))
+def test_mass_consistency_holds_at_edge_points(params):
+    pi_sum, lambda_sum = stationary_mass_comparison(params, PARTITION_BALANCE_MAX_SIZE)
+    assert abs(pi_sum - lambda_sum) <= MASS_TOLERANCE
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="mu -> 1+: the series converges at ratio 1/mu, so 10^4 terms leave a "
+    "truncation tail above the tolerance",
+)
+@given(edge_points())
+@example(ModelParams(0.5, 0.5, 1.001))
+def test_weight_series_holds_at_edge_points(params):
+    assert weight_series_gap(params.alpha, params.mu, 10_000) <= SERIES_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
