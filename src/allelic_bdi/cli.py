@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -655,11 +656,24 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
+def _need_finite_floats(args: argparse.Namespace) -> None:
+    """Refuse inf and nan in every real-valued flag, before any work.
+
+    Some reach a law or a scan without a ModelParams (lambda, b(t), the
+    pinned verify grid, --t, --power), where inf or nan would print nan or
+    run a simulation to its event cap.
+    """
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(raw))
+        _need_finite_floats(args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code

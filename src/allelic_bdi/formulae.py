@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-import numpy as np
-from scipy.special import gammaln
-
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -24,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 
 #: Ascending factorials with at most this many factors are accumulated term by
 #: term (absolute log error ~1e-14, needed by the detailed-balance checks);
-#: longer ones fall back to log-gamma differences.
+#: longer ones fall back to ``math.lgamma`` differences.
 _DIRECT_PRODUCT_LIMIT = 512
 
 _LOG_FACTORIAL = [0.0]
@@ -46,6 +43,10 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "theta", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not self.theta > -self.alpha:
@@ -119,21 +120,24 @@ class _AscendingPrefix:
       add log(base + r), base = x + J, to the running sum in order, which
       is the same float sequence as accumulating term by term from scratch
       (absolute log error ~1e-14, needed by the detailed-balance checks);
-    * beyond that, entry n is entry J plus gammaln(base + n - J) -
-      gammaln(base), computed in O(1) and not stored.
+    * beyond that, entry n is entry J plus lgamma(base + n - J) -
+      lgamma(base), both from ``math.lgamma``, computed in O(1) and not
+      stored (lgamma(base) is computed once, when J is found); base >= 0.5,
+      so no argument meets a pole of the gamma function.
 
     So at most J + _DIRECT_PRODUCT_LIMIT + 1 entries are kept, however far
     n goes.  Extending is not thread-safe; the package's workers are
     processes.
     """
 
-    __slots__ = ("_x", "_signs", "_logs", "_folded")
+    __slots__ = ("_x", "_signs", "_logs", "_folded", "_log_gamma_base")
 
     def __init__(self, x: float):
         self._x = x
         self._signs = [1]
         self._logs = [0.0]
         self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
+        self._log_gamma_base = math.nan  # lgamma(x + J), once J is known
 
     def _extend(self, n: int) -> None:
         """Store the entries up to n, or up to the end of the stored head."""
@@ -154,16 +158,17 @@ class _AscendingPrefix:
                     logs.append(log_mag)
                     continue
                 self._folded = j
+                self._log_gamma_base = math.lgamma(x + j)
             r = j - self._folded
             if r == _DIRECT_PRODUCT_LIMIT:
                 return
             signs.append(sign)
             logs.append(log_mag + math.log((x + self._folded) + r))
 
-    def _past_head(self, remaining):
-        """Log magnitude of entry J + remaining (a count or an array of them)."""
+    def _past_head(self, remaining: int) -> float:
+        """Log magnitude of entry J + remaining."""
         base = self._x + self._folded
-        return self._logs[self._folded] + (gammaln(base + remaining) - gammaln(base))
+        return self._logs[self._folded] + (math.lgamma(base + remaining) - self._log_gamma_base)
 
     def at(self, n: int) -> SignedLogValue:
         """x * (x+1) * ... * (x+n-1) as a SignedLogValue."""
@@ -172,18 +177,16 @@ class _AscendingPrefix:
             return SignedLogValue(self._signs[n], self._logs[n])
         if self._signs[-1] == 0:
             return SignedLogValue.zero()
-        return SignedLogValue(self._signs[-1], float(self._past_head(n - self._folded)))
+        return SignedLogValue(self._signs[-1], self._past_head(n - self._folded))
 
     def log_magnitudes(self, n: int) -> list[float]:
-        """[at(j).log_magnitude for j in 0..n], the gammaln entries in one array call."""
+        """[at(j).log_magnitude for j in 0..n], without a SignedLogValue per entry."""
         self._extend(n)
         out = self._logs[: n + 1]
         if len(out) <= n:
             if self._signs[-1] == 0:
                 return out + [float("-inf")] * (n + 1 - len(out))
-            first = len(out) - self._folded
-            remaining = np.arange(first, n - self._folded + 1, dtype=float)
-            out.extend(self._past_head(remaining).tolist())
+            out.extend(map(self._past_head, range(len(out) - self._folded, n - self._folded + 1)))
         return out
 
 

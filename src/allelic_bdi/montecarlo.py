@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
@@ -138,6 +137,8 @@ def run_ensemble(
     if workers <= 1:
         tallies = _run_chunk((params, t_end, seed, engine, 0, replicates, max_events))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
         chunk = max(1, -(-replicates // (workers * 4)))
         jobs = [
             (params, t_end, seed, engine, lo, min(lo + chunk, replicates), max_events)

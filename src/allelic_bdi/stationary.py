@@ -49,6 +49,9 @@ from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
 #: States with populations beyond this are never enumerated by the scanners.
 PARTITION_BALANCE_MAX_SIZE = 14
 
+#: exp(x) is exactly 0.0 in double precision for every x <= -_EXP_UNDERFLOW.
+_EXP_UNDERFLOW = 746.0
+
 
 def _require_partition_regime(params: ModelParams) -> None:
     """The partition-level law needs alpha in (0, 1) and mu > 1."""
@@ -390,22 +393,25 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1.
 
     The series converges geometrically (ratio 1/mu), so a few hundred terms
-    already put the truncation error below double precision.  The log
-    weights come from one pass over the prefix table at 1 - alpha, so the
-    cost is O(terms), where rebuilding each weight's product cost
-    O(terms * min(terms, 512)); each weight is bit-identical to
-    ``log_alpha_weight`` and the terms are summed in the same order, so the
-    gap is too.
+    already put the truncation error below double precision.  Since
+    w_i <= 1, every term with i * log(mu) >= 746 underflows to exactly 0.0
+    (exp(x) rounds to 0.0 below about -745.1), and adding 0.0 to the
+    running sum changes nothing; so only the first
+    min(terms, ceil(746 / log mu)) terms are evaluated.  Their log weights
+    come from one pass over the prefix table at 1 - alpha; each is
+    bit-identical to ``log_alpha_weight`` and the terms are summed in the
+    same order, so the gap equals the full term-by-term sum's bit for bit.
     """
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
     if terms < 1:
         raise DomainError("need at least one term")
-    log_weights = _log_alpha_weights(alpha, terms)
     log_mu = math.log(mu)
+    last = min(terms, math.ceil(_EXP_UNDERFLOW / log_mu))
+    log_weights = _log_alpha_weights(alpha, last)
     # smallest to largest so the partial sum accumulates without cancellation
     total = 0.0
-    for i in range(terms, 0, -1):
+    for i in range(last, 0, -1):
         total += math.exp(log_weights[i - 1] - i * log_mu)
     closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
     return abs(total - closed)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from allelic_bdi import AllelicPartition, ModelParams
 from allelic_bdi.urn import urn_step_distribution
@@ -30,6 +31,27 @@ PSF_GRID = [
     (Fraction(1, 2), Fraction(1, 2)),
     (Fraction(9, 10), Fraction(-1, 2)),
 ]
+
+
+@st.composite
+def group_sizes(draw, max_size: int = 30) -> list[int]:
+    """Family sizes, in drawn order, of a population of at most max_size."""
+    remaining = draw(st.integers(0, max_size))
+    sizes: list[int] = []
+    while remaining:
+        sizes.append(draw(st.integers(1, remaining)))
+        remaining -= sizes[-1]
+    return sizes
+
+
+@st.composite
+def model_params(draw) -> ModelParams:
+    """A point with alpha in [0, 0.999], theta in (-alpha, -alpha + 10] and mu in [0, 5]."""
+    alpha = draw(st.floats(0.0, 0.999))
+    theta_offset = draw(st.floats(1e-6, 10.0))
+    mu = draw(st.floats(0.0, 5.0, allow_subnormal=False))
+    return ModelParams(alpha, -alpha + theta_offset, mu)
+
 
 REVERSIBLE_GRID = [
     ModelParams(alpha, theta, mu)

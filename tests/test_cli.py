@@ -494,6 +494,55 @@ def test_unopenable_output_exits_2_naming_the_path(capsys, tmp_path, command, wh
 
 
 # ---------------------------------------------------------------------------
+# non-finite parameters
+# ---------------------------------------------------------------------------
+
+# (flag, argv with {} where the value goes); each reached a law, a scan or a
+# simulation that printed nan, looped to the event cap or failed a check
+NON_FINITE_CASES = [
+    ("--theta", ("exact", "esf", "--theta", "{}", "--partition", "1^1")),
+    ("--theta", ("exact", "pi", "--alpha", "0.5", "--theta", "{}", "--mu", "2",
+                 "--partition", "1^1")),
+    ("--mu", ("exact", "pi", "--alpha", "0.5", "--theta", "1", "--mu", "{}",
+              "--partition", "1^1")),
+    ("--theta", ("exact", "lambda", "--theta", "{}", "--mu", "2", "--n", "1")),
+    ("--mu", ("exact", "bt", "--mu", "{}", "--t", "1")),
+    ("--t", ("exact", "bt", "--mu", "2", "--t", "{}")),
+    ("--theta", ("simulate", "--alpha", "0.5", "--theta", "{}", "--mu", "2", "--t", "1",
+                 "--replicates", "2", "--seed", "1", "--max-events", "1000")),
+    ("--mu", ("simulate", "--alpha", "0.5", "--theta", "1", "--mu", "{}", "--t", "1",
+              "--replicates", "2", "--seed", "1", "--max-events", "1000")),
+    ("--t", ("simulate", "--theta", "1", "--t", "{}", "--replicates", "2", "--seed", "1",
+             "--max-events", "1000")),
+    ("--alpha", ("verify", "--alpha", "{}")),
+    ("--theta", ("verify", "--theta", "{}")),
+    ("--mu", ("verify", "--mu", "{}")),
+    ("--theta", ("diagnose", "--theta", "{}", "--n-max", "100", "--runs", "2", "--seed", "1")),
+    ("--power", ("diagnose", "--theta", "1", "--n-max", "100", "--runs", "2", "--seed", "1",
+                 "--power", "{}")),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "flag,template", NON_FINITE_CASES, ids=[f"{t[0]} {flag}" for flag, t in NON_FINITE_CASES]
+)
+def test_non_finite_value_exits_2_naming_it(capsys, flag, template, value):
+    code, out, err = run_cli(capsys, *(value if t == "{}" else t for t in template))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got {value}\n"
+
+
+def test_non_finite_value_from_config_exits_2(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mu": "inf"}))
+    code, _, err = run_cli(capsys, "exact", "lambda", "--theta", "1", "--n", "1",
+                           "--config", str(config))  # fmt: skip
+    assert code == 2
+    assert err == "error: --mu must be finite, got inf\n"
+
+
+# ---------------------------------------------------------------------------
 # --config
 # ---------------------------------------------------------------------------
 
@@ -609,3 +658,60 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "0.498309819075"
+
+
+# a fresh interpreter that runs CLI commands through ``main`` and reports
+# their exit codes, their standard output and the modules they loaded;
+# "refuse-scipy" first installs an import hook under which scipy is missing
+COLD_START_SCRIPT = r"""
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+if sys.argv[1] == "refuse-scipy":
+    sys.meta_path.insert(0, RefuseScipy())
+from allelic_bdi.cli import main
+
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "concurrent.futures")
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
+
+# past the 513-entry head of the log-gamma tables (the lambda table to 700,
+# 2000 series terms at mu = 1.2), and a serial simulate with its summary
+COLD_START_COMMANDS = [
+    ["verify", "--alpha", "0.5", "--theta", "1", "--mu", "1.2", "--max-size", "6",
+     "--size-max", "50", "--series-terms", "2000"],
+    ["exact", "lambda", "--theta", "1.5", "--mu", "1.01", "--table", "--max-size", "700"],
+    ["exact", "pi", "--alpha", "0.5", "--theta", "1", "--mu", "2", "--table", "--max-size", "5"],
+    ["diagnose", "--alpha", "0.5", "--theta", "1", "--n-max", "2000", "--runs", "2", "--seed", "3"],
+    ["simulate", "--alpha", "0.5", "--theta", "2", "--mu", "1.5", "--t", "2", "--replicates", "50",
+     "--seed", "3", "--workers", "1"],
+]  # fmt: skip
+
+
+def run_cold_start(mode: str) -> dict:
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, mode, json.dumps(COLD_START_COMMANDS)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_cli_runs_without_scipy_or_the_process_pool():
+    refused, plain = run_cold_start("refuse-scipy"), run_cold_start("plain")
+    assert [code for code, _ in refused["results"]] == [0] * len(COLD_START_COMMANDS)
+    assert all(out for _, out in refused["results"])
+    assert refused["results"] == plain["results"]
+    assert refused["loaded"] == plain["loaded"] == []

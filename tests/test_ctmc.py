@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 from scipy import stats
 
 from allelic_bdi import (
@@ -27,6 +28,7 @@ from allelic_bdi import (
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
+from conftest import group_sizes, model_params
 
 
 def decode(text):
@@ -73,6 +75,14 @@ class TestRates:
             expected = theta + (1.0 + mu) * m.size
             assert math.isclose(total, expected, rel_tol=1e-12)
             assert all(w > 0.0 for _, w in rates(m, params))
+
+    @given(group_sizes(), model_params())
+    def test_total_rate_identity_property(self, sizes, params):
+        m = AllelicPartition.from_group_sizes(sizes)
+        assume(params.theta + params.alpha * m.num_groups > 0.0)
+        total = sum(w for _, w in rates(m, params))
+        expected = params.theta + (1.0 + params.mu) * m.size
+        assert math.isclose(total, expected, rel_tol=1e-12)
 
     def test_events_are_applicable(self):
         params = ModelParams(0.5, 1.0, 2.0)
@@ -402,6 +412,15 @@ class TestAgentPopulation:
             assert agent_table.keys() == chain_table.keys()
             for ev, w in chain_table.items():
                 assert agent_table[ev] == pytest.approx(w, rel=1e-9)
+
+    @given(group_sizes(), model_params())
+    def test_event_rates_match_multiplicity_table_property(self, sizes, params):
+        pop = AgentPopulation.from_group_sizes(sizes)
+        agent_table = pop.event_rates(params)
+        chain_table = rates(AllelicPartition.from_group_sizes(sizes), params)
+        assert [ev for ev, _ in agent_table] == [ev for ev, _ in chain_table]
+        for (_, got), (_, want) in zip(agent_table, chain_table):
+            assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_event_rates_empty_population(self):
         assert AgentPopulation().event_rates(ModelParams(0.5, -0.25, 2.0)) == []

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.special import gammaln
 
@@ -48,6 +49,10 @@ def test_model_params_validation():
     with pytest.raises(DomainError):
         ModelParams(0.0, 1.0, 1.0).require_reversible()
     ModelParams(0.0, 1.0, 1.5).require_reversible()
+    for non_finite in ((math.nan, 1.0, 2.0), (0.5, math.inf, 2.0), (0.5, math.nan, 2.0),
+                       (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):  # fmt: skip
+        with pytest.raises(DomainError, match="must be finite"):
+            ModelParams(*non_finite)
 
 
 def test_log_factorial_against_exact_integers():
@@ -93,7 +98,9 @@ def test_log_ascending_factorial_long_products_match_lgamma():
 def reference_log_ascending_factorial(x: float, n: int) -> SignedLogValue:
     """The product rebuilt factor by factor for one n, as the library did
     before it kept prefix tables; the reference the tables must reproduce
-    bit for bit."""
+    bit for bit.  Past the head it takes the same ``math.lgamma``
+    difference as the library, which ``test_prefix_tail_agrees_with_gammaln``
+    checks against scipy."""
     if n == 0:
         return SignedLogValue.one()
     sign = 1
@@ -114,7 +121,7 @@ def reference_log_ascending_factorial(x: float, n: int) -> SignedLogValue:
             for r in range(remaining):
                 log_mag += math.log(base + r)
         else:
-            log_mag += float(gammaln(base + remaining) - gammaln(base))
+            log_mag += math.lgamma(base + remaining) - math.lgamma(base)
     return SignedLogValue(sign, log_mag)
 
 
@@ -164,6 +171,23 @@ def test_ascending_prefix_equals_reference_loop(x):
         for got in (upward.at(n), far_first.at(n), log_ascending_factorial(x, n)):
             assert same_bits(got, expected), (x, n, got, expected)
         assert magnitudes[n] == expected.log_magnitude or expected.sign == 0, (x, n)
+
+
+@pytest.mark.parametrize("x", PREFIX_STARTS)
+def test_prefix_tail_agrees_with_gammaln(x):
+    # scipy's log-gamma is an implementation independent of math.lgamma;
+    # past the head the two differences agree to a relative 1e-15
+    table = _AscendingPrefix(x)
+    magnitudes = np.array(table.log_magnitudes(10_000))
+    if table._signs[-1] == 0:
+        return  # an exact zero factor: no log-gamma entries
+    folded = table._folded
+    base = x + folded
+    remaining = np.arange(_DIRECT_PRODUCT_LIMIT + 1, 10_001 - folded, dtype=float)
+    expected = table._logs[folded] + (gammaln(base + remaining) - gammaln(base))
+    got = magnitudes[folded + _DIRECT_PRODUCT_LIMIT + 1 :]
+    assert len(got) == len(expected) > 0
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected)), x
 
 
 def test_ascending_prefix_storage_is_bounded():

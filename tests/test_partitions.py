@@ -1,6 +1,7 @@
 import pickle
 
 import pytest
+from hypothesis import given
 
 from allelic_bdi import (
     AllelicPartition,
@@ -12,7 +13,7 @@ from allelic_bdi import (
     TransitionEvent,
     enumerate_partitions,
 )
-from conftest import ascending_partitions
+from conftest import ascending_partitions, group_sizes
 
 # number of integer partitions of 0..12
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -118,6 +119,21 @@ def test_apply_death():
     assert AllelicPartition.decode("1^1").apply_event(
         TransitionEvent.death(1)
     ) == AllelicPartition.empty()
+
+
+@given(group_sizes())
+def test_encode_decode_round_trip_property(sizes):
+    m = AllelicPartition.from_group_sizes(sizes)
+    assert AllelicPartition.decode(m.encode()) == m
+
+
+@given(group_sizes())
+def test_growth_then_death_returns_the_state_property(sizes):
+    m = AllelicPartition.from_group_sizes(sizes)
+    for i in m.support:
+        grown = m.apply_event(TransitionEvent.growth(i))
+        assert grown.size == m.size + 1
+        assert grown.apply_event(TransitionEvent.death(i + 1)) == m
 
 
 def test_event_validation_and_text():

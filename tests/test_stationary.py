@@ -422,6 +422,20 @@ class TestScansEqualReferenceWalks:
         closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
         assert weight_series_gap(alpha, mu, terms) == abs(total - closed)
 
+    @pytest.mark.parametrize("terms", [1, 10, 513, 2000, 10_000])
+    @pytest.mark.parametrize("alpha", [1e-9, 0.5, 0.999])
+    def test_weight_series_stops_at_exact_zeros(self, alpha, terms):
+        # the full loop over every term; terms past i * log(mu) >= 746 are
+        # exactly 0.0, so stopping there must not change a bit.  mu = 1 + 1e-9
+        # puts the cutoff far past terms, mu = 1e300 at its second term
+        for mu in (1.0 + 1e-9, 1.2, 3.0, 50.0, 1e300):
+            log_mu = math.log(mu)
+            total = 0.0
+            for i in range(terms, 0, -1):
+                total += math.exp(log_alpha_weight(alpha, i) - i * log_mu)
+            closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
+            assert weight_series_gap(alpha, mu, terms) == abs(total - closed), mu
+
 
 # ---------------------------------------------------------------------------
 # edges of the parameter domain: alpha -> 1, theta -> -alpha, mu -> 1+
