@@ -21,8 +21,10 @@ level instead.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -55,13 +57,6 @@ def rates(m: AllelicPartition, params: ModelParams) -> list[tuple[TransitionEven
     return out
 
 
-def size_process_rates(n: int, params: ModelParams) -> tuple[float, float]:
-    """(birth rate, death rate) of the size process at population ``n``."""
-    if n < 0:
-        raise DomainError("population size must be >= 0")
-    return params.theta + n, params.mu * n
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A finite piece of one sample path of the multiplicity-level chain.
@@ -78,25 +73,10 @@ class Trajectory:
     _final: AllelicPartition | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon < 0.0:
-            raise DomainError("the horizon must be >= 0")
-        prev = 0.0
-        for t, _ in self.events:
-            if not t > prev:
-                raise DomainError("jump times must be strictly increasing and positive")
-            prev = t
-        if self.events and self.events[-1][0] > self.horizon:
-            raise DomainError("jump times must not exceed the horizon")
+        _check_jump_times(map(itemgetter(0), self.events), self.horizon)
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def _replay(self) -> Iterator[tuple[float, AllelicPartition]]:
-        state = self.initial
-        yield 0.0, state
-        for t, ev in self.events:
-            state = state.apply_event(ev)
-            yield t, state
 
     def state_at(self, t: float) -> AllelicPartition:
         if not 0.0 <= t <= self.horizon:
@@ -118,14 +98,15 @@ class Trajectory:
         """
         if self._final is not None:
             return self._final
-        state = None
-        for _, state in self._replay():
-            pass
-        return state
+        return self.state_at(self.horizon)
 
     def iter_states(self) -> Iterator[tuple[float, AllelicPartition]]:
         """(time, state) pairs starting with (0, initial)."""
-        return self._replay()
+        state = self.initial
+        yield 0.0, state
+        for t, ev in self.events:
+            state = state.apply_event(ev)
+            yield t, state
 
 
 @dataclass(frozen=True)
@@ -140,13 +121,7 @@ class SizeTrajectory:
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise DomainError("times and values must have equal length")
-        prev = 0.0
-        for t in self.times:
-            if not t > prev:
-                raise DomainError("jump times must be strictly increasing and positive")
-            prev = t
-        if self.times and self.times[-1] > self.horizon:
-            raise DomainError("jump times must not exceed the horizon")
+        _check_jump_times(self.times, self.horizon)
 
     def value_at(self, t: float) -> int:
         if not 0.0 <= t <= self.horizon:
@@ -158,18 +133,23 @@ class SizeTrajectory:
     def final_value(self) -> int:
         return self.values[-1] if self.values else self.initial
 
-    def occupation(self, burn_in: float = 0.0) -> dict[int, float]:
-        """Time spent in each value on (burn_in, horizon]."""
-        if not 0.0 <= burn_in < self.horizon:
-            raise DomainError("burn_in must lie in [0, horizon)")
-        out: dict[int, float] = {}
-        t_prev, v_prev = 0.0, self.initial
-        for t, v in zip(self.times + (self.horizon,), self.values + (self.final_value,)):
-            lo, hi = max(t_prev, burn_in), t
-            if hi > lo:
-                out[v_prev] = out.get(v_prev, 0.0) + (hi - lo)
-            t_prev, v_prev = t, v
-        return out
+
+def _check_horizon(t_end: float) -> None:
+    """Refuse a negative, infinite or nan horizon (every engine and path type)."""
+    if not 0.0 <= t_end < math.inf:
+        raise DomainError(f"the horizon must be finite and >= 0, got {t_end}")
+
+
+def _check_jump_times(times: Iterable[float], horizon: float) -> None:
+    """Refuse jump times that are not strictly increasing within (0, horizon]."""
+    _check_horizon(horizon)
+    prev = 0.0
+    for t in times:
+        if not t > prev:
+            raise DomainError("jump times must be strictly increasing and positive")
+        prev = t
+    if prev > horizon:
+        raise DomainError("jump times must not exceed the horizon")
 
 
 def _engine_path(
@@ -224,8 +204,7 @@ def simulate(
     as long as this walk is kept; ``tests/test_reproducibility.py`` pins
     seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
     """
-    if t_end < 0.0:
-        raise DomainError("t_end must be >= 0")
+    _check_horizon(t_end)
     start = AllelicPartition.empty() if initial is None else initial
     counts = start.as_dict()
     support = sorted(counts)
@@ -300,8 +279,7 @@ def simulate_bdi(
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SizeTrajectory:
     """Simulate the size process alone (birth theta + n, death mu * n)."""
-    if t_end < 0.0:
-        raise DomainError("t_end must be >= 0")
+    _check_horizon(t_end)
     if initial < 0:
         raise DomainError("the initial size must be >= 0")
     theta, mu = params.theta, params.mu
@@ -326,109 +304,13 @@ def simulate_bdi(
     return SizeTrajectory(tuple(times), tuple(values), t_end, initial)
 
 
-class AgentPopulation:
-    """Individual-level population state for the branching construction.
-
-    Families are lists of member birth times in increasing order, so index 0
-    is each family's oldest living member.  With theta > 0 immigrants found
-    families at rate theta and every member reproduces at unit rate, the
-    offspring of a family's oldest member founding a new family with
-    probability alpha.  With theta in (-alpha, 0] there is no immigration;
-    instead the population's overall oldest member produces joiners at rate
-    1 - alpha and founders at rate alpha + theta.  Either way the induced
-    rates aggregate to the multiplicity-level table of :func:`rates`.
-    """
-
-    __slots__ = ("families",)
-
-    def __init__(self, families: Iterable[Iterable[float]] = ()):
-        self.families: list[list[float]] = []
-        for fam in families:
-            members = [float(b) for b in fam]
-            if not members:
-                raise DomainError("families must be nonempty")
-            if any(b2 <= b1 for b1, b2 in zip(members, members[1:])):
-                raise DomainError("member birth times must be strictly increasing")
-            self.families.append(members)
-
-    @classmethod
-    def from_group_sizes(cls, sizes: Iterable[int]) -> "AgentPopulation":
-        """A population with the given family sizes and distinct past birth times."""
-        pop = cls()
-        clock = 0.0
-        for size in sizes:
-            if size < 1:
-                raise DomainError("family sizes must be >= 1")
-            clock -= size
-            pop.families.append([clock + j for j in range(size)])
-        return pop
-
-    @property
-    def size(self) -> int:
-        return sum(len(f) for f in self.families)
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.families)
-
-    def family_sizes(self) -> list[int]:
-        return [len(f) for f in self.families]
-
-    def to_partition(self) -> AllelicPartition:
-        return AllelicPartition.from_group_sizes(self.family_sizes())
-
-    def oldest_family(self) -> int:
-        """Index of the family holding the population's oldest member."""
-        if not self.families:
-            raise DomainError("the population is empty")
-        return _oldest_family(self.families)
-
-    def locate(self, idx: int) -> tuple[int, int]:
-        """(family, position) of the idx-th individual in family-list order."""
-        if idx < 0:
-            raise DomainError("individual index must be >= 0")
-        for fi, fam in enumerate(self.families):
-            if idx < len(fam):
-                return fi, idx
-            idx -= len(fam)
-        raise DomainError("individual index beyond population size")
-
-    def event_rates(self, params: ModelParams) -> list[tuple[TransitionEvent, float]]:
-        """Multiplicity-level rate table induced by the per-individual clocks.
-
-        Built by summing individual contributions (not by delegating to
-        :func:`rates`), so tests can confirm the two constructions agree.
-        """
-        theta, alpha, mu = params.theta, params.alpha, params.mu
-        new_family = theta if theta > 0.0 else 0.0
-        growth: dict[int, float] = {}
-        death: dict[int, float] = {}
-        oldest = self.oldest_family() if self.families and theta <= 0.0 else None
-        for fi, fam in enumerate(self.families):
-            i = len(fam)
-            if mu > 0.0:
-                death[i] = death.get(i, 0.0) + mu * i
-            growth[i] = growth.get(i, 0.0) + (i - 1)  # non-oldest members always join
-            growth[i] += 1.0 - alpha  # the family's oldest joins at rate 1 - alpha
-            if fi == oldest:
-                new_family += alpha + theta  # overall-oldest founds at rate alpha + theta
-            else:
-                new_family += alpha
-        out: list[tuple[TransitionEvent, float]] = []
-        if new_family > 0.0:
-            out.append((TransitionEvent.new_family(), new_family))
-        out.extend((TransitionEvent.growth(i), w) for i, w in sorted(growth.items()) if w > 0.0)
-        out.extend((TransitionEvent.death(i), w) for i, w in sorted(death.items()) if w > 0.0)
-        return out
-
-
 class _FamilySlots:
     """Fenwick tree over family sizes, one slot per family ever founded.
 
     A family that dies out keeps its slot at size zero, so slot order stays
     founding order and :meth:`locate` maps individual ``idx`` to the same
-    family and position as :meth:`AgentPopulation.locate` does on the list
-    with the empty families removed.  Every operation is O(log slots).
+    family and position as the list walk ``locate`` in ``tests/test_ctmc.py``
+    does with the empty families removed.  Every operation is O(log slots).
     """
 
     __slots__ = ("tree",)
@@ -474,10 +356,13 @@ def simulate_branching(
     t_end: float,
     rng: np.random.Generator,
     *,
-    initial: AgentPopulation | None = None,
+    initial: AllelicPartition | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> Trajectory:
     """Simulate the individual-level construction, emitting partition events.
+
+    Starts from the empty state unless ``initial`` is given; its groups
+    become families in entry order, each family older than the one before.
 
     Deaths use a single exponential clock at the aggregate rate mu * s plus a
     uniform victim, and births one at the aggregate birth rate plus a
@@ -493,15 +378,17 @@ def simulate_branching(
     member's rate 1 + theta in floating point, and that sum cannot be
     reproduced by an index lookup without changing which parent is drawn.
 
-    Bit-identity: each draw selects the individual that the list walk of
-    :meth:`AgentPopulation.locate` selects, so a seeded generator draws the
-    same path as that walk would; ``tests/test_reproducibility.py`` pins
-    seeded outputs.
+    Bit-identity: each draw selects the individual that a walk over the
+    family lists in order selects (the ``locate`` oracle in
+    ``tests/test_ctmc.py``), so a seeded generator draws the same path as
+    that walk would; ``tests/test_reproducibility.py`` pins seeded outputs.
     """
-    if t_end < 0.0:
-        raise DomainError("t_end must be >= 0")
-    families = [] if initial is None else AgentPopulation(initial.families).families
-    start = AllelicPartition.from_group_sizes(len(fam) for fam in families)
+    _check_horizon(t_end)
+    start = AllelicPartition.empty() if initial is None else initial
+    families, clock = [], 0.0
+    for size in (i for i, c in start for _ in range(c)):
+        clock -= size  # distinct past birth times, oldest in the last family
+        families.append([clock + j for j in range(size)])
     slots = _FamilySlots(len(fam) for fam in families)
     s = start.size
     theta, alpha, mu = params.theta, params.alpha, params.mu

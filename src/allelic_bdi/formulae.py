@@ -27,6 +27,13 @@ _DIRECT_PRODUCT_LIMIT = 512
 _LOG_FACTORIAL = [0.0]
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse nan and infinite inputs; every evaluator taking raw rates calls this."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The three parameters of the model.
@@ -43,10 +50,7 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "theta", "mu"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        _require_finite(alpha=self.alpha, theta=self.theta, mu=self.mu)
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not self.theta > -self.alpha:
@@ -215,6 +219,7 @@ def esf(n: int, theta: float, m: "AllelicPartition") -> float:
     P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i!  on {s(m) = n},
     where theta_(n) is the ascending factorial.  Requires theta > 0.
     """
+    _require_finite(theta=theta)
     if theta <= 0.0:
         raise DomainError("the Ewens sampling formula requires theta > 0")
     if n < 0:
@@ -307,6 +312,7 @@ def alpha_weight(alpha: float, i: int) -> float:
 
 def neg_bin_pmf(n: int, theta: float, b: float) -> float:
     """Negative-binomial pmf  theta_(n) / n! * (1-b)^theta * b^n  (theta > 0)."""
+    _require_finite(theta=theta, b=b)
     if theta <= 0.0:
         raise DomainError("the negative-binomial shape theta must be > 0")
     if not 0.0 <= b < 1.0:
@@ -325,6 +331,7 @@ def neg_bin_pmf(n: int, theta: float, b: float) -> float:
 
 def poisson_pmf(x: int, rate: float) -> float:
     """Poisson pmf; a zero rate degenerates to a point mass at 0."""
+    _require_finite(rate=rate)
     if rate < 0.0:
         raise DomainError("the Poisson rate must be >= 0")
     if x < 0:
@@ -342,6 +349,7 @@ def nbin_time_param(mu: float, t: float) -> float:
     the two expressions agree to the same order.  b(0) = 0, b is increasing
     in t, and for mu > 1 it climbs to 1/mu.
     """
+    _require_finite(mu=mu, t=t)
     if mu < 0.0:
         raise DomainError("mu must be >= 0")
     if t < 0.0:
@@ -366,6 +374,7 @@ def poisson_product_prob(m: "AllelicPartition", theta: float, b: float) -> float
     infinite product of the vacancy factors e^{-theta b^i / i} collapses to
     (1-b)^theta, so only stored entries contribute beyond that.
     """
+    _require_finite(theta=theta, b=b)
     if theta <= 0.0:
         raise DomainError("the Poisson-product law requires theta > 0")
     if not 0.0 <= b < 1.0:

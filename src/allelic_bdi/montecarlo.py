@@ -9,6 +9,7 @@ inputs no matter how replicates are partitioned across workers.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -70,10 +71,6 @@ class EmpiricalDistribution:
     def joint_groups_size(self) -> "EmpiricalDistribution":
         return self.map_keys(lambda m: (m.num_groups, m.size))
 
-    def restrict(self, predicate: Callable[[Any], bool]) -> dict[Any, float]:
-        """Probabilities of the keys passing ``predicate`` (not renormalized)."""
-        return {k: w / self.total for k, w in self.weights.items() if predicate(k)}
-
     def mean(self) -> float:
         return sum(k * w for k, w in self.weights.items()) / self.total
 
@@ -110,6 +107,12 @@ def _run_chunk(args: tuple) -> Counter:
     return tallies
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_ensemble(
     params: ModelParams,
     t_end: float,
@@ -125,7 +128,8 @@ def run_ensemble(
     Partition engines tally final partitions (size and group marginals are
     derived views); the ``bdi`` engine tallies integer sizes.  The output is
     a deterministic function of (params, t_end, replicates, seed, engine)
-    alone - worker count only affects wall time.
+    alone - worker count only affects wall time.  The pool is capped at the
+    usable CPUs, since every worker process is started up front.
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
@@ -133,7 +137,7 @@ def run_ensemble(
         raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if seed < 0:
         raise DomainError("the seed must be >= 0")
-    workers = min(workers, max(1, replicates // 64))  # pool startup isn't worth tiny runs
+    workers = min(workers, max(1, replicates // 64), _usable_cpus())  # tiny runs stay serial
     if workers <= 1:
         tallies = _run_chunk((params, t_end, seed, engine, 0, replicates, max_events))
     else:

@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, DomainError, InapplicableEventError, PartitionParseError
 
@@ -108,10 +108,6 @@ class AllelicPartition:
     @classmethod
     def empty(cls) -> "AllelicPartition":
         return cls()
-
-    @classmethod
-    def from_multiplicities(cls, multiplicities: Mapping[int, int]) -> "AllelicPartition":
-        return cls(multiplicities.items())
 
     @classmethod
     def from_group_sizes(cls, sizes: Iterable[int]) -> "AllelicPartition":

@@ -37,6 +37,7 @@ from .formulae import (
     ModelParams,
     SignedLogValue,
     _log_alpha_weights,
+    _require_finite,
     log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
@@ -79,6 +80,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     A probability mass function for theta > 0; for theta <= 0 the returned
     values are the signed quantities that still satisfy detailed balance.
     """
+    _require_finite(theta=theta, mu=mu)
     if not mu > 1.0:
         raise DomainError("reversible regime requires mu > 1")
     if n < 0:
@@ -93,6 +95,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
 
 def size_stationary_log_range(theta: float, mu: float, n_max: int) -> np.ndarray:
     """log lambda(n) for n = 0..n_max as one array (theta > 0 only)."""
+    _require_finite(theta=theta, mu=mu)
     if not mu > 1.0:
         raise DomainError("reversible regime requires mu > 1")
     if theta <= 0.0:
@@ -197,6 +200,7 @@ def size_balance_scan(
     space; a replacement pmf (e.g. a deliberately perturbed table) is checked
     in plain floats.
     """
+    _require_finite(theta=theta, mu=mu)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if pmf is None:
@@ -402,6 +406,7 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     bit-identical to ``log_alpha_weight`` and the terms are summed in the
     same order, so the gap equals the full term-by-term sum's bit for bit.
     """
+    _require_finite(alpha=alpha, mu=mu)
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
     if terms < 1:
@@ -433,6 +438,7 @@ def alpha0_limit_rate(i: int, theta: float, mu: float) -> float:
     theta / i for mu <= 1 (the transient and null cases, where the limit is
     of the scaled process) and theta * mu^{-i} / i for mu > 1.
     """
+    _require_finite(theta=theta, mu=mu)
     if i < 1:
         raise DomainError("the group size must be >= 1")
     if theta <= 0.0:

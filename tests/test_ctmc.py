@@ -10,7 +10,6 @@ from hypothesis import assume, given
 from scipy import stats
 
 from allelic_bdi import (
-    AgentPopulation,
     AllelicPartition,
     DomainError,
     EventKind,
@@ -24,7 +23,6 @@ from allelic_bdi import (
     simulate,
     simulate_bdi,
     simulate_branching,
-    size_process_rates,
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
@@ -89,17 +87,6 @@ class TestRates:
         for m in enumerate_partitions(5):
             for ev, _ in rates(m, params):
                 m.apply_event(ev)  # must not raise
-
-
-class TestSizeProcessRates:
-    def test_values(self):
-        params = ModelParams(0.5, 1.5, 2.0)
-        assert size_process_rates(0, params) == (1.5, 0.0)
-        assert size_process_rates(4, params) == (5.5, 8.0)
-
-    def test_negative_population_rejected(self):
-        with pytest.raises(DomainError):
-            size_process_rates(-1, ModelParams(0.5, 1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +166,6 @@ class TestSizeTrajectory:
         assert empty.final_value == 3
         assert empty.value_at(1.0) == 3
 
-    def test_occupation(self):
-        st = SizeTrajectory((1.0, 3.0), (1, 0), 4.0)
-        occ = st.occupation()
-        assert occ == {0: pytest.approx(2.0), 1: pytest.approx(2.0)}
-        assert st.occupation(burn_in=2.0) == {0: pytest.approx(1.0), 1: pytest.approx(1.0)}
-        assert sum(occ.values()) == pytest.approx(4.0)
-
-    def test_occupation_burn_in_bounds(self):
-        st = SizeTrajectory((1.0,), (1,), 2.0)
-        with pytest.raises(DomainError):
-            st.occupation(burn_in=2.0)
-        with pytest.raises(DomainError):
-            st.occupation(burn_in=-0.5)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             SizeTrajectory((1.0,), (1, 2), 2.0)
@@ -202,6 +175,22 @@ class TestSizeTrajectory:
             SizeTrajectory((1.0, 1.0), (1, 2), 3.0)
         with pytest.raises(DomainError):
             SizeTrajectory((5.0,), (1,), 3.0)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+def test_path_types_refuse_bad_horizons(horizon):
+    with pytest.raises(DomainError, match="horizon"):
+        Trajectory(AllelicPartition.empty(), (), horizon)
+    with pytest.raises(DomainError, match="horizon"):
+        SizeTrajectory((), (), horizon)
+
+
+@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_engines_refuse_non_finite_horizons(engine, t_end):
+    # a small cap, so an engine that accepted the horizon fails fast instead of running on
+    with pytest.raises(DomainError, match="horizon"):
+        engine(ModelParams(0.0, 1.0, 0.0), t_end, np.random.default_rng(1), max_events=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -355,43 +344,87 @@ class TestSimulateBdi:
 # ---------------------------------------------------------------------------
 
 
+# A population is a list of families, each a list of member birth times in
+# increasing order, so index 0 is each family's oldest living member.  These
+# list walks are the oracles for the branching engine's start, its Fenwick
+# lookup and the rate table its per-individual clocks induce.
+
+
+def families_from_sizes(sizes):
+    """Families of the given sizes with distinct past birth times.
+
+    Each family is older than the one before it, the rule
+    ``simulate_branching`` uses for its start.
+    """
+    families, clock = [], 0.0
+    for size in sizes:
+        clock -= size
+        families.append([clock + j for j in range(size)])
+    return families
+
+
+def oldest_family(families):
+    """Index of the family holding the population's earliest birth time."""
+    return min(range(len(families)), key=lambda fi: families[fi][0])
+
+
+def locate(families, idx):
+    """(family, position) of the idx-th individual in family-list order."""
+    for fi, fam in enumerate(families):
+        if idx < len(fam):
+            return fi, idx
+        idx -= len(fam)
+    raise IndexError("individual index beyond population size")
+
+
+def event_rates(families, params):
+    """Multiplicity-level rate table induced by the per-individual clocks.
+
+    With theta > 0 immigrants found families at rate theta and every member
+    reproduces at unit rate, the offspring of a family's oldest member
+    founding a new family with probability alpha.  With theta <= 0 there is
+    no immigration; the overall oldest member produces joiners at rate
+    1 - alpha and founders at rate alpha + theta instead.  Summed over
+    individuals, not read from :func:`rates`, so the two can be compared.
+    """
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    new_family = theta if theta > 0.0 else 0.0
+    growth, death = {}, {}
+    oldest = oldest_family(families) if families and theta <= 0.0 else None
+    for fi, fam in enumerate(families):
+        i = len(fam)
+        if mu > 0.0:
+            death[i] = death.get(i, 0.0) + mu * i
+        growth[i] = growth.get(i, 0.0) + (i - 1)  # non-oldest members always join
+        growth[i] += 1.0 - alpha  # the family's oldest joins at rate 1 - alpha
+        if fi == oldest:
+            new_family += alpha + theta  # overall-oldest founds at rate alpha + theta
+        else:
+            new_family += alpha
+    out = []
+    if new_family > 0.0:
+        out.append((TransitionEvent.new_family(), new_family))
+    out.extend((TransitionEvent.growth(i), w) for i, w in sorted(growth.items()) if w > 0.0)
+    out.extend((TransitionEvent.death(i), w) for i, w in sorted(death.items()) if w > 0.0)
+    return out
+
+
 class TestAgentPopulation:
-    def test_from_group_sizes(self):
-        pop = AgentPopulation.from_group_sizes([3, 1, 2])
-        assert pop.size == 6
-        assert pop.num_groups == 3
-        assert pop.family_sizes() == [3, 1, 2]
-        assert pop.to_partition() == decode("1^1 2^1 3^1")
+    def test_families_from_sizes(self):
+        families = families_from_sizes([3, 1, 2])
+        assert families == [[-3.0, -2.0, -1.0], [-4.0], [-6.0, -5.0]]
         # birth times decrease family by family, so the last family is oldest
-        assert pop.oldest_family() == 2
-
-    def test_from_group_sizes_validation(self):
-        with pytest.raises(DomainError):
-            AgentPopulation.from_group_sizes([2, 0])
-
-    def test_constructor_validation(self):
-        with pytest.raises(DomainError):
-            AgentPopulation([[]])
-        with pytest.raises(DomainError):
-            AgentPopulation([[1.0, 1.0]])
-        with pytest.raises(DomainError):
-            AgentPopulation([[2.0, 1.0]])
+        assert oldest_family(families) == 2
 
     def test_locate(self):
-        pop = AgentPopulation.from_group_sizes([3, 1, 2])
-        assert pop.locate(0) == (0, 0)
-        assert pop.locate(2) == (0, 2)
-        assert pop.locate(3) == (1, 0)
-        assert pop.locate(4) == (2, 0)
-        assert pop.locate(5) == (2, 1)
-        with pytest.raises(DomainError):
-            pop.locate(6)
-        with pytest.raises(DomainError):
-            pop.locate(-1)
-
-    def test_oldest_family_empty_population(self):
-        with pytest.raises(DomainError):
-            AgentPopulation().oldest_family()
+        families = families_from_sizes([3, 1, 2])
+        assert locate(families, 0) == (0, 0)
+        assert locate(families, 2) == (0, 2)
+        assert locate(families, 3) == (1, 0)
+        assert locate(families, 4) == (2, 0)
+        assert locate(families, 5) == (2, 1)
+        with pytest.raises(IndexError):
+            locate(families, 6)
 
     @pytest.mark.parametrize(
         "params",
@@ -406,25 +439,23 @@ class TestAgentPopulation:
     def test_event_rates_match_multiplicity_table(self, params):
         # the per-individual clock rates aggregate to the partition-level table
         for sizes in ([1], [2], [3, 1, 2], [1, 1, 1, 1], [5, 2, 2, 1]):
-            pop = AgentPopulation.from_group_sizes(sizes)
-            agent_table = dict(pop.event_rates(params))
-            chain_table = dict(rates(pop.to_partition(), params))
+            agent_table = dict(event_rates(families_from_sizes(sizes), params))
+            chain_table = dict(rates(AllelicPartition.from_group_sizes(sizes), params))
             assert agent_table.keys() == chain_table.keys()
             for ev, w in chain_table.items():
                 assert agent_table[ev] == pytest.approx(w, rel=1e-9)
 
     @given(group_sizes(), model_params())
     def test_event_rates_match_multiplicity_table_property(self, sizes, params):
-        pop = AgentPopulation.from_group_sizes(sizes)
-        agent_table = pop.event_rates(params)
+        agent_table = event_rates(families_from_sizes(sizes), params)
         chain_table = rates(AllelicPartition.from_group_sizes(sizes), params)
         assert [ev for ev, _ in agent_table] == [ev for ev, _ in chain_table]
         for (_, got), (_, want) in zip(agent_table, chain_table):
             assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_event_rates_empty_population(self):
-        assert AgentPopulation().event_rates(ModelParams(0.5, -0.25, 2.0)) == []
-        assert AgentPopulation().event_rates(ModelParams(0.5, 1.5, 2.0)) == [
+        assert event_rates([], ModelParams(0.5, -0.25, 2.0)) == []
+        assert event_rates([], ModelParams(0.5, 1.5, 2.0)) == [
             (TransitionEvent.new_family(), 1.5)
         ]
 
@@ -441,23 +472,21 @@ class TestSimulateBranching:
         assert len(traj) > 0
         _replay_is_consistent(traj)
 
-    def test_initial_population_not_mutated(self):
-        pop = AgentPopulation.from_group_sizes([2, 3])
-        before = [list(f) for f in pop.families]
+    def test_initial_state_respected(self):
+        start = decode("2^1 3^1")
         traj = simulate_branching(
-            ModelParams(0.5, 1.0, 2.0), 2.0, np.random.default_rng(8), initial=pop
+            ModelParams(0.5, 1.0, 2.0), 2.0, np.random.default_rng(8), initial=start
         )
-        assert traj.initial == decode("2^1 3^1")
-        assert [list(f) for f in pop.families] == before
+        assert traj.initial == start
+        assert traj.state_at(0.0) == start
 
     def test_frozen_at_empty_when_theta_nonpositive(self):
         traj = simulate_branching(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
         assert traj.events == ()
 
     def test_nonpositive_theta_from_populated_start(self):
-        pop = AgentPopulation.from_group_sizes([2, 2])
         traj = simulate_branching(
-            ModelParams(0.5, -0.25, 2.0), 50.0, np.random.default_rng(11), initial=pop
+            ModelParams(0.5, -0.25, 2.0), 50.0, np.random.default_rng(11), initial=decode("2^2")
         )
         assert len(traj) > 0
         _replay_is_consistent(traj)
@@ -485,6 +514,41 @@ class TestSimulateBranching:
 
 
 # ---------------------------------------------------------------------------
+# first jump from a populated start
+# ---------------------------------------------------------------------------
+
+
+# theta < 0 takes the branching engine's list walk, theta > 0 its Fenwick tree
+@pytest.mark.parametrize("engine", [simulate, simulate_branching])
+@pytest.mark.parametrize("alpha,theta,mu", [(0.5, -0.25, 2.0), (0.3, 1.5, 0.8)])
+def test_first_jump_law_from_populated_start(engine, alpha, theta, mu):
+    # the paper's rates from m = 1^1 2^2 3^1 (s = 8, k = 4), written out here
+    # rather than read from rates(): a new family at theta + alpha * k, growth
+    # of a size-i group at (i - alpha) * m_i, a death in one at mu * i * m_i
+    multiplicities = {1: 1, 2: 2, 3: 1}
+    table = {("new_family", None): theta + alpha * 4}
+    table.update({("growth", i): (i - alpha) * m_i for i, m_i in multiplicities.items()})
+    table.update({("death", i): mu * i * m_i for i, m_i in multiplicities.items()})
+    total = sum(table.values())
+    assert math.isclose(total, theta + (1.0 + mu) * 8)
+    horizon = 10.0 / total
+    params, start = ModelParams(alpha, theta, mu), decode("1^1 2^2 3^1")
+    times, counts = [], dict.fromkeys(table, 0)
+    for i in range(4000):
+        path = engine(params, horizon, np.random.default_rng([913, i]), initial=start)
+        if path.events:  # no jump by the horizon has probability e^-10
+            t, ev = path.events[0]
+            times.append(t)
+            counts[ev.kind.value, ev.index] += 1
+    n = len(times)
+    expected = [n * rate / total for rate in table.values()]
+    assert stats.chisquare(list(counts.values()), expected).pvalue > 1e-3
+    # given a jump by the horizon, its time is Exp(total) truncated there
+    cdf = lambda x: np.expm1(-total * x) / math.expm1(-10.0)
+    assert stats.kstest(times, cdf).pvalue > 1e-3
+
+
+# ---------------------------------------------------------------------------
 # engine-supplied final states against replay
 # ---------------------------------------------------------------------------
 
@@ -506,12 +570,9 @@ FINAL_STATE_CASES = [
 def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
     for seed in range(20):
         rng = np.random.default_rng([seed, 77])
-        if engine == "multiplicity":
-            start = None if sizes is None else AllelicPartition.from_group_sizes(sizes)
-            path = simulate(params, t_end, rng, initial=start)
-        else:
-            start = None if sizes is None else AgentPopulation.from_group_sizes(sizes)
-            path = simulate_branching(params, t_end, rng, initial=start)
+        start = None if sizes is None else AllelicPartition.from_group_sizes(sizes)
+        engine_fn = simulate if engine == "multiplicity" else simulate_branching
+        path = engine_fn(params, t_end, rng, initial=start)
         replayed = Trajectory(path.initial, path.events, path.horizon)
         assert replayed == path
         assert path.final_state() == replayed.final_state()
@@ -530,9 +591,9 @@ def test_family_slots_locate_matches_population_locate():
             continue
         slots = _FamilySlots(sizes)
         live = [fi for fi, n in enumerate(sizes) if n]
-        pop = AgentPopulation.from_group_sizes(sizes[fi] for fi in live)
+        families = families_from_sizes(sizes[fi] for fi in live)
         for idx in range(sum(sizes)):
-            fi, pos = pop.locate(idx)
+            fi, pos = locate(families, idx)
             assert slots.locate(idx) == (live[fi], pos)
         slot = int(rng.choice(live))
         slots.add(slot, -1)

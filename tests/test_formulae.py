@@ -18,11 +18,16 @@ from allelic_bdi import (
     log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
+    alpha0_limit_rate,
     nbin_time_param,
     neg_bin_pmf,
     poisson_pmf,
     poisson_product_prob,
     psf,
+    size_balance_scan,
+    size_stationary_log_range,
+    size_stationary_pmf,
+    weight_series_gap,
 )
 from allelic_bdi.formulae import (
     _DIRECT_PRODUCT_LIMIT,
@@ -53,6 +58,44 @@ def test_model_params_validation():
                        (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):  # fmt: skip
         with pytest.raises(DomainError, match="must be finite"):
             ModelParams(*non_finite)
+
+
+NAN, INF = math.nan, math.inf
+ONE_PAIR = AllelicPartition.decode("2^1")
+
+
+# each of these returned nan, a finite value or inf instead of raising
+NON_FINITE_CALLS = [
+    (nbin_time_param, (NAN, 1.0)),
+    (nbin_time_param, (2.0, NAN)),
+    (nbin_time_param, (2.0, INF)),
+    (size_stationary_pmf, (1, NAN, 2.0)),
+    (size_stationary_pmf, (1, INF, 2.0)),
+    (size_stationary_pmf, (1, 1.0, INF)),
+    (size_stationary_log_range, (INF, 2.0, 3)),
+    (size_stationary_log_range, (1.0, INF, 3)),
+    (neg_bin_pmf, (1, INF, 0.5)),
+    (esf, (2, INF, ONE_PAIR)),
+    (esf, (2, NAN, ONE_PAIR)),
+    (poisson_product_prob, (ONE_PAIR, INF, 0.5)),
+    (poisson_pmf, (1, INF)),
+    (poisson_pmf, (1, NAN)),
+    (size_balance_scan, (NAN, 2.0, 5)),
+    (size_balance_scan, (1.0, INF, 5, lambda n: 1.0)),
+    (weight_series_gap, (0.5, INF)),
+    (alpha0_limit_rate, (1, 1.0, NAN)),
+    (alpha0_limit_rate, (1, INF, 2.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    NON_FINITE_CALLS,
+    ids=[f"{fn.__name__}-{i}" for i, (fn, _) in enumerate(NON_FINITE_CALLS)],
+)
+def test_raw_rate_evaluators_refuse_non_finite_input(fn, args):
+    with pytest.raises(DomainError, match="must be finite"):
+        fn(*args)
 
 
 def test_log_factorial_against_exact_integers():

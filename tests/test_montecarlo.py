@@ -1,12 +1,15 @@
 """Tests for ensemble simulation, empirical distributions, total-variation
 distance, occupation measures, growth statistics and the CSV writers."""
 
+import concurrent.futures
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from allelic_bdi import montecarlo
 from allelic_bdi import (
     AllelicPartition,
     DomainError,
@@ -67,11 +70,6 @@ class TestEmpiricalDistribution:
         assert groups.weights == {2: 2.0, 1: 2.0}
         joint = dist.joint_groups_size()
         assert joint.weights == {(2, 2): 2.0, (1, 2): 1.0, (1, 1): 1.0}
-
-    def test_restrict(self):
-        dist = EmpiricalDistribution({decode("1^2"): 2.0, decode("1^1"): 2.0}, 4.0)
-        small = dist.restrict(lambda m: m.size == 2)
-        assert small == {decode("1^2"): pytest.approx(0.5)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +145,40 @@ class TestRunEnsemble:
         serial = run_ensemble(params, 1.5, 256, 31, engine)
         parallel = run_ensemble(params, 1.5, 256, 31, engine, workers=2)
         assert serial.weights == parallel.weights
+
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        params = ModelParams(0.5, 1.0, 2.0)
+        pooled = run_ensemble(params, 1.5, 640, 31, workers=100_000)
+        assert SerialPool.sizes == [3]  # not 100,000, nor the 640 // 64 = 10 replicates allow
+        assert pooled.weights == run_ensemble(params, 1.5, 640, 31).weights
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert montecarlo._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
     def test_validation(self):
         params = ModelParams(0.5, 1.0, 2.0)

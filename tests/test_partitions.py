@@ -53,11 +53,6 @@ def test_from_group_sizes():
         AllelicPartition.from_group_sizes([0])
 
 
-def test_from_multiplicities():
-    m = AllelicPartition.from_multiplicities({3: 2, 1: 1})
-    assert m.encode() == "1^1 3^2"
-    assert m.size == 7
-    assert m.num_groups == 3
 
 
 def test_entries_sorted_and_dense():
