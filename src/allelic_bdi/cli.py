@@ -19,8 +19,6 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
 from .errors import DomainError, PartitionParseError, RunawayError
@@ -28,6 +26,7 @@ from .formulae import ModelParams, esf, neg_bin_pmf, nbin_time_param, psf
 from .montecarlo import (
     ENGINES,
     _open_artifact,
+    _replicate_rng,
     growth_report,
     run_ensemble,
     tv_distance,
@@ -215,7 +214,7 @@ def cmd_simulate(args) -> int:
             )
         engine_fn = simulate if args.engine == "multiplicity" else simulate_branching
         trajectory = engine_fn(
-            params, args.t, np.random.default_rng([args.seed, 0]), max_events=args.max_events
+            params, args.t, _replicate_rng(args.seed, 0), max_events=args.max_events
         )
         write_trajectory_csv(
             trajectory,

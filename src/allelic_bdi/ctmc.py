@@ -14,6 +14,15 @@ Three engines share one event vocabulary:
   theta.  It emits the induced multiplicity-level trajectory, which has the
   same law as ``simulate``.
 
+Each engine is one kernel that runs the chain and returns the final state,
+appending (time, event) pairs to a list only when it is given one: the three
+public functions pass a list and wrap it in a path, while ensembles
+(:func:`allelic_bdi.montecarlo.run_ensemble`) record no path at all.  Every
+kernel refuses a horizon that is not finite and >= 0, checks that each jump
+strictly advances the clock and raises :class:`RunawayError`, naming the
+state it stopped in, past its event cap.  Event objects are immutable and
+shared by all runs in the process.
+
 From the empty state with theta <= 0 every engine has total rate zero and
 returns an eventless trajectory; starting such runs is refused at the CLI
 level instead.
@@ -50,10 +59,10 @@ def rates(m: AllelicPartition, params: ModelParams) -> list[tuple[TransitionEven
     out = []
     new_family = params.theta + alpha * m.num_groups
     if new_family > 0.0:
-        out.append((TransitionEvent.new_family(), new_family))
-    out.extend((TransitionEvent.growth(i), (i - alpha) * c) for i, c in m)
+        out.append((_NEW_FAMILY, new_family))
+    out.extend((_GROWTH[i], (i - alpha) * c) for i, c in m)
     if mu > 0.0:
-        out.extend((TransitionEvent.death(i), mu * i * c) for i, c in m)
+        out.extend((_DEATH[i], mu * i * c) for i, c in m)
     return out
 
 
@@ -172,60 +181,68 @@ class _EventCache(dict):
         return event
 
 
-def _runaway(engine: str, events: int, t: float, cap: int) -> RunawayError:
+# shared by every run in the process: an event is immutable, so one object
+# per (kind, size) serves all paths, and nothing is validated per replicate
+_NEW_FAMILY = TransitionEvent.new_family()
+_GROWTH = _EventCache(EventKind.GROWTH)
+_DEATH = _EventCache(EventKind.DEATH)
+_EMPTY = AllelicPartition.empty()
+
+
+def _runaway(engine: str, events: int, t: float, cap: int, s: int, k: int | None) -> RunawayError:
+    state = f"population size {s}" if k is None else f"population size {s} in {k} groups"
     return RunawayError(
-        f"{engine} run exceeded the event cap of {cap} at simulated time {t:.6g}",
+        f"{engine} run exceeded the event cap of {cap} at simulated time {t:.6g} "
+        f"with {state}",
         events=events,
         time=t,
+        size=s,
+        groups=k,
     )
 
 
-def simulate(
+def _stalled(t: float) -> DomainError:
+    return DomainError(
+        f"jump times must be strictly increasing and positive: a jump at time {t!r} "
+        "did not advance the clock"
+    )
+
+
+def _multiplicity_kernel(
     params: ModelParams,
     t_end: float,
     rng: np.random.Generator,
-    *,
-    initial: AllelicPartition | None = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> Trajectory:
-    """Gillespie simulation of the multiplicity-level chain on [0, t_end].
+    start: AllelicPartition,
+    max_events: int,
+    events: list | None,
+) -> AllelicPartition:
+    """Run the multiplicity-level chain; return the state at ``t_end``.
 
-    Starts from the empty state unless ``initial`` is given.  Each event
-    costs two draws (holding time, then a uniform selector), an O(1) update
-    of the total rate theta + (1 + mu) * s, and a selection walk over the
-    sorted support, O(distinct sizes).  The support list changes (by bisect)
-    only when a size appears or vanishes.  The returned path carries its
-    final state, so ``final_state()`` is O(1).
-
-    Bit-identity: the walk visits the events in the order of :func:`rates`
-    (new family, growth by increasing size, death by increasing size),
-    accumulates their weights in that order and falls through to the last
-    event on round-off.  A seeded generator therefore draws the same path
-    as long as this walk is kept; ``tests/test_reproducibility.py`` pins
-    seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
+    Appends (time, event) pairs to ``events`` unless it is None.
     """
     _check_horizon(t_end)
-    start = AllelicPartition.empty() if initial is None else initial
     counts = start.as_dict()
     support = sorted(counts)
     s, k = start.size, start.num_groups
     theta, alpha, mu = params.theta, params.alpha, params.mu
-    new_family_event = TransitionEvent.new_family()
-    growth_events = _EventCache(EventKind.GROWTH)
-    death_events = _EventCache(EventKind.DEATH)
+    exponential, uniform = rng.exponential, rng.random
+    record = None if events is None else events.append
     t = 0.0
-    events: list[tuple[float, TransitionEvent]] = []
+    n = 0
     while True:
         total = theta + (1.0 + mu) * s if s else (theta if theta > 0.0 else 0.0)
         if total <= 0.0:
             break
-        dt = rng.exponential(1.0 / total)
-        if t + dt > t_end:
+        t_next = t + exponential(1.0 / total)
+        if t_next > t_end:
             break
-        t += dt
-        if len(events) >= max_events:
-            raise _runaway("multiplicity", len(events), t, max_events)
-        u = rng.random() * total
+        if not t_next > t:
+            raise _stalled(t_next)
+        t = t_next
+        if n >= max_events:
+            raise _runaway("multiplicity", n, t, max_events, s, k)
+        n += 1
+        u = uniform() * total
         new_family = theta + alpha * k
         acc = new_family if new_family > 0.0 else 0.0
         if u < acc or not support:  # with no groups, round-off included
@@ -234,7 +251,8 @@ def simulate(
                 support.insert(0, 1)
             s += 1
             k += 1
-            events.append((t, new_family_event))
+            if record is not None:
+                record((t, _NEW_FAMILY))
             continue
         grow = True
         for index in support:
@@ -263,11 +281,86 @@ def simulate(
             k -= 1
         if grow:
             s += 1
-            events.append((t, growth_events[index]))
+            if record is not None:
+                record((t, _GROWTH[index]))
         else:
             s -= 1
-            events.append((t, death_events[index]))
-    return _engine_path(start, events, t_end, AllelicPartition(counts.items()))
+            if record is not None:
+                record((t, _DEATH[index]))
+    return AllelicPartition(counts.items()) if counts else _EMPTY
+
+
+def simulate(
+    params: ModelParams,
+    t_end: float,
+    rng: np.random.Generator,
+    *,
+    initial: AllelicPartition | None = None,
+    max_events: int = DEFAULT_MAX_EVENTS,
+) -> Trajectory:
+    """Gillespie simulation of the multiplicity-level chain on [0, t_end].
+
+    Starts from the empty state unless ``initial`` is given.  Each event
+    costs two draws (holding time, then a uniform selector), an O(1) update
+    of the total rate theta + (1 + mu) * s, and a selection walk over the
+    sorted support, O(distinct sizes).  The support list changes (by bisect)
+    only when a size appears or vanishes.  Recording the path adds one
+    (time, shared event) pair per event; ensembles run the same kernel
+    without recording, so their memory does not grow with the event count.
+    The returned path carries its final state, so ``final_state()`` is O(1).
+
+    Bit-identity: the walk visits the events in the order of :func:`rates`
+    (new family, growth by increasing size, death by increasing size),
+    accumulates their weights in that order and falls through to the last
+    event on round-off.  A seeded generator therefore draws the same path
+    as long as this walk is kept; ``tests/test_reproducibility.py`` pins
+    seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
+    """
+    start = _EMPTY if initial is None else initial
+    events: list[tuple[float, TransitionEvent]] = []
+    final = _multiplicity_kernel(params, t_end, rng, start, max_events, events)
+    return _engine_path(start, events, t_end, final)
+
+
+def _size_kernel(
+    params: ModelParams,
+    t_end: float,
+    rng: np.random.Generator,
+    initial: int,
+    max_events: int,
+    events: list | None,
+) -> int:
+    """Run the size process; return the size at ``t_end``.
+
+    Appends (time, size after the jump) pairs to ``events`` unless it is None.
+    """
+    _check_horizon(t_end)
+    if initial < 0:
+        raise DomainError("the initial size must be >= 0")
+    theta, mu = params.theta, params.mu
+    exponential, uniform = rng.exponential, rng.random
+    record = None if events is None else events.append
+    n = initial
+    t = 0.0
+    jumps = 0
+    while True:
+        birth = theta + n if (n or theta > 0.0) else 0.0
+        total = birth + mu * n
+        if total <= 0.0:
+            break
+        t_next = t + exponential(1.0 / total)
+        if t_next > t_end:
+            break
+        if not t_next > t:
+            raise _stalled(t_next)
+        t = t_next
+        if jumps >= max_events:
+            raise _runaway("size-process", jumps, t, max_events, n, None)
+        jumps += 1
+        n = n + 1 if uniform() * total < birth else n - 1
+        if record is not None:
+            record((t, n))
+    return n
 
 
 def simulate_bdi(
@@ -279,29 +372,11 @@ def simulate_bdi(
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SizeTrajectory:
     """Simulate the size process alone (birth theta + n, death mu * n)."""
-    _check_horizon(t_end)
-    if initial < 0:
-        raise DomainError("the initial size must be >= 0")
-    theta, mu = params.theta, params.mu
-    n = initial
-    t = 0.0
-    times: list[float] = []
-    values: list[int] = []
-    while True:
-        birth = theta + n if (n or theta > 0.0) else 0.0
-        total = birth + mu * n
-        if total <= 0.0:
-            break
-        dt = rng.exponential(1.0 / total)
-        if t + dt > t_end:
-            break
-        t += dt
-        if len(times) >= max_events:
-            raise _runaway("size-process", len(times), t, max_events)
-        n = n + 1 if rng.random() * total < birth else n - 1
-        times.append(t)
-        values.append(n)
-    return SizeTrajectory(tuple(times), tuple(values), t_end, initial)
+    jumps: list[tuple[float, int]] = []
+    _size_kernel(params, t_end, rng, initial, max_events, jumps)
+    times = tuple(t for t, _ in jumps)
+    values = tuple(n for _, n in jumps)
+    return SizeTrajectory(times, values, t_end, initial)
 
 
 class _FamilySlots:
@@ -351,6 +426,93 @@ class _FamilySlots:
         return pos, idx
 
 
+def _branching_kernel(
+    params: ModelParams,
+    t_end: float,
+    rng: np.random.Generator,
+    start: AllelicPartition,
+    max_events: int,
+    events: list | None,
+) -> AllelicPartition:
+    """Run the individual-level construction; return the partition at ``t_end``.
+
+    Appends (time, event) pairs to ``events`` unless it is None.
+    """
+    _check_horizon(t_end)
+    families, clock = [], 0.0
+    for size in (i for i, c in start for _ in range(c)):
+        clock -= size  # distinct past birth times, oldest in the last family
+        families.append([clock + j for j in range(size)])
+    slots = _FamilySlots(len(fam) for fam in families)
+    s = start.size
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    exponential, uniform = rng.exponential, rng.random
+    record = None if events is None else events.append
+    t = 0.0
+    n = 0
+    while True:
+        if theta > 0.0:
+            immigration = theta
+            birth_total = float(s)
+        else:
+            immigration = 0.0
+            birth_total = s + theta if s else 0.0  # overall oldest births at rate 1 + theta
+        total = immigration + birth_total + mu * s
+        if total <= 0.0:
+            break
+        t_next = t + exponential(1.0 / total)
+        if t_next > t_end:
+            break
+        if not t_next > t:
+            raise _stalled(t_next)
+        t = t_next
+        if n >= max_events:
+            k = sum(1 for fam in families if fam)
+            raise _runaway("branching", n, t, max_events, s, k)
+        n += 1
+        u = uniform() * total
+        if u < immigration:
+            families.append([t])
+            slots.append(1)
+            s += 1
+            event = _NEW_FAMILY
+        elif u < immigration + birth_total:
+            v = u - immigration
+            if theta > 0.0:
+                fi, pos = slots.locate(min(s - 1, int(v)))
+                p_new = alpha if pos == 0 else 0.0
+            else:
+                oldest = _oldest_family(families)
+                fi, pos = _weighted_parent(families, oldest, v, theta)
+                if pos:
+                    p_new = 0.0
+                else:
+                    p_new = alpha if fi != oldest else (alpha + theta) / (1.0 + theta)
+            s += 1
+            if p_new > 0.0 and uniform() < p_new:
+                families.append([t])
+                slots.append(1)
+                event = _NEW_FAMILY
+            else:
+                fam = families[fi]
+                event = _GROWTH[len(fam)]
+                fam.append(t)
+                slots.add(fi, 1)
+        else:
+            v = u - immigration - birth_total
+            fi, pos = slots.locate(min(s - 1, int(v / mu)))
+            fam = families[fi]
+            event = _DEATH[len(fam)]
+            del fam[pos]
+            slots.add(fi, -1)
+            s -= 1
+        if record is not None:
+            record((t, event))
+    if not s:
+        return _EMPTY
+    return AllelicPartition.from_group_sizes(len(fam) for fam in families if fam)
+
+
 def simulate_branching(
     params: ModelParams,
     t_end: float,
@@ -383,74 +545,9 @@ def simulate_branching(
     ``tests/test_ctmc.py``), so a seeded generator draws the same path as
     that walk would; ``tests/test_reproducibility.py`` pins seeded outputs.
     """
-    _check_horizon(t_end)
-    start = AllelicPartition.empty() if initial is None else initial
-    families, clock = [], 0.0
-    for size in (i for i, c in start for _ in range(c)):
-        clock -= size  # distinct past birth times, oldest in the last family
-        families.append([clock + j for j in range(size)])
-    slots = _FamilySlots(len(fam) for fam in families)
-    s = start.size
-    theta, alpha, mu = params.theta, params.alpha, params.mu
-    new_family_event = TransitionEvent.new_family()
-    growth_events = _EventCache(EventKind.GROWTH)
-    death_events = _EventCache(EventKind.DEATH)
-    t = 0.0
+    start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    while True:
-        if theta > 0.0:
-            immigration = theta
-            birth_total = float(s)
-        else:
-            immigration = 0.0
-            birth_total = s + theta if s else 0.0  # overall oldest births at rate 1 + theta
-        total = immigration + birth_total + mu * s
-        if total <= 0.0:
-            break
-        dt = rng.exponential(1.0 / total)
-        if t + dt > t_end:
-            break
-        t += dt
-        if len(events) >= max_events:
-            raise _runaway("branching", len(events), t, max_events)
-        u = rng.random() * total
-        if u < immigration:
-            families.append([t])
-            slots.append(1)
-            s += 1
-            event = new_family_event
-        elif u < immigration + birth_total:
-            v = u - immigration
-            if theta > 0.0:
-                fi, pos = slots.locate(min(s - 1, int(v)))
-                p_new = alpha if pos == 0 else 0.0
-            else:
-                oldest = _oldest_family(families)
-                fi, pos = _weighted_parent(families, oldest, v, theta)
-                if pos:
-                    p_new = 0.0
-                else:
-                    p_new = alpha if fi != oldest else (alpha + theta) / (1.0 + theta)
-            s += 1
-            if p_new > 0.0 and rng.random() < p_new:
-                families.append([t])
-                slots.append(1)
-                event = new_family_event
-            else:
-                fam = families[fi]
-                event = growth_events[len(fam)]
-                fam.append(t)
-                slots.add(fi, 1)
-        else:
-            v = u - immigration - birth_total
-            fi, pos = slots.locate(min(s - 1, int(v / mu)))
-            fam = families[fi]
-            event = death_events[len(fam)]
-            del fam[pos]
-            slots.add(fi, -1)
-            s -= 1
-        events.append((t, event))
-    final = AllelicPartition.from_group_sizes(len(fam) for fam in families if fam)
+    final = _branching_kernel(params, t_end, rng, start, max_events, events)
     return _engine_path(start, events, t_end, final)
 
 

@@ -196,7 +196,11 @@ class _AscendingPrefix:
 
 @lru_cache(maxsize=64)
 def _ascending_prefix(x: float) -> _AscendingPrefix:
-    """The prefix table at x, kept for the 64 most recently used x."""
+    """The prefix table at x, kept for the 64 most recently used x.
+
+    A nan or infinite x raises before a table is built, so it is never cached.
+    """
+    _require_finite(x=x)
     return _AscendingPrefix(x)
 
 
@@ -207,6 +211,7 @@ def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
     one by one, so the sign comes out right for negative ``x``; a factor that
     is exactly zero short-circuits to the zero value.  Read from the prefix
     table of ``x``: O(1) once the table reaches n, or n is past its head.
+    A nan or infinite ``x`` is refused before any table is built.
     """
     if n < 0:
         raise DomainError("ascending factorial needs n >= 0")

@@ -3,7 +3,11 @@
 Reproducibility contract: replicate ``i`` of a run with master seed ``S``
 always uses the stream ``numpy.random.default_rng([S, i])``, and merged
 tallies are plain integer sums, so results are bit-identical for fixed
-inputs no matter how replicates are partitioned across workers.
+inputs no matter how replicates are partitioned across workers.  The
+generator is built from the uint32 words numpy's ``SeedSequence`` makes of
+``[S, i]`` (:func:`_replicate_rng`), which is the same stream without the
+per-call conversion of a Python list.  Ensemble replicates run the engine
+kernels without recording a path: only the final state is kept.
 """
 
 from __future__ import annotations
@@ -19,10 +23,17 @@ from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .ctmc import DEFAULT_MAX_EVENTS, Trajectory, simulate, simulate_bdi, simulate_branching
+from .ctmc import (
+    _EMPTY,
+    DEFAULT_MAX_EVENTS,
+    Trajectory,
+    _branching_kernel,
+    _multiplicity_kernel,
+    _size_kernel,
+)
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
-from .partitions import AllelicPartition, EventKind
+from .partitions import AllelicPartition, EventKind, TransitionEvent
 from .urn import group_count_trace
 
 ENGINES = ("multiplicity", "branching", "bdi")
@@ -79,13 +90,34 @@ class EmpiricalDistribution:
         return sum((k - mean) ** 2 * w for k, w in self.weights.items()) / self.total
 
 
+def _seed_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n >= 0`` (``[0]`` for 0), as numpy splits a seed."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
+def _replicate_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of replicate ``i`` of master seed ``seed``.
+
+    Equal to ``np.random.default_rng([seed, i])``: numpy's ``SeedSequence``
+    turns the list ``[seed, i]`` into exactly this uint32 array, words of
+    ``seed`` first, and seeds from it; handing it the array skips the
+    per-element conversion.
+    """
+    return np.random.default_rng(np.array(_seed_words(seed) + _seed_words(i), dtype=np.uint32))
+
+
 def _replicate_outcome(engine: str, params: ModelParams, t_end: float, rng, max_events: int):
     if engine == "multiplicity":
-        return simulate(params, t_end, rng, max_events=max_events).final_state()
+        return _multiplicity_kernel(params, t_end, rng, _EMPTY, max_events, None)
     if engine == "branching":
-        return simulate_branching(params, t_end, rng, max_events=max_events).final_state()
+        return _branching_kernel(params, t_end, rng, _EMPTY, max_events, None)
     if engine == "bdi":
-        return simulate_bdi(params, t_end, rng, max_events=max_events).final_value
+        return _size_kernel(params, t_end, rng, 0, max_events, None)
     raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
@@ -93,7 +125,7 @@ def _run_chunk(args: tuple) -> Counter:
     params, t_end, seed, engine, start, stop, max_events = args
     tallies: Counter = Counter()
     for i in range(start, stop):
-        rng = np.random.default_rng([seed, i])
+        rng = _replicate_rng(seed, i)
         try:
             outcome = _replicate_outcome(engine, params, t_end, rng, max_events)
         except RunawayError as exc:
@@ -102,6 +134,8 @@ def _run_chunk(args: tuple) -> Counter:
                 f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
                 events=exc.events,
                 time=exc.time,
+                size=exc.size,
+                groups=exc.groups,
             ) from exc
         tallies[outcome] += 1
     return tallies
@@ -222,9 +256,9 @@ def stationary_occupation(
 ) -> EmpiricalDistribution:
     """Occupation fractions of one long run after a burn-in (mu > 1).
 
-    Simulates a single trajectory on [0, horizon] and weights each visited
-    partition by the time spent there beyond ``burn_in``.  The path is
-    walked on a mutable multiplicity dict, and occupation is keyed by its
+    Simulates a single run on [0, horizon] from the empty state and weights
+    each visited partition by the time spent there beyond ``burn_in``.  The
+    kernel's event list is walked on a mutable multiplicity dict, and occupation is keyed by its
     sorted entries, so a partition object is built once per distinct state
     rather than once per event.
     """
@@ -233,10 +267,9 @@ def stationary_occupation(
         raise DomainError("need 0 <= burn_in < horizon")
     if seed < 0:
         raise DomainError("the seed must be >= 0")
-    trajectory = simulate(
-        params, horizon, np.random.default_rng([seed, 0]), max_events=max_events
-    )
-    counts = trajectory.initial.as_dict()
+    events: list[tuple[float, TransitionEvent]] = []
+    _multiplicity_kernel(params, horizon, _replicate_rng(seed, 0), _EMPTY, max_events, events)
+    counts: dict[int, int] = {}
     weights: dict[tuple[tuple[int, int], ...], float] = {}
 
     def occupy(lo: float, hi: float) -> None:
@@ -245,7 +278,7 @@ def stationary_occupation(
             weights[key] = weights.get(key, 0.0) + (hi - lo)
 
     t_prev = 0.0
-    for t, event in trajectory.events:
+    for t, event in events:
         occupy(max(t_prev, burn_in), t)
         t_prev = t
         if event.kind is EventKind.NEW_FAMILY:
@@ -305,8 +338,7 @@ def growth_report(
         power = params.alpha
     traces = []
     for r in range(runs):
-        rng = np.random.default_rng([seed, r])
-        traces.append(group_count_trace(n_max, params, rng))
+        traces.append(group_count_trace(n_max, params, _replicate_rng(seed, r)))
     rows = []
     for column, (n, _) in enumerate(traces[0]):
         counts = np.array([trace[column][1] for trace in traces], dtype=float)

@@ -112,3 +112,16 @@ def urn_marginal(n: int, params: ModelParams) -> dict[AllelicPartition, float]:
                 successor[child] = successor.get(child, 0.0) + prob * p
         dist = successor
     return dist
+
+
+class AbsorbingClock:
+    """Generator stand-in whose second holding time is lost to round-off."""
+
+    def __init__(self):
+        self.holds = iter([1.0, 1e-300])
+
+    def exponential(self, scale):
+        return next(self.holds)
+
+    def random(self):
+        return 0.5

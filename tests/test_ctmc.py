@@ -26,7 +26,7 @@ from allelic_bdi import (
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
-from conftest import group_sizes, model_params
+from conftest import AbsorbingClock, group_sizes, model_params
 
 
 def decode(text):
@@ -191,6 +191,32 @@ def test_engines_refuse_non_finite_horizons(engine, t_end):
     # a small cap, so an engine that accepted the horizon fails fast instead of running on
     with pytest.raises(DomainError, match="horizon"):
         engine(ModelParams(0.0, 1.0, 0.0), t_end, np.random.default_rng(1), max_events=1000)
+
+
+@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+def test_engines_refuse_a_jump_that_does_not_advance_the_clock(engine):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        engine(ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock())
+
+
+@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+@pytest.mark.parametrize("params", [ModelParams(0.5, 5.0, 0.0), ModelParams(0.3, 2.0, 0.9)])
+def test_event_cap_names_the_state_it_stopped_in(engine, params):
+    with pytest.raises(RunawayError) as exc:
+        engine(params, 200.0, np.random.default_rng(9), max_events=50)
+    assert exc.value.events == 50
+    # the same draws, stopped just before the jump that hit the cap
+    path = engine(params, math.nextafter(exc.value.time, 0.0), np.random.default_rng(9))
+    if engine is simulate_bdi:
+        assert len(path.times) == 50
+        assert (exc.value.size, exc.value.groups) == (path.final_value, None)
+        assert str(exc.value).endswith(f"with population size {path.final_value}")
+    else:
+        assert len(path) == 50
+        state = path.final_state()
+        assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups)
+        text = f"with population size {state.size} in {state.num_groups} groups"
+        assert str(exc.value).endswith(text)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,14 @@ def test_log_ascending_factorial_negative_start():
     assert log_ascending_factorial(0.0, 3).sign == 0
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_log_ascending_factorial_refuses_non_finite_base(x):
+    before = _ascending_prefix.cache_info().currsize
+    with pytest.raises(DomainError, match="x must be finite"):
+        log_ascending_factorial(x, 3)
+    assert _ascending_prefix.cache_info().currsize == before
+
+
 def test_log_ascending_factorial_long_products_match_lgamma():
     # spans the switch from direct summation to the log-gamma difference
     for n in (511, 512, 513, 2000):

@@ -5,6 +5,8 @@ import concurrent.futures
 import io
 import math
 import os
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from allelic_bdi import (
     write_histogram_csv,
 )
 from allelic_bdi import __version__
+from conftest import AbsorbingClock
 
 
 def decode(text):
@@ -204,12 +207,28 @@ class TestRunEnsemble:
             run_ensemble(params, 2.0, 5, 0, max_events=6)
         assert str(exc.value).startswith("replicate 2 of seed 0 (alpha=0.5, theta=1.0, mu=0.0")
         assert exc.value.events == 6
+        # the state after the first six events of replicate 2, replayed from its path
+        path = simulate(params, 2.0, np.random.default_rng([0, 2]))
+        state = path.state_at(path.events[5][0])
+        assert exc.value.time == path.events[6][0]
+        assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups) == (6, 5)
+        assert str(exc.value).endswith("with population size 6 in 5 groups")
 
     def test_event_cap_survives_the_pool(self):
         with pytest.raises(RunawayError) as exc:
             run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 256, 1, workers=2, max_events=50)
         assert "event cap" in str(exc.value)
         assert exc.value.events == 50
+        assert exc.value.size == 50  # pure birth: every event adds one member
+        assert 1 <= exc.value.groups <= 50
+
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    def test_replicates_refuse_a_jump_that_does_not_advance_the_clock(self, engine):
+        # replicates record no path, so the kernel itself must check the clock
+        with pytest.raises(DomainError, match="strictly increasing"):
+            montecarlo._replicate_outcome(
+                engine, ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), 100
+            )
 
     def test_error_shrinks_with_replicates(self):
         # TV against the exact transient size law should fall roughly as
@@ -229,6 +248,47 @@ class TestRunEnsemble:
 # ---------------------------------------------------------------------------
 # occupation measure of one long run
 # ---------------------------------------------------------------------------
+
+
+# seeds and replicate indices around the 32-bit word boundaries, where the
+# word list numpy builds from [S, i] changes length, plus random ones
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+_draw = random.Random(20261018)
+SEED_PAIRS = [(s, i) for s in SEED_EDGES for i in SEED_EDGES] + [
+    (_draw.getrandbits(bits), _draw.getrandbits(40)) for bits in (16, 31, 33, 70, 100)
+]
+
+
+class TestReplicateSeeding:
+    @pytest.mark.parametrize("seed,i", SEED_PAIRS)
+    def test_stream_is_default_rng_of_the_pair(self, seed, i):
+        ours = montecarlo._replicate_rng(seed, i)
+        oracle = np.random.default_rng([seed, i])
+        assert ours.bit_generator.state == oracle.bit_generator.state
+        assert ours.random(4).tolist() == oracle.random(4).tolist()
+        assert ours.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
+        assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_replicate_records_no_path():
+    # ensemble_large's pure-birth point: one replicate has thousands of events,
+    # and a recorded path holds a (time, event) pair for each of them
+    params, t_end, seed = ModelParams(0.7, 10.0, 0.0), 6.5, 3
+    path = simulate(params, t_end, np.random.default_rng([seed, 0]))
+    assert len(path) > 3000
+    del path  # the run above also built every event object this replicate uses
+    path_peak = _traced_peak(simulate, params, t_end, np.random.default_rng([seed, 0]))
+    ensemble_peak = _traced_peak(run_ensemble, params, t_end, 1, seed)
+    assert ensemble_peak * 20 < path_peak
 
 
 class TestStationaryOccupation:

@@ -2,14 +2,14 @@
 
 Each hash is the sha256 of a file written by ``allelic-bdi`` for a fixed
 flag set.  The ``simulate`` hashes pin the random draws and the event
-selection of both partition engines, and the summary hashes also pin the
-moments and the exact reference laws the TV entries are measured against;
-the ``diagnose`` hashes pin the urn's draws, its group-count sequence and
-the growth-report arithmetic; the ``exact`` and ``verify`` hashes pin the
-tabulated laws and the scan residuals.  A change to any of these changes the
-bytes.  A change to the package version or an artifact layout changes them
-too, and then the hashes must be regenerated on purpose alongside that
-change.
+selection of all three engines, including a master seed wider than 32
+bits, and the summary hashes also pin the moments and the exact reference
+laws the TV entries are measured against; the ``diagnose`` hashes pin the
+urn's draws, its group-count sequence and the growth-report arithmetic; the
+``exact`` and ``verify`` hashes pin the tabulated laws and the scan
+residuals.  A change to any of these changes the bytes.  A change to the
+package version or an artifact layout changes them too, and then the hashes
+must be regenerated on purpose alongside that change.
 """
 
 import hashlib
@@ -39,6 +39,21 @@ HISTOGRAM_SHA256 = {
         "a0.7-mu0": "42337afa9d4b746b347b6b21a938b9d30d39ebca582bfbb0aa2b07fcde46e15d",
         "a0.5-mu1.5": "7f562316a19ce6972eeee01dd05ae460b31612e95c81480253d256d5834c8de8",
     },
+    "bdi": {
+        "a0-mu2": "3a8faeaf8e4694713749627cf67fc12cea3ef29107ff54cad01b7174d3ffc0a1",
+        "a0.7-mu0": "4a232a92604f92ad69f2d2a919f40c69c38fe03a43d3af2ee407b6a0043fbcf6",
+        "a0.5-mu1.5": "d522dd6a69a33789aa0410b3d264d3a879a6696c936855d86a5cbe9ded988dfc",
+    },
+}
+
+# a master seed of 2^32 + 1 is two 32-bit words, so [S, i] seeds from three
+WIDE_SEED = "4294967297"
+
+WIDE_SEED_HISTOGRAM_SHA256 = {
+    ("multiplicity", "a0-mu2"): "dfa27d9ffaa7acc8b3b727196d3eba27b73314f02a141271435ec4a64aecfb03",
+    ("branching", "a0.5-mu1.5"): (
+        "9443cce03ca2210c8806eba8d2c927de12025b21a83aa2ac5ef7b4164a33855f"
+    ),
 }
 
 # one path with new families, growth, deaths and extinct families
@@ -54,14 +69,24 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def histogram_sha256(tmp_path, engine, point, seed) -> str:
+    histogram = tmp_path / "histogram.csv"
+    argv = ["simulate", *HISTOGRAM_POINTS[point], "--seed", seed, "--engine", engine]
+    argv += ["--workers", "1", "--histogram", str(histogram), "--summary", str(tmp_path / "s.json")]
+    assert main(argv) == 0
+    return sha256_of(histogram)
+
+
 @pytest.mark.parametrize("engine", sorted(HISTOGRAM_SHA256))
 @pytest.mark.parametrize("point", sorted(HISTOGRAM_POINTS))
 def test_histogram_bytes_are_pinned(tmp_path, engine, point):
-    histogram = tmp_path / "histogram.csv"
-    argv = ["simulate", *HISTOGRAM_POINTS[point], "--seed", SEED, "--engine", engine]
-    argv += ["--workers", "1", "--histogram", str(histogram), "--summary", str(tmp_path / "s.json")]
-    assert main(argv) == 0
-    assert sha256_of(histogram) == HISTOGRAM_SHA256[engine][point]
+    assert histogram_sha256(tmp_path, engine, point, SEED) == HISTOGRAM_SHA256[engine][point]
+
+
+@pytest.mark.parametrize("engine,point", sorted(WIDE_SEED_HISTOGRAM_SHA256))
+def test_wide_seed_histogram_bytes_are_pinned(tmp_path, engine, point):
+    expected = WIDE_SEED_HISTOGRAM_SHA256[(engine, point)]
+    assert histogram_sha256(tmp_path, engine, point, WIDE_SEED) == expected
 
 
 @pytest.mark.parametrize("engine", sorted(TRAJECTORY_SHA256))
