@@ -14,11 +14,15 @@ Three engines share one event vocabulary:
   theta.  It emits the induced multiplicity-level trajectory, which has the
   same law as ``simulate``.
 
-Each engine is one kernel that runs the chain and returns the final state,
-appending (time, event) pairs to a list only when it is given one: the three
-public functions pass a list and wrap it in a path, while ensembles
-(:func:`allelic_bdi.montecarlo.run_ensemble`) record no path at all.  Every
-kernel refuses a horizon that is not finite and >= 0, checks that each jump
+Each engine is one kernel that runs the chain and returns the final state
+(the sorted (size, count) entries of a partition, or an integer size).  A
+kernel takes its two draws as callables, an exponential holding time and a
+uniform on [0, 1), and hands each (time, event) pair to a ``record`` callable
+only when it is given one: the three public functions pass a generator's
+``exponential`` and ``random``, record into a list and wrap it in a path;
+ensembles (:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing, and
+the occupation run adds up time per state as events arrive.  Every kernel
+refuses a horizon that is not finite and >= 0, checks that each jump
 strictly advances the clock and raises :class:`RunawayError`, naming the
 state it stopped in, past its event cap.  Event objects are immutable and
 shared by all runs in the process.
@@ -32,9 +36,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -161,11 +166,9 @@ def _check_jump_times(times: Iterable[float], horizon: float) -> None:
         raise DomainError("jump times must not exceed the horizon")
 
 
-def _engine_path(
-    start: AllelicPartition, events: list, t_end: float, final: AllelicPartition
-) -> Trajectory:
+def _engine_path(start: AllelicPartition, events: list, t_end: float, final: tuple) -> Trajectory:
     path = Trajectory(start, tuple(events), t_end)
-    object.__setattr__(path, "_final", final)
+    object.__setattr__(path, "_final", AllelicPartition(final) if final else _EMPTY)
     return path
 
 
@@ -211,22 +214,21 @@ def _stalled(t: float) -> DomainError:
 def _multiplicity_kernel(
     params: ModelParams,
     t_end: float,
-    rng: np.random.Generator,
+    exponential: Callable[[float], float],
+    uniform: Callable[[], float],
     start: AllelicPartition,
     max_events: int,
-    events: list | None,
-) -> AllelicPartition:
-    """Run the multiplicity-level chain; return the state at ``t_end``.
+    record: Callable[[tuple], None] | None,
+) -> tuple[tuple[int, int], ...]:
+    """Run the multiplicity-level chain; return the sorted entries at ``t_end``.
 
-    Appends (time, event) pairs to ``events`` unless it is None.
+    Passes each (time, event) pair to ``record`` unless it is None.
     """
     _check_horizon(t_end)
     counts = start.as_dict()
     support = sorted(counts)
     s, k = start.size, start.num_groups
     theta, alpha, mu = params.theta, params.alpha, params.mu
-    exponential, uniform = rng.exponential, rng.random
-    record = None if events is None else events.append
     t = 0.0
     n = 0
     while True:
@@ -287,7 +289,7 @@ def _multiplicity_kernel(
             s -= 1
             if record is not None:
                 record((t, _DEATH[index]))
-    return AllelicPartition(counts.items()) if counts else _EMPTY
+    return tuple([(i, counts[i]) for i in support])  # the support is kept sorted
 
 
 def simulate(
@@ -318,28 +320,29 @@ def simulate(
     """
     start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    final = _multiplicity_kernel(params, t_end, rng, start, max_events, events)
+    final = _multiplicity_kernel(
+        params, t_end, rng.exponential, rng.random, start, max_events, events.append
+    )
     return _engine_path(start, events, t_end, final)
 
 
 def _size_kernel(
     params: ModelParams,
     t_end: float,
-    rng: np.random.Generator,
+    exponential: Callable[[float], float],
+    uniform: Callable[[], float],
     initial: int,
     max_events: int,
-    events: list | None,
+    record: Callable[[tuple], None] | None,
 ) -> int:
     """Run the size process; return the size at ``t_end``.
 
-    Appends (time, size after the jump) pairs to ``events`` unless it is None.
+    Passes each (time, size after the jump) pair to ``record`` unless it is None.
     """
     _check_horizon(t_end)
     if initial < 0:
         raise DomainError("the initial size must be >= 0")
     theta, mu = params.theta, params.mu
-    exponential, uniform = rng.exponential, rng.random
-    record = None if events is None else events.append
     n = initial
     t = 0.0
     jumps = 0
@@ -373,7 +376,7 @@ def simulate_bdi(
 ) -> SizeTrajectory:
     """Simulate the size process alone (birth theta + n, death mu * n)."""
     jumps: list[tuple[float, int]] = []
-    _size_kernel(params, t_end, rng, initial, max_events, jumps)
+    _size_kernel(params, t_end, rng.exponential, rng.random, initial, max_events, jumps.append)
     times = tuple(t for t, _ in jumps)
     values = tuple(n for _, n in jumps)
     return SizeTrajectory(times, values, t_end, initial)
@@ -429,14 +432,15 @@ class _FamilySlots:
 def _branching_kernel(
     params: ModelParams,
     t_end: float,
-    rng: np.random.Generator,
+    exponential: Callable[[float], float],
+    uniform: Callable[[], float],
     start: AllelicPartition,
     max_events: int,
-    events: list | None,
-) -> AllelicPartition:
-    """Run the individual-level construction; return the partition at ``t_end``.
+    record: Callable[[tuple], None] | None,
+) -> tuple[tuple[int, int], ...]:
+    """Run the individual-level construction; return the sorted entries at ``t_end``.
 
-    Appends (time, event) pairs to ``events`` unless it is None.
+    Passes each (time, event) pair to ``record`` unless it is None.
     """
     _check_horizon(t_end)
     families, clock = [], 0.0
@@ -446,8 +450,6 @@ def _branching_kernel(
     slots = _FamilySlots(len(fam) for fam in families)
     s = start.size
     theta, alpha, mu = params.theta, params.alpha, params.mu
-    exponential, uniform = rng.exponential, rng.random
-    record = None if events is None else events.append
     t = 0.0
     n = 0
     while True:
@@ -508,9 +510,7 @@ def _branching_kernel(
             s -= 1
         if record is not None:
             record((t, event))
-    if not s:
-        return _EMPTY
-    return AllelicPartition.from_group_sizes(len(fam) for fam in families if fam)
+    return tuple(sorted(Counter(len(fam) for fam in families if fam).items()))
 
 
 def simulate_branching(
@@ -547,7 +547,9 @@ def simulate_branching(
     """
     start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    final = _branching_kernel(params, t_end, rng, start, max_events, events)
+    final = _branching_kernel(
+        params, t_end, rng.exponential, rng.random, start, max_events, events.append
+    )
     return _engine_path(start, events, t_end, final)
 
 

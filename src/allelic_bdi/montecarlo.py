@@ -3,11 +3,17 @@
 Reproducibility contract: replicate ``i`` of a run with master seed ``S``
 always uses the stream ``numpy.random.default_rng([S, i])``, and merged
 tallies are plain integer sums, so results are bit-identical for fixed
-inputs no matter how replicates are partitioned across workers.  The
-generator is built from the uint32 words numpy's ``SeedSequence`` makes of
-``[S, i]`` (:func:`_replicate_rng`), which is the same stream without the
-per-call conversion of a Python list.  Ensemble replicates run the engine
-kernels without recording a path: only the final state is kept.
+inputs no matter how replicates are partitioned across workers.  Single
+runs build that generator from the uint32 words numpy's ``SeedSequence``
+makes of ``[S, i]`` (:func:`_replicate_rng`).  Ensemble replicates are
+seeded a block at a time (:func:`_replicate_draws`): numpy's seed hash runs
+on a whole block of ``[S, i]`` word arrays at once, each replicate's PCG64
+state is assigned to one reused generator, and every block is checked
+against ``default_rng`` and reseeded through :func:`_replicate_rng` if it
+differs.  Their uniforms come from raw PCG64 words, the bits
+``Generator.random`` would return.  Replicates run the engine kernels
+without recording a path and tally the sorted entries of their final
+state; a partition object is built once per distinct state after the merge.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .ctmc import (
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
 from .partitions import AllelicPartition, EventKind, TransitionEvent
-from .urn import group_count_trace
+from .urn import _group_count_traces
 
 ENGINES = ("multiplicity", "branching", "bdi")
 
@@ -111,23 +117,160 @@ def _replicate_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.array(_seed_words(seed) + _seed_words(i), dtype=np.uint32))
 
 
-def _replicate_outcome(engine: str, params: ModelParams, t_end: float, rng, max_events: int):
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding step (pcg64_set_seed), mirrored so that a block of replicates is
+# hashed at once; _replicate_draws checks the result against default_rng
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_SEED_BLOCK = 4096  # replicates hashed at once: bounds the block's arrays
+
+
+def _word_columns(first: int, n: int) -> list[np.ndarray]:
+    """Columns of the uint32 words of ``first``, ..., ``first + n - 1``.
+
+    All ``n`` numbers must have as many words as ``first``.
+    """
+    carry = np.arange(n, dtype=np.uint64)
+    columns = []
+    for word in _seed_words(first):
+        total = carry + word
+        columns.append((total & _MASK32).astype(np.uint32))
+        carry = total >> 32
+    return columns
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng`` seeded from each row of ``entropy``.
+
+    ``entropy`` holds the uint32 entropy words as columns; every step is
+    uint32 arithmetic on whole columns, so the rows are hashed at once.
+    """
+    h = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    halves = []  # generate_state(4, uint64): eight uint32 words, low word first
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    s0, s1, s2, s3 = ((halves[j + 1] << 32 | halves[j]).tolist() for j in range(0, 8, 2))
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(s0, s1, s2, s3):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _replicate_draws(seed: int, start: int, stop: int) -> Iterator[tuple[int, Callable, Callable]]:
+    """``(i, exponential, uniform)`` for replicates ``start`` to ``stop - 1``.
+
+    Replicate ``i`` draws from the stream of ``default_rng([seed, i])``.  A
+    block of up to ``_SEED_BLOCK`` replicates is hashed at once
+    (:func:`_pcg64_states`), and each replicate's state is assigned to one
+    PCG64 reused for the whole chunk; its uniforms come from raw 64-bit
+    words, ``(word >> 11) * 2**-53``, which is how ``Generator.random``
+    makes them.  The first and last replicate of every block are checked
+    against ``default_rng([seed, i])`` (:func:`_block_matches`); on a
+    mismatch the block is seeded replicate by replicate with
+    :func:`_replicate_rng` and draws through it instead.  The callables of a
+    replicate are only valid until the next one is yielded.
+    """
+    bitgen = np.random.PCG64()
+    exponential = np.random.Generator(bitgen).exponential
+    raw = bitgen.random_raw
+
+    def uniform() -> float:
+        return (raw() >> 11) * 2.0**-53
+
+    seed_words = _seed_words(seed)
+    for lo in range(start, stop, _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, stop)
+        states = []
+        first = lo
+        while first < hi:  # one run of replicate indices per word count
+            last = min(hi, 1 << (32 * len(_seed_words(first))))
+            columns = _word_columns(first, last - first)
+            entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
+            states += _pcg64_states(entropy)
+            first = last
+        if all(
+            _block_matches(seed, i, states[i - lo], bitgen, uniform) for i in (lo, hi - 1)
+        ):
+            for i, state in zip(range(lo, hi), states):
+                bitgen.state = _pcg64_state(*state)
+                yield i, exponential, uniform
+        else:
+            for i in range(lo, hi):
+                rng = _replicate_rng(seed, i)
+                yield i, rng.exponential, rng.random
+
+
+def _block_matches(seed: int, i: int, state: tuple[int, int], bitgen, uniform) -> bool:
+    """Whether ``bitgen`` set to ``state`` is ``default_rng([seed, i])``, first uniform included."""
+    oracle = np.random.default_rng([seed, i])
+    bitgen.state = _pcg64_state(*state)
+    return bitgen.state == oracle.bit_generator.state and uniform() == oracle.random()
+
+
+def _replicate_outcome(
+    engine: str,
+    params: ModelParams,
+    t_end: float,
+    exponential: Callable,
+    uniform: Callable,
+    max_events: int,
+):
+    """Final state of one replicate: sorted partition entries, or a size for ``bdi``."""
     if engine == "multiplicity":
-        return _multiplicity_kernel(params, t_end, rng, _EMPTY, max_events, None)
+        return _multiplicity_kernel(params, t_end, exponential, uniform, _EMPTY, max_events, None)
     if engine == "branching":
-        return _branching_kernel(params, t_end, rng, _EMPTY, max_events, None)
+        return _branching_kernel(params, t_end, exponential, uniform, _EMPTY, max_events, None)
     if engine == "bdi":
-        return _size_kernel(params, t_end, rng, 0, max_events, None)
+        return _size_kernel(params, t_end, exponential, uniform, 0, max_events, None)
     raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
-def _run_chunk(args: tuple) -> Counter:
+def _run_chunk(args: tuple) -> dict:
+    """Tallies of final states over one range of replicates, in first-occurrence order."""
     params, t_end, seed, engine, start, stop, max_events = args
-    tallies: Counter = Counter()
-    for i in range(start, stop):
-        rng = _replicate_rng(seed, i)
+    tallies: dict = {}
+    for i, exponential, uniform in _replicate_draws(seed, start, stop):
         try:
-            outcome = _replicate_outcome(engine, params, t_end, rng, max_events)
+            outcome = _replicate_outcome(engine, params, t_end, exponential, uniform, max_events)
         except RunawayError as exc:
             raise RunawayError(
                 f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
@@ -137,7 +280,7 @@ def _run_chunk(args: tuple) -> Counter:
                 size=exc.size,
                 groups=exc.groups,
             ) from exc
-        tallies[outcome] += 1
+        tallies[outcome] = tallies.get(outcome, 0) + 1
     return tallies
 
 
@@ -186,6 +329,8 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, jobs):
                 tallies.update(part)
+    if engine != "bdi":  # one partition per distinct entries key, in first-occurrence order
+        tallies = {AllelicPartition(key): count for key, count in tallies.items()}
     return EmpiricalDistribution(dict(tallies), float(replicates), replicates, seed)
 
 
@@ -258,32 +403,35 @@ def stationary_occupation(
 
     Simulates a single run on [0, horizon] from the empty state and weights
     each visited partition by the time spent there beyond ``burn_in``.  The
-    kernel's event list is walked on a mutable multiplicity dict, and occupation is keyed by its
-    sorted entries, so a partition object is built once per distinct state
-    rather than once per event.
+    kernel hands each event to an observer that updates a mutable
+    multiplicity dict and adds up occupation keyed by its sorted entries, so
+    memory is O(distinct states) rather than O(events), and a partition
+    object is built once per distinct state.
     """
     params.require_reversible()
     if not 0.0 <= burn_in < horizon:
         raise DomainError("need 0 <= burn_in < horizon")
     if seed < 0:
         raise DomainError("the seed must be >= 0")
-    events: list[tuple[float, TransitionEvent]] = []
-    _multiplicity_kernel(params, horizon, _replicate_rng(seed, 0), _EMPTY, max_events, events)
     counts: dict[int, int] = {}
     weights: dict[tuple[tuple[int, int], ...], float] = {}
-
-    def occupy(lo: float, hi: float) -> None:
-        if hi > lo:
-            key = tuple(sorted(counts.items()))
-            weights[key] = weights.get(key, 0.0) + (hi - lo)
-
     t_prev = 0.0
-    for t, event in events:
-        occupy(max(t_prev, burn_in), t)
+
+    def occupy(t: float) -> None:
+        """Credit the current state with its time in (max(t_prev, burn_in), t]."""
+        nonlocal t_prev
+        lo = max(t_prev, burn_in)
+        if t > lo:
+            key = tuple(sorted(counts.items()))
+            weights[key] = weights.get(key, 0.0) + (t - lo)
         t_prev = t
+
+    def observe(jump: tuple[float, TransitionEvent]) -> None:
+        t, event = jump
+        occupy(t)
         if event.kind is EventKind.NEW_FAMILY:
             counts[1] = counts.get(1, 0) + 1
-            continue
+            return
         i = event.index
         if counts[i] == 1:
             del counts[i]
@@ -292,7 +440,10 @@ def stationary_occupation(
         j = i + 1 if event.kind is EventKind.GROWTH else i - 1
         if j:  # a death in a group of size 1 leaves no group behind
             counts[j] = counts.get(j, 0) + 1
-    occupy(max(t_prev, burn_in), horizon)
+
+    rng = _replicate_rng(seed, 0)
+    _multiplicity_kernel(params, horizon, rng.exponential, rng.random, _EMPTY, max_events, observe)
+    occupy(horizon)
     return EmpiricalDistribution(
         {AllelicPartition(key): w for key, w in weights.items()}, horizon - burn_in, None, seed
     )
@@ -336,9 +487,7 @@ def growth_report(
         raise DomainError("the seed must be >= 0")
     if power is None:
         power = params.alpha
-    traces = []
-    for r in range(runs):
-        traces.append(group_count_trace(n_max, params, _replicate_rng(seed, r)))
+    traces = _group_count_traces(n_max, params, (_replicate_rng(seed, r) for r in range(runs)))
     rows = []
     for column, (n, _) in enumerate(traces[0]):
         counts = np.array([trace[column][1] for trace in traces], dtype=float)

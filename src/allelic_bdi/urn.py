@@ -11,6 +11,7 @@ the Ewens formula.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -115,6 +116,22 @@ def group_count_trace(
     one Xeon core (about 60 ms step by step).
     Memory is one block plus the recorded checkpoints.
     """
+    return _group_count_traces(n_max, params, (rng,), checkpoints)[0]
+
+
+def _group_count_traces(
+    n_max: int,
+    params: ModelParams,
+    rngs: Iterable[np.random.Generator],
+    checkpoints: tuple[int, ...] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """:func:`group_count_trace` of one run per generator, in order.
+
+    Every block of every run is solved in one set of block-sized arrays, so
+    the passes allocate no array: a fresh 128 KiB temporary per operation
+    made the time of a many-run report swing by a fifth with the layout of
+    the C heap (glibc trims and regrows it around arrays of that size).
+    """
     if n_max < 10:
         raise DomainError("the trace needs n_max >= 10")
     _check_urn_params(params)
@@ -129,22 +146,38 @@ def group_count_trace(
         raise DomainError("checkpoints must lie in [1, n_max]")
     mark_array = np.array(marks, dtype=np.int64)
     theta, alpha = params.theta, params.alpha
-    out = []
-    k0 = 0
-    for start in range(0, n_max, _BLOCK):
-        u = rng.random(_BLOCK)[: n_max - start]
-        scaled = u * (theta + np.arange(start, start + u.size, dtype=float))
-        new = np.zeros(u.size, dtype=bool)
-        while True:
-            before = k0 + np.cumsum(new) - new
-            again = scaled < theta + alpha * before
-            if start == 0:
-                again[0] = True  # the empty urn always founds a group
-            if np.array_equal(again, new):
-                break
-            new = again
-        after = before + new
-        lo, hi = np.searchsorted(mark_array, (start, start + u.size), side="right")
-        out.extend(zip(marks[lo:hi], after[mark_array[lo:hi] - start - 1].tolist()))
-        k0 = int(after[-1])
-    return out
+    steps = np.arange(_BLOCK, dtype=float)
+    u, scaled, level = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+    counts = np.empty(_BLOCK, dtype=np.int64)
+    flags = np.empty((2, _BLOCK), dtype=bool)
+    traces = []
+    for rng in rngs:
+        out = []
+        k0 = 0
+        for start in range(0, n_max, _BLOCK):
+            size = min(_BLOCK, n_max - start)
+            rng.random(out=u)
+            # scaled = u * (theta + n) over the block's steps n = start, ...
+            np.add(steps[:size], start, out=level[:size])
+            level += theta
+            np.multiply(u[:size], level[:size], out=scaled[:size])
+            before, new, again = counts[:size], flags[0, :size], flags[1, :size]
+            new[:] = False
+            while True:
+                np.cumsum(new, out=before)  # k0 plus the exclusive running sum of new
+                before -= new
+                before += k0
+                np.multiply(before, alpha, out=level[:size])
+                level += theta
+                np.less(scaled[:size], level[:size], out=again)
+                if start == 0:
+                    again[0] = True  # the empty urn always founds a group
+                if np.array_equal(again, new):
+                    break
+                new, again = again, new
+            before += new  # the count after each step
+            lo, hi = np.searchsorted(mark_array, (start, start + size), side="right")
+            out.extend(zip(marks[lo:hi], before[mark_array[lo:hi] - start - 1].tolist()))
+            k0 = int(before[-1])
+        traces.append(out)
+    return traces

@@ -25,6 +25,8 @@ from allelic_bdi import (
     partition_stationary_truncated,
     run_ensemble,
     simulate,
+    simulate_bdi,
+    simulate_branching,
     stationary_occupation,
     tv_distance,
     write_growth_csv,
@@ -225,9 +227,10 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("engine", montecarlo.ENGINES)
     def test_replicates_refuse_a_jump_that_does_not_advance_the_clock(self, engine):
         # replicates record no path, so the kernel itself must check the clock
+        clock = AbsorbingClock()
         with pytest.raises(DomainError, match="strictly increasing"):
             montecarlo._replicate_outcome(
-                engine, ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), 100
+                engine, ModelParams(0.5, 1.0, 0.5), 5.0, clock.exponential, clock.random, 100
             )
 
     def test_error_shrinks_with_replicates(self):
@@ -268,6 +271,91 @@ class TestReplicateSeeding:
         assert ours.random(4).tolist() == oracle.random(4).tolist()
         assert ours.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
         assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
+        # the block-seeded draws of ensemble replicates: raw-word uniforms included
+        ((j, exponential, uniform),) = montecarlo._replicate_draws(seed, i, i + 1)
+        fresh = np.random.default_rng([seed, i])
+        assert j == i
+        assert [uniform() for _ in range(4)] == fresh.random(4).tolist()
+        assert [exponential(0.3) for _ in range(4)] == fresh.exponential(0.3, 4).tolist()
+        assert uniform() == fresh.random()
+
+
+# public engine and final state, the oracle of one ensemble replicate's outcome
+ORACLE_ENGINES = {
+    "multiplicity": lambda p, t, rng: simulate(p, t, rng).final_state().entries,
+    "branching": lambda p, t, rng: simulate_branching(p, t, rng).final_state().entries,
+    "bdi": lambda p, t, rng: simulate_bdi(p, t, rng).final_value,
+}
+CHUNK_PARAMS, CHUNK_T = ModelParams(0.5, 1.0, 1.5), 0.4  # a few events per replicate
+CHUNK_SEEDS = [0, 2**32 + 1, 2**64 + 3]
+
+
+def _oracle_tallies(engine, seed, start, stop):
+    """Tallies of a plain loop over default_rng([seed, i]), in first-occurrence order."""
+    tallies = {}
+    for i in range(start, stop):
+        key = ORACLE_ENGINES[engine](CHUNK_PARAMS, CHUNK_T, np.random.default_rng([seed, i]))
+        tallies[key] = tallies.get(key, 0) + 1
+    return tallies
+
+
+def _chunk(engine, seed, start, stop):
+    return montecarlo._run_chunk((CHUNK_PARAMS, CHUNK_T, seed, engine, start, stop, 10**6))
+
+
+class TestRunChunk:
+    @pytest.mark.parametrize("seed", CHUNK_SEEDS)
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    def test_range_across_a_word_boundary(self, engine, seed):
+        # i = 2^32 - 40 .. 2^32 + 39: the word count of i changes inside the block
+        start, stop = 2**32 - 40, 2**32 + 40
+        tallies = _chunk(engine, seed, start, stop)
+        assert list(tallies.items()) == list(_oracle_tallies(engine, seed, start, stop).items())
+
+    @pytest.mark.parametrize("seed", CHUNK_SEEDS)
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    def test_chunk_one_longer_than_a_block(self, engine, seed):
+        stop = montecarlo._SEED_BLOCK + 1
+        tallies = _chunk(engine, seed, 0, stop)
+        assert sum(tallies.values()) == stop
+        assert list(tallies.items()) == list(_oracle_tallies(engine, seed, 0, stop).items())
+
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    def test_block_that_fails_its_check_falls_back(self, monkeypatch, engine):
+        seed, start, stop = 2**32 + 1, 2**32 - 5, 2**32 + 5
+        expected = _chunk(engine, seed, start, stop)
+        fallback = []
+        replicate_rng = montecarlo._replicate_rng
+
+        def counted(seed, i):
+            fallback.append(i)
+            return replicate_rng(seed, i)
+
+        monkeypatch.setattr(montecarlo, "_block_matches", lambda *args: False)
+        monkeypatch.setattr(montecarlo, "_replicate_rng", counted)
+        tallies = _chunk(engine, seed, start, stop)
+        assert fallback == list(range(start, stop))
+        assert list(tallies.items()) == list(expected.items())
+
+    def test_block_check_compares_state_and_first_uniform(self):
+        seed = 2**32 + 1
+        words = [np.full(3, word, np.uint32) for word in montecarlo._seed_words(seed)]
+        states = montecarlo._pcg64_states(words + montecarlo._word_columns(7, 3))  # i = 7, 8, 9
+        bitgen = np.random.PCG64()
+
+        def uniform():
+            return (bitgen.random_raw() >> 11) * 2.0**-53
+
+        assert montecarlo._block_matches(seed, 8, states[1], bitgen, uniform)
+        assert not montecarlo._block_matches(seed, 8, states[2], bitgen, uniform)
+        assert not montecarlo._block_matches(seed, 8, states[1], bitgen, lambda: 0.5)
+
+    def test_partition_keys_keep_first_occurrence_order(self):
+        seed, replicates = 5, 300
+        dist = run_ensemble(CHUNK_PARAMS, CHUNK_T, replicates, seed)
+        expected = _oracle_tallies("multiplicity", seed, 0, replicates)
+        assert [m.entries for m in dist.weights] == list(expected)
+        assert list(dist.weights.values()) == list(expected.values())
 
 
 def _traced_peak(fn, *args) -> int:
@@ -333,6 +421,14 @@ class TestStationaryOccupation:
         occ = stationary_occupation(params, horizon, burn_in, seed)
         assert list(occ.weights.items()) == list(expected.items())
         assert len(expected) > 20
+
+    def test_memory_does_not_grow_with_events(self):
+        # 12,193 events and 514 distinct states; the recorded path of the same
+        # run holds a (time, event) pair per event
+        params, horizon, seed = ModelParams(0.5, 2.0, 1.5), 1000.0, 8
+        path_peak = _traced_peak(simulate, params, horizon, np.random.default_rng([seed, 0]))
+        occupation_peak = _traced_peak(stationary_occupation, params, horizon, 100.0, seed)
+        assert occupation_peak * 4 < path_peak
 
     def test_validation(self):
         good = ModelParams(0.5, 1.0, 2.0)

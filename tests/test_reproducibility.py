@@ -56,6 +56,16 @@ WIDE_SEED_HISTOGRAM_SHA256 = {
     ),
 }
 
+# more replicates than one hashing block of replicate seeds
+# (montecarlo._SEED_BLOCK), so a serial run seeds from two blocks
+BLOCK_SPANNING_FLAGS = "--alpha 0 --theta 1 --mu 2 --t 5 --replicates 5000".split()
+
+BLOCK_SPANNING_SHA256 = {
+    "multiplicity": "534217851a04e61bdadb3b6f7f5fbe8f6611262a171fe4338255965b96398a5b",
+    "branching": "c6a1ce77b6f08e6cd18872e4eabd053487d339780550042acc084db5e7c71071",
+    "bdi": "2e4d365ef4619baa10426065a5a8e66f79a5f876eb2b086361f8fd3a80180abc",
+}
+
 # one path with new families, growth, deaths and extinct families
 TRAJECTORY_FLAGS = "--alpha 0.5 --theta 2 --mu 0.8 --t 6".split()
 
@@ -69,9 +79,9 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def histogram_sha256(tmp_path, engine, point, seed) -> str:
+def histogram_sha256(tmp_path, engine, flags, seed) -> str:
     histogram = tmp_path / "histogram.csv"
-    argv = ["simulate", *HISTOGRAM_POINTS[point], "--seed", seed, "--engine", engine]
+    argv = ["simulate", *flags, "--seed", seed, "--engine", engine]
     argv += ["--workers", "1", "--histogram", str(histogram), "--summary", str(tmp_path / "s.json")]
     assert main(argv) == 0
     return sha256_of(histogram)
@@ -80,13 +90,20 @@ def histogram_sha256(tmp_path, engine, point, seed) -> str:
 @pytest.mark.parametrize("engine", sorted(HISTOGRAM_SHA256))
 @pytest.mark.parametrize("point", sorted(HISTOGRAM_POINTS))
 def test_histogram_bytes_are_pinned(tmp_path, engine, point):
-    assert histogram_sha256(tmp_path, engine, point, SEED) == HISTOGRAM_SHA256[engine][point]
+    expected = HISTOGRAM_SHA256[engine][point]
+    assert histogram_sha256(tmp_path, engine, HISTOGRAM_POINTS[point], SEED) == expected
 
 
 @pytest.mark.parametrize("engine,point", sorted(WIDE_SEED_HISTOGRAM_SHA256))
 def test_wide_seed_histogram_bytes_are_pinned(tmp_path, engine, point):
     expected = WIDE_SEED_HISTOGRAM_SHA256[(engine, point)]
-    assert histogram_sha256(tmp_path, engine, point, WIDE_SEED) == expected
+    assert histogram_sha256(tmp_path, engine, HISTOGRAM_POINTS[point], WIDE_SEED) == expected
+
+
+@pytest.mark.parametrize("engine", sorted(BLOCK_SPANNING_SHA256))
+def test_block_spanning_histogram_bytes_are_pinned(tmp_path, engine):
+    expected = BLOCK_SPANNING_SHA256[engine]
+    assert histogram_sha256(tmp_path, engine, BLOCK_SPANNING_FLAGS, SEED) == expected
 
 
 @pytest.mark.parametrize("engine", sorted(TRAJECTORY_SHA256))

@@ -18,6 +18,7 @@ from allelic_bdi import (
 )
 from allelic_bdi.urn import (
     _BLOCK,
+    _group_count_traces,
     default_checkpoints,
     group_count_trace,
     sample_psf,
@@ -193,6 +194,15 @@ def test_group_count_trace_equals_reference_loop(alpha, theta, n_max):
     for b in range(_BLOCK, n_max + 1, _BLOCK):
         marks |= {b - 1, b, min(b + 1, n_max)}
     assert_trace_matches_reference(n_max, params, 97, tuple(marks))
+
+
+@pytest.mark.parametrize("n_max", [10, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_runs_sharing_block_arrays_equal_reference_loop(n_max):
+    # a growth report solves all its runs in one set of block arrays: nothing
+    # of one block or run may carry over into the next
+    params, seeds = ModelParams(0.9, -0.5), (5, 6, 7)
+    traces = _group_count_traces(n_max, params, (np.random.default_rng([s, 3]) for s in seeds))
+    assert traces == [reference_trace(n_max, params, np.random.default_rng([s, 3])) for s in seeds]
 
 
 @settings(max_examples=50, deadline=None)
