@@ -16,16 +16,31 @@ Three engines share one event vocabulary:
 
 Each engine is one kernel that runs the chain and returns the final state
 (the sorted (size, count) entries of a partition, or an integer size).  A
-kernel takes its two draws as callables, an exponential holding time and a
-uniform on [0, 1), and hands each (time, event) pair to a ``record`` callable
-only when it is given one: the three public functions pass a generator's
-``exponential`` and ``random``, record into a list and wrap it in a path;
-ensembles (:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing, and
-the occupation run adds up time per state as events arrive.  Every kernel
-refuses a horizon that is not finite and >= 0, checks that each jump
-strictly advances the clock and raises :class:`RunawayError`, naming the
-state it stopped in, past its event cap.  Event objects are immutable and
-shared by all runs in the process.
+kernel takes a numpy ``Generator`` and hands each (time, event) pair to a
+``record`` callable only when it is given one: the three public functions
+record into a list and wrap it in a path; ensembles
+(:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing, and the
+occupation run adds up time per state as events arrive.
+
+Random stream ``RNG_STREAM`` = 2: a kernel draws its holding times as
+``standard_exponential(_DRAW_BLOCK)`` and its selectors as
+``random(_DRAW_BLOCK)`` (32 at a time), each kind consumed in order from its
+own block and refilled when the block is used up; a holding time is the
+draw divided by the total rate.  The multiplicity kernel turns a selector u
+into the event class, from the masses theta + alpha * k (new family),
+(1 - alpha) * k (a uniform group grows), s - k (the group of a uniform
+non-founding member grows, since (i - alpha) * m_i = (1 - alpha) * m_i +
+(i - 1) * m_i) and mu * s (a uniform individual dies), and then into an
+integer index into that class, which picks the size against the integer
+weights m_i, (i - 1) * m_i or i * m_i over the sorted support.  Every exact
+search returns the same size, so a faster search over sizes draws the same
+paths.  Round-off past the top of a class picks the top of the last class
+with mass.
+
+Every kernel refuses a horizon that is not finite and >= 0, checks that
+each jump strictly advances the clock and raises :class:`RunawayError`,
+naming the state it stopped in, past its event cap.  Event objects are
+immutable and shared by all runs in the process.
 
 From the empty state with theta <= 0 every engine has total rate zero and
 returns an eventless trajectory; starting such runs is refused at the CLI
@@ -38,6 +53,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -49,16 +65,24 @@ from .partitions import AllelicPartition, EventKind, TransitionEvent
 
 DEFAULT_MAX_EVENTS = 10**8
 
+#: Version of the random stream the kernels draw (stamped in every artifact
+#: written by ``write_histogram_csv`` and ``write_trajectory_csv``); it
+#: changes whenever a seed would give a different path.
+RNG_STREAM = 2
+
+#: Holding times and selectors are drawn this many at a time, each kind in
+#: its own block, and consumed in order.
+_DRAW_BLOCK = 32
+
 
 def rates(m: AllelicPartition, params: ModelParams) -> list[tuple[TransitionEvent, float]]:
-    """Positive-rate transition table from state ``m``, in selection order.
+    """Positive-rate transition table from state ``m``.
 
-    The order is the one :func:`simulate` walks: new family, growth by
-    increasing group size, death by increasing group size.  The new-family
-    rate theta + alpha * k is listed only when positive (at the empty state
-    a nonpositive value means the chain is frozen).  The rates sum to
-    theta + (1 + mu) * s(m) whenever the new-family rate is positive; with
-    mu = 0 no death events appear.
+    The order is new family, growth by increasing group size, death by
+    increasing group size.  The new-family rate theta + alpha * k is listed
+    only when positive (at the empty state a nonpositive value means the
+    chain is frozen).  The rates sum to theta + (1 + mu) * s(m) whenever the
+    new-family rate is positive; with mu = 0 no death events appear.
     """
     alpha, mu = params.alpha, params.mu
     out = []
@@ -192,6 +216,15 @@ _DEATH = _EventCache(EventKind.DEATH)
 _EMPTY = AllelicPartition.empty()
 
 
+def _draws(draw: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """The next float of ``draw(_DRAW_BLOCK)``, ``draw(_DRAW_BLOCK)``, ...
+
+    A block is drawn in one numpy call when the one before it is used up and
+    is consumed in order.
+    """
+    return chain.from_iterable(iter(lambda: draw(_DRAW_BLOCK).tolist(), None)).__next__
+
+
 def _runaway(engine: str, events: int, t: float, cap: int, s: int, k: int | None) -> RunawayError:
     state = f"population size {s}" if k is None else f"population size {s} in {k} groups"
     return RunawayError(
@@ -214,28 +247,35 @@ def _stalled(t: float) -> DomainError:
 def _multiplicity_kernel(
     params: ModelParams,
     t_end: float,
-    exponential: Callable[[float], float],
-    uniform: Callable[[], float],
+    rng: np.random.Generator,
     start: AllelicPartition,
     max_events: int,
     record: Callable[[tuple], None] | None,
 ) -> tuple[tuple[int, int], ...]:
     """Run the multiplicity-level chain; return the sorted entries at ``t_end``.
 
-    Passes each (time, event) pair to ``record`` unless it is None.
+    Passes each (time, event) pair to ``record`` unless it is None.  A
+    selector v = u * total picks the event class from the masses
+    theta + alpha * k (new family), (1 - alpha) * k (a uniform group grows),
+    s - k (the group of a uniform non-founding member grows) and mu * s (a
+    uniform individual dies), and then an integer index j into the class;
+    the size is the one whose cumulative integer weight m_i, (i - 1) * m_i
+    or i * m_i over the sorted support first exceeds j.
     """
     _check_horizon(t_end)
     counts = start.as_dict()
     support = sorted(counts)
     s, k = start.size, start.num_groups
     theta, alpha, mu = params.theta, params.alpha, params.mu
+    join = 1.0 - alpha  # each group's share of the growth rate i - alpha
+    hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     t = 0.0
     n = 0
     while True:
         total = theta + (1.0 + mu) * s if s else (theta if theta > 0.0 else 0.0)
         if total <= 0.0:
             break
-        t_next = t + exponential(1.0 / total)
+        t_next = t + hold() / total
         if t_next > t_end:
             break
         if not t_next > t:
@@ -244,10 +284,8 @@ def _multiplicity_kernel(
         if n >= max_events:
             raise _runaway("multiplicity", n, t, max_events, s, k)
         n += 1
-        u = uniform() * total
-        new_family = theta + alpha * k
-        acc = new_family if new_family > 0.0 else 0.0
-        if u < acc or not support:  # with no groups, round-off included
+        v = select() * total - (theta + alpha * k)
+        if v < 0.0 or not s:  # with no groups, round-off included
             counts[1] = c = counts.get(1, 0) + 1
             if c == 1:
                 support.insert(0, 1)
@@ -257,16 +295,31 @@ def _multiplicity_kernel(
                 record((t, _NEW_FAMILY))
             continue
         grow = True
-        for index in support:
-            acc += (index - alpha) * counts[index]
-            if u < acc:
-                break
+        if v < join * k:  # a uniform group
+            x = v / join
+            j = int(x) if x < k else k - 1  # the top on round-off
+            for index in support:
+                j -= counts[index]
+                if j < 0:
+                    break
         else:
-            if mu > 0.0:
+            v -= join * k
+            if v < s - k or not mu > 0.0:  # a uniform non-founding member
+                if s == k:  # only by round-off with mu = 0: the top group
+                    index = support[-1]
+                else:  # the index counted from the top: its mass sits in large groups
+                    j = s - k - 1 - int(v) if v < s - k else 0
+                    for index in reversed(support):
+                        j -= (index - 1) * counts[index]
+                        if j < 0:
+                            break
+            else:  # a uniform individual dies
                 grow = False
-                for index in support:
-                    acc += mu * index * counts[index]
-                    if u < acc:
+                x = (v - (s - k)) / mu
+                j = s - 1 - int(x) if x < s else 0  # counted from the top, as above
+                for index in reversed(support):
+                    j -= index * counts[index]
+                    if j < 0:
                         break
         c = counts[index]
         if c == 1:
@@ -303,34 +356,36 @@ def simulate(
     """Gillespie simulation of the multiplicity-level chain on [0, t_end].
 
     Starts from the empty state unless ``initial`` is given.  Each event
-    costs two draws (holding time, then a uniform selector), an O(1) update
-    of the total rate theta + (1 + mu) * s, and a selection walk over the
-    sorted support, O(distinct sizes).  The support list changes (by bisect)
-    only when a size appears or vanishes.  Recording the path adds one
+    takes one holding time and one selector from blocks of 32 drawn in one
+    numpy call each, an O(1) update of the total rate theta + (1 + mu) * s,
+    an O(1) choice of the event class and a walk over the sorted support,
+    O(distinct sizes), to find the size in the class: from the bottom for
+    the uniform group, from the top for the member and death classes, whose
+    mass sits in large groups.  The support list changes (by bisect) only
+    when a size appears or vanishes.  Recording the path adds one
     (time, shared event) pair per event; ensembles run the same kernel
     without recording, so their memory does not grow with the event count.
     The returned path carries its final state, so ``final_state()`` is O(1).
 
-    Bit-identity: the walk visits the events in the order of :func:`rates`
-    (new family, growth by increasing size, death by increasing size),
-    accumulates their weights in that order and falls through to the last
-    event on round-off.  A seeded generator therefore draws the same path
-    as long as this walk is kept; ``tests/test_reproducibility.py`` pins
+    Bit-identity (random stream 2, see the module docstring): the path is a
+    function of the generator's draws in blocks of 32, the class masses and
+    the integer index into the class, which every exact search over sizes
+    maps to the same size.  ``simulate(params, t, default_rng([S, i]))``
+    draws exactly what replicate ``i`` of an ensemble with master seed ``S``
+    draws, so it ends in that replicate's state.  A generator passed in is
+    left advanced by whole blocks.  ``tests/test_reproducibility.py`` pins
     seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
     """
     start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    final = _multiplicity_kernel(
-        params, t_end, rng.exponential, rng.random, start, max_events, events.append
-    )
+    final = _multiplicity_kernel(params, t_end, rng, start, max_events, events.append)
     return _engine_path(start, events, t_end, final)
 
 
 def _size_kernel(
     params: ModelParams,
     t_end: float,
-    exponential: Callable[[float], float],
-    uniform: Callable[[], float],
+    rng: np.random.Generator,
     initial: int,
     max_events: int,
     record: Callable[[tuple], None] | None,
@@ -343,6 +398,7 @@ def _size_kernel(
     if initial < 0:
         raise DomainError("the initial size must be >= 0")
     theta, mu = params.theta, params.mu
+    hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     n = initial
     t = 0.0
     jumps = 0
@@ -351,7 +407,7 @@ def _size_kernel(
         total = birth + mu * n
         if total <= 0.0:
             break
-        t_next = t + exponential(1.0 / total)
+        t_next = t + hold() / total
         if t_next > t_end:
             break
         if not t_next > t:
@@ -360,7 +416,7 @@ def _size_kernel(
         if jumps >= max_events:
             raise _runaway("size-process", jumps, t, max_events, n, None)
         jumps += 1
-        n = n + 1 if uniform() * total < birth else n - 1
+        n = n + 1 if select() * total < birth else n - 1
         if record is not None:
             record((t, n))
     return n
@@ -374,9 +430,12 @@ def simulate_bdi(
     initial: int = 0,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SizeTrajectory:
-    """Simulate the size process alone (birth theta + n, death mu * n)."""
+    """Simulate the size process alone (birth theta + n, death mu * n).
+
+    Draws holding times and selectors in blocks of 32, as :func:`simulate` does.
+    """
     jumps: list[tuple[float, int]] = []
-    _size_kernel(params, t_end, rng.exponential, rng.random, initial, max_events, jumps.append)
+    _size_kernel(params, t_end, rng, initial, max_events, jumps.append)
     times = tuple(t for t, _ in jumps)
     values = tuple(n for _, n in jumps)
     return SizeTrajectory(times, values, t_end, initial)
@@ -432,8 +491,7 @@ class _FamilySlots:
 def _branching_kernel(
     params: ModelParams,
     t_end: float,
-    exponential: Callable[[float], float],
-    uniform: Callable[[], float],
+    rng: np.random.Generator,
     start: AllelicPartition,
     max_events: int,
     record: Callable[[tuple], None] | None,
@@ -450,6 +508,7 @@ def _branching_kernel(
     slots = _FamilySlots(len(fam) for fam in families)
     s = start.size
     theta, alpha, mu = params.theta, params.alpha, params.mu
+    hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     t = 0.0
     n = 0
     while True:
@@ -462,7 +521,7 @@ def _branching_kernel(
         total = immigration + birth_total + mu * s
         if total <= 0.0:
             break
-        t_next = t + exponential(1.0 / total)
+        t_next = t + hold() / total
         if t_next > t_end:
             break
         if not t_next > t:
@@ -472,7 +531,7 @@ def _branching_kernel(
             k = sum(1 for fam in families if fam)
             raise _runaway("branching", n, t, max_events, s, k)
         n += 1
-        u = uniform() * total
+        u = select() * total
         if u < immigration:
             families.append([t])
             slots.append(1)
@@ -491,7 +550,7 @@ def _branching_kernel(
                 else:
                     p_new = alpha if fi != oldest else (alpha + theta) / (1.0 + theta)
             s += 1
-            if p_new > 0.0 and uniform() < p_new:
+            if p_new > 0.0 and select() < p_new:
                 families.append([t])
                 slots.append(1)
                 event = _NEW_FAMILY
@@ -540,16 +599,16 @@ def simulate_branching(
     member's rate 1 + theta in floating point, and that sum cannot be
     reproduced by an index lookup without changing which parent is drawn.
 
-    Bit-identity: each draw selects the individual that a walk over the
-    family lists in order selects (the ``locate`` oracle in
-    ``tests/test_ctmc.py``), so a seeded generator draws the same path as
-    that walk would; ``tests/test_reproducibility.py`` pins seeded outputs.
+    Bit-identity: holding times and selectors come in blocks of 32 as in
+    :func:`simulate` (a founding draw takes the next selector), and each
+    selector picks the individual that a walk over the family lists in order
+    picks (the ``locate`` oracle in ``tests/test_ctmc.py``), so a seeded
+    generator draws the same path as that walk would;
+    ``tests/test_reproducibility.py`` pins seeded outputs.
     """
     start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    final = _branching_kernel(
-        params, t_end, rng.exponential, rng.random, start, max_events, events.append
-    )
+    final = _branching_kernel(params, t_end, rng, start, max_events, events.append)
     return _engine_path(start, events, t_end, final)
 
 

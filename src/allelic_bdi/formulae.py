@@ -372,6 +372,21 @@ def nbin_time_param(mu: float, t: float) -> float:
     return min(b, math.nextafter(1.0, 0.0))
 
 
+def transient_pmf(m: "AllelicPartition", params: ModelParams, t: float) -> float:
+    """Time-t law of the chain started from the empty state.
+
+    P(X_t = m) = NB(s; theta, b(t)) * psf(s, params, m) with s = s(m) and
+    b(t) = nbin_time_param(mu, t): the size follows the negative-binomial
+    marginal of the birth-death-immigration process, and given the size the
+    partition follows the Pitman sampling formula.  Requires theta > 0; with
+    theta <= 0 the empty state never moves.
+    """
+    if params.theta <= 0.0:
+        raise DomainError("from the empty state the chain moves only when theta > 0")
+    n = m.size
+    return neg_bin_pmf(n, params.theta, nbin_time_param(params.mu, t)) * psf(n, params, m)
+
+
 def poisson_product_prob(m: "AllelicPartition", theta: float, b: float) -> float:
     """Probability of ``m`` under independent Poisson multiplicities.
 

@@ -10,10 +10,13 @@ seeded a block at a time (:func:`_replicate_draws`): numpy's seed hash runs
 on a whole block of ``[S, i]`` word arrays at once, each replicate's PCG64
 state is assigned to one reused generator, and every block is checked
 against ``default_rng`` and reseeded through :func:`_replicate_rng` if it
-differs.  Their uniforms come from raw PCG64 words, the bits
-``Generator.random`` would return.  Replicates run the engine kernels
-without recording a path and tally the sorted entries of their final
-state; a partition object is built once per distinct state after the merge.
+differs.  Each replicate hands its generator to an engine kernel, which
+draws holding times and selectors in blocks of 32 (random stream 2,
+:data:`allelic_bdi.ctmc.RNG_STREAM`, stamped ``# rng_stream=2`` in every
+histogram and trajectory CSV), so replicate ``i`` ends where
+``simulate(params, t, default_rng([S, i]))`` ends.  Replicates record no
+path and tally the sorted entries of their final state; a partition object
+is built once per distinct state after the merge.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from . import __version__ as _pkg_version
 from .ctmc import (
     _EMPTY,
     DEFAULT_MAX_EVENTS,
+    RNG_STREAM,
     Trajectory,
     _branching_kernel,
     _multiplicity_kernel,
@@ -195,27 +199,20 @@ def _pcg64_state(state: int, inc: int) -> dict:
     }
 
 
-def _replicate_draws(seed: int, start: int, stop: int) -> Iterator[tuple[int, Callable, Callable]]:
-    """``(i, exponential, uniform)`` for replicates ``start`` to ``stop - 1``.
+def _replicate_draws(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """``(i, generator)`` for replicates ``start`` to ``stop - 1``.
 
     Replicate ``i`` draws from the stream of ``default_rng([seed, i])``.  A
     block of up to ``_SEED_BLOCK`` replicates is hashed at once
     (:func:`_pcg64_states`), and each replicate's state is assigned to one
-    PCG64 reused for the whole chunk; its uniforms come from raw 64-bit
-    words, ``(word >> 11) * 2**-53``, which is how ``Generator.random``
-    makes them.  The first and last replicate of every block are checked
-    against ``default_rng([seed, i])`` (:func:`_block_matches`); on a
-    mismatch the block is seeded replicate by replicate with
-    :func:`_replicate_rng` and draws through it instead.  The callables of a
-    replicate are only valid until the next one is yielded.
+    PCG64 reused for the whole chunk.  The first and last replicate of every
+    block are checked against ``default_rng([seed, i])``
+    (:func:`_block_matches`); on a mismatch the block is seeded replicate by
+    replicate with :func:`_replicate_rng` instead.  A yielded generator is
+    only valid until the next one is yielded.
     """
     bitgen = np.random.PCG64()
-    exponential = np.random.Generator(bitgen).exponential
-    raw = bitgen.random_raw
-
-    def uniform() -> float:
-        return (raw() >> 11) * 2.0**-53
-
+    rng = np.random.Generator(bitgen)
     seed_words = _seed_words(seed)
     for lo in range(start, stop, _SEED_BLOCK):
         hi = min(lo + _SEED_BLOCK, stop)
@@ -227,40 +224,31 @@ def _replicate_draws(seed: int, start: int, stop: int) -> Iterator[tuple[int, Ca
             entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
             states += _pcg64_states(entropy)
             first = last
-        if all(
-            _block_matches(seed, i, states[i - lo], bitgen, uniform) for i in (lo, hi - 1)
-        ):
+        if all(_block_matches(seed, i, states[i - lo], bitgen) for i in (lo, hi - 1)):
             for i, state in zip(range(lo, hi), states):
                 bitgen.state = _pcg64_state(*state)
-                yield i, exponential, uniform
+                yield i, rng
         else:
             for i in range(lo, hi):
-                rng = _replicate_rng(seed, i)
-                yield i, rng.exponential, rng.random
+                yield i, _replicate_rng(seed, i)
 
 
-def _block_matches(seed: int, i: int, state: tuple[int, int], bitgen, uniform) -> bool:
-    """Whether ``bitgen`` set to ``state`` is ``default_rng([seed, i])``, first uniform included."""
-    oracle = np.random.default_rng([seed, i])
+def _block_matches(seed: int, i: int, state: tuple[int, int], bitgen) -> bool:
+    """Whether ``bitgen`` set to ``state`` is ``default_rng([seed, i])``."""
     bitgen.state = _pcg64_state(*state)
-    return bitgen.state == oracle.bit_generator.state and uniform() == oracle.random()
+    return bitgen.state == np.random.default_rng([seed, i]).bit_generator.state
 
 
 def _replicate_outcome(
-    engine: str,
-    params: ModelParams,
-    t_end: float,
-    exponential: Callable,
-    uniform: Callable,
-    max_events: int,
+    engine: str, params: ModelParams, t_end: float, rng: np.random.Generator, max_events: int
 ):
     """Final state of one replicate: sorted partition entries, or a size for ``bdi``."""
     if engine == "multiplicity":
-        return _multiplicity_kernel(params, t_end, exponential, uniform, _EMPTY, max_events, None)
+        return _multiplicity_kernel(params, t_end, rng, _EMPTY, max_events, None)
     if engine == "branching":
-        return _branching_kernel(params, t_end, exponential, uniform, _EMPTY, max_events, None)
+        return _branching_kernel(params, t_end, rng, _EMPTY, max_events, None)
     if engine == "bdi":
-        return _size_kernel(params, t_end, exponential, uniform, 0, max_events, None)
+        return _size_kernel(params, t_end, rng, 0, max_events, None)
     raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
@@ -268,9 +256,9 @@ def _run_chunk(args: tuple) -> dict:
     """Tallies of final states over one range of replicates, in first-occurrence order."""
     params, t_end, seed, engine, start, stop, max_events = args
     tallies: dict = {}
-    for i, exponential, uniform in _replicate_draws(seed, start, stop):
+    for i, rng in _replicate_draws(seed, start, stop):
         try:
-            outcome = _replicate_outcome(engine, params, t_end, exponential, uniform, max_events)
+            outcome = _replicate_outcome(engine, params, t_end, rng, max_events)
         except RunawayError as exc:
             raise RunawayError(
                 f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
@@ -442,7 +430,7 @@ def stationary_occupation(
             counts[j] = counts.get(j, 0) + 1
 
     rng = _replicate_rng(seed, 0)
-    _multiplicity_kernel(params, horizon, rng.exponential, rng.random, _EMPTY, max_events, observe)
+    _multiplicity_kernel(params, horizon, rng, _EMPTY, max_events, observe)
     occupy(horizon)
     return EmpiricalDistribution(
         {AllelicPartition(key): w for key, w in weights.items()}, horizon - burn_in, None, seed
@@ -559,8 +547,11 @@ def _open_artifact(
 def write_histogram_csv(
     dist: EmpiricalDistribution, file: str | IO[str], metadata: Mapping[str, object] | None = None
 ) -> None:
-    """Write tallies as ``key,count,probability`` CSV with a metadata header."""
-    header: dict[str, object] = {"total_weight": dist.total}
+    """Write tallies as ``key,count,probability`` CSV with a metadata header.
+
+    The header names the random stream (``rng_stream``) the tallies were drawn from.
+    """
+    header: dict[str, object] = {"rng_stream": RNG_STREAM, "total_weight": dist.total}
     if dist.replicates is not None:
         header["replicates"] = dist.replicates
     if dist.seed is not None:
@@ -599,9 +590,10 @@ def write_trajectory_csv(
 
     Columns are time, event_kind, event_index (empty for new-family events)
     and the population size and group count after the event, both tracked
-    from the events themselves without replaying partitions.
+    from the events themselves without replaying partitions.  The header
+    names the random stream (``rng_stream``) the engines draw.
     """
-    header: dict[str, object] = {}
+    header: dict[str, object] = {"rng_stream": RNG_STREAM}
     if params is not None:
         header.update(alpha=params.alpha, theta=params.theta, mu=params.mu)
     if seed is not None:

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -115,13 +116,14 @@ def urn_marginal(n: int, params: ModelParams) -> dict[AllelicPartition, float]:
 
 
 class AbsorbingClock:
-    """Generator stand-in whose second holding time is lost to round-off."""
+    """Generator stand-in, drawing in blocks, whose second holding time is lost to round-off.
 
-    def __init__(self):
-        self.holds = iter([1.0, 1e-300])
+    Like the engines' generators it is asked for whole blocks of standard
+    exponentials and uniforms; every selector is 0.5.
+    """
 
-    def exponential(self, scale):
-        return next(self.holds)
+    def standard_exponential(self, size):
+        return np.array([1.0, 1e-300] + [1.0] * (size - 2))
 
-    def random(self):
-        return 0.5
+    def random(self, size):
+        return np.full(size, 0.5)

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end checks, one pass/fail line each.
+"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; each check asserts, so a plain pytest run fails loudly too.  The
@@ -8,6 +8,7 @@ stochastic criteria pin master seeds and are bit-reproducible.
 import io
 import time
 
+import numpy as np
 import pytest
 
 from allelic_bdi import (
@@ -28,6 +29,7 @@ from allelic_bdi import (
     size_balance_scan,
     stationary_mass_comparison,
     stationary_occupation,
+    transient_pmf,
     tv_distance,
     weight_series_gap,
     write_histogram_csv,
@@ -54,6 +56,18 @@ def desk_ensemble():
     start = time.perf_counter()
     dist = run_ensemble(ModelParams(0.0, 1.0, 2.0), 5.0, 100_000, MASTER_SEED)
     return dist, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def engine_ensembles():
+    """10^5 replicates per partition engine at alpha=0.5, theta=1, mu=1.5, t=3 (criteria 9, 12)."""
+    start = time.perf_counter()
+    params = ModelParams(0.5, 1.0, 1.5)
+    multiplicity = run_ensemble(params, 3.0, 100_000, 101)
+    branching = run_ensemble(params, 3.0, 100_000, 202, engine="branching")
+    return params, {"multiplicity": multiplicity, "branching": branching}, (
+        time.perf_counter() - start
+    )
 
 
 def test_criterion_01_normalization():
@@ -203,15 +217,11 @@ def test_criterion_08_ergodic_occupation():
     )
 
 
-def test_criterion_09_engine_equivalence():
-    start = time.perf_counter()
-    params = ModelParams(0.5, 1.0, 1.5)
-    multiplicity = run_ensemble(params, 3.0, 100_000, 101)
-    branching = run_ensemble(params, 3.0, 100_000, 202, engine="branching")
+def test_criterion_09_engine_equivalence(engine_ensembles):
+    _, ensembles, elapsed = engine_ensembles
     tv = tv_distance(
-        multiplicity.joint_groups_size(), branching.joint_groups_size()
+        ensembles["multiplicity"].joint_groups_size(), ensembles["branching"].joint_groups_size()
     )
-    elapsed = time.perf_counter() - start
     ok = tv < 0.03
     _report(
         9,
@@ -278,4 +288,43 @@ def test_criterion_11_reproducibility(desk_ensemble, tmp_path):
         ok,
         f"ensemble tallies identical: {same_tallies}, histogram bytes identical: "
         f"{same_histogram}, CLI output files identical: {same_cli}",
+    )
+
+
+# criterion 12's bound, fixed before either ensemble was compared with the
+# exact law: the 99.9th percentile of the same TV statistic over 10^4
+# ensembles of R = 10^5 drawn from the exact law itself is 0.0116
+# (recomputed below by _bootstrap_tv_quantile), rounded up
+EXACT_LAW_TV_BOUND = 0.012
+
+
+def _bootstrap_tv_quantile(exact: dict, replicates: int, q: float) -> float:
+    """Quantile ``q`` of the s <= 12 TV statistic over multinomial ensembles from ``exact``."""
+    p = np.array(list(exact.values()))
+    tail = max(0.0, 1.0 - float(p.sum()))
+    counts = np.random.default_rng(20261018).multinomial(
+        replicates, np.append(p, tail) / (p.sum() + tail), size=10_000
+    )
+    empirical = counts[:, :-1] / replicates
+    # tv_distance on truncated laws: half the L1 gap plus half of each side's missing mass
+    tv = 0.5 * np.abs(empirical - p).sum(axis=1) + 0.5 * (1.0 - empirical.sum(axis=1) + tail)
+    return float(np.quantile(tv, q))
+
+
+def test_criterion_12_exact_transient_law(engine_ensembles):
+    params, ensembles, _ = engine_ensembles
+    exact = {m: transient_pmf(m, params, 3.0) for n in range(13) for m in enumerate_partitions(n)}
+    quantile = _bootstrap_tv_quantile(exact, 100_000, 0.999)
+    tvs = {}
+    for engine, dist in ensembles.items():
+        empirical = {m: p for m, p in dist.probabilities().items() if m.size <= 12}
+        tvs[engine] = tv_distance(empirical, exact)
+    ok = quantile <= EXACT_LAW_TV_BOUND and all(tv < EXACT_LAW_TV_BOUND for tv in tvs.values())
+    _report(
+        12,
+        "time-t law at alpha = 0.5 matches NB(s) * psf",
+        ok,
+        f"TV(partition, s <= 12) = {tvs['multiplicity']:.4f} (multiplicity), "
+        f"{tvs['branching']:.4f} (branching), tol {EXACT_LAW_TV_BOUND} "
+        f"(bootstrap 99.9th percentile {quantile:.4f}), R = 10^5 each",
     )

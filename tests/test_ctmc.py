@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from allelic_bdi import (
     AllelicPartition,
@@ -18,14 +20,17 @@ from allelic_bdi import (
     SizeTrajectory,
     Trajectory,
     TransitionEvent,
+    alpha0_marginal,
     enumerate_partitions,
     rates,
     simulate,
     simulate_bdi,
     simulate_branching,
+    transient_pmf,
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
+from allelic_bdi.ctmc import _DRAW_BLOCK, _multiplicity_kernel
 from conftest import AbsorbingClock, group_sizes, model_params
 
 
@@ -224,6 +229,23 @@ def test_event_cap_names_the_state_it_stopped_in(engine, params):
 # ---------------------------------------------------------------------------
 
 
+def _first_jump_pvalue(engine, params, seed, runs):
+    """KS p-value of the first jump time from the empty state against Exp(theta).
+
+    Each run stops at 10 / theta, so the jump times are tested against the
+    exponential truncated there; a run with no jump by then (probability
+    e^-10) is left out.
+    """
+    horizon = 10.0 / params.theta
+    times = []
+    for i in range(runs):
+        path = engine(params, horizon, np.random.default_rng([seed, i]))
+        if path.events:
+            times.append(path.events[0][0])
+    cdf = lambda x: np.expm1(-params.theta * x) / math.expm1(-10.0)
+    return stats.kstest(times, cdf).pvalue
+
+
 def _replay_is_consistent(traj):
     """Replay the event list and confirm sizes track the event deltas."""
     prev_size = traj.initial.size
@@ -300,13 +322,7 @@ class TestSimulate:
 
     def test_first_event_time_is_exponential_theta(self):
         # from the empty state the first jump is the immigration clock
-        params = ModelParams(0.5, 1.0, 2.0)
-        first = [
-            simulate(params, 50.0, np.random.default_rng([909, i])).events[0][0]
-            for i in range(3000)
-        ]
-        pvalue = stats.kstest(first, "expon", args=(0.0, 1.0)).pvalue
-        assert pvalue > 1e-3
+        assert _first_jump_pvalue(simulate, ModelParams(0.5, 1.0, 2.0), 909, 3000) > 1e-3
 
     def test_mean_event_count(self):
         # E[jumps on [0,t]] = integral of theta + (1+mu) E[s(u)] du; with
@@ -486,6 +502,221 @@ class TestAgentPopulation:
         ]
 
 
+# ---------------------------------------------------------------------------
+# the exact time-t law against the generator
+# ---------------------------------------------------------------------------
+
+
+def generator_law(params, t, n_max):
+    """Time-t law from the empty state, solved from the generator on {s <= n_max}.
+
+    The rates come from :func:`event_rates`, not from the library; jumps out
+    of the truncation leave the generator, so the returned law is
+    sub-stochastic and its missing mass bounds how far each entry can be
+    below the true one.
+    """
+    states = [m for n in range(n_max + 1) for m in enumerate_partitions(n)]
+    index = {m: j for j, m in enumerate(states)}
+    rows, cols, values = [], [], []
+    for j, m in enumerate(states):
+        sizes = [i for i, c in m for _ in range(c)]
+        out = 0.0
+        for event, rate in event_rates(families_from_sizes(sizes), params):
+            out += rate
+            target = index.get(m.apply_event(event))
+            if target is not None:
+                rows.append(target)
+                cols.append(j)
+                values.append(rate)
+        rows.append(j)
+        cols.append(j)
+        values.append(-out)
+    generator = csr_matrix((values, (rows, cols)), shape=(len(states), len(states)))
+    start = np.zeros(len(states))
+    start[index[AllelicPartition.empty()]] = 1.0
+    law = expm_multiply(generator * t, start)
+    return dict(zip(states, law.tolist())), 1.0 - float(law.sum())
+
+
+# (alpha, theta, mu, t): alpha = 0, the criterion-9 point at an earlier time,
+# pure birth near alpha = 1, and mu < 1
+TRANSIENT_POINTS = [
+    (0.0, 1.0, 2.0, 1.0),
+    (0.5, 1.0, 1.5, 1.0),
+    (0.9, 0.3, 0.0, 0.5),
+    (0.3, 2.0, 0.8, 0.5),
+]
+
+
+@pytest.mark.parametrize("alpha,theta,mu,t", TRANSIENT_POINTS)
+def test_transient_pmf_matches_the_generator(alpha, theta, mu, t):
+    params = ModelParams(alpha, theta, mu)
+    law, missing = generator_law(params, t, 22)
+    assert missing < 1e-7
+    for m, p in law.items():
+        if m.size <= 10:
+            # the truncated law is below the true one by at most its missing mass
+            assert p - 1e-12 <= transient_pmf(m, params, t) <= p + missing + 1e-12
+            if alpha == 0.0:
+                assert transient_pmf(m, params, t) == pytest.approx(
+                    alpha0_marginal(m, theta, mu, t), rel=1e-12
+                )
+
+
+def test_transient_pmf_domain():
+    params = ModelParams(0.5, 1.0, 1.5)
+    assert transient_pmf(AllelicPartition.empty(), params, 0.0) == 1.0
+    assert transient_pmf(decode("1^1"), params, 0.0) == 0.0
+    total = sum(transient_pmf(m, params, 1.0) for n in range(31) for m in enumerate_partitions(n))
+    assert total == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(DomainError):
+        transient_pmf(AllelicPartition.empty(), ModelParams(0.5, -0.25, 2.0), 1.0)
+    with pytest.raises(DomainError):
+        transient_pmf(AllelicPartition.empty(), params, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# random stream v2: event class and in-class choice
+# ---------------------------------------------------------------------------
+
+
+class OneJump:
+    """Generator stand-in whose first block makes one jump, selected by ``u``.
+
+    The first holding time is tiny and every later one is far beyond a unit
+    horizon, so the kernel makes exactly the jump the selector ``u`` picks.
+    """
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_exponential(self, size):
+        return np.array([1e-9] + [1e9] * (size - 1))
+
+    def random(self, size):
+        return np.array([self.u] + [0.5] * (size - 1))
+
+
+def listed_choice(m, params, u):
+    """(event, clamped) that selector ``u`` picks from state ``m``, from explicit lists.
+
+    The masses theta + alpha * k, (1 - alpha) * k, s - k and mu * s give the
+    class and an integer index into it, which picks from the list of groups
+    in size order, of their non-founding members or of all individuals.
+    ``clamped`` is true when round-off put the index at or past the top of
+    its class.
+    """
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    s, k = m.size, m.num_groups
+    groups = [i for i, c in m for _ in range(c)]
+    members = [i for i in groups for _ in range(i - 1)]
+    individuals = [i for i in groups for _ in range(i)]
+    v = u * (theta + (1.0 + mu) * s) - (theta + alpha * k)
+    if v < 0.0 or not s:
+        return TransitionEvent.new_family(), False
+    if v < (1.0 - alpha) * k:
+        j = int(v / (1.0 - alpha)) if v / (1.0 - alpha) < k else k
+        return TransitionEvent.growth(groups[min(j, k - 1)]), j >= k
+    v -= (1.0 - alpha) * k
+    if v < s - k:
+        return TransitionEvent.growth(members[int(v)]), False
+    if mu == 0.0:  # past the last class only by round-off: the top of the last nonempty one
+        return TransitionEvent.growth(members[-1] if members else groups[-1]), True
+    j = int((v - (s - k)) / mu) if (v - (s - k)) / mu < s else s
+    return TransitionEvent.death(individuals[min(j, s - 1)]), j >= s
+
+
+def kernel_choice(m, params, u):
+    events = []
+    _multiplicity_kernel(params, 1.0, OneJump(u), m, 10, events.append)
+    ((_, event),) = events
+    return event
+
+
+def state_with(s, k):
+    """A partition with k groups and s members, of several distinct sizes."""
+    sizes, extra = [1] * k, s - k
+    for j in range(k):
+        step = min(j % 3, extra)
+        sizes[j] += step
+        extra -= step
+    sizes[-1] += extra
+    return AllelicPartition.from_group_sizes(sizes)
+
+
+def class_tops(m, params):
+    """Selectors at, and a few ulps below, each class's upper edge."""
+    total = params.theta + (1.0 + params.mu) * m.size
+    edge = params.theta + params.alpha * m.num_groups
+    edges = [edge, edge + (1.0 - params.alpha) * m.num_groups]
+    edges.append(edges[-1] + m.size - m.num_groups)
+    out = [0.0, math.nextafter(1.0, 0.0)]
+    for edge in edges:
+        u = min(edge / total, math.nextafter(1.0, 0.0))
+        for _ in range(4):
+            out.append(u)
+            u = math.nextafter(u, 0.0)
+    return out
+
+
+V2_PARAMS = [
+    ModelParams(0.5, 1.0, 2.0),
+    ModelParams(0.0, 1.0, 0.0),
+    ModelParams(0.9, -0.5, 1.5),
+    ModelParams(1.0 - 2.0**-40, 0.5, 0.7),  # alpha -> 1: the group class is tiny
+    ModelParams(0.3, 2.0, 0.0),
+]
+V2_STATES = ["1^1", "1^4", "3^2", "1^3 2^1 5^2", "2^1 7^1", "1^2 4^3 9^1"]
+
+
+@pytest.mark.parametrize("params", V2_PARAMS)
+@pytest.mark.parametrize("state", V2_STATES)
+def test_in_class_choice_matches_explicit_lists(params, state):
+    m = decode(state)
+    selectors = class_tops(m, params) + [j / 97.0 for j in range(97)]
+    for u in selectors:
+        assert kernel_choice(m, params, u) == listed_choice(m, params, u)[0], u
+
+
+# (alpha, theta, mu, s, k, u) where round-off puts the selector at the top of
+# a class: the group class, the death class, past the members with mu = 0,
+# and past the groups with mu = 0 when every group is a singleton
+ROUND_OFF_TOPS = [
+    (0.28275654056020494, 3.7, 1.5, 202, 21, 0.04855514055435423),
+    (0.9, 3.7, 1.5066665524816791, 268, 8, 0.9999999999999998),
+    (0.999999999, 3.7, 4.771418841320994, 109, 35, 0.9999999999999998),
+    (0.7, 2.0, 0.0, 92, 22, 0.9999999999999998),
+    (0.25040447987993253, 3.7, 0.0, 44, 44, 0.9999999999999999),
+]
+
+
+@pytest.mark.parametrize("alpha,theta,mu,s,k,u", ROUND_OFF_TOPS)
+def test_in_class_choice_at_the_top_after_round_off(alpha, theta, mu, s, k, u):
+    params, m = ModelParams(alpha, theta, mu), state_with(s, k)
+    event, clamped = listed_choice(m, params, u)
+    assert clamped
+    assert kernel_choice(m, params, u) == event
+
+
+def test_draw_blocks_are_consumed_in_order():
+    # holding time n and selector n of a run are entries n of the concatenated blocks
+    params, start = ModelParams(0.5, 1.0, 0.0), decode("1^1")
+    path = simulate(params, 4.5, np.random.default_rng(3), initial=start)  # pure birth
+    assert len(path) > 3 * _DRAW_BLOCK
+    rng = np.random.default_rng(3)
+    holds, selectors, t = [], [], 0.0
+    blocks = -(-(len(path) + 1) // _DRAW_BLOCK)
+    for _ in range(blocks):  # refills alternate while both kinds run one per event
+        holds += rng.standard_exponential(_DRAW_BLOCK).tolist()
+        selectors += rng.random(_DRAW_BLOCK).tolist()
+    m = start
+    for (t_jump, event), hold, u in zip(path.events, holds, selectors):
+        t += hold / (params.theta + m.size)  # pure birth: the total rate is theta + s
+        assert t_jump == t
+        assert event == listed_choice(m, params, u)[0]
+        m = m.apply_event(event)
+
+
 class TestSimulateBranching:
     def test_deterministic_under_seed(self):
         params = ModelParams(0.5, 1.0, 2.0)
@@ -530,13 +761,7 @@ class TestSimulateBranching:
         assert exc.value.events == 50
 
     def test_first_event_time_is_exponential_theta(self):
-        params = ModelParams(0.5, 2.0, 1.5)
-        first = [
-            simulate_branching(params, 50.0, np.random.default_rng([908, i])).events[0][0]
-            for i in range(2000)
-        ]
-        pvalue = stats.kstest(first, "expon", args=(0.0, 0.5)).pvalue
-        assert pvalue > 1e-3
+        assert _first_jump_pvalue(simulate_branching, ModelParams(0.5, 2.0, 1.5), 908, 2000) > 1e-3
 
 
 # ---------------------------------------------------------------------------

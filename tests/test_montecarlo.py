@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from allelic_bdi import montecarlo
+from allelic_bdi import ctmc, montecarlo
 from allelic_bdi import (
     AllelicPartition,
     DomainError,
@@ -203,18 +203,18 @@ class TestRunEnsemble:
 
     def test_event_cap_names_the_failing_replicate(self):
         params = ModelParams(0.5, 1.0, 0.0)
-        lengths = [len(simulate(params, 2.0, np.random.default_rng([0, i]))) for i in range(3)]
-        assert lengths[0] <= 6 and lengths[1] <= 6 < lengths[2]  # 5, 0 and 8 events
+        lengths = [len(simulate(params, 2.0, np.random.default_rng([5, i]))) for i in range(3)]
+        assert lengths[0] <= 6 and lengths[1] <= 6 < lengths[2]  # 1, 2 and 11 events
         with pytest.raises(RunawayError) as exc:
-            run_ensemble(params, 2.0, 5, 0, max_events=6)
-        assert str(exc.value).startswith("replicate 2 of seed 0 (alpha=0.5, theta=1.0, mu=0.0")
+            run_ensemble(params, 2.0, 5, 5, max_events=6)
+        assert str(exc.value).startswith("replicate 2 of seed 5 (alpha=0.5, theta=1.0, mu=0.0")
         assert exc.value.events == 6
         # the state after the first six events of replicate 2, replayed from its path
-        path = simulate(params, 2.0, np.random.default_rng([0, 2]))
+        path = simulate(params, 2.0, np.random.default_rng([5, 2]))
         state = path.state_at(path.events[5][0])
         assert exc.value.time == path.events[6][0]
-        assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups) == (6, 5)
-        assert str(exc.value).endswith("with population size 6 in 5 groups")
+        assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups) == (6, 3)
+        assert str(exc.value).endswith("with population size 6 in 3 groups")
 
     def test_event_cap_survives_the_pool(self):
         with pytest.raises(RunawayError) as exc:
@@ -227,10 +227,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("engine", montecarlo.ENGINES)
     def test_replicates_refuse_a_jump_that_does_not_advance_the_clock(self, engine):
         # replicates record no path, so the kernel itself must check the clock
-        clock = AbsorbingClock()
         with pytest.raises(DomainError, match="strictly increasing"):
             montecarlo._replicate_outcome(
-                engine, ModelParams(0.5, 1.0, 0.5), 5.0, clock.exponential, clock.random, 100
+                engine, ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), 100
             )
 
     def test_error_shrinks_with_replicates(self):
@@ -271,13 +270,13 @@ class TestReplicateSeeding:
         assert ours.random(4).tolist() == oracle.random(4).tolist()
         assert ours.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
         assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
-        # the block-seeded draws of ensemble replicates: raw-word uniforms included
-        ((j, exponential, uniform),) = montecarlo._replicate_draws(seed, i, i + 1)
+        # the block-seeded generator of ensemble replicates
+        ((j, rng),) = montecarlo._replicate_draws(seed, i, i + 1)
         fresh = np.random.default_rng([seed, i])
         assert j == i
-        assert [uniform() for _ in range(4)] == fresh.random(4).tolist()
-        assert [exponential(0.3) for _ in range(4)] == fresh.exponential(0.3, 4).tolist()
-        assert uniform() == fresh.random()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert rng.random(4).tolist() == fresh.random(4).tolist()
+        assert rng.standard_exponential(4).tolist() == fresh.standard_exponential(4).tolist()
 
 
 # public engine and final state, the oracle of one ensemble replicate's outcome
@@ -321,6 +320,20 @@ class TestRunChunk:
         assert list(tallies.items()) == list(_oracle_tallies(engine, seed, 0, stop).items())
 
     @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    def test_replicates_longer_than_a_draw_block(self, engine):
+        # ensemble_large's point: pure birth with about 6,600 events per
+        # replicate, so each replicate refills its draw blocks hundreds of times
+        params, t_end, seed, start, stop = ModelParams(0.7, 10.0, 0.0), 6.5, 2**32 + 1, 3, 5
+        tallies = montecarlo._run_chunk((params, t_end, seed, engine, start, stop, 10**6))
+        expected = {}
+        for i in range(start, stop):
+            key = ORACLE_ENGINES[engine](params, t_end, np.random.default_rng([seed, i]))
+            size = key if engine == "bdi" else sum(g * c for g, c in key)
+            assert size > 10 * ctmc._DRAW_BLOCK  # pure birth: one member per event
+            expected[key] = expected.get(key, 0) + 1
+        assert list(tallies.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
     def test_block_that_fails_its_check_falls_back(self, monkeypatch, engine):
         seed, start, stop = 2**32 + 1, 2**32 - 5, 2**32 + 5
         expected = _chunk(engine, seed, start, stop)
@@ -337,18 +350,13 @@ class TestRunChunk:
         assert fallback == list(range(start, stop))
         assert list(tallies.items()) == list(expected.items())
 
-    def test_block_check_compares_state_and_first_uniform(self):
+    def test_block_check_compares_the_state(self):
         seed = 2**32 + 1
         words = [np.full(3, word, np.uint32) for word in montecarlo._seed_words(seed)]
         states = montecarlo._pcg64_states(words + montecarlo._word_columns(7, 3))  # i = 7, 8, 9
         bitgen = np.random.PCG64()
-
-        def uniform():
-            return (bitgen.random_raw() >> 11) * 2.0**-53
-
-        assert montecarlo._block_matches(seed, 8, states[1], bitgen, uniform)
-        assert not montecarlo._block_matches(seed, 8, states[2], bitgen, uniform)
-        assert not montecarlo._block_matches(seed, 8, states[1], bitgen, lambda: 0.5)
+        assert montecarlo._block_matches(seed, 8, states[1], bitgen)
+        assert not montecarlo._block_matches(seed, 8, states[2], bitgen)
 
     def test_partition_keys_keep_first_occurrence_order(self):
         seed, replicates = 5, 300
@@ -423,9 +431,9 @@ class TestStationaryOccupation:
         assert len(expected) > 20
 
     def test_memory_does_not_grow_with_events(self):
-        # 12,193 events and 514 distinct states; the recorded path of the same
-        # run holds a (time, event) pair per event
-        params, horizon, seed = ModelParams(0.5, 2.0, 1.5), 1000.0, 8
+        # 47,703 events and 1,180 distinct states; the recorded path of the
+        # same run holds a (time, event) pair per event
+        params, horizon, seed = ModelParams(0.5, 2.0, 1.5), 4000.0, 8
         path_peak = _traced_peak(simulate, params, horizon, np.random.default_rng([seed, 0]))
         occupation_peak = _traced_peak(stationary_occupation, params, horizon, 100.0, seed)
         assert occupation_peak * 4 < path_peak

@@ -10,6 +10,11 @@ urn's draws, its group-count sequence and the growth-report arithmetic; the
 residuals.  A change to any of these changes the bytes.  A change to the
 package version or an artifact layout changes them too, and then the hashes
 must be regenerated on purpose alongside that change.
+
+The ``simulate`` hashes belong to one random stream, ``PINNED_RNG_STREAM``:
+every histogram and trajectory they pin is stamped ``# rng_stream=N``, and
+``ctmc.RNG_STREAM`` must equal the pinned value.  A change to the stream
+bumps ``RNG_STREAM`` and re-pins these hashes in the same change.
 """
 
 import hashlib
@@ -17,8 +22,17 @@ import hashlib
 import pytest
 
 from allelic_bdi.cli import main
+from allelic_bdi.ctmc import RNG_STREAM
 
 SEED = "7"
+
+# the stream every simulate hash below was computed on
+PINNED_RNG_STREAM = 2
+STREAM_STAMP = f"# rng_stream={PINNED_RNG_STREAM}\n".encode()
+
+
+def test_simulate_hashes_belong_to_the_current_stream():
+    assert RNG_STREAM == PINNED_RNG_STREAM
 
 # (name, flags): alpha = 0 with deaths, pure birth at alpha = 0.7, and the
 # reversible regime at alpha = 0.5
@@ -30,19 +44,19 @@ HISTOGRAM_POINTS = {
 
 HISTOGRAM_SHA256 = {
     "multiplicity": {
-        "a0-mu2": "68d8379d2613325111431502bd116f04a69af9fa46b9f3a4cc9d7d06ef7e3858",
-        "a0.7-mu0": "eb5427be6cb6409d9e88b9580f5895ff6e64022ec6cd249438421a95067d899f",
-        "a0.5-mu1.5": "ea9009b696fe442adbf8a36db15cbe932c31ac1f47c4dde18c93c1d2b5174387",
+        "a0-mu2": "3743f606df6e695cf9f7cfaa3fb7aa2223e8e0bc1823f64e5e1d370a9aa5525f",
+        "a0.7-mu0": "6351a0242608014724cab524e4b0bc7861a70040f19ed8df2cf5615b126020d5",
+        "a0.5-mu1.5": "81c1f14270a76d6e0f3dcb64e4a77fa76e2e00061bd6106140616dbb65b494da",
     },
     "branching": {
-        "a0-mu2": "30c573300e95efd3ca1fbad3c532dfa2c6525b7c7d30997b69474634b45dd02c",
-        "a0.7-mu0": "42337afa9d4b746b347b6b21a938b9d30d39ebca582bfbb0aa2b07fcde46e15d",
-        "a0.5-mu1.5": "7f562316a19ce6972eeee01dd05ae460b31612e95c81480253d256d5834c8de8",
+        "a0-mu2": "d095199e5e358d657f888094d798778b15abc179380aa64a2181d9d1dd1b20bb",
+        "a0.7-mu0": "42ac5a01e4c1cf8bfe1cbbcbf2f5c7317fe4f4eaa1057a85a3b88cc64e950570",
+        "a0.5-mu1.5": "1c00b439e822f824695bb9f8abbcf0b3b8d37deb5110fbdc5b6cc25c2c8d23d6",
     },
     "bdi": {
-        "a0-mu2": "3a8faeaf8e4694713749627cf67fc12cea3ef29107ff54cad01b7174d3ffc0a1",
-        "a0.7-mu0": "4a232a92604f92ad69f2d2a919f40c69c38fe03a43d3af2ee407b6a0043fbcf6",
-        "a0.5-mu1.5": "d522dd6a69a33789aa0410b3d264d3a879a6696c936855d86a5cbe9ded988dfc",
+        "a0-mu2": "b371c7c3f07d8e927ac2c5360976f482e80cbdff1c3209ebef7f4ba93542ab88",
+        "a0.7-mu0": "0ce4a452242ef8897e669e0cde6bd1e9e638dec5ff046b49b00eead4f8dfa38d",
+        "a0.5-mu1.5": "748cc3b4fc38b64793f99c59c515f9357d6678a2be58a5e6fea6a548fa0e547b",
     },
 }
 
@@ -50,9 +64,9 @@ HISTOGRAM_SHA256 = {
 WIDE_SEED = "4294967297"
 
 WIDE_SEED_HISTOGRAM_SHA256 = {
-    ("multiplicity", "a0-mu2"): "dfa27d9ffaa7acc8b3b727196d3eba27b73314f02a141271435ec4a64aecfb03",
+    ("multiplicity", "a0-mu2"): "1db057dd36f487b52f6a1af84c2cf6191b060d24d66d40506e642c7a8b6d19ce",
     ("branching", "a0.5-mu1.5"): (
-        "9443cce03ca2210c8806eba8d2c927de12025b21a83aa2ac5ef7b4164a33855f"
+        "0e316796d47a0ed6aaa630ecb0fcce974fdb9e8c338f42eaec8d1750a7b53bb6"
     ),
 }
 
@@ -61,17 +75,17 @@ WIDE_SEED_HISTOGRAM_SHA256 = {
 BLOCK_SPANNING_FLAGS = "--alpha 0 --theta 1 --mu 2 --t 5 --replicates 5000".split()
 
 BLOCK_SPANNING_SHA256 = {
-    "multiplicity": "534217851a04e61bdadb3b6f7f5fbe8f6611262a171fe4338255965b96398a5b",
-    "branching": "c6a1ce77b6f08e6cd18872e4eabd053487d339780550042acc084db5e7c71071",
-    "bdi": "2e4d365ef4619baa10426065a5a8e66f79a5f876eb2b086361f8fd3a80180abc",
+    "multiplicity": "89b4c812326fca951e225a3f0f74fdf346970a7c2ddddc54dcb6aee1db276fb5",
+    "branching": "65ed838d29a06707505286defd199cfcc55f40d702f7f28560c85cf2f51f7835",
+    "bdi": "54cd035af54b6e198d1b31ec51df0f354954a57ff87261f42eee31f5342be907",
 }
 
 # one path with new families, growth, deaths and extinct families
 TRAJECTORY_FLAGS = "--alpha 0.5 --theta 2 --mu 0.8 --t 6".split()
 
 TRAJECTORY_SHA256 = {
-    "multiplicity": "b2b0575c2b667bd815a0b93b60138d2b54db00bd3adef4652a65da7f09c0dc4d",
-    "branching": "4d8e2c420a7406621bcc25a4e1f7c56f248970656b95240c6ad93d33f5a7bf95",
+    "multiplicity": "891d1f8b00187375c5f00f627ee8d9e02dc395dfb2618b6f2234f3aa24a9d118",
+    "branching": "51eb064eca4fdab1359576aec18bb2447807a763c243c162fb34a91cc05340c1",
 }
 
 
@@ -84,6 +98,7 @@ def histogram_sha256(tmp_path, engine, flags, seed) -> str:
     argv = ["simulate", *flags, "--seed", seed, "--engine", engine]
     argv += ["--workers", "1", "--histogram", str(histogram), "--summary", str(tmp_path / "s.json")]
     assert main(argv) == 0
+    assert STREAM_STAMP in histogram.read_bytes()
     return sha256_of(histogram)
 
 
@@ -111,6 +126,7 @@ def test_trajectory_bytes_are_pinned(tmp_path, engine):
     trajectory = tmp_path / "trajectory.csv"
     argv = ["simulate", *TRAJECTORY_FLAGS, "--seed", SEED, "--engine", engine]
     assert main(argv + ["--trajectory", str(trajectory)]) == 0
+    assert STREAM_STAMP in trajectory.read_bytes()
     assert sha256_of(trajectory) == TRAJECTORY_SHA256[engine]
 
 
@@ -139,9 +155,9 @@ SUMMARY_FLAGS = (
 )
 
 SUMMARY_SHA256 = {
-    "multiplicity": "cdf194828dec863ea48036f04ed98b503cacbfb44b8cd2bcac5e99cd9cc9f060",
-    "branching": "ecdbf459e1918d4f2875eb704b0914ac00e35ab82627624ea3d39d63025620a3",
-    "bdi": "e2557077a67cc076a38880c50c3fe9df542e566e2b0645811d905ef06d618268",
+    "multiplicity": "1f60e8282c2a5294023f5b19521657bf23deaf1bf644c252ae889fd944d11e50",
+    "branching": "b5aa40eda47844ec258364faeb5add9f2f5abecf352622c0fcd3ed9c80eef2de",
+    "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 
 
