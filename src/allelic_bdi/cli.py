@@ -22,7 +22,7 @@ from typing import Sequence
 from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
 from .errors import DomainError, PartitionParseError, RunawayError
-from .formulae import ModelParams, esf, neg_bin_pmf, nbin_time_param, psf
+from .formulae import ModelParams, _neg_bin_pmfs, esf, nbin_time_param, psf
 from .montecarlo import (
     ENGINES,
     _open_artifact,
@@ -156,7 +156,7 @@ def _simulate_summary(args, params: ModelParams, dist) -> dict:
     b = nbin_time_param(params.mu, args.t)
     size_probs = size_dist.probabilities()
     n_hi = max(size_probs)
-    reference = {n: neg_bin_pmf(n, params.theta, b) for n in range(n_hi + 1)}
+    reference = dict(enumerate(_neg_bin_pmfs(n_hi, params.theta, b)))
     tv: dict[str, object] = {"size_vs_neg_binomial": tv_distance(size_probs, reference)}
 
     if group_dist is not None:

@@ -12,7 +12,8 @@ Three engines share one event vocabulary:
   reproduction with the oldest member of each family founding a new family
   with probability alpha, exponential(mu) lifetimes, and immigration at rate
   theta.  It emits the induced multiplicity-level trajectory, which has the
-  same law as ``simulate``.
+  same law as ``simulate``.  A family is an integer size under a Fenwick
+  tree, O(log families) per event; birth times are kept only for theta <= 0.
 
 Each engine is one kernel that runs the chain and returns the final state
 (the sorted (size, count) entries of a partition, or an integer size).  A
@@ -441,53 +442,6 @@ def simulate_bdi(
     return SizeTrajectory(times, values, t_end, initial)
 
 
-class _FamilySlots:
-    """Fenwick tree over family sizes, one slot per family ever founded.
-
-    A family that dies out keeps its slot at size zero, so slot order stays
-    founding order and :meth:`locate` maps individual ``idx`` to the same
-    family and position as the list walk ``locate`` in ``tests/test_ctmc.py``
-    does with the empty families removed.  Every operation is O(log slots).
-    """
-
-    __slots__ = ("tree",)
-
-    def __init__(self, sizes: Iterable[int] = ()):
-        self.tree = [0]
-        for size in sizes:
-            self.append(size)
-
-    def append(self, size: int) -> None:
-        tree = self.tree
-        i = len(tree)
-        j, stop = i - 1, i - (i & -i)
-        while j > stop:
-            size += tree[j]
-            j -= j & -j
-        tree.append(size)
-
-    def add(self, slot: int, delta: int) -> None:
-        tree = self.tree
-        i, end = slot + 1, len(tree)
-        while i < end:
-            tree[i] += delta
-            i += i & -i
-
-    def locate(self, idx: int) -> tuple[int, int]:
-        """(slot, position) of individual ``idx`` (0 <= idx < population size)."""
-        tree = self.tree
-        n = len(tree) - 1
-        pos = 0
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt <= n and tree[nxt] <= idx:
-                pos = nxt
-                idx -= tree[nxt]
-            step >>= 1
-        return pos, idx
-
-
 def _branching_kernel(
     params: ModelParams,
     t_end: float,
@@ -498,16 +452,30 @@ def _branching_kernel(
 ) -> tuple[tuple[int, int], ...]:
     """Run the individual-level construction; return the sorted entries at ``t_end``.
 
-    Passes each (time, event) pair to ``record`` unless it is None.
+    Passes each (time, event) pair to ``record`` unless it is None.  A family
+    is an integer in ``sizes``, in founding order; one that dies out keeps
+    its slot at size zero.  ``tree`` is a Fenwick tree over ``sizes``
+    (1-based, padded with empty slots to ``width``, a power of two that
+    doubles when full), and its descent maps individual index ``pos`` to the
+    family ``f`` and the position in it that a walk over the families in
+    order gives, empty ones skipped (the ``locate`` oracle in
+    ``tests/test_ctmc.py``).  Per-family birth times are kept only for
+    theta <= 0, where the parent walk reads them.
     """
     _check_horizon(t_end)
-    families, clock = [], 0.0
-    for size in (i for i, c in start for _ in range(c)):
-        clock -= size  # distinct past birth times, oldest in the last family
-        families.append([clock + j for j in range(size)])
-    slots = _FamilySlots(len(fam) for fam in families)
-    s = start.size
+    sizes = [i for i, c in start for _ in range(c)]
+    width = 1 << max(len(sizes) - 1, 0).bit_length()
+    tree = [0, *sizes] + [0] * (width - len(sizes))
+    for i in range(1, width):
+        tree[i + (i & -i)] += tree[i]
     theta, alpha, mu = params.theta, params.alpha, params.mu
+    families = None
+    if theta <= 0.0:
+        families, clock = [], 0.0
+        for size in sizes:
+            clock -= size  # distinct past birth times, oldest in the last family
+            families.append([clock + j for j in range(size)])
+    s = start.size
     hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     t = 0.0
     n = 0
@@ -528,48 +496,65 @@ def _branching_kernel(
             raise _stalled(t_next)
         t = t_next
         if n >= max_events:
-            k = sum(1 for fam in families if fam)
-            raise _runaway("branching", n, t, max_events, s, k)
+            raise _runaway("branching", n, t, max_events, s, sum(1 for x in sizes if x))
         n += 1
         u = select() * total
-        if u < immigration:
-            families.append([t])
-            slots.append(1)
-            s += 1
-            event = _NEW_FAMILY
-        elif u < immigration + birth_total:
-            v = u - immigration
-            if theta > 0.0:
-                fi, pos = slots.locate(min(s - 1, int(v)))
-                p_new = alpha if pos == 0 else 0.0
-            else:
-                oldest = _oldest_family(families)
-                fi, pos = _weighted_parent(families, oldest, v, theta)
-                if pos:
-                    p_new = 0.0
+        found = u < immigration  # an immigrant founds a family
+        grow = u < immigration + birth_total
+        delta = 1 if grow else -1
+        if not found and grow and families is not None:
+            oldest = _oldest_family(families)
+            f, pos = _weighted_parent(families, oldest, u - immigration, theta)
+            if pos == 0:
+                p_new = alpha if f != oldest else (alpha + theta) / (1.0 + theta)
+                found = p_new > 0.0 and select() < p_new
+        elif not found:
+            v = u - immigration if grow else (u - immigration - birth_total) / mu
+            pos = int(v) if v < s else s - 1
+            # descend to individual pos; the nodes it does not enter are the
+            # ones that cover its slot, and they take delta on the way down
+            tree[width] += delta  # covers every slot, so it holds s > pos
+            f, step = 0, width >> 1
+            while step:
+                w = tree[f + step]
+                if w <= pos:
+                    f += step
+                    pos -= w
                 else:
-                    p_new = alpha if fi != oldest else (alpha + theta) / (1.0 + theta)
-            s += 1
-            if p_new > 0.0 and select() < p_new:
+                    tree[f + step] = w + delta
+                step >>= 1
+            if grow and pos == 0 and alpha > 0.0 and select() < alpha:
+                found = True  # the parent's family does not grow after all
+                f += 1
+                while f <= width:
+                    tree[f] -= 1
+                    f += f & -f
+        if found:
+            f = len(sizes)
+            if f == width:  # double: the new top node covers every slot
+                tree += [0] * (width - 1)
+                tree.append(tree[width])
+                width *= 2
+            sizes.append(1)
+            if families is not None:
                 families.append([t])
-                slots.append(1)
-                event = _NEW_FAMILY
-            else:
-                fam = families[fi]
-                event = _GROWTH[len(fam)]
-                fam.append(t)
-                slots.add(fi, 1)
         else:
-            v = u - immigration - birth_total
-            fi, pos = slots.locate(min(s - 1, int(v / mu)))
-            fam = families[fi]
-            event = _DEATH[len(fam)]
-            del fam[pos]
-            slots.add(fi, -1)
-            s -= 1
+            size = sizes[f]
+            sizes[f] = size + delta
+            if families is not None:
+                if grow:
+                    families[f].append(t)
+                else:
+                    del families[f][pos]
+        if found or (grow and families is not None):  # not added by a descent
+            f += 1
+            while f <= width:
+                tree[f] += 1
+                f += f & -f
+        s += delta
         if record is not None:
-            record((t, event))
-    return tuple(sorted(Counter(len(fam) for fam in families if fam).items()))
+            record((t, _NEW_FAMILY if found else (_GROWTH if grow else _DEATH)[size]))
+    return tuple(sorted(Counter(x for x in sizes if x).items()))
 
 
 def simulate_branching(
@@ -592,18 +577,22 @@ def simulate_branching(
     one produced by :func:`simulate` and carries its final state, so
     ``final_state()`` is O(1).
 
-    Cost per event: with theta > 0 (every run the CLI starts) the population
-    size is a counter and the parent or victim is found in a Fenwick tree
-    over family slots, O(log families).  With theta <= 0 the parent walk
-    stays linear in the population: it accumulates the overall oldest
-    member's rate 1 + theta in floating point, and that sum cannot be
-    reproduced by an index lookup without changing which parent is drawn.
+    Cost per event: each family is an integer size, and one descent of a
+    Fenwick tree over the families in founding order finds the parent or
+    victim and its position, O(log families), adding the event's +1 or -1
+    on the way.  With theta > 0 (every run the CLI starts) nothing is stored
+    per individual.  With theta <= 0 the families also keep birth times and
+    the parent walk stays linear in the population: it accumulates the
+    overall oldest member's rate 1 + theta in floating point, and that sum
+    cannot be reproduced by an index lookup without changing which parent
+    is drawn.
 
     Bit-identity: holding times and selectors come in blocks of 32 as in
     :func:`simulate` (a founding draw takes the next selector), and each
-    selector picks the individual that a walk over the family lists in order
-    picks (the ``locate`` oracle in ``tests/test_ctmc.py``), so a seeded
-    generator draws the same path as that walk would;
+    selector picks the individual that a walk over the families' member
+    lists in order picks (the ``list_branching_kernel`` oracle in
+    ``tests/test_ctmc.py``), so a seeded generator draws the same path as
+    that walk would;
     ``tests/test_reproducibility.py`` pins seeded outputs.
     """
     start = _EMPTY if initial is None else initial

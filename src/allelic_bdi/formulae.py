@@ -315,8 +315,7 @@ def alpha_weight(alpha: float, i: int) -> float:
     return math.exp(log_alpha_weight(alpha, i))
 
 
-def neg_bin_pmf(n: int, theta: float, b: float) -> float:
-    """Negative-binomial pmf  theta_(n) / n! * (1-b)^theta * b^n  (theta > 0)."""
+def _require_neg_bin(theta: float, b: float, n: int) -> None:
     _require_finite(theta=theta, b=b)
     if theta <= 0.0:
         raise DomainError("the negative-binomial shape theta must be > 0")
@@ -324,6 +323,11 @@ def neg_bin_pmf(n: int, theta: float, b: float) -> float:
         raise DomainError("the negative-binomial parameter b must lie in [0, 1)")
     if n < 0:
         raise DomainError("the count must be >= 0")
+
+
+def neg_bin_pmf(n: int, theta: float, b: float) -> float:
+    """Negative-binomial pmf  theta_(n) / n! * (1-b)^theta * b^n  (theta > 0)."""
+    _require_neg_bin(theta, b, n)
     if b == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(
@@ -332,6 +336,24 @@ def neg_bin_pmf(n: int, theta: float, b: float) -> float:
         + theta * math.log1p(-b)
         + n * math.log(b)
     )
+
+
+def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
+    """[neg_bin_pmf(n, theta, b) for n in 0..n_hi], bit for bit, in one pass.
+
+    Reads the prefix table of theta and the log-factorial table once, where
+    the per-n call looks both up again, and keeps its association order.
+    """
+    _require_neg_bin(theta, b, n_hi)
+    if b == 0.0:
+        return [1.0] + [0.0] * n_hi
+    log_rising = _ascending_prefix(theta).log_magnitudes(n_hi)
+    log_factorial(n_hi)
+    tail, log_b = theta * math.log1p(-b), math.log(b)
+    return [
+        math.exp(((log_rising[n] - _LOG_FACTORIAL[n]) + tail) + n * log_b)
+        for n in range(n_hi + 1)
+    ]
 
 
 def poisson_pmf(x: int, rate: float) -> float:

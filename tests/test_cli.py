@@ -14,6 +14,10 @@ from allelic_bdi import (
     default_checkpoints,
     partition_stationary_pmf,
     enumerate_partitions,
+    nbin_time_param,
+    neg_bin_pmf,
+    run_ensemble,
+    tv_distance,
 )
 from allelic_bdi import __version__
 from allelic_bdi.cli import main
@@ -207,6 +211,23 @@ class TestSimulate:
         report = json.loads(out)
         assert "groups" not in report["moments"]
         assert set(report["tv"]) == {"size_vs_neg_binomial"}
+
+    @pytest.mark.parametrize("engine", ["bdi", "branching"])
+    def test_summary_size_tv_uses_the_per_n_reference(self, capsys, engine):
+        # the summary builds NB(theta, b) in one pass; its TV must be the one
+        # against neg_bin_pmf evaluated n by n
+        params, t = ModelParams(0.5, 1.5, 0.4), 3.0
+        code, out, _ = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--theta", "1.5", "--mu", "0.4",
+            "--t", "3", "--replicates", "200", "--seed", "9", "--engine", engine,
+            "--workers", "1",
+        )
+        assert code == 0
+        dist = run_ensemble(params, t, 200, 9, engine, workers=1)
+        sizes = (dist if engine == "bdi" else dist.size_marginal()).probabilities()
+        b = nbin_time_param(params.mu, t)
+        reference = {n: neg_bin_pmf(n, params.theta, b) for n in range(max(sizes) + 1)}
+        assert json.loads(out)["tv"]["size_vs_neg_binomial"] == tv_distance(sizes, reference)
 
     def test_outputs_are_reproducible(self, capsys, tmp_path):
         files = {}

@@ -3,6 +3,8 @@ Gillespie simulation, the size process, and the individual-level construction.""
 
 import io
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from allelic_bdi import (
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
-from allelic_bdi.ctmc import _DRAW_BLOCK, _multiplicity_kernel
+from allelic_bdi.ctmc import _DRAW_BLOCK, _branching_kernel, _multiplicity_kernel
 from conftest import AbsorbingClock, group_sizes, model_params
 
 
@@ -830,29 +832,181 @@ def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
         assert path.final_state() == path.state_at(t_end)
 
 
-def test_family_slots_locate_matches_population_locate():
-    # empty slots stand for families that died out; they must be skipped
-    # exactly as if they had been removed from the list
-    from allelic_bdi.ctmc import _FamilySlots
+# ---------------------------------------------------------------------------
+# the branching kernel against the list-of-birth-times construction
+# ---------------------------------------------------------------------------
 
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        sizes = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(1, 40)))]
-        if not any(sizes):
+
+def _blocks(draw):
+    """Next float of draw(_DRAW_BLOCK), draw(_DRAW_BLOCK), ... in order."""
+    while True:
+        yield from draw(_DRAW_BLOCK).tolist()
+
+
+def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
+    """The individual-level construction over lists of birth times.
+
+    Every family is the list of its members' birth times, oldest first, in
+    founding order (the groups of ``start`` in entry order first), and a
+    family that dies out stays as an empty list.  The parent or victim is
+    found by the ``locate`` walk; with theta <= 0 the overall oldest member
+    reproduces at rate 1 + theta and the parent walk sums the rates member
+    by member.  Passes each (time, event) pair to ``record`` unless it is
+    None and returns the final entries and the number of walks that passed
+    an empty family; at the event cap it raises the RunawayError the
+    kernel should raise.
+    """
+    families = families_from_sizes(i for i, c in start for _ in range(c))
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    holds, selectors = _blocks(rng.standard_exponential), _blocks(rng.random)
+    s, t, n, skips = start.size, 0.0, 0, 0
+    record = record or (lambda pair: None)
+
+    def walk(idx):
+        nonlocal skips
+        fi, pos = locate(families, idx)
+        skips += any(not fam for fam in families[:fi])
+        return fi, pos
+
+    while True:
+        immigration = theta if theta > 0.0 else 0.0
+        birth_total = float(s) if theta > 0.0 else (s + theta if s else 0.0)
+        total = immigration + birth_total + mu * s
+        if total <= 0.0:
+            break
+        t_next = t + next(holds) / total
+        if t_next > t_end:
+            break
+        t = t_next
+        if n >= max_events:
+            groups = sum(1 for fam in families if fam)
+            raise RunawayError("cap", n, t, s, groups)
+        n += 1
+        u = next(selectors) * total
+        if u < immigration:
+            families.append([t])
+            s += 1
+            record((t, TransitionEvent.new_family()))
             continue
-        slots = _FamilySlots(sizes)
-        live = [fi for fi, n in enumerate(sizes) if n]
-        families = families_from_sizes(sizes[fi] for fi in live)
-        for idx in range(sum(sizes)):
-            fi, pos = locate(families, idx)
-            assert slots.locate(idx) == (live[fi], pos)
-        slot = int(rng.choice(live))
-        slots.add(slot, -1)
-        sizes[slot] -= 1
-        slots.append(2)
-        sizes.append(2)
-        flat = [(fi, pos) for fi, n in enumerate(sizes) for pos in range(n)]
-        assert [slots.locate(idx) for idx in range(len(flat))] == flat
+        if u < immigration + birth_total:
+            v = u - immigration
+            if theta > 0.0:
+                fi, pos = walk(min(s - 1, int(v)))
+                p_new = alpha if pos == 0 else 0.0
+            else:
+                live = [fi for fi, fam in enumerate(families) if fam]
+                oldest = min(live, key=lambda fi: families[fi][0])
+                acc, fi, pos = 0.0, None, None
+                for fi, pos in ((fi, pos) for fi in live for pos in range(len(families[fi]))):
+                    acc += 1.0 + theta if (fi, pos) == (oldest, 0) else 1.0
+                    if v < acc:
+                        break
+                p_new = 0.0 if pos else (alpha if fi != oldest else (alpha + theta) / (1.0 + theta))
+            s += 1
+            if p_new > 0.0 and next(selectors) < p_new:
+                families.append([t])
+                record((t, TransitionEvent.new_family()))
+            else:
+                record((t, TransitionEvent.growth(len(families[fi]))))
+                families[fi].append(t)
+        else:
+            fi, pos = walk(min(s - 1, int((u - immigration - birth_total) / mu)))
+            record((t, TransitionEvent.death(len(families[fi]))))
+            del families[fi][pos]
+            s -= 1
+    return tuple(sorted(Counter(len(fam) for fam in families if fam).items())), skips
+
+
+def _both_runs(params, t_end, seed, sizes=(), max_events=10**7):
+    """((events, final entries) of the kernel, the same of the oracle, walks past
+    an empty family) from ``default_rng(seed)``."""
+    start = AllelicPartition.from_group_sizes(sizes) if sizes else AllelicPartition.empty()
+    got, want = [], []
+    got_final = _branching_kernel(
+        params, t_end, np.random.default_rng(seed), start, max_events, got.append
+    )
+    want_final, skips = list_branching_kernel(
+        params, t_end, np.random.default_rng(seed), start, want.append, max_events
+    )
+    return (got, got_final), (want, want_final), skips
+
+
+# theta > 0 with mu = 0 (founders) and mu > 0 (extinct families, founder
+# deaths), a start of 11 families that fills part of a 16-slot tree, and the
+# theta <= 0 populated starts of FINAL_STATE_CASES
+ORACLE_CASES = [
+    (ModelParams(0.7, 3.0, 0.0), 3.5, ()),
+    (ModelParams(0.9, 0.5, 0.0), 2.5, (1, 4, 2, 1)),
+    (ModelParams(0.5, 2.0, 0.9), 6.0, ()),
+    (ModelParams(0.6, 0.5, 1.1), 5.0, (1,) * 9 + (4, 3)),
+    (ModelParams(0.0, 1.0, 2.0), 5.0, ()),
+] + [(p, t, sizes) for p, t, sizes in FINAL_STATE_CASES if p.theta <= 0.0]
+
+
+@pytest.mark.parametrize("params,t_end,sizes", ORACLE_CASES)
+def test_branching_kernel_matches_list_oracle(params, t_end, sizes):
+    for seed in range(40):
+        got, want, _ = _both_runs(params, t_end, [seed, 31], sizes)
+        assert got == want
+
+
+def test_branching_kernel_matches_list_oracle_over_wide_seeds():
+    # 64-bit master seeds far apart, at a point with founders, deaths and
+    # extinct families; the kernel's descent must skip every empty family
+    # exactly as the walk does, so count the walks that passed one
+    params, skips = ModelParams(0.5, 3.0, 0.95), 0
+    for seed in np.random.default_rng(2024).integers(0, 2**63, size=150).tolist():
+        got, want, passed = _both_runs(params, 6.0, [seed, 3])
+        assert got == want
+        skips += passed
+    assert skips > 100
+
+
+@pytest.mark.parametrize(
+    "params,sizes",
+    [(ModelParams(0.5, 2.0, 0.9), ()), (ModelParams(0.5, -0.25, 0.5), (2, 3, 1, 2))],
+)
+def test_branching_runaway_reports_the_oracle_state(params, sizes):
+    # the group count is taken from the integer sizes, extinct families excluded
+    start = AllelicPartition.from_group_sizes(sizes) if sizes else AllelicPartition.empty()
+    extinct = 0
+    for seed in range(10):
+        cap, events = 40 + 7 * seed, []
+        with pytest.raises(RunawayError) as want:
+            list_branching_kernel(
+                params, 1e3, np.random.default_rng([seed, 8]), start, events.append, cap
+            )
+        with pytest.raises(RunawayError) as got:
+            _branching_kernel(params, 1e3, np.random.default_rng([seed, 8]), start, cap, None)
+        got, want = got.value, want.value
+        assert (got.events, got.time, got.size, got.groups) == (
+            want.events, want.time, want.size, want.groups
+        )
+        founded = start.num_groups + sum(ev.kind is EventKind.NEW_FAMILY for _, ev in events)
+        extinct += founded > want.groups
+    assert extinct
+
+
+def test_branching_kernel_holds_no_float_per_individual():
+    # pure birth from 4e4 individuals in 40 families to about 5e4: the list
+    # construction keeps one birth time per individual, the kernel one
+    # integer per family
+    params, t_end = ModelParams(0.5, 5.0, 0.0), 0.22
+    start = AllelicPartition.from_group_sizes([1000] * 40)
+    runs = (
+        lambda rng: list_branching_kernel(params, t_end, rng, start, None)[0],
+        lambda rng: _branching_kernel(params, t_end, rng, start, 10**7, None),
+    )
+    peaks = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            final = run(np.random.default_rng([6, 0]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sum(i * c for i, c in final) > 4.8 * 10**4
+    assert peaks[1] * 10 < peaks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from allelic_bdi.formulae import (
     _AscendingPrefix,
     _ascending_prefix,
     _log_alpha_weights,
+    _neg_bin_pmfs,
 )
 from conftest import PSF_GRID, esf_fraction, psf_fraction
 
@@ -402,6 +403,31 @@ def test_neg_bin_pmf_frozen_and_moments():
         neg_bin_pmf(1, 1.0, 1.0)
     with pytest.raises(DomainError):
         neg_bin_pmf(-1, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "n_hi,theta,b",
+    [
+        (700, 3.25, 0.995),  # past the 512-entry head of the prefix table
+        (900, 0.3125, 0.9),  # theta < 0.5: the leading factor is folded
+        (40, 0.0625, 0.35),
+        (13804, 10.0, 1.0 - math.exp(-6.5)),  # the size range of a summary at t = 6.5
+        (0, 2.0, 0.5),
+        (5, 2.0, 0.0),  # t = 0
+    ],
+)
+def test_neg_bin_pmfs_bit_identical_to_neg_bin_pmf(n_hi, theta, b):
+    _ascending_prefix.cache_clear()  # the one-pass table is built first, from scratch
+    got = _neg_bin_pmfs(n_hi, theta, b)
+    want = [neg_bin_pmf(n, theta, b) for n in range(n_hi + 1)]
+    assert got == want
+    assert [math.copysign(1.0, p) for p in got] == [math.copysign(1.0, p) for p in want]
+
+
+def test_neg_bin_pmfs_domain():
+    for args in ((3, 0.0, 0.5), (3, 1.0, 1.0), (-1, 1.0, 0.5), (3, math.nan, 0.5)):
+        with pytest.raises(DomainError):
+            _neg_bin_pmfs(*args)
 
 
 def test_poisson_pmf():
