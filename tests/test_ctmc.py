@@ -999,9 +999,10 @@ def test_branching_kernel_holds_no_float_per_individual():
     )
     peaks = []
     for run in runs:
+        rng = np.random.default_rng([6, 0])  # built untraced: numpy imports lazily
         tracemalloc.start()
         try:
-            final = run(np.random.default_rng([6, 0]))
+            final = run(rng)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

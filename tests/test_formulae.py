@@ -417,7 +417,7 @@ def test_neg_bin_pmf_frozen_and_moments():
     ],
 )
 def test_neg_bin_pmfs_bit_identical_to_neg_bin_pmf(n_hi, theta, b):
-    _ascending_prefix.cache_clear()  # the one-pass table is built first, from scratch
+    _ascending_prefix.cache_clear()  # so the one-pass call builds the table itself
     got = _neg_bin_pmfs(n_hi, theta, b)
     want = [neg_bin_pmf(n, theta, b) for n in range(n_hi + 1)]
     assert got == want
