@@ -34,7 +34,7 @@ from .montecarlo import (
     write_histogram_csv,
     write_trajectory_csv,
 )
-from .partitions import AllelicPartition, enumerate_partitions
+from .partitions import MAX_ENUMERATION_SIZE, AllelicPartition, enumerate_partitions
 from .stationary import (
     PARTITION_BALANCE_MAX_SIZE,
     alpha0_marginal,
@@ -83,6 +83,9 @@ def cmd_exact(args) -> int:
         return 0
     if args.table and kind in ("pi", "lambda"):
         _need(args.max_size >= 0, "--max-size must be >= 0")
+        if kind == "pi":  # refused before any evaluation, not at the first size past the cap
+            cap = MAX_ENUMERATION_SIZE
+            _need(args.max_size <= cap, f"--max-size must be <= {cap}, got {args.max_size}")
 
     if kind == "lambda":
         _need(args.theta is not None, "lambda requires --theta")
@@ -277,10 +280,6 @@ def cmd_verify(args) -> int:
                 pmf = lambda n, th=theta, m=mu: size_stationary_pmf(n, th, m) * (
                     1.01 if n == 3 else 1.0
                 )
-            elif theta <= 0.0:
-                # the log-space scan needs theta > 0; the signed values
-                # satisfy the same identity in plain floats
-                pmf = lambda n, th=theta, m=mu: size_stationary_pmf(n, th, m)
             scan = size_balance_scan(theta, mu, args.size_max, pmf)
             size_points.append(
                 {

@@ -51,12 +51,13 @@ level instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -74,26 +75,6 @@ RNG_STREAM = 2
 #: Holding times and selectors are drawn this many at a time, each kind in
 #: its own block, and consumed in order.
 _DRAW_BLOCK = 32
-
-
-def rates(m: AllelicPartition, params: ModelParams) -> list[tuple[TransitionEvent, float]]:
-    """Positive-rate transition table from state ``m``.
-
-    The order is new family, growth by increasing group size, death by
-    increasing group size.  The new-family rate theta + alpha * k is listed
-    only when positive (at the empty state a nonpositive value means the
-    chain is frozen).  The rates sum to theta + (1 + mu) * s(m) whenever the
-    new-family rate is positive; with mu = 0 no death events appear.
-    """
-    alpha, mu = params.alpha, params.mu
-    out = []
-    new_family = params.theta + alpha * m.num_groups
-    if new_family > 0.0:
-        out.append((_NEW_FAMILY, new_family))
-    out.extend((_GROWTH[i], (i - alpha) * c) for i, c in m)
-    if mu > 0.0:
-        out.extend((_DEATH[i], mu * i * c) for i, c in m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,35 +98,18 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.events)
 
-    def state_at(self, t: float) -> AllelicPartition:
-        if not 0.0 <= t <= self.horizon:
-            raise DomainError(f"query time {t} outside [0, {self.horizon}]")
-        state = self.initial
-        for tau, ev in self.events:
-            if tau > t:
-                break
-            state = state.apply_event(ev)
-        return state
-
     def final_state(self) -> AllelicPartition:
         """The state at the horizon.
 
         O(1) on paths returned by :func:`simulate` and
         :func:`simulate_branching`, which record the state they ended in;
-        paths built by hand replay their events, O(events * distinct sizes).
+        paths built by hand replay their events from ``initial`` with
+        :meth:`AllelicPartition.apply_event`, O(events * distinct sizes).
         Both give the same partition for the same events.
         """
         if self._final is not None:
             return self._final
-        return self.state_at(self.horizon)
-
-    def iter_states(self) -> Iterator[tuple[float, AllelicPartition]]:
-        """(time, state) pairs starting with (0, initial)."""
-        state = self.initial
-        yield 0.0, state
-        for t, ev in self.events:
-            state = state.apply_event(ev)
-            yield t, state
+        return reduce(AllelicPartition.apply_event, map(itemgetter(1), self.events), self.initial)
 
 
 @dataclass(frozen=True)
@@ -161,16 +125,6 @@ class SizeTrajectory:
         if len(self.times) != len(self.values):
             raise DomainError("times and values must have equal length")
         _check_jump_times(self.times, self.horizon)
-
-    def value_at(self, t: float) -> int:
-        if not 0.0 <= t <= self.horizon:
-            raise DomainError(f"query time {t} outside [0, {self.horizon}]")
-        idx = bisect_right(self.times, t)
-        return self.initial if idx == 0 else self.values[idx - 1]
-
-    @property
-    def final_value(self) -> int:
-        return self.values[-1] if self.values else self.initial
 
 
 def _check_horizon(t_end: float) -> None:

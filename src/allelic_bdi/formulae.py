@@ -79,10 +79,6 @@ class SignedLogValue:
         return cls(0, float("-inf"))
 
     @classmethod
-    def one(cls) -> "SignedLogValue":
-        return cls(1, 0.0)
-
-    @classmethod
     def from_float(cls, value: float) -> "SignedLogValue":
         if value == 0.0:
             return cls.zero()
@@ -92,11 +88,6 @@ class SignedLogValue:
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign, self.log_magnitude + other.log_magnitude)
 
 
 def log_factorial(n: int) -> float:
@@ -192,6 +183,18 @@ class _AscendingPrefix:
                 return out + [float("-inf")] * (n + 1 - len(out))
             out.extend(map(self._past_head, range(len(out) - self._folded, n - self._folded + 1)))
         return out
+
+    def running(self, n: int) -> tuple[list[int], list[float]]:
+        """Signs and log magnitudes of entries 0..n, the running sum kept on past the head.
+
+        Past the head entry j + 1 is entry j plus log(x + j), unstored, where ``at``
+        reads the lgamma tail, off by up to ~4e-12 between consecutive entries.
+        """
+        self._extend(n)
+        signs, logs = self._signs[: n + 1], self._logs[: n + 1]
+        for j in range(len(logs) - 1, n):  # every factor past the head is positive
+            logs.append(logs[-1] + math.log(self._x + j))
+        return signs + [signs[-1]] * (n + 1 - len(signs)), logs
 
 
 @lru_cache(maxsize=64)

@@ -110,13 +110,6 @@ class AllelicPartition:
         return cls()
 
     @classmethod
-    def from_group_sizes(cls, sizes: Iterable[int]) -> "AllelicPartition":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        return cls(counts.items())
-
-    @classmethod
     def decode(cls, text: str) -> "AllelicPartition":
         """Parse the canonical text form ("1^3 2^1", or "0" for empty).
 

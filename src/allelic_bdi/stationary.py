@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import BoundExceededError, DomainError
 from .formulae import (
     ModelParams,
     SignedLogValue,
+    _ascending_prefix,
     _log_alpha_weights,
     _require_finite,
     log_alpha_weight,
@@ -91,22 +90,6 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     return asc.sign * math.exp(
         asc.log_magnitude - log_factorial(n) - n * math.log(mu) + theta * math.log1p(-1.0 / mu)
     )
-
-
-def size_stationary_log_range(theta: float, mu: float, n_max: int) -> np.ndarray:
-    """log lambda(n) for n = 0..n_max as one array (theta > 0 only)."""
-    _require_finite(theta=theta, mu=mu)
-    if not mu > 1.0:
-        raise DomainError("reversible regime requires mu > 1")
-    if theta <= 0.0:
-        raise DomainError("the log table requires theta > 0")
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    steps = np.arange(n_max, dtype=float)
-    log_asc = np.concatenate(([0.0], np.cumsum(np.log(theta + steps))))
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(steps + 1.0))))
-    n = np.arange(n_max + 1)
-    return log_asc - log_fact - n * math.log(mu) + theta * math.log1p(-1.0 / mu)
 
 
 def _log_pi_evaluator(params: ModelParams) -> Callable[[AllelicPartition], SignedLogValue]:
@@ -196,36 +179,45 @@ def size_balance_scan(
 ) -> BalanceScan:
     """Check lambda(n) * (theta + n) = lambda(n+1) * mu * (n+1) for n < n_max.
 
-    Residuals are relative.  With the default pmf the comparison runs in log
-    space; a replacement pmf (e.g. a deliberately perturbed table) is checked
-    in plain floats.
+    Residuals are relative.  By default log lambda(n) is the expression of
+    ``size_stationary_pmf`` on the signs and log theta_(n) of the prefix
+    table's ``running``, theta in (-alpha, 0] included, and the residual is
+    |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
+    infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
+    deliberately perturbed table) is checked in plain floats.  The first worst
+    pair is reported, a nan counting as worst, as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    if not mu > 1.0:
+        raise DomainError("reversible regime requires mu > 1")
     if pmf is None:
-        if theta <= 0.0:
-            raise DomainError("the balance scan requires theta > 0")
-        log_lam = size_stationary_log_range(theta, mu, n_max)
-        n = np.arange(n_max, dtype=float)
-        delta = log_lam[:-1] + np.log(theta + n) - log_lam[1:] - np.log(mu * (n + 1.0))
-        residuals = np.abs(np.expm1(delta))
-    else:
-        if not mu > 1.0:
-            raise DomainError("reversible regime requires mu > 1")
-        residuals = np.empty(n_max)
-        for i in range(n_max):
-            lhs = pmf(i) * (theta + i)
-            rhs = pmf(i + 1) * mu * (i + 1)
+        signs, log_asc = _ascending_prefix(theta).running(n_max)
+        log_mu, tail = math.log(mu), theta * math.log1p(-1.0 / mu)
+        log_lam = [log_asc[n] - log_factorial(n) - n * log_mu + tail for n in range(n_max + 1)]
+    worst, worst_n = -1.0, 0
+    for n in range(n_max):
+        rate = theta + n
+        if pmf is not None:
+            lhs, rhs = pmf(n) * rate, pmf(n + 1) * mu * (n + 1)
             if lhs == 0.0:
-                residuals[i] = 0.0 if rhs == 0.0 else math.inf
+                residual = 0.0 if rhs == 0.0 else math.inf
             else:
-                residuals[i] = abs(lhs - rhs) / abs(lhs)
-    worst = int(np.argmax(residuals))
+                residual = abs(lhs - rhs) / abs(lhs)
+        elif signs[n] * ((rate > 0.0) - (rate < 0.0)) != signs[n + 1]:
+            residual = math.inf
+        elif signs[n + 1] == 0:
+            residual = 0.0
+        else:
+            delta = (log_lam[n] + math.log(abs(rate))) - log_lam[n + 1]
+            residual = abs(math.expm1(delta - math.log(mu * (n + 1.0))))
+        if residual > worst or (math.isnan(residual) and not math.isnan(worst)):
+            worst, worst_n = residual, n
     return BalanceScan(
-        max_residual=float(residuals[worst]),
-        worst_state=str(worst),
-        worst_transition=f"{worst}->{worst + 1}",
+        max_residual=worst,
+        worst_state=str(worst_n),
+        worst_transition=f"{worst_n}->{worst_n + 1}",
         pairs_checked=n_max,
     )
 

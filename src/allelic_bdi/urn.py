@@ -27,7 +27,7 @@ def _check_urn_params(params: ModelParams) -> None:
         raise DomainError("the urn with alpha = 0 requires theta > 0")
 
 
-def urn_step_distribution(
+def _urn_step_distribution(
     m: AllelicPartition, params: ModelParams
 ) -> list[tuple[TransitionEvent, float]]:
     """Distribution of the next urn move from ``m``.
@@ -54,7 +54,7 @@ def sample_psf(n: int, params: ModelParams, rng: np.random.Generator) -> Allelic
     _check_urn_params(params)
     m = AllelicPartition.empty()
     for _ in range(n):
-        choices = urn_step_distribution(m, params)
+        choices = _urn_step_distribution(m, params)
         u = rng.random()
         acc = 0.0
         event = choices[-1][0]  # guard against u landing on accumulated round-off

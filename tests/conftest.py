@@ -9,15 +9,16 @@ log-space implementations is meaningful evidence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from allelic_bdi import AllelicPartition, ModelParams
-from allelic_bdi.urn import urn_step_distribution
+from allelic_bdi.urn import _urn_step_distribution
 
 # property tests draw the same examples on every run and keep no example
 # database on disk; timing limits are left to the suite, not to hypothesis
@@ -43,6 +44,20 @@ def group_sizes(draw, max_size: int = 30) -> list[int]:
         sizes.append(draw(st.integers(1, remaining)))
         remaining -= sizes[-1]
     return sizes
+
+
+def partition_of(sizes: Iterable[int]) -> AllelicPartition:
+    """The partition with one group of each size listed (repeats allowed)."""
+    return AllelicPartition(Counter(sizes).items())
+
+
+def states_after_events(path) -> list[AllelicPartition]:
+    """The state after each event of a trajectory, replayed from its initial state."""
+    states, state = [], path.initial
+    for _, event in path.events:
+        state = state.apply_event(event)
+        states.append(state)
+    return states
 
 
 @st.composite
@@ -108,7 +123,7 @@ def urn_marginal(n: int, params: ModelParams) -> dict[AllelicPartition, float]:
     for _ in range(n):
         successor: dict[AllelicPartition, float] = {}
         for m, prob in dist.items():
-            for event, p in urn_step_distribution(m, params):
+            for event, p in _urn_step_distribution(m, params):
                 child = m.apply_event(event)
                 successor[child] = successor.get(child, 0.0) + prob * p
         dist = successor

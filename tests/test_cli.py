@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from allelic_bdi import (
+    MAX_ENUMERATION_SIZE,
     AllelicPartition,
     ModelParams,
     default_checkpoints,
@@ -19,7 +20,7 @@ from allelic_bdi import (
     run_ensemble,
     tv_distance,
 )
-from allelic_bdi import __version__
+from allelic_bdi import __version__, cli
 from allelic_bdi.cli import main
 
 
@@ -119,6 +120,23 @@ class TestExact:
         assert code == 0
         assert out == ""
         assert "1^1 2^1,0.5" in target.read_text()
+
+    def test_oversized_pi_table_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
+        # it used to evaluate every partition up to s = 40 (about 10 s) and
+        # then name the size it failed at, not the flag
+        def no_evaluation(*args):
+            raise AssertionError("pi evaluated before --max-size was checked")
+
+        monkeypatch.setattr(cli, "partition_stationary_pmf", no_evaluation)
+        monkeypatch.setattr(cli, "enumerate_partitions", no_evaluation)
+        target = tmp_path / "pi.csv"
+        code, out, err = run_cli(
+            capsys, "exact", "pi", "--alpha", "0.5", "--theta", "1", "--mu", "2",
+            "--table", "--max-size", str(MAX_ENUMERATION_SIZE + 1), "--out", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --max-size")
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -385,6 +403,17 @@ class TestVerify:
         # the signed-measure corner theta = -alpha/2 is part of the grid
         thetas = {p["theta"] for p in by_name["partition_detailed_balance"]["points"]}
         assert any(t < 0.0 for t in thetas)
+
+    @pytest.mark.parametrize(
+        "point", [(), ("--alpha", "0.5", "--theta", "-0.25", "--mu", "2")], ids=["grid", "signed"]
+    )
+    def test_size_scan_holds_past_the_prefix_head(self, capsys, point):
+        # n > 512 is past the stored head of the ascending-factorial table
+        code, out, _ = run_cli(capsys, "verify", *point, "--max-size", "4", "--size-max", "600")
+        assert code == 0
+        size = json.loads(out)["suites"][0]
+        assert size["name"] == "size_detailed_balance" and size["pass"] is True
+        assert all(p["n_max"] == 600 for p in size["points"])
 
     def test_injected_fault_is_caught(self, capsys, tmp_path):
         target = tmp_path / "report.json"

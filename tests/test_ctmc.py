@@ -24,7 +24,6 @@ from allelic_bdi import (
     TransitionEvent,
     alpha0_marginal,
     enumerate_partitions,
-    rates,
     simulate,
     simulate_bdi,
     simulate_branching,
@@ -33,67 +32,17 @@ from allelic_bdi import (
 )
 from allelic_bdi import __version__
 from allelic_bdi.ctmc import _DRAW_BLOCK, _branching_kernel, _multiplicity_kernel
-from conftest import AbsorbingClock, group_sizes, model_params
+from conftest import (
+    AbsorbingClock,
+    group_sizes,
+    model_params,
+    partition_of,
+    states_after_events,
+)
 
 
 def decode(text):
     return AllelicPartition.decode(text)
-
-
-# ---------------------------------------------------------------------------
-# rate tables
-# ---------------------------------------------------------------------------
-
-
-class TestRates:
-    def test_frozen_table(self):
-        # state 1^2 2^1: s = 4, k = 3
-        table = rates(decode("1^2 2^1"), ModelParams(0.5, 1.0, 2.0))
-        assert table == [
-            (TransitionEvent.new_family(), 2.5),  # theta + alpha * k = 1 + 1.5
-            (TransitionEvent.growth(1), 1.0),  # (1 - alpha) * 2
-            (TransitionEvent.growth(2), 1.5),  # (2 - alpha) * 1
-            (TransitionEvent.death(1), 4.0),  # mu * 1 * 2
-            (TransitionEvent.death(2), 4.0),  # mu * 2 * 1
-        ]
-        assert math.isclose(sum(w for _, w in table), 13.0, rel_tol=1e-15)
-
-    def test_no_death_events_when_mu_zero(self):
-        table = rates(decode("1^2 2^1"), ModelParams(0.5, 1.0, 0.0))
-        kinds = {ev.kind for ev, _ in table}
-        assert EventKind.DEATH not in kinds
-        assert math.isclose(sum(w for _, w in table), 5.0, rel_tol=1e-15)
-
-    def test_empty_state_positive_theta(self):
-        table = rates(AllelicPartition.empty(), ModelParams(0.3, 1.5, 2.0))
-        assert table == [(TransitionEvent.new_family(), 1.5)]
-
-    def test_empty_state_frozen_when_theta_nonpositive(self):
-        assert rates(AllelicPartition.empty(), ModelParams(0.5, -0.25, 2.0)) == []
-        assert rates(AllelicPartition.empty(), ModelParams(0.5, 0.0, 2.0)) == []
-
-    @pytest.mark.parametrize("alpha,theta,mu", [(0.0, 1.0, 2.0), (0.5, 0.5, 1.2), (0.9, -0.45, 5.0), (0.5, 2.0, 0.0)])
-    def test_total_rate_identity(self, alpha, theta, mu):
-        params = ModelParams(alpha, theta, mu)
-        for m in enumerate_partitions(6):
-            total = sum(w for _, w in rates(m, params))
-            expected = theta + (1.0 + mu) * m.size
-            assert math.isclose(total, expected, rel_tol=1e-12)
-            assert all(w > 0.0 for _, w in rates(m, params))
-
-    @given(group_sizes(), model_params())
-    def test_total_rate_identity_property(self, sizes, params):
-        m = AllelicPartition.from_group_sizes(sizes)
-        assume(params.theta + params.alpha * m.num_groups > 0.0)
-        total = sum(w for _, w in rates(m, params))
-        expected = params.theta + (1.0 + params.mu) * m.size
-        assert math.isclose(total, expected, rel_tol=1e-12)
-
-    def test_events_are_applicable(self):
-        params = ModelParams(0.5, 1.0, 2.0)
-        for m in enumerate_partitions(5):
-            for ev, _ in rates(m, params):
-                m.apply_event(ev)  # must not raise
 
 
 # ---------------------------------------------------------------------------
@@ -111,35 +60,15 @@ def _manual_trajectory():
 
 
 class TestTrajectory:
-    def test_replay_and_queries(self):
+    def test_replay(self):
+        # a path built by hand has no recorded final state: it is replayed
         traj = _manual_trajectory()
         assert len(traj) == 3
-        assert traj.state_at(0.0) == AllelicPartition.empty()
-        assert traj.state_at(0.5) == AllelicPartition.empty()
-        assert traj.state_at(1.0) == decode("1^1")  # inclusive of the jump
-        assert traj.state_at(2.5) == decode("1^2")
-        assert traj.state_at(3.0) == decode("1^1 2^1")
-        assert traj.state_at(4.0) == decode("1^1 2^1")
         assert traj.final_state() == decode("1^1 2^1")
-
-    def test_iter_states(self):
-        traj = _manual_trajectory()
-        seq = list(traj.iter_states())
-        assert len(seq) == 4
-        assert seq[0] == (0.0, AllelicPartition.empty())
-        assert seq[-1] == (3.0, decode("1^1 2^1"))
-
-    def test_query_outside_horizon_rejected(self):
-        traj = _manual_trajectory()
-        with pytest.raises(DomainError):
-            traj.state_at(4.5)
-        with pytest.raises(DomainError):
-            traj.state_at(-0.1)
 
     def test_eventless(self):
         traj = Trajectory(decode("2^1"), (), 3.0)
         assert traj.final_state() == decode("2^1")
-        assert traj.state_at(3.0) == decode("2^1")
         assert len(traj) == 0
 
     def test_validation(self):
@@ -156,23 +85,6 @@ class TestTrajectory:
 
 
 class TestSizeTrajectory:
-    def test_value_queries(self):
-        st = SizeTrajectory((1.0, 2.0), (1, 2), 3.0)
-        assert st.value_at(0.0) == 0
-        assert st.value_at(0.5) == 0
-        assert st.value_at(1.0) == 1  # inclusive of the jump
-        assert st.value_at(1.5) == 1
-        assert st.value_at(3.0) == 2
-        assert st.final_value == 2
-
-    def test_initial_offset(self):
-        st = SizeTrajectory((1.0,), (4,), 2.0, initial=5)
-        assert st.value_at(0.5) == 5
-        assert st.final_value == 4
-        empty = SizeTrajectory((), (), 2.0, initial=3)
-        assert empty.final_value == 3
-        assert empty.value_at(1.0) == 3
-
     def test_validation(self):
         with pytest.raises(DomainError):
             SizeTrajectory((1.0,), (1, 2), 2.0)
@@ -216,8 +128,8 @@ def test_event_cap_names_the_state_it_stopped_in(engine, params):
     path = engine(params, math.nextafter(exc.value.time, 0.0), np.random.default_rng(9))
     if engine is simulate_bdi:
         assert len(path.times) == 50
-        assert (exc.value.size, exc.value.groups) == (path.final_value, None)
-        assert str(exc.value).endswith(f"with population size {path.final_value}")
+        assert (exc.value.size, exc.value.groups) == (path.values[-1], None)
+        assert str(exc.value).endswith(f"with population size {path.values[-1]}")
     else:
         assert len(path) == 50
         state = path.final_state()
@@ -252,18 +164,12 @@ def _replay_is_consistent(traj):
     """Replay the event list and confirm sizes track the event deltas."""
     prev_size = traj.initial.size
     last_time = 0.0
-    for (t, ev), (t2, state) in zip(traj.events, _states_after(traj)):
-        assert t == t2
+    states = states_after_events(traj)
+    for (t, ev), state in zip(traj.events, states):
         assert t > last_time
         assert state.size == prev_size + ev.size_delta
         prev_size, last_time = state.size, t
-    assert traj.final_state().size == prev_size
-
-
-def _states_after(traj):
-    it = traj.iter_states()
-    next(it)
-    return it
+    assert traj.final_state() == (states[-1] if states else traj.initial)
 
 
 class TestSimulate:
@@ -305,7 +211,7 @@ class TestSimulate:
         assert len(traj) > 0
         _replay_is_consistent(traj)
         seen_empty = False
-        for _, state in traj.iter_states():
+        for state in [traj.initial, *states_after_events(traj)]:
             assert not seen_empty, "no events may follow the empty state"
             seen_empty = state.size == 0
         assert traj.final_state().size == 0  # at mu = 2 extinction is certain well before t = 50
@@ -314,7 +220,6 @@ class TestSimulate:
         start = decode("1^1 3^1")
         traj = simulate(ModelParams(0.0, 1.0, 1.0), 2.0, np.random.default_rng(5), initial=start)
         assert traj.initial == start
-        assert traj.state_at(0.0) == start
 
     def test_event_cap(self):
         with pytest.raises(RunawayError) as exc:
@@ -362,7 +267,7 @@ class TestSimulateBdi:
         # before t = 100, and the empty state is then frozen
         st = simulate_bdi(ModelParams(0.5, 0.0, 2.0), 100.0, np.random.default_rng(2), initial=5)
         assert st.initial == 5
-        assert st.final_value == 0
+        assert st.values[-1] == 0
         assert len(st.times) >= 5
         assert 0 not in st.values[:-1]
         with pytest.raises(DomainError):
@@ -370,8 +275,8 @@ class TestSimulateBdi:
 
     def test_frozen_when_theta_nonpositive(self):
         st = simulate_bdi(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
-        assert st.times == ()
-        assert st.final_value == 0
+        assert st.times == st.values == ()
+        assert st.initial == 0
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(DomainError):
@@ -429,7 +334,7 @@ def event_rates(families, params):
     founding a new family with probability alpha.  With theta <= 0 there is
     no immigration; the overall oldest member produces joiners at rate
     1 - alpha and founders at rate alpha + theta instead.  Summed over
-    individuals, not read from :func:`rates`, so the two can be compared.
+    individuals, so it can be compared with the paper's rates (``paper_rates``).
     """
     theta, alpha, mu = params.theta, params.alpha, params.mu
     new_family = theta if theta > 0.0 else 0.0
@@ -451,6 +356,20 @@ def event_rates(families, params):
     out.extend((TransitionEvent.growth(i), w) for i, w in sorted(growth.items()) if w > 0.0)
     out.extend((TransitionEvent.death(i), w) for i, w in sorted(death.items()) if w > 0.0)
     return out
+
+
+def paper_rates(m, params):
+    """The paper's rates from m, written out: a new family at theta + alpha * k
+    (listed only when positive, since a nonpositive value freezes the empty
+    state), growth of a size-i group at (i - alpha) * m_i and, when mu > 0, a
+    death in one at mu * i * m_i; each kind by increasing size."""
+    alpha, theta, mu = params.alpha, params.theta, params.mu
+    new_family = theta + alpha * m.num_groups
+    table = [(TransitionEvent.new_family(), new_family)] if new_family > 0.0 else []
+    table += [(TransitionEvent.growth(i), (i - alpha) * c) for i, c in m]
+    if mu > 0.0:
+        table += [(TransitionEvent.death(i), mu * i * c) for i, c in m]
+    return table
 
 
 class TestAgentPopulation:
@@ -484,7 +403,7 @@ class TestAgentPopulation:
         # the per-individual clock rates aggregate to the partition-level table
         for sizes in ([1], [2], [3, 1, 2], [1, 1, 1, 1], [5, 2, 2, 1]):
             agent_table = dict(event_rates(families_from_sizes(sizes), params))
-            chain_table = dict(rates(AllelicPartition.from_group_sizes(sizes), params))
+            chain_table = dict(paper_rates(partition_of(sizes), params))
             assert agent_table.keys() == chain_table.keys()
             for ev, w in chain_table.items():
                 assert agent_table[ev] == pytest.approx(w, rel=1e-9)
@@ -492,7 +411,7 @@ class TestAgentPopulation:
     @given(group_sizes(), model_params())
     def test_event_rates_match_multiplicity_table_property(self, sizes, params):
         agent_table = event_rates(families_from_sizes(sizes), params)
-        chain_table = rates(AllelicPartition.from_group_sizes(sizes), params)
+        chain_table = paper_rates(partition_of(sizes), params)
         assert [ev for ev, _ in agent_table] == [ev for ev, _ in chain_table]
         for (_, got), (_, want) in zip(agent_table, chain_table):
             assert math.isclose(got, want, rel_tol=1e-12)
@@ -635,6 +554,85 @@ def kernel_choice(m, params, u):
     return event
 
 
+def engine_rates(m, params, n):
+    """The engine's rate table from m: the total rate, read off the first
+    holding time, split in the shares of n evenly spaced selectors (cell
+    midpoints) that pick each event.  Empty when m is frozen."""
+    events = []
+    _multiplicity_kernel(params, 1.0, OneJump(0.5), m, 10, events.append)
+    if not events:
+        return {}
+    total = 1e-9 / events[0][0]
+    picks = Counter(kernel_choice(m, params, (j + 0.5) / n) for j in range(n))
+    return {event: total * c / n for event, c in picks.items()}
+
+
+class TestRates:
+    """The engine's first-jump rates against the paper's (``paper_rates``)."""
+
+    def test_frozen_table(self):
+        # state 1^2 2^1: s = 4, k = 3; every edge in the selector is a multiple of 1/26
+        table = engine_rates(decode("1^2 2^1"), ModelParams(0.5, 1.0, 2.0), 2600)
+        expected = {
+            TransitionEvent.new_family(): 2.5,  # theta + alpha * k = 1 + 1.5
+            TransitionEvent.growth(1): 1.0,  # (1 - alpha) * 2
+            TransitionEvent.growth(2): 1.5,  # (2 - alpha) * 1
+            TransitionEvent.death(1): 4.0,  # mu * 1 * 2
+            TransitionEvent.death(2): 4.0,  # mu * 2 * 1
+        }
+        assert table.keys() == expected.keys()
+        for event, rate in expected.items():
+            assert table[event] == pytest.approx(rate, rel=1e-12)
+        assert math.isclose(sum(table.values()), 13.0, rel_tol=1e-12)
+
+    def test_no_death_events_when_mu_zero(self):
+        table = engine_rates(decode("1^2 2^1"), ModelParams(0.5, 1.0, 0.0), 1000)
+        assert EventKind.DEATH not in {ev.kind for ev in table}
+        assert math.isclose(sum(table.values()), 5.0, rel_tol=1e-12)
+
+    def test_empty_state_positive_theta(self):
+        table = engine_rates(AllelicPartition.empty(), ModelParams(0.3, 1.5, 2.0), 10)
+        assert table.keys() == {TransitionEvent.new_family()}
+        assert table[TransitionEvent.new_family()] == pytest.approx(1.5, rel=1e-12)
+
+    def test_empty_state_frozen_when_theta_nonpositive(self):
+        assert engine_rates(AllelicPartition.empty(), ModelParams(0.5, -0.25, 2.0), 10) == {}
+        assert engine_rates(AllelicPartition.empty(), ModelParams(0.5, 0.0, 2.0), 10) == {}
+
+    @pytest.mark.parametrize("alpha,theta,mu", [(0.0, 1.0, 2.0), (0.5, 0.5, 1.2), (0.9, -0.45, 5.0), (0.5, 2.0, 0.0)])
+    def test_total_rate_identity(self, alpha, theta, mu):
+        params, n = ModelParams(alpha, theta, mu), 1000
+        for m in enumerate_partitions(6):
+            table = engine_rates(m, params, n)
+            expected = theta + (1.0 + mu) * m.size
+            assert math.isclose(sum(table.values()), expected, rel_tol=1e-12)
+            paper = dict(paper_rates(m, params))
+            assert table.keys() == paper.keys()
+            for event, rate in paper.items():
+                assert rate > 0.0
+                # two cell edges per event: each share is within 2 / n of the exact one
+                assert table[event] == pytest.approx(rate, abs=2.0 * expected / n)
+
+    @given(group_sizes(), model_params())
+    def test_total_rate_identity_property(self, sizes, params):
+        m = partition_of(sizes)
+        assume(params.theta + params.alpha * m.num_groups > 0.0)
+        table = engine_rates(m, params, 16)
+        expected = params.theta + (1.0 + params.mu) * m.size
+        assert math.isclose(sum(table.values()), expected, rel_tol=1e-12)
+        assert table.keys() <= dict(paper_rates(m, params)).keys()
+
+    def test_events_are_applicable(self):
+        # the kernel's own update agrees with AllelicPartition.apply_event
+        params = ModelParams(0.5, 1.0, 2.0)
+        for m in enumerate_partitions(5):
+            for u in [j / 64.0 for j in range(64)]:
+                events = []
+                final = _multiplicity_kernel(params, 1.0, OneJump(u), m, 10, events.append)
+                ((_, event),) = events
+                assert m.apply_event(event) == AllelicPartition(final)
+
+
 def state_with(s, k):
     """A partition with k groups and s members, of several distinct sizes."""
     sizes, extra = [1] * k, s - k
@@ -643,7 +641,7 @@ def state_with(s, k):
         sizes[j] += step
         extra -= step
     sizes[-1] += extra
-    return AllelicPartition.from_group_sizes(sizes)
+    return partition_of(sizes)
 
 
 def class_tops(m, params):
@@ -737,7 +735,6 @@ class TestSimulateBranching:
             ModelParams(0.5, 1.0, 2.0), 2.0, np.random.default_rng(8), initial=start
         )
         assert traj.initial == start
-        assert traj.state_at(0.0) == start
 
     def test_frozen_at_empty_when_theta_nonpositive(self):
         traj = simulate_branching(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
@@ -776,7 +773,7 @@ class TestSimulateBranching:
 @pytest.mark.parametrize("alpha,theta,mu", [(0.5, -0.25, 2.0), (0.3, 1.5, 0.8)])
 def test_first_jump_law_from_populated_start(engine, alpha, theta, mu):
     # the paper's rates from m = 1^1 2^2 3^1 (s = 8, k = 4), written out here
-    # rather than read from rates(): a new family at theta + alpha * k, growth
+    # rather than read from the library: a new family at theta + alpha * k, growth
     # of a size-i group at (i - alpha) * m_i, a death in one at mu * i * m_i
     multiplicities = {1: 1, 2: 2, 3: 1}
     table = {("new_family", None): theta + alpha * 4}
@@ -823,13 +820,12 @@ FINAL_STATE_CASES = [
 def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
     for seed in range(20):
         rng = np.random.default_rng([seed, 77])
-        start = None if sizes is None else AllelicPartition.from_group_sizes(sizes)
+        start = None if sizes is None else partition_of(sizes)
         engine_fn = simulate if engine == "multiplicity" else simulate_branching
         path = engine_fn(params, t_end, rng, initial=start)
         replayed = Trajectory(path.initial, path.events, path.horizon)
         assert replayed == path
         assert path.final_state() == replayed.final_state()
-        assert path.final_state() == path.state_at(t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +916,7 @@ def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
 def _both_runs(params, t_end, seed, sizes=(), max_events=10**7):
     """((events, final entries) of the kernel, the same of the oracle, walks past
     an empty family) from ``default_rng(seed)``."""
-    start = AllelicPartition.from_group_sizes(sizes) if sizes else AllelicPartition.empty()
+    start = partition_of(sizes) if sizes else AllelicPartition.empty()
     got, want = [], []
     got_final = _branching_kernel(
         params, t_end, np.random.default_rng(seed), start, max_events, got.append
@@ -968,7 +964,7 @@ def test_branching_kernel_matches_list_oracle_over_wide_seeds():
 )
 def test_branching_runaway_reports_the_oracle_state(params, sizes):
     # the group count is taken from the integer sizes, extinct families excluded
-    start = AllelicPartition.from_group_sizes(sizes) if sizes else AllelicPartition.empty()
+    start = partition_of(sizes) if sizes else AllelicPartition.empty()
     extinct = 0
     for seed in range(10):
         cap, events = 40 + 7 * seed, []
@@ -992,7 +988,7 @@ def test_branching_kernel_holds_no_float_per_individual():
     # construction keeps one birth time per individual, the kernel one
     # integer per family
     params, t_end = ModelParams(0.5, 5.0, 0.0), 0.22
-    start = AllelicPartition.from_group_sizes([1000] * 40)
+    start = partition_of([1000] * 40)
     runs = (
         lambda rng: list_branching_kernel(params, t_end, rng, start, None)[0],
         lambda rng: _branching_kernel(params, t_end, rng, start, 10**7, None),
@@ -1045,9 +1041,7 @@ class TestWriteTrajectoryCsv:
         assert body[0] == "time,event_kind,event_index,s,k"
         rows = [line.split(",") for line in body[1:]]
         assert len(rows) == len(traj)
-        states = traj.iter_states()
-        next(states)
-        for row, (t, ev), (_, state) in zip(rows, traj.events, states):
+        for row, (t, ev), state in zip(rows, traj.events, states_after_events(traj)):
             assert float(row[0]) == t  # repr round-trips exactly
             assert row[1] == ev.kind.value
             assert row[2] == ("" if ev.index is None else str(ev.index))

@@ -33,7 +33,7 @@ from allelic_bdi import (
     write_histogram_csv,
 )
 from allelic_bdi import __version__
-from conftest import AbsorbingClock
+from conftest import AbsorbingClock, states_after_events
 
 
 def decode(text):
@@ -211,7 +211,7 @@ class TestRunEnsemble:
         assert exc.value.events == 6
         # the state after the first six events of replicate 2, replayed from its path
         path = simulate(params, 2.0, np.random.default_rng([5, 2]))
-        state = path.state_at(path.events[5][0])
+        state = states_after_events(path)[5]
         assert exc.value.time == path.events[6][0]
         assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups) == (6, 3)
         assert str(exc.value).endswith("with population size 6 in 3 groups")
@@ -283,7 +283,7 @@ class TestReplicateSeeding:
 ORACLE_ENGINES = {
     "multiplicity": lambda p, t, rng: simulate(p, t, rng).final_state().entries,
     "branching": lambda p, t, rng: simulate_branching(p, t, rng).final_state().entries,
-    "bdi": lambda p, t, rng: simulate_bdi(p, t, rng).final_value,
+    "bdi": lambda p, t, rng: (simulate_bdi(p, t, rng).values or (0,))[-1],  # starts at 0
 }
 CHUNK_PARAMS, CHUNK_T = ModelParams(0.5, 1.0, 1.5), 0.4  # a few events per replicate
 CHUNK_SEEDS = [0, 2**32 + 1, 2**64 + 3]
@@ -416,12 +416,11 @@ class TestStationaryOccupation:
         path = simulate(params, horizon, np.random.default_rng([seed, 0]))
         expected: dict[AllelicPartition, float] = {}
         t_prev, state_prev = 0.0, path.initial
-        for t, state in path.iter_states():
-            if t > 0.0:
-                lo = max(t_prev, burn_in)
-                if t > lo:
-                    expected[state_prev] = expected.get(state_prev, 0.0) + (t - lo)
-                t_prev = t
+        for (t, _), state in zip(path.events, states_after_events(path)):
+            lo = max(t_prev, burn_in)
+            if t > lo:
+                expected[state_prev] = expected.get(state_prev, 0.0) + (t - lo)
+            t_prev = t
             state_prev = state
         lo = max(t_prev, burn_in)
         if horizon > lo:

@@ -13,7 +13,7 @@ from allelic_bdi import (
     TransitionEvent,
     enumerate_partitions,
 )
-from conftest import ascending_partitions, group_sizes
+from conftest import ascending_partitions, group_sizes, partition_of
 
 # number of integer partitions of 0..12
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -40,19 +40,14 @@ def test_constructor_validation():
         AllelicPartition([(2, -1)])
 
 
-def test_from_group_sizes():
-    m = AllelicPartition.from_group_sizes([2, 1, 1])
+def test_counts_and_multiplicities():
+    m = AllelicPartition([(2, 1), (1, 2)])
     assert m.encode() == "1^2 2^1"
     assert m.size == 4
     assert m.num_groups == 3
     assert m.multiplicity(1) == 2
     assert m.multiplicity(2) == 1
     assert m.multiplicity(5) == 0
-    assert AllelicPartition.from_group_sizes([]) == AllelicPartition.empty()
-    with pytest.raises(DomainError):
-        AllelicPartition.from_group_sizes([0])
-
-
 
 
 def test_entries_sorted_and_dense():
@@ -118,13 +113,13 @@ def test_apply_death():
 
 @given(group_sizes())
 def test_encode_decode_round_trip_property(sizes):
-    m = AllelicPartition.from_group_sizes(sizes)
+    m = partition_of(sizes)
     assert AllelicPartition.decode(m.encode()) == m
 
 
 @given(group_sizes())
 def test_growth_then_death_returns_the_state_property(sizes):
-    m = AllelicPartition.from_group_sizes(sizes)
+    m = partition_of(sizes)
     for i in m.support:
         grown = m.apply_event(TransitionEvent.growth(i))
         assert grown.size == m.size + 1
@@ -149,7 +144,7 @@ def test_enumeration_matches_naive_recursion():
     for n in range(13):
         via_library = set(enumerate_partitions(n))
         via_recursion = {
-            AllelicPartition.from_group_sizes(parts) for parts in ascending_partitions(n)
+            partition_of(parts) for parts in ascending_partitions(n)
         }
         assert via_library == via_recursion
         assert len(enumerate_partitions(n)) == PARTITION_COUNTS[n]

@@ -169,7 +169,7 @@ def test_summary_bytes_are_pinned(tmp_path, engine):
     assert sha256_of(summary) == SUMMARY_SHA256[engine]
 
 
-# deterministic artifacts: the four exact tables and three verify reports
+# deterministic artifacts: the four exact tables and four verify reports
 EXACT_SHA256 = {
     "exact esf --theta 1 --n 6 --table": (
         "d00615aac33bd61862392b31602e04aae894c39265b5b308d01de1ccf767c82c"
@@ -185,6 +185,10 @@ EXACT_SHA256 = {
     ),
     "verify --alpha 0.5 --theta 1 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
         "d9f2dd9179d9f761a3e1351a8d2f94468d9f74bc255fbaf90e88bea2b21faa53"
+    ),
+    # theta < 0: the size suite scans the signed law lambda(n) < 0 for n >= 1
+    "verify --alpha 0.5 --theta -0.25 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
+        "4e0437f2b1de2f615cf506915c38447776683e47bd57255b3d539e2bd0ee49e4"
     ),
     # the default grid: 10^4 series terms reach the log-gamma branch of the
     # ascending factorials, and alpha = 0.999 folds a leading factor below 0.5

@@ -34,7 +34,6 @@ from allelic_bdi import (
     poisson_product_prob,
     psf,
     size_balance_scan,
-    size_stationary_log_range,
     size_stationary_pmf,
     stationary_mass_comparison,
     weight_series_gap,
@@ -97,29 +96,6 @@ class TestSizeStationaryPmf:
             size_stationary_pmf(3, 1.0, 1.0)
         with pytest.raises(DomainError):
             size_stationary_pmf(-1, 1.0, 2.0)
-
-
-class TestSizeStationaryLogRange:
-    def test_matches_pointwise_pmf(self):
-        table = size_stationary_log_range(1.5, 3.0, 60)
-        assert table.shape == (61,)
-        for n in range(61):
-            assert math.exp(table[n]) == pytest.approx(
-                size_stationary_pmf(n, 1.5, 3.0), rel=1e-12
-            )
-
-    def test_single_entry(self):
-        table = size_stationary_log_range(2.0, 2.0, 0)
-        assert table.shape == (1,)
-        assert table[0] == pytest.approx(2.0 * math.log(0.5), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            size_stationary_log_range(1.0, 1.0, 5)
-        with pytest.raises(DomainError):
-            size_stationary_log_range(-0.25, 2.0, 5)
-        with pytest.raises(DomainError):
-            size_stationary_log_range(1.0, 2.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +247,32 @@ class TestSizeBalance:
 
         assert size_balance_scan(theta, mu, 10, gapped).max_residual == math.inf
 
+    def test_signed_law_balances_without_a_pmf(self):
+        # theta in (-alpha, 0): lambda(n) < 0 for n >= 1, and the scan reads it signed
+        assert size_balance_scan(-0.25, 2.0, 200).max_residual <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5, -0.25])
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 5.0])
+    def test_balances_past_the_prefix_head(self, theta, mu):
+        # n > 512 is past the stored head of the prefix table, whose lgamma
+        # tail is off by ~4e-12 between consecutive entries
+        assert size_balance_scan(theta, mu, 600).max_residual < 1e-12
+
+    def test_first_nan_pair_is_reported(self):
+        # a zero at n = 1 gives residuals 1 and inf, a nan at n = 3 spoils
+        # pairs 2->3 and 3->4: the first nan wins, as with np.argmax
+        def holed(n):
+            return {1: 0.0, 3: math.nan}.get(n, size_stationary_pmf(n, 1.0, 2.0))
+
+        scan = size_balance_scan(1.0, 2.0, 10, holed)
+        assert math.isnan(scan.max_residual)
+        assert (scan.worst_state, scan.worst_transition) == ("2", "2->3")
+
     def test_domain(self):
         with pytest.raises(DomainError):
-            size_balance_scan(-0.25, 2.0, 10)  # signed law needs an explicit pmf
-        with pytest.raises(DomainError):
             size_balance_scan(1.0, 2.0, 0)
+        with pytest.raises(DomainError):
+            size_balance_scan(1.0, 1.0, 10)
         with pytest.raises(DomainError):
             size_balance_scan(1.0, 1.0, 10, lambda n: 0.5**n)
 
@@ -334,6 +331,13 @@ def reference_log_pi(m, params):
     return SignedLogValue(sign, log_p)
 
 
+def signed_log_product(a, b):
+    """a * b for SignedLogValues: signs multiplied, log magnitudes added."""
+    if a.sign == 0 or b.sign == 0:
+        return SignedLogValue.zero()
+    return SignedLogValue(a.sign * b.sign, a.log_magnitude + b.log_magnitude)
+
+
 def reference_partition_balance_scan(params, s_max, pmf=None):
     """The balance walk that builds every target with ``apply_event`` and
     multiplies SignedLogValues; the scan must reproduce it bit for bit."""
@@ -349,8 +353,8 @@ def reference_partition_balance_scan(params, s_max, pmf=None):
             for event, q_up, rev_index in moves:
                 m_next = m.apply_event(event)
                 q_down = params.mu * rev_index * m_next.multiplicity(rev_index)
-                lhs = log_pi(m) * SignedLogValue.from_float(q_up)
-                rhs = log_pi(m_next) * SignedLogValue.from_float(q_down)
+                lhs = signed_log_product(log_pi(m), SignedLogValue.from_float(q_up))
+                rhs = signed_log_product(log_pi(m_next), SignedLogValue.from_float(q_down))
                 pairs += 1
                 if lhs.sign == 0 and rhs.sign == 0:
                     residual = 0.0
@@ -460,11 +464,9 @@ def edge_points(draw):
 @given(edge_points())
 def test_mixture_and_size_balance_hold_at_edge_points(params):
     assert mixture_consistency_scan(params, 12).max_residual <= MIXTURE_TOLERANCE
-    theta, mu = params.theta, params.mu
-    # the signed law below theta = 0 goes through the plain-float branch,
-    # as ``verify`` runs it
-    pmf = (lambda n: size_stationary_pmf(n, theta, mu)) if theta <= 0.0 else None
-    assert size_balance_scan(theta, mu, 200, pmf).max_residual <= SIZE_BALANCE_TOLERANCE
+    # the default path, signed below theta = 0, as ``verify`` runs it
+    scan = size_balance_scan(params.theta, params.mu, 200)
+    assert scan.max_residual <= SIZE_BALANCE_TOLERANCE
 
 
 # The three checks below fail at edge points, each for a reason recorded in

@@ -21,8 +21,8 @@ from allelic_bdi.urn import (
     _group_count_traces,
     default_checkpoints,
     group_count_trace,
+    _urn_step_distribution,
     sample_psf,
-    urn_step_distribution,
 )
 from conftest import PSF_GRID, urn_marginal
 
@@ -32,7 +32,7 @@ def test_step_distribution_is_a_probability_vector(alpha, theta):
     params = ModelParams(float(alpha), float(theta))
     for n in range(9):
         for m in enumerate_partitions(n):
-            steps = urn_step_distribution(m, params)
+            steps = _urn_step_distribution(m, params)
             assert all(p >= 0.0 for _, p in steps)
             assert sum(p for _, p in steps) == pytest.approx(1.0, abs=1e-12)
             kinds = [e.kind for e, _ in steps]
@@ -44,7 +44,7 @@ def test_step_distribution_frozen_point():
     # from 1^2 2^1 with alpha=0.5, theta=1: k=3, s=4, denominator theta+s=5
     params = ModelParams(0.5, 1.0)
     steps = dict(
-        (str(event), p) for event, p in urn_step_distribution(AllelicPartition.decode("1^2 2^1"), params)
+        (str(event), p) for event, p in _urn_step_distribution(AllelicPartition.decode("1^2 2^1"), params)
     )
     assert steps["new_family"] == pytest.approx(2.5 / 5.0, rel=1e-14)
     assert steps["growth@1"] == pytest.approx(1.0 / 5.0, rel=1e-14)
@@ -54,7 +54,7 @@ def test_step_distribution_frozen_point():
 def test_step_distribution_from_empty_state():
     # the first draw always founds a family, even for theta in (-alpha, 0]
     for params in (ModelParams(0.0, 1.0), ModelParams(0.9, -0.5), ModelParams(0.5, 0.0)):
-        steps = urn_step_distribution(AllelicPartition.empty(), params)
+        steps = _urn_step_distribution(AllelicPartition.empty(), params)
         assert len(steps) == 1
         assert steps[0][0].kind is EventKind.NEW_FAMILY
         assert steps[0][1] == 1.0
