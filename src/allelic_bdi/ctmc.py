@@ -41,7 +41,7 @@ with mass.
 Every kernel refuses a horizon that is not finite and >= 0, checks that
 each jump strictly advances the clock and raises :class:`RunawayError`,
 naming the state it stopped in, past its event cap.  Event objects are
-immutable and shared by all runs in the process.
+immutable, one per (kind, size) in each recording run, freed with its path.
 
 From the empty state with theta <= 0 every engine has total rate zero and
 returns an eventless trajectory; starting such runs is refused at the CLI
@@ -152,7 +152,7 @@ def _engine_path(start: AllelicPartition, events: list, t_end: float, final: tup
 
 
 class _EventCache(dict):
-    """size -> TransitionEvent of one kind, built on first use."""
+    """size -> TransitionEvent of one kind, built on first use; a pair per recording run."""
 
     def __init__(self, kind: EventKind):
         super().__init__()
@@ -163,11 +163,7 @@ class _EventCache(dict):
         return event
 
 
-# shared by every run in the process: an event is immutable, so one object
-# per (kind, size) serves all paths, and nothing is validated per replicate
-_NEW_FAMILY = TransitionEvent.new_family()
-_GROWTH = _EventCache(EventKind.GROWTH)
-_DEATH = _EventCache(EventKind.DEATH)
+_NEW_FAMILY = TransitionEvent.new_family()  # immutable and sizeless, so one serves every run
 _EMPTY = AllelicPartition.empty()
 
 
@@ -224,6 +220,8 @@ def _multiplicity_kernel(
     theta, alpha, mu = params.theta, params.alpha, params.mu
     join = 1.0 - alpha  # each group's share of the growth rate i - alpha
     hold, select = _draws(rng.standard_exponential), _draws(rng.random)
+    if record is not None:  # this run's events, freed with its path
+        growth, death = _EventCache(EventKind.GROWTH), _EventCache(EventKind.DEATH)
     t = 0.0
     n = 0
     while True:
@@ -292,11 +290,11 @@ def _multiplicity_kernel(
         if grow:
             s += 1
             if record is not None:
-                record((t, _GROWTH[index]))
+                record((t, growth[index]))
         else:
             s -= 1
             if record is not None:
-                record((t, _DEATH[index]))
+                record((t, death[index]))
     return tuple([(i, counts[i]) for i in support])  # the support is kept sorted
 
 
@@ -431,6 +429,8 @@ def _branching_kernel(
             families.append([clock + j for j in range(size)])
     s = start.size
     hold, select = _draws(rng.standard_exponential), _draws(rng.random)
+    if record is not None:  # this run's events, freed with its path
+        growth, death = _EventCache(EventKind.GROWTH), _EventCache(EventKind.DEATH)
     t = 0.0
     n = 0
     while True:
@@ -507,7 +507,7 @@ def _branching_kernel(
                 f += f & -f
         s += delta
         if record is not None:
-            record((t, _NEW_FAMILY if found else (_GROWTH if grow else _DEATH)[size]))
+            record((t, _NEW_FAMILY if found else (growth if grow else death)[size]))
     return tuple(sorted(Counter(x for x in sizes if x).items()))
 
 

@@ -184,17 +184,22 @@ class _AscendingPrefix:
             out.extend(map(self._past_head, range(len(out) - self._folded, n - self._folded + 1)))
         return out
 
+    def signs(self, n: int) -> list[int]:
+        """[at(j).sign for j in 0..n], without a SignedLogValue per entry."""
+        self._extend(n)
+        signs = self._signs[: n + 1]
+        return signs + [signs[-1]] * (n + 1 - len(signs))
+
     def running(self, n: int) -> tuple[list[int], list[float]]:
         """Signs and log magnitudes of entries 0..n, the running sum kept on past the head.
 
         Past the head entry j + 1 is entry j plus log(x + j), unstored, where ``at``
         reads the lgamma tail, off by up to ~4e-12 between consecutive entries.
         """
-        self._extend(n)
-        signs, logs = self._signs[: n + 1], self._logs[: n + 1]
+        signs, logs = self.signs(n), self._logs[: n + 1]
         for j in range(len(logs) - 1, n):  # every factor past the head is positive
             logs.append(logs[-1] + math.log(self._x + j))
-        return signs + [signs[-1]] * (n + 1 - len(signs)), logs
+        return signs, logs
 
 
 @lru_cache(maxsize=64)
@@ -306,7 +311,8 @@ def _log_alpha_weights(alpha: float, n: int) -> list[float]:
     _require_weight_alpha(alpha)
     log_alpha = math.log(alpha)
     logs = _ascending_prefix(1.0 - alpha).log_magnitudes(n - 1)
-    return [log_alpha + logs[i - 1] - log_factorial(i) for i in range(1, n + 1)]
+    log_factorial(n)
+    return [log_alpha + logs[i - 1] - _LOG_FACTORIAL[i] for i in range(1, n + 1)]
 
 
 def alpha_weight(alpha: float, i: int) -> float:

@@ -28,21 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BoundExceededError, DomainError
 from .formulae import (
+    _LOG_FACTORIAL,
     ModelParams,
     SignedLogValue,
     _ascending_prefix,
     _log_alpha_weights,
     _require_finite,
-    log_alpha_weight,
     log_ascending_factorial,
     log_factorial,
     nbin_time_param,
     poisson_product_prob,
-    psf,
 )
 from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
 
@@ -92,37 +91,33 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     )
 
 
-def _log_pi_evaluator(params: ModelParams) -> Callable[[AllelicPartition], SignedLogValue]:
-    """m -> log pi(m) as a SignedLogValue, with the per-parameter terms shared.
+def _log_pi_rows(
+    params: ModelParams, states: Iterable[AllelicPartition], size: int
+) -> tuple[list[int], list[float]]:
+    """Signs and log magnitudes of pi at ``states``, each with s(m) <= size: the one evaluator.
 
-    The leading factor (theta/alpha)_(k) and the weights come from the
-    prefix tables of ``formulae``; the per-size terms log w_i - i log mu
-    are computed once per evaluator and reused across states.
+    The point's factors are listed once up to ``size``: (theta/alpha)_(k)
+    from its prefix table, t_i = log w_i - i log mu and log m!.  Then
+    log pi(m) = ((theta log(1 - 1/mu) + log|(theta/alpha)_(k)|) + (m_i t_i - log m_i!)) + ...
+    over the entries by size, signed as (theta/alpha)_(k), which is zero
+    (sign 0, log -inf) when theta = 0 and k >= 1.
     """
     alpha, theta, mu = params.alpha, params.theta, params.mu
     base = theta * math.log1p(-1.0 / mu)
+    lead = _ascending_prefix(theta / alpha)
+    lead_signs, lead_logs = lead.signs(size), lead.log_magnitudes(size)
     log_mu = math.log(mu)
-    lead_factor = theta / alpha
-    size_terms: dict[int, float] = {}
-
-    def log_pi(m: AllelicPartition) -> SignedLogValue:
-        log_p = base
-        sign = 1
+    terms = [0.0] + [w - i * log_mu for i, w in enumerate(_log_alpha_weights(alpha, size), 1)]
+    log_factorial(size)
+    signs, logs = [], []
+    for m in states:
         k = m.num_groups
-        if k:
-            lead = log_ascending_factorial(lead_factor, k)
-            if lead.sign == 0:
-                return SignedLogValue.zero()
-            sign = lead.sign
-            log_p += lead.log_magnitude
+        log_p = base + lead_logs[k] if k else base
         for i, mi in m:
-            term = size_terms.get(i)
-            if term is None:
-                term = size_terms[i] = log_alpha_weight(alpha, i) - i * log_mu
-            log_p += mi * term - log_factorial(mi)
-        return SignedLogValue(sign, log_p)
-
-    return log_pi
+            log_p += mi * terms[i] - _LOG_FACTORIAL[mi]
+        signs.append(lead_signs[k])
+        logs.append(log_p)
+    return signs, logs
 
 
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
@@ -130,10 +125,11 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
 
     Signed for theta < 0 (see the module docstring); a genuine probability
     for theta > 0, where summing over all partitions with s(m) = n yields
-    exactly lambda(n).
+    exactly lambda(n).  Costs O(s(m)): the factors are tabulated up to s(m).
     """
     _require_partition_regime(params)
-    return _log_pi_evaluator(params)(m).to_float()
+    (sign,), (log_p,) = _log_pi_rows(params, (m,), m.size)
+    return sign * math.exp(log_p) if sign else 0.0
 
 
 def normalizing_constant(params: ModelParams) -> float:
@@ -148,17 +144,16 @@ def partition_stationary_truncated(
 ) -> dict[AllelicPartition, float]:
     """pi tabulated as ``{m: pi(m)}`` over all partitions with s(m) <= bound.
 
-    Requires theta > 0, so the values are probabilities; the mass beyond
-    the bound is not stored, and ``tv_distance`` counts it as tail.
+    Requires theta > 0, so the values are probabilities (every sign is +1);
+    mass beyond the bound is not stored, and ``tv_distance`` counts it as tail.
     """
     if params.theta <= 0.0:
         raise DomainError("the truncated stationary table requires theta > 0")
     _require_bound(bound)
-    return {
-        m: partition_stationary_pmf(m, params)
-        for n in range(bound + 1)
-        for m in enumerate_partitions(n)
-    }
+    _require_partition_regime(params)
+    states = [m for n in range(bound + 1) for m in enumerate_partitions(n)]
+    _, logs = _log_pi_rows(params, states, bound)  # no move graph: nothing here scans
+    return {m: math.exp(log_p) for m, log_p in zip(states, logs)}
 
 
 @dataclass(frozen=True)
@@ -242,6 +237,7 @@ class _UpMoveGraph(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _up_move_graph() -> _UpMoveGraph:
+    """Built once per process; a scan reads each move's ends by index here and in the table."""
     states: list[AllelicPartition] = []
     ends = []
     for n in range(PARTITION_BALANCE_MAX_SIZE + 2):
@@ -261,14 +257,13 @@ def _up_move_graph() -> _UpMoveGraph:
 
 
 @lru_cache(maxsize=4)
-def _log_pi_values(params: ModelParams) -> tuple[SignedLogValue, ...]:
-    """log pi of every state of the up-move graph, in its order.
+def _log_pi_table(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_pi_rows`` pass.
 
-    Shared by the balance, mixture and mass scans at one parameter point;
-    kept for the 4 most recent points only.
-    """
-    log_pi = _log_pi_evaluator(params)
-    return tuple(log_pi(m) for m in _up_move_graph().states)
+    Read by the partition scans; kept for the 4 most recent points, as
+    tuples, since every caller gets the same object."""
+    states = _up_move_graph().states
+    return tuple(map(tuple, _log_pi_rows(params, states, PARTITION_BALANCE_MAX_SIZE + 1)))
 
 
 def partition_balance_scan(
@@ -286,51 +281,69 @@ def partition_balance_scan(
     empty state with theta <= 0), because that is the expression the
     balance identity is stated with.
 
-    The moves come from the cached up-move graph and log pi from the values
-    shared with the other partition scans (or one ``pmf`` call per state),
-    so each pair costs O(1): two logarithms and an expm1, with no partition
-    built, sorted or hashed.  The floats are the same expressions in the
-    same order as building each target state and multiplying
-    SignedLogValues, so the residuals are bit-identical to doing that.
+    The moves come from the up-move graph, signed log pi from the point's
+    table (or a ``pmf`` call per state), and the rate logs from lists by
+    (size, count) made once per point, so a pair costs list reads and an
+    expm1.  The residual |expm1((log|pi(m)| + log|q_up|) - (log|pi(m')| +
+    log q_down))| is bit-identical to multiplying SignedLogValues per move.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
     graph = _up_move_graph()
     if pmf is None:
-        values = _log_pi_values(params)
+        signs, logs = _log_pi_table(params)
     else:
-        values = [
-            SignedLogValue.from_float(pmf(m)) for m in graph.states[: graph.ends[s_max + 1]]
-        ]
-
+        values = [SignedLogValue.from_float(pmf(m)) for m in graph.states[: graph.ends[s_max + 1]]]
+        signs, logs = [v.sign for v in values], [v.log_magnitude for v in values]
+    # by (i, count) and (rev_index, rev_count), all below s_max + 2
     alpha, theta, mu = params.alpha, params.theta, params.mu
-    worst = -1.0
-    worst_source = -1
-    worst_event = None
-    pairs = 0
+    top = range(s_max + 2)
+    q_up = [[theta + alpha * c for c in top]] + [[(i - alpha) * c for c in top] for i in top[1:]]
+    up_sign = [[(q > 0.0) - (q < 0.0) for q in row] for row in q_up]
+    log_up = [[math.log(abs(q)) if q else -math.inf for q in row] for row in q_up]
+    log_down = [[math.log(mu * r * c) if r * c else -math.inf for c in top] for r in top]
+    worst, worst_source, worst_event, pairs = -1.0, -1, None, 0
     for source in range(graph.ends[s_max]):
-        pi_m = values[source]
+        sign_m, log_m = signs[source], logs[source]
         for event, i, count, target, rev_index, rev_count in graph.moves[source]:
-            q_up = theta + alpha * count if i == 0 else (i - alpha) * count
-            q_down = mu * rev_index * rev_count
-            pi_next = values[target]
             pairs += 1
-            lhs_sign = 0 if q_up == 0.0 else pi_m.sign * (1 if q_up > 0.0 else -1)
-            if lhs_sign == 0 and pi_next.sign == 0:
+            lhs_sign = sign_m * up_sign[i][count]
+            sign_next = signs[target]
+            if lhs_sign == 0 and sign_next == 0:
                 residual = 0.0
-            elif lhs_sign != pi_next.sign:
+            elif lhs_sign != sign_next:
                 residual = math.inf
             else:
-                lhs = pi_m.log_magnitude + math.log(abs(q_up))
-                rhs = pi_next.log_magnitude + math.log(q_down)
+                lhs = log_m + log_up[i][count]
+                rhs = logs[target] + log_down[rev_index][rev_count]
                 residual = abs(math.expm1(lhs - rhs))
             if residual > worst:
-                worst = residual
-                worst_source = source
-                worst_event = event
-    return BalanceScan(
-        worst, graph.states[worst_source].encode(), str(worst_event), pairs
-    )
+                worst, worst_source, worst_event = residual, source, event
+    return BalanceScan(worst, graph.states[worst_source].encode(), str(worst_event), pairs)
+
+
+def _psf_rows(params: ModelParams, bound: int) -> list[float]:
+    """psf(s(m), params, m) at the graph's states with s(m) <= bound, bit for bit.
+
+    Factor lists summed in ``psf``'s order: ((log n! - log alpha) + log (theta/alpha + 1)_(k-1))
+    - log (theta + 1)_(n-1), then + (m_i log w_i - log m_i!) per entry.
+    """
+    graph = _up_move_graph()
+    alpha, theta = params.alpha, params.theta
+    log_alpha = math.log(alpha)
+    lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(bound)
+    rising = _ascending_prefix(theta + 1.0).log_magnitudes(bound)
+    log_w = [0.0] + _log_alpha_weights(alpha, bound)
+    log_factorial(bound)
+    out = [1.0]  # the empty sample
+    for n in range(1, bound + 1):
+        head = _LOG_FACTORIAL[n] - log_alpha
+        for m in graph.states[graph.ends[n - 1] : graph.ends[n]]:
+            log_p = (head + lead[m.num_groups - 1]) - rising[n - 1]
+            for i, mi in m:
+                log_p += mi * log_w[i] - _LOG_FACTORIAL[mi]
+            out.append(math.exp(log_p))
+    return out
 
 
 def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
@@ -338,32 +351,28 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
 
     The mixture form is psf(s(m)) * lambda(s(m)) (the only surviving term of
     the size mixture); residuals are relative to the closed form, compared on
-    signed values so theta < 0 is covered.  The closed form is read from the
-    log pi values shared with the other partition scans.
+    signed values so theta < 0 is covered.  Both are read by state index,
+    from the point's log pi table and from ``_psf_rows``.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
     graph = _up_move_graph()
-    values = _log_pi_values(params)
-    worst = -1.0
-    worst_state = ""
-    checked = 0
+    signs, logs = _log_pi_table(params)
+    psfs = _psf_rows(params, s_max)
+    worst, worst_state = -1.0, ""
     for n in range(s_max + 1):
         lam = size_stationary_pmf(n, params.theta, params.mu)
-        start = graph.ends[n - 1] if n else 0
-        for j in range(start, graph.ends[n]):
-            m = graph.states[j]
-            closed = values[j].to_float()
-            mixed = psf(n, params, m) * lam
-            checked += 1
+        for j in range(graph.ends[n - 1] if n else 0, graph.ends[n]):
+            sign = signs[j]
+            closed = sign * math.exp(logs[j]) if sign else 0.0
+            mixed = psfs[j] * lam
             if closed == 0.0:
                 residual = 0.0 if mixed == 0.0 else math.inf
             else:
                 residual = abs(mixed - closed) / abs(closed)
             if residual > worst:
-                worst = residual
-                worst_state = m.encode()
-    return BalanceScan(worst, worst_state, "mixture-vs-closed-form", checked)
+                worst, worst_state = residual, graph.states[j].encode()
+    return BalanceScan(worst, worst_state, "mixture-vs-closed-form", graph.ends[s_max])
 
 
 def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, float]:
@@ -371,17 +380,19 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
 
     The two sums agree exactly in real arithmetic because the Pitman formula
     is a probability distribution on each size slice; the observable gap is
-    pure floating-point error.  Signed for theta < 0.  The pi terms are the
-    log pi values shared with the other partition scans.
+    pure floating-point error.  Signed for theta < 0.  The pi terms come
+    from the point's log pi table, in its order.
     """
     _require_partition_regime(params)
     _require_bound(bound)
     lambda_sum = 0.0
     for n in range(bound + 1):
         lambda_sum += size_stationary_pmf(n, params.theta, params.mu)
+    signs, logs = _log_pi_table(params)
     pi_sum = 0.0
-    for value in _log_pi_values(params)[: _up_move_graph().ends[bound]]:
-        pi_sum += value.to_float()
+    for j in range(_up_move_graph().ends[bound]):
+        sign = signs[j]
+        pi_sum += sign * math.exp(logs[j]) if sign else 0.0
     return pi_sum, lambda_sum
 
 

@@ -1,6 +1,7 @@
 """Tests for the continuous-time engines: rate tables, trajectory containers,
 Gillespie simulation, the size process, and the individual-level construction."""
 
+import gc
 import io
 import math
 import tracemalloc
@@ -1004,6 +1005,27 @@ def test_branching_kernel_holds_no_float_per_individual():
             tracemalloc.stop()
     assert sum(i * c for i, c in final) > 4.8 * 10**4
     assert peaks[1] * 10 < peaks[0]
+
+
+@pytest.mark.parametrize("engine", [simulate, simulate_branching])
+def test_recorded_events_are_freed_with_their_path(engine):
+    # pure birth with one family growing past size 1000: a process-wide
+    # cache of one event per size would keep about 160 kB after the path goes
+    params = ModelParams(0.1, 5.0, 0.0)
+    engine(params, 1.0, np.random.default_rng([6, 1]))  # numpy and the package warmed up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        path = engine(params, 6.0, np.random.default_rng([6, 0]))
+        sizes = len({event.index for _, event in path.events if event.kind is EventKind.GROWTH})
+        del path
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert sizes > 1000
+    assert held < 10_000
 
 
 # ---------------------------------------------------------------------------

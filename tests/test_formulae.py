@@ -274,7 +274,7 @@ def test_nothing_is_tabulated_at_import():
         "import allelic_bdi.cli, allelic_bdi.formulae as f, allelic_bdi.stationary as s;"
         "assert f._ascending_prefix.cache_info().currsize == 0;"
         "assert s._up_move_graph.cache_info().currsize == 0;"
-        "assert s._log_pi_values.cache_info().currsize == 0"
+        "assert s._log_pi_table.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 

@@ -169,7 +169,7 @@ def test_summary_bytes_are_pinned(tmp_path, engine):
     assert sha256_of(summary) == SUMMARY_SHA256[engine]
 
 
-# deterministic artifacts: the four exact tables and four verify reports
+# deterministic artifacts: the four exact tables and five verify reports
 EXACT_SHA256 = {
     "exact esf --theta 1 --n 6 --table": (
         "d00615aac33bd61862392b31602e04aae894c39265b5b308d01de1ccf767c82c"
@@ -194,6 +194,10 @@ EXACT_SHA256 = {
     # ascending factorials, and alpha = 0.999 folds a leading factor below 0.5
     "verify": "9b6010fa886b287dd8bc6f90a752014962ac75fd8452bf3eca27f41a203b963f",
     "verify --alpha 0.999": "e9a114756812baf097bfe5b4b81d5a7c08cef902a1cd34b96476067ad72baf92",
+    # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14
+    "verify --alpha 0.3 --theta -0.29 --mu 1.01 --max-size 14": (
+        "7eda16a124905926c945c786bed7e7b838ee9ce99aeb277d6ffddaf9cc2b6e68"
+    ),
 }
 
 

@@ -44,9 +44,17 @@ from allelic_bdi.cli import (
     PARTITION_BALANCE_TOLERANCE,
     SERIES_TOLERANCE,
     SIZE_BALANCE_TOLERANCE,
+    main,
 )
+from allelic_bdi.formulae import _ascending_prefix
 from allelic_bdi.partitions import TransitionEvent
-from allelic_bdi.stationary import BalanceScan, PARTITION_BALANCE_MAX_SIZE
+from allelic_bdi.stationary import (
+    PARTITION_BALANCE_MAX_SIZE,
+    BalanceScan,
+    _log_pi_table,
+    _psf_rows,
+    _up_move_graph,
+)
 
 from conftest import REVERSIBLE_GRID
 
@@ -373,7 +381,7 @@ SCAN_POINTS = REVERSIBLE_GRID + [ModelParams(0.3, 0.0, 1.5), ModelParams(0.999, 
 class TestScansEqualReferenceWalks:
     @pytest.mark.parametrize("params", SCAN_POINTS, ids=str)
     def test_partition_balance(self, params):
-        for s_max in (0, 5, 9):
+        for s_max in (0, 5, 9, PARTITION_BALANCE_MAX_SIZE):
             scan = partition_balance_scan(params, s_max)
             assert scan == reference_partition_balance_scan(params, s_max)
 
@@ -439,6 +447,76 @@ class TestScansEqualReferenceWalks:
                 total += math.exp(log_alpha_weight(alpha, i) - i * log_mu)
             closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
             assert weight_series_gap(alpha, mu, terms) == abs(total - closed), mu
+
+
+# the verify grid, theta = 0 (pi vanishes off the empty state), and the
+# examples of the three strict-xfail edge tests below
+TABLE_POINTS = REVERSIBLE_GRID + [
+    ModelParams(0.3, 0.0, 1.5),
+    ModelParams(0.9, -0.9 + 1e-9, 2.0),
+    ModelParams(0.999, -0.998, 1.0 + 1e-9),
+    ModelParams(0.5, 0.5, 1.001),
+]
+
+
+class TestTablesAreBitIdentical:
+    """The per-point tables the scans read, against the public evaluators, with ==."""
+
+    @pytest.mark.parametrize("params", TABLE_POINTS, ids=str)
+    def test_log_pi_table(self, params):
+        states = _up_move_graph().states
+        signs, logs = _log_pi_table(params)
+        assert len(signs) == len(logs) == len(states)
+        assert states[-1].size == PARTITION_BALANCE_MAX_SIZE + 1
+        for m, sign, log_p in zip(states, signs, logs):
+            expected = reference_log_pi(m, params)
+            assert (sign, log_p) == (expected.sign, expected.log_magnitude), m
+            assert partition_stationary_pmf(m, params) == expected.to_float(), m
+
+    @pytest.mark.parametrize("params", TABLE_POINTS, ids=str)
+    def test_psf_rows(self, params):
+        graph = _up_move_graph()
+        psfs = _psf_rows(params, PARTITION_BALANCE_MAX_SIZE)
+        assert len(psfs) == graph.ends[PARTITION_BALANCE_MAX_SIZE]
+        for m, p in zip(graph.states, psfs):
+            assert p == psf(m.size, params, m), m
+
+    @pytest.mark.parametrize("params", [p for p in TABLE_POINTS if p.theta > 0.0], ids=str)
+    def test_truncated_table(self, params):
+        for bound in (0, 8, PARTITION_BALANCE_MAX_SIZE):
+            table = partition_stationary_truncated(params, bound)
+            expected = [
+                (m, partition_stationary_pmf(m, params))
+                for n in range(bound + 1)
+                for m in enumerate_partitions(n)
+            ]
+            assert list(table.items()) == expected
+
+    @pytest.mark.parametrize("params", TABLE_POINTS[-4:], ids=str)
+    def test_single_states_past_the_table(self, params):
+        # past s = 15, and past the 512 stored entries of the leading factor
+        # (1^600) and of the weights (700^1)
+        for text in ("1^16", "1^3 2^1 17^2", "5^3 30^1", "1^600", "700^1", "1^513 2^1"):
+            m = decode(text)
+            assert partition_stationary_pmf(m, params) == reference_log_pi(m, params).to_float()
+
+
+def test_default_verify_builds_few_signed_log_values(monkeypatch, tmp_path):
+    # a count, not a timing: the scans read per-point lists, and a
+    # SignedLogValue per state and move (69,390 per pass before) would show
+    _log_pi_table.cache_clear()
+    _ascending_prefix.cache_clear()
+    built = 0
+    init = SignedLogValue.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignedLogValue, "__init__", counting_init)
+    assert main(["verify", "--out", str(tmp_path / "report.json")]) == 0
+    assert 0 < built < 3000
 
 
 # ---------------------------------------------------------------------------
