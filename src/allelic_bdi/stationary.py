@@ -243,15 +243,23 @@ def _up_move_graph() -> _UpMoveGraph:
     for n in range(PARTITION_BALANCE_MAX_SIZE + 2):
         states.extend(enumerate_partitions(n))
         ends.append(len(states))
-    index = {m: j for j, m in enumerate(states)}
+    # targets are found by their entries, built from the source's sorted (size, count) pairs
+    index = {m.entries: j for j, m in enumerate(states)}
+    events = [TransitionEvent.new_family()]
+    events += [TransitionEvent.growth(i) for i in range(1, PARTITION_BALANCE_MAX_SIZE + 1)]
     moves = []
     for m in states[: ends[PARTITION_BALANCE_MAX_SIZE]]:
-        row = [(TransitionEvent.new_family(), 0, m.num_groups, 1)]
-        row += [(TransitionEvent.growth(i), i, c, i + 1) for i, c in m]
-        out = []
-        for event, i, count, rev_index in row:
-            target = m.apply_event(event)
-            out.append((event, i, count, index[target], rev_index, target.multiplicity(rev_index)))
+        e = m.entries
+        # a new family adds a group of size 1
+        ones = e[0][1] + 1 if e and e[0][0] == 1 else 1
+        target = ((1, ones),) + (e[1:] if ones > 1 else e)
+        out = [(events[0], 0, m.num_groups, index[target], 1, ones)]
+        # growth at size i turns one group of size i into one of size i + 1
+        for p, (i, c) in enumerate(e):
+            grown = e[p + 1][1] + 1 if p + 1 < len(e) and e[p + 1][0] == i + 1 else 1
+            shrunk = ((i, c - 1),) if c > 1 else ()
+            target = e[:p] + shrunk + ((i + 1, grown),) + e[p + 1 + (grown > 1) :]
+            out.append((events[i], i, c, index[target], i + 1, grown))
         moves.append(tuple(out))
     return _UpMoveGraph(tuple(states), tuple(ends), tuple(moves))
 

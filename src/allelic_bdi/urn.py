@@ -10,6 +10,7 @@ the Ewens formula.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable
 
@@ -97,10 +98,13 @@ def group_count_trace(
     Step n (0-based) founds a group when u_n * (theta + n) < theta + alpha *
     k_n, with u_n the next uniform and k_n the count before the step; step 0
     always does.  Uniforms come ``_BLOCK`` at a time, one ``rng.random``
-    call per block, and each block is solved in numpy: starting from k
-    constant at the block's opening count, the indicators are recomputed
-    from k and k from the indicators (an exclusive running sum) until the
-    indicators stop changing.
+    call per block, and each block is solved in numpy.  The first pass holds
+    k at the block's opening count k0, so every step meets the one threshold
+    theta + alpha * k0.  If the groups it founds leave that threshold the
+    same float (always at alpha = 0, and whenever alpha * k rounds away
+    beside theta), the pass is already exact.  Otherwise the indicators are
+    recomputed from k and k from the indicators (an exclusive running sum)
+    until the indicators stop changing.
 
     Why this terminates and is exact: with alpha >= 0 the test is monotone
     in k, so the iterates rise towards the step-by-step sequence and never
@@ -108,12 +112,17 @@ def group_count_trace(
     settles at least one more step.  The fixed point is that sequence,
     computed with the same float expressions from the same draws, so a
     seeded trace is the one a step-by-step loop gives, and the generator is
-    left in the same state.
+    left in the same state.  The first pass stops early only when it is that
+    fixed point: float multiply and add are monotone, so the threshold at
+    any count between k0 and k0 plus the groups found lies between two equal
+    floats, and a second pass would return the same indicators.
 
-    Cost: a pass is a few array operations over one block.  Blocks of
-    10^5-step runs take 1.3 passes on average at alpha = 0, 4.4 at 0.5 and
-    7-8 at 0.9 and above (at most 24 seen), so such a run costs 2.5-7 ms on
-    one Xeon core (about 60 ms step by step).
+    Cost: a pass is a few array operations over one block, and the first
+    needs no running sum.  Blocks of 10^5-step runs take one pass at
+    alpha = 0, 4.3 on average at 0.5 and about 7 at 0.9 and above, so such
+    a run costs about 1.2 ms at alpha = 0 and 4-7.5 ms at 0.5 and above on
+    one Xeon core (75-85 ms step by step), half of it at alpha = 0
+    drawing the uniforms.
     Memory is one block plus the recorded checkpoints.
     """
     return _group_count_traces(n_max, params, (rng,), checkpoints)[0]
@@ -127,10 +136,11 @@ def _group_count_traces(
 ) -> list[list[tuple[int, int]]]:
     """:func:`group_count_trace` of one run per generator, in order.
 
-    Every block of every run is solved in one set of block-sized arrays, so
-    the passes allocate no array: a fresh 128 KiB temporary per operation
-    made the time of a many-run report swing by a fifth with the layout of
-    the C heap (glibc trims and regrows it around arrays of that size).
+    Every block of every run is solved in one set of block-sized arrays,
+    and checkpoints are read by counting the indicators before them, so no
+    block allocates an array: a fresh 128 KiB temporary per operation made
+    the time of a many-run report swing by a fifth with the layout of the C
+    heap (glibc trims and regrows it around arrays of that size).
     """
     if n_max < 10:
         raise DomainError("the trace needs n_max >= 10")
@@ -144,7 +154,6 @@ def _group_count_traces(
         marks = tuple(sorted({int(c) for c in checkpoints}))
     if marks and (marks[0] < 1 or marks[-1] > n_max):
         raise DomainError("checkpoints must lie in [1, n_max]")
-    mark_array = np.array(marks, dtype=np.int64)
     theta, alpha = params.theta, params.alpha
     steps = np.arange(_BLOCK, dtype=float)
     u, scaled, level = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
@@ -161,23 +170,33 @@ def _group_count_traces(
             np.add(steps[:size], start, out=level[:size])
             level += theta
             np.multiply(u[:size], level[:size], out=scaled[:size])
-            before, new, again = counts[:size], flags[0, :size], flags[1, :size]
-            new[:] = False
-            while True:
-                np.cumsum(new, out=before)  # k0 plus the exclusive running sum of new
-                before -= new
-                before += k0
-                np.multiply(before, alpha, out=level[:size])
-                level += theta
-                np.less(scaled[:size], level[:size], out=again)
-                if start == 0:
-                    again[0] = True  # the empty urn always founds a group
-                if np.array_equal(again, new):
-                    break
-                new, again = again, new
-            before += new  # the count after each step
-            lo, hi = np.searchsorted(mark_array, (start, start + size), side="right")
-            out.extend(zip(marks[lo:hi], before[mark_array[lo:hi] - start - 1].tolist()))
-            k0 = int(before[-1])
+            new, again = flags[0, :size], flags[1, :size]
+            # first pass: k = k0 at every step, so the threshold is one number
+            low = alpha * k0 + theta
+            np.less(scaled[:size], low, out=new)
+            if start == 0:
+                new[0] = True  # the empty urn always founds a group
+            # a first pass that cannot move the threshold is the fixed point
+            if alpha * (k0 + np.count_nonzero(new)) + theta != low:
+                before = counts[:size]
+                while True:
+                    np.cumsum(new, out=before)  # k0 plus the exclusive running sum of new
+                    before -= new
+                    before += k0
+                    np.multiply(before, alpha, out=level[:size])
+                    level += theta
+                    np.less(scaled[:size], level[:size], out=again)
+                    if start == 0:
+                        again[0] = True
+                    if np.array_equal(again, new):
+                        break
+                    new, again = again, new
+            # the count after step n - 1 is k0 plus the foundings before n
+            done = 0
+            for mark in marks[bisect.bisect_right(marks, start) : bisect.bisect_right(marks, start + size)]:
+                k0 += int(np.count_nonzero(new[done : mark - start]))
+                done = mark - start
+                out.append((mark, k0))
+            k0 += int(np.count_nonzero(new[done:]))
         traces.append(out)
     return traces

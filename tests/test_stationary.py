@@ -459,6 +459,35 @@ TABLE_POINTS = REVERSIBLE_GRID + [
 ]
 
 
+def reference_up_moves(states, bound):
+    """The up moves of every state with s(m) <= bound, each target built with
+    ``apply_event`` and found by hashing the partition."""
+    index = {m: j for j, m in enumerate(states)}
+    moves = []
+    for m in states:
+        if m.size > bound:
+            break
+        row = [(TransitionEvent.new_family(), 0, m.num_groups, 1)]
+        row += [(TransitionEvent.growth(i), i, c, i + 1) for i, c in m]
+        out = []
+        for event, i, count, rev_index in row:
+            target = m.apply_event(event)
+            out.append((event, i, count, index[target], rev_index, target.multiplicity(rev_index)))
+        moves.append(tuple(out))
+    return tuple(moves)
+
+
+def test_up_move_graph_equals_apply_event_build():
+    graph = _up_move_graph()
+    expected_states = [m for n in range(PARTITION_BALANCE_MAX_SIZE + 2) for m in enumerate_partitions(n)]
+    assert list(graph.states) == expected_states
+    assert graph.ends == tuple(
+        sum(1 for m in expected_states if m.size <= n) for n in range(PARTITION_BALANCE_MAX_SIZE + 2)
+    )
+    assert graph.moves == reference_up_moves(graph.states, PARTITION_BALANCE_MAX_SIZE)
+    assert sum(map(len, graph.moves)) == 1771
+
+
 class TestTablesAreBitIdentical:
     """The per-point tables the scans read, against the public evaluators, with ==."""
 

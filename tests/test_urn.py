@@ -176,7 +176,10 @@ def assert_trace_matches_reference(n_max, params, seed, checkpoints=None):
     assert rng.random() == reference_rng.random()
 
 
-TRACE_POINTS = [(0.0, 1.0), (0.0, 2.5)] + [
+# at (1e-300, 1) alpha * k always rounds away beside theta, and 1 + 1e-17 * k
+# first differs from 1 at k = 12, so those runs settle some blocks in the
+# first pass and iterate others
+TRACE_POINTS = [(0.0, 1.0), (0.0, 2.5), (1e-300, 1.0), (1e-17, 1.0)] + [
     (alpha, theta)
     for alpha in (0.3, 0.5, 0.9, 0.999)
     for theta in (0.0, -alpha + 1e-3, 1.0)
@@ -197,17 +200,18 @@ def test_group_count_trace_equals_reference_loop(alpha, theta, n_max):
 
 
 @pytest.mark.parametrize("n_max", [10, _BLOCK + 1, 3 * _BLOCK + 7])
-def test_runs_sharing_block_arrays_equal_reference_loop(n_max):
+@pytest.mark.parametrize("alpha,theta", [(0.9, -0.5), (0.0, 1.0), (1e-17, 1.0)])
+def test_runs_sharing_block_arrays_equal_reference_loop(alpha, theta, n_max):
     # a growth report solves all its runs in one set of block arrays: nothing
     # of one block or run may carry over into the next
-    params, seeds = ModelParams(0.9, -0.5), (5, 6, 7)
+    params, seeds = ModelParams(alpha, theta), (5, 6, 7)
     traces = _group_count_traces(n_max, params, (np.random.default_rng([s, 3]) for s in seeds))
     assert traces == [reference_trace(n_max, params, np.random.default_rng([s, 3])) for s in seeds]
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    alpha=st.floats(0.0, 0.999),
+    alpha=st.just(0.0) | st.floats(0.0, 0.999),
     theta_offset=st.floats(1e-6, 10.0),
     n_max=st.integers(10, 50_000),
     seed=st.integers(0, 2**32 - 1),
@@ -216,6 +220,26 @@ def test_group_count_trace_property_equals_reference_loop(alpha, theta_offset, n
     # theta ranges over (-alpha, -alpha + 10], which at alpha = 0 is theta > 0
     params = ModelParams(alpha, -alpha + theta_offset)
     assert_trace_matches_reference(n_max, params, seed)
+
+
+@pytest.mark.parametrize("alpha,iterates", [(0.0, False), (1e-300, False), (1e-17, True)])
+def test_blocks_whose_threshold_cannot_move_need_no_running_sum(monkeypatch, alpha, iterates):
+    # the first pass holds k at the block's opening count; when the groups it
+    # founds leave theta + alpha * k the same float it is already exact
+    calls = []
+    cumsum = np.cumsum
+
+    def counting_cumsum(*args, **kwargs):
+        calls.append(1)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting_cumsum)
+    params = ModelParams(alpha, 1.0)
+    rngs = [np.random.default_rng([s, 3]) for s in range(5)]
+    traces = _group_count_traces(100_000, params, rngs)
+    monkeypatch.undo()
+    assert bool(calls) is iterates
+    assert traces == [reference_trace(100_000, params, np.random.default_rng([s, 3])) for s in range(5)]
 
 
 @pytest.mark.parametrize("bad", [(10.5, 50), (True, 50), (50, 20.0), (np.True_,)])
