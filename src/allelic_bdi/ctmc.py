@@ -36,7 +36,13 @@ integer index into that class, which picks the size against the integer
 weights m_i, (i - 1) * m_i or i * m_i over the sorted support.  Every exact
 search returns the same size, so a faster search over sizes draws the same
 paths.  Round-off past the top of a class picks the top of the last class
-with mass.
+with mass.  A multiplicity event takes exactly one holding time and one
+selector, so its two blocks drain together and events ``32 b`` to
+``32 b + 31`` read block pair ``b``; ensembles rely on this to draw a
+replicate's leading pairs up front and advance many replicates together
+(:func:`allelic_bdi.montecarlo.run_ensemble`).  The branching kernel has no
+such fixed pairing, since a founding draw takes an extra selector, so its
+replicates run one at a time.
 
 Every kernel refuses a horizon that is not finite and >= 0, checks that
 each jump strictly advances the clock and raises :class:`RunawayError`,

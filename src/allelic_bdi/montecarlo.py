@@ -6,17 +6,19 @@ tallies are plain integer sums, so results are bit-identical for fixed
 inputs no matter how replicates are partitioned across workers.  Single
 runs build that generator from the uint32 words numpy's ``SeedSequence``
 makes of ``[S, i]`` (:func:`_replicate_rng`).  Ensemble replicates are
-seeded a block at a time (:func:`_replicate_draws`): numpy's seed hash runs
-on a whole block of ``[S, i]`` word arrays at once, each replicate's PCG64
+seeded a block at a time (:func:`_block_rngs`): numpy's seed hash runs on
+a whole block of ``[S, i]`` word arrays at once, each replicate's PCG64
 state is assigned to one reused generator, and every block is checked
 against ``default_rng`` and reseeded through :func:`_replicate_rng` if it
 differs.  Each replicate hands its generator to an engine kernel, which
 draws holding times and selectors in blocks of 32 (random stream 2,
 :data:`allelic_bdi.ctmc.RNG_STREAM`, stamped ``# rng_stream=2`` in every
 histogram and trajectory CSV), so replicate ``i`` ends where
-``simulate(params, t, default_rng([S, i]))`` ends.  Replicates record no
-path and tally the sorted entries of their final state; a partition object
-is built once per distinct state after the merge.
+``simulate(params, t, default_rng([S, i]))`` ends; multiplicity replicates
+with theta > 0 advance a seed block at a time in lock step
+(:func:`_lock_step`) on the same draws.  Replicates record no path and
+tally the sorted entries of their final state; a partition object is built
+once per distinct state after the merge.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
@@ -34,10 +37,12 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .ctmc import (
     _EMPTY,
+    _DRAW_BLOCK,
     DEFAULT_MAX_EVENTS,
     RNG_STREAM,
     Trajectory,
     _branching_kernel,
+    _check_horizon,
     _multiplicity_kernel,
     _size_kernel,
 )
@@ -123,7 +128,7 @@ def _replicate_rng(seed: int, i: int) -> np.random.Generator:
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
 # seeding step (pcg64_set_seed), mirrored so that a block of replicates is
-# hashed at once; _replicate_draws checks the result against default_rng
+# hashed at once; _block_rngs checks the result against default_rng
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -199,38 +204,36 @@ def _pcg64_state(state: int, inc: int) -> dict:
     }
 
 
-def _replicate_draws(seed: int, start: int, stop: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """``(i, generator)`` for replicates ``start`` to ``stop - 1``.
+def _block_rngs(seed: int, lo: int, hi: int) -> Callable[[int], np.random.Generator]:
+    """The generator of replicate ``i``, for ``lo <= i < hi``, at the start of its stream.
 
-    Replicate ``i`` draws from the stream of ``default_rng([seed, i])``.  A
-    block of up to ``_SEED_BLOCK`` replicates is hashed at once
-    (:func:`_pcg64_states`), and each replicate's state is assigned to one
-    PCG64 reused for the whole chunk.  The first and last replicate of every
-    block are checked against ``default_rng([seed, i])``
-    (:func:`_block_matches`); on a mismatch the block is seeded replicate by
-    replicate with :func:`_replicate_rng` instead.  A yielded generator is
-    only valid until the next one is yielded.
+    Replicate ``i`` draws from the stream of ``default_rng([seed, i])``.  The
+    block (at most ``_SEED_BLOCK`` replicates) is hashed at once
+    (:func:`_pcg64_states`), and each call assigns replicate ``i``'s state to
+    one PCG64 reused for the whole block, so a returned generator is only
+    valid until the next call.  The first and last replicate of the block
+    are checked against ``default_rng([seed, i])`` (:func:`_block_matches`);
+    on a mismatch every call seeds with :func:`_replicate_rng` instead.
     """
     bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
     seed_words = _seed_words(seed)
-    for lo in range(start, stop, _SEED_BLOCK):
-        hi = min(lo + _SEED_BLOCK, stop)
-        states = []
-        first = lo
-        while first < hi:  # one run of replicate indices per word count
-            last = min(hi, 1 << (32 * len(_seed_words(first))))
-            columns = _word_columns(first, last - first)
-            entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
-            states += _pcg64_states(entropy)
-            first = last
-        if all(_block_matches(seed, i, states[i - lo], bitgen) for i in (lo, hi - 1)):
-            for i, state in zip(range(lo, hi), states):
-                bitgen.state = _pcg64_state(*state)
-                yield i, rng
-        else:
-            for i in range(lo, hi):
-                yield i, _replicate_rng(seed, i)
+    states = []
+    first = lo
+    while first < hi:  # one run of replicate indices per word count
+        last = min(hi, 1 << (32 * len(_seed_words(first))))
+        columns = _word_columns(first, last - first)
+        entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
+        states += _pcg64_states(entropy)
+        first = last
+    if not all(_block_matches(seed, i, states[i - lo], bitgen) for i in (lo, hi - 1)):
+        return partial(_replicate_rng, seed)
+    rng = np.random.Generator(bitgen)
+
+    def rng_of(i: int) -> np.random.Generator:
+        bitgen.state = _pcg64_state(*states[i - lo])
+        return rng
+
+    return rng_of
 
 
 def _block_matches(seed: int, i: int, state: tuple[int, int], bitgen) -> bool:
@@ -252,23 +255,174 @@ def _replicate_outcome(
     raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
+_LOCK_STEP_BLOCK = 256  # seed blocks this large run in lock step ...
+_LOCK_STEP_MIN = 16  # ... while this many of their replicates run
+
+
+def _lock_step(
+    params: ModelParams,
+    t_end: float,
+    rng_of: Callable[[int], np.random.Generator],
+    lo: int,
+    hi: int,
+    max_events: int,
+) -> tuple[list, list[int]]:
+    """Final entries of multiplicity replicates ``lo`` to ``hi - 1`` of one seed block.
+
+    The kernel takes one holding time and one selector per event, so events
+    ``32 b`` to ``32 b + 31`` of a replicate draw its block pair ``b``: an
+    exponential block, then a uniform block.  Each running replicate draws
+    pair ``b`` (from the start of its stream, skipping the pairs it has
+    used) before event ``32 b``.  Each numpy step then advances every running
+    replicate by one event with the kernel's float expressions.  A state is
+    a row of group counts by size; column 0 takes the updates of events
+    that add or remove a group.  The size in the chosen class is the first
+    whose cumulative integer weight exceeds the class index, the size the
+    kernel's walk returns, read from one running sum over the rows that
+    need a search.  Returns the entries in index order and, sorted, the
+    replicates it leaves to the kernel (see :func:`run_ensemble`), whose
+    entries are placeholders.
+    """
+    _check_horizon(t_end)
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    join, rate = 1.0 - alpha, 1.0 + mu
+    rows = hi - lo
+    exps = np.empty((rows, _DRAW_BLOCK))  # the block pair being drawn, a row per replicate
+    unis = np.empty_like(exps)
+    used = np.empty(_DRAW_BLOCK)
+    counts = np.zeros((rows, 0), np.int64)  # counts[r, i]: groups of size i in row r
+    run = np.arange(rows)  # the rows still running
+    state = np.zeros((3, rows))  # their clocks, sizes and group counts
+    t, s, k = state
+    left = []
+    n = big = 0  # events taken; no size above big is present
+    # a holding time past the float range ends the run, as in the kernel;
+    # s / k is nan in rows with no groups, which take the new-family branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(run) >= _LOCK_STEP_MIN and n < max_events:
+            if not n % 16:  # replicates that rarely end run faster one by one
+                if n and 4 * len(run) > 3 * earlier:
+                    break
+                earlier = len(run)
+            col = n % _DRAW_BLOCK
+            if not col:
+                for r, e, u in zip(run.tolist(), exps, unis):
+                    rng = rng_of(lo + r)
+                    for _ in range(n // _DRAW_BLOCK):
+                        rng.standard_exponential(out=used)
+                        rng.random(out=used)
+                    rng.standard_exponential(out=e)
+                    rng.random(out=u)
+                hold, pick = exps[: len(run)].T.copy(), unis[: len(run)].T.copy()
+                slot = np.arange(len(run))  # each running row's column in hold and pick
+            if big + 2 > counts.shape[1]:  # room for a size of big + 1
+                counts = np.hstack((counts, np.zeros((rows, 8), np.int64)))
+                width = counts.shape[1]
+                flat = counts.reshape(-1)
+                size = np.arange(width)
+                weights = np.stack([size > 0, size - 1, size])  # m_i, (i - 1) m_i, i m_i
+                weights[:, 0] = 0
+                starts = np.arange(0, rows * width, width)
+            n += 1
+            total = rate * s + theta
+            t_next = hold[col][slot] / total + t
+            ok = t_next <= t_end
+            if np.count_nonzero(t < t_next) < len(run):
+                stalled = ok & (t_next <= t)
+                left += run[stalled].tolist()
+                ok &= ~stalled
+            state[0] = t_next
+            if np.count_nonzero(ok) < len(run):
+                keep = ok.nonzero()[0]
+                run, slot, total = run[keep], slot[keep], total[keep]
+                state = state.take(keep, axis=1)
+                t, s, k = state
+                if not len(run):
+                    continue
+            v = pick[col][slot] * total - (alpha * k + theta if alpha else theta)
+            groups = join * k if alpha else k  # 1.0 * k is k
+            grp = v < groups
+            w = v - groups
+            sk = s - k
+            if mu > 0.0:  # w < 0 <= sk where grp holds, so grp implies mem
+                mem = w < sk
+                x = w - sk
+                x /= mu
+                np.copyto(x, w, where=mem)
+                cap = np.where(mem, sk, s)
+                cls = 2 - mem.view(np.int8) - grp.view(np.int8)
+            else:
+                mem, x, cap = np.ones_like(grp), w, sk.copy()
+                cls = 1 - grp.view(np.int8)
+            np.copyto(x, v / join if alpha else v, where=grp)
+            np.copyto(cap, k, where=grp)
+            cap -= 1.0
+            np.minimum(x, cap, out=x)  # the class index, before truncation
+            new = x < 0.0 if mu > 0.0 else (v < 0.0) | (s == 0.0)
+            at = s / k  # the size when there is one group or every group has size 1
+            idx = ((k > 1.0) & (sk > 0.0)).nonzero()[0]
+            if len(idx):
+                cum = counts.take(run[idx], axis=0)
+                cum *= weights.take(cls[idx], axis=0)
+                cum = np.cumsum(cum.reshape(-1))  # row j's sums, plus all of rows before it
+                below = x[idx].astype(np.int64)
+                below += cum[: len(idx) * width : width]
+                found = np.searchsorted(cum, below, side="right")
+                found -= starts[: len(idx)]
+                at[idx] = found
+            at[new] = 0.0  # a new family moves a group from column 0 to size 1
+            grow = mem | new
+            step = grow.view(np.int8) * 2 - 1
+            s += step
+            k += new
+            big = max(big, int(at[at.argmax()]) + 1)
+            base = run * width
+            pos = at.astype(np.intp) + base
+            flat[pos] -= 1
+            pos += step
+            flat[pos] += 1
+            k -= pos == base  # a death in a group of size 1 removes the group
+    keys: dict = {}  # counts by size -> sorted entries, built once per distinct state
+    outcomes = []
+    for row in map(tuple, counts[:, 1 : big + 1].tolist()):
+        key = keys.get(row)
+        if key is None:
+            key = keys[row] = tuple([(i, c) for i, c in enumerate(row, 1) if c])
+        outcomes.append(key)
+    return outcomes, sorted(lo + r for r in left + run.tolist())
+
+
 def _run_chunk(args: tuple) -> dict:
-    """Tallies of final states over one range of replicates, in first-occurrence order."""
+    """Tallies of final states over one range of replicates, in first-occurrence order.
+
+    A seed block of at least ``_LOCK_STEP_BLOCK`` multiplicity replicates
+    with theta > 0 runs in lock step (:func:`_lock_step`); the kernels run
+    the replicates it leaves and all others one by one, in index order, so
+    the first guard to raise is the one a plain loop raises.
+    """
     params, t_end, seed, engine, start, stop, max_events = args
     tallies: dict = {}
-    for i, rng in _replicate_draws(seed, start, stop):
-        try:
-            outcome = _replicate_outcome(engine, params, t_end, rng, max_events)
-        except RunawayError as exc:
-            raise RunawayError(
-                f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
-                f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
-                events=exc.events,
-                time=exc.time,
-                size=exc.size,
-                groups=exc.groups,
-            ) from exc
-        tallies[outcome] = tallies.get(outcome, 0) + 1
+    for lo in range(start, stop, _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, stop)
+        rng_of = _block_rngs(seed, lo, hi)
+        if engine == "multiplicity" and params.theta > 0.0 and hi - lo >= _LOCK_STEP_BLOCK:
+            outcomes, left = _lock_step(params, t_end, rng_of, lo, hi, max_events)
+        else:
+            outcomes, left = [None] * (hi - lo), range(lo, hi)
+        for i in left:
+            try:
+                outcomes[i - lo] = _replicate_outcome(engine, params, t_end, rng_of(i), max_events)
+            except RunawayError as exc:
+                raise RunawayError(
+                    f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
+                    f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
+                    events=exc.events,
+                    time=exc.time,
+                    size=exc.size,
+                    groups=exc.groups,
+                ) from exc
+        for key in outcomes:
+            tallies[key] = tallies.get(key, 0) + 1
     return tallies
 
 
@@ -295,6 +449,19 @@ def run_ensemble(
     a deterministic function of (params, t_end, replicates, seed, engine)
     alone - worker count only affects wall time.  The pool is capped at the
     usable CPUs, since every worker process is started up front.
+
+    Replicates run a seed block (``_SEED_BLOCK``) at a time.  With the
+    multiplicity engine and theta > 0, a block of at least
+    ``_LOCK_STEP_BLOCK`` replicates runs in lock step: every replicate
+    draws its next block pair of holding times and selectors, and one numpy
+    step advances all running replicates by one event.  The replicates
+    still running decide how long: once fewer than ``_LOCK_STEP_MIN`` run,
+    or more than three in four of those running 16 events earlier still
+    run, the scalar kernel reruns the rest from the start of their streams,
+    in index order, as it does a replicate that stalls or reaches
+    ``max_events``.  Smaller blocks, theta <= 0 and the other engines run
+    one replicate at a time.  Both paths give the same tallies in the same
+    order.
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")

@@ -134,11 +134,13 @@ class AbsorbingClock:
     """Generator stand-in, drawing in blocks, whose second holding time is lost to round-off.
 
     Like the engines' generators it is asked for whole blocks of standard
-    exponentials and uniforms; every selector is 0.5.
+    exponentials and uniforms, returned or written to ``out``; every
+    selector is 0.5.
     """
 
-    def standard_exponential(self, size):
-        return np.array([1.0, 1e-300] + [1.0] * (size - 2))
+    def standard_exponential(self, size=None, out=None):
+        draws = np.array([1.0, 1e-300] + [1.0] * ((size or len(out)) - 2))
+        return draws if out is None else np.copyto(out, draws)
 
-    def random(self, size):
-        return np.full(size, 0.5)
+    def random(self, size=None, out=None):
+        return np.full(size, 0.5) if out is None else out.fill(0.5)

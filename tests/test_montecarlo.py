@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allelic_bdi import ctmc, montecarlo
 from allelic_bdi import (
@@ -271,9 +273,8 @@ class TestReplicateSeeding:
         assert ours.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
         assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
         # the block-seeded generator of ensemble replicates
-        ((j, rng),) = montecarlo._replicate_draws(seed, i, i + 1)
+        rng = montecarlo._block_rngs(seed, i, i + 1)(i)
         fresh = np.random.default_rng([seed, i])
-        assert j == i
         assert rng.bit_generator.state == fresh.bit_generator.state
         assert rng.random(4).tolist() == fresh.random(4).tolist()
         assert rng.standard_exponential(4).tolist() == fresh.standard_exponential(4).tolist()
@@ -300,6 +301,87 @@ def _oracle_tallies(engine, seed, start, stop):
 
 def _chunk(engine, seed, start, stop):
     return montecarlo._run_chunk((CHUNK_PARAMS, CHUNK_T, seed, engine, start, stop, 10**6))
+
+
+def _kernel_tallies(params, t_end, seed, start, stop):
+    """The scalar kernel's tallies, one replicate at a time, in first-occurrence order."""
+    tallies = {}
+    for i in range(start, stop):
+        rng = np.random.default_rng([seed, i])
+        key = ctmc._multiplicity_kernel(params, t_end, rng, ctmc._EMPTY, 10**6, None)
+        tallies[key] = tallies.get(key, 0) + 1
+    return tallies
+
+
+def _assert_kernel_tallies(tallies, params, t_end, seed, start, stop):
+    expected = _kernel_tallies(params, t_end, seed, start, stop)
+    assert list(tallies.items()) == list(expected.items())
+
+
+def _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop, max_events=10**6):
+    """``_run_chunk`` over the multiplicity engine, and the block sizes run in lock step."""
+    blocks = []
+    lock_step = montecarlo._lock_step
+
+    def counted(params, t_end, rng_of, lo, hi, max_events):
+        blocks.append(hi - lo)
+        return lock_step(params, t_end, rng_of, lo, hi, max_events)
+
+    monkeypatch.setattr(montecarlo, "_lock_step", counted)
+    tallies = montecarlo._run_chunk((params, t_end, seed, "multiplicity", start, stop, max_events))
+    return tallies, blocks
+
+
+class EdgeDraws:
+    """Generator stand-in for replicate ``i``, drawing from fixed cycles started at offset ``i``.
+
+    The selectors sit at the edges of [0, 1), where ``u * total`` rounds
+    onto class boundaries.  With ``first``, even replicates take it as
+    their first holding time.
+    """
+
+    HOLDS = [1.0, 0.5, 2.0, 0.25, 1.5]
+    PICKS = [0.9, np.nextafter(1.0, 0.0), 0.0, 0.5, 1.0 - 2.0**-40, 0.999999, 0.25, 2.0**-60]
+
+    def __init__(self, i, first=None):
+        self.i, self.first, self.drawn = i, first, {}
+
+    def _draw(self, cycle, size, out, first=None):
+        start = self.drawn.get(id(cycle), 0)
+        draws = [cycle[(self.i + start + j) % len(cycle)] for j in range(size or len(out))]
+        if start == 0 and first is not None:
+            draws[0] = first
+        self.drawn[id(cycle)] = start + len(draws)
+        return np.array(draws) if out is None else np.copyto(out, draws)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._draw(self.HOLDS, size, out, None if self.i % 2 else self.first)
+
+    def random(self, size=None, out=None):
+        return self._draw(self.PICKS, size, out)
+
+
+LOCK_BLOCK = montecarlo._LOCK_STEP_BLOCK
+# multiplicity points at the edges of the domain; the horizons give replicates
+# from no event at all to more than two draw blocks of them
+LOCK_STEP_POINTS = [
+    pytest.param(ModelParams(0.0, 1.0, 2.0), 5.0, id="criterion6-alpha0"),
+    pytest.param(ModelParams(0.999, 0.5, 1.5), 2.0, id="alpha-near-1"),
+    pytest.param(ModelParams(0.3, 2.0, 0.0), 1.5, id="mu0"),
+    pytest.param(ModelParams(0.5, 1.0, 1.0), 3.0, id="mu1"),
+    pytest.param(ModelParams(0.5, 1.0, 1.0 + 1e-6), 3.0, id="mu1plus"),
+    pytest.param(ModelParams(0.2, 3.0, 4.0), 2.0, id="mu4"),
+    pytest.param(ModelParams(0.4, 1e-3, 2.0), 6.0, id="tiny-theta"),
+    pytest.param(ModelParams(0.4, 5e-324, 2.0), 6.0, id="subnormal-theta"),
+    pytest.param(ModelParams(0.5, 1.0, 1.5), 0.0, id="t0"),
+]
+# block sizes on both sides of the lock-step rule, and a block across 2^32
+LOCK_STEP_RANGES = [
+    (7, 7 + LOCK_BLOCK - 1),
+    (7, 7 + LOCK_BLOCK),
+    (0, 300),
+    (2**32 - 150, 2**32 + 150),
+]
 
 
 class TestRunChunk:
@@ -364,6 +446,158 @@ class TestRunChunk:
         expected = _oracle_tallies("multiplicity", seed, 0, replicates)
         assert [m.entries for m in dist.weights] == list(expected)
         assert list(dist.weights.values()) == list(expected.values())
+
+    @pytest.mark.parametrize("start,stop", LOCK_STEP_RANGES)
+    @pytest.mark.parametrize("params,t_end", LOCK_STEP_POINTS)
+    def test_lock_step_tallies_equal_the_kernel_loop(self, monkeypatch, params, t_end, start, stop):
+        seed = 2**32 + 1
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop)
+        _assert_kernel_tallies(tallies, params, t_end, seed, start, stop)
+        assert blocks == ([stop - start] if stop - start >= LOCK_BLOCK else [])
+
+    @pytest.mark.parametrize("params,t_end", LOCK_STEP_POINTS[:3])
+    def test_lock_step_chunk_one_longer_than_a_block(self, monkeypatch, params, t_end):
+        stop = montecarlo._SEED_BLOCK + 1
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, 0, 0, stop)
+        _assert_kernel_tallies(tallies, params, t_end, 0, 0, stop)
+        assert blocks == [montecarlo._SEED_BLOCK]  # the last replicate runs alone
+
+    def test_lock_step_replicates_past_two_draw_blocks(self, monkeypatch):
+        # about 0.3% of criterion-6 replicates take 64 events or more: the
+        # lock step draws a third block pair for them or leaves them to the kernel
+        params, t_end, seed, stop = ModelParams(0.0, 1.0, 2.0), 5.0, 21, 2000
+        rngs = (np.random.default_rng([seed, i]) for i in range(stop))
+        lengths = [len(simulate(params, t_end, rng)) for rng in rngs]
+        assert sum(n >= 64 for n in lengths) >= 3
+        tallies, _ = _lock_step_chunk(monkeypatch, params, t_end, seed, 0, stop)
+        _assert_kernel_tallies(tallies, params, t_end, seed, 0, stop)
+
+    @pytest.mark.parametrize(
+        "params,first",
+        [
+            # a subnormal theta: u * theta rounds up to theta in the empty state
+            (ModelParams(0.5, 1.5e-323, 2.0), 5e-324),
+            (ModelParams(0.5, 1.5e-323, 0.0), 5e-324),
+            (ModelParams(0.0, 1.0, 2.0), None),
+            (ModelParams(0.999, 0.5, 0.0), None),
+            (ModelParams(0.3, 2.0, 1.0), None),
+        ],
+    )
+    def test_lock_step_selectors_at_class_edges_match_the_kernel(self, monkeypatch, params, first):
+        t_end, start, stop = 3.0, 5, 5 + LOCK_BLOCK
+        expected = {}
+        for i in range(start, stop):
+            rng = EdgeDraws(i, first)
+            key = ctmc._multiplicity_kernel(params, t_end, rng, ctmc._EMPTY, 10**4, None)
+            expected[key] = expected.get(key, 0) + 1
+        assert len(expected) > 1 or first  # a lone founder dies out at the subnormal theta
+        draws = lambda seed, lo, hi: lambda i: EdgeDraws(i, first)  # noqa: E731
+        monkeypatch.setattr(montecarlo, "_block_rngs", draws)
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, 0, start, stop, 10**4)
+        assert blocks == [stop - start]
+        assert list(tallies.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("t_end,handed", [(5.0, range(0, 16)), (100.0, [LOCK_BLOCK])])
+    def test_lock_step_hands_long_replicates_to_the_kernel(self, monkeypatch, t_end, handed):
+        # at t = 5 nine in ten replicates end within 32 events and the block
+        # steps on; at t = 100 every one runs past 32 and all rerun one by one
+        params, seed = ModelParams(0.0, 1.0, 2.0), 4
+        left = []
+        lock_step = montecarlo._lock_step
+
+        def counted(*args):
+            outcomes, rest = lock_step(*args)
+            left.append(len(rest))
+            return outcomes, rest
+
+        monkeypatch.setattr(montecarlo, "_lock_step", counted)
+        chunk = (params, t_end, seed, "multiplicity", 0, LOCK_BLOCK, 10**6)
+        tallies = montecarlo._run_chunk(chunk)
+        assert len(left) == 1 and left[0] in handed
+        _assert_kernel_tallies(tallies, params, t_end, seed, 0, LOCK_BLOCK)
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+    def test_lock_step_refuses_a_horizon_the_kernel_refuses(self, monkeypatch, t_end):
+        for stop in (LOCK_BLOCK, LOCK_BLOCK - 1):  # in lock step, and one by one
+            with pytest.raises(DomainError, match="horizon must be finite"):
+                _lock_step_chunk(monkeypatch, CHUNK_PARAMS, t_end, 1, 0, stop)
+
+    def test_theta_at_most_zero_runs_one_by_one(self, monkeypatch):
+        params = ModelParams(0.5, -0.2, 1.0)  # from the empty state nothing happens
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, 1.0, 3, 0, 300)
+        assert blocks == []
+        assert tallies == {(): 300}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_events", [1, 31, 32, 33, 63, 64])
+    def test_lock_step_event_cap_names_the_replicate_a_serial_loop_names(self, workers, max_events):
+        # 2,048 replicates make eight pooled chunks of one lock-step block each
+        params, t_end, seed, replicates = ModelParams(0.0, 1.0, 2.0), 5.0, 21, 8 * LOCK_BLOCK
+        for i in range(replicates):  # the serial loop stops at the first replicate past the cap
+            try:
+                rng = np.random.default_rng([seed, i])
+                ctmc._multiplicity_kernel(params, t_end, rng, ctmc._EMPTY, max_events, None)
+            except RunawayError as exc:
+                first, expected = i, exc
+                break
+        assert first == {1: 0, 31: 8, 32: 8, 33: 8, 63: 73, 64: 73}[max_events]
+        with pytest.raises(RunawayError) as exc:
+            run_ensemble(params, t_end, replicates, seed, workers=workers, max_events=max_events)
+        assert str(exc.value) == (
+            f"replicate {first} of seed {seed} (alpha=0.0, theta=1.0, mu=2.0, t=5.0, "
+            f"engine multiplicity): {expected}"
+        )
+        got = (exc.value.events, exc.value.time, exc.value.size, exc.value.groups)
+        assert got == (expected.events, expected.time, expected.size, expected.groups)
+
+    def test_lock_step_refuses_a_jump_that_does_not_advance_the_clock(self, monkeypatch):
+        # every replicate's second holding time is lost to round-off
+        absorbing = lambda seed, lo, hi: lambda i: AbsorbingClock()  # noqa: E731
+        monkeypatch.setattr(montecarlo, "_block_rngs", absorbing)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            _lock_step_chunk(monkeypatch, ModelParams(0.5, 1.0, 0.5), 5.0, 1, 0, 300)
+
+    def test_lock_step_block_that_fails_its_check_falls_back(self, monkeypatch):
+        params, t_end, seed = ModelParams(0.0, 1.0, 2.0), 5.0, 2**32 + 1
+        start, stop = 2**32 - 150, 2**32 + 150
+        seeded = []
+        replicate_rng = montecarlo._replicate_rng
+
+        def counted(seed, i):
+            seeded.append(i)
+            return replicate_rng(seed, i)
+
+        monkeypatch.setattr(montecarlo, "_block_matches", lambda *args: False)
+        monkeypatch.setattr(montecarlo, "_replicate_rng", counted)
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop)
+        assert blocks == [stop - start]
+        assert sorted(set(seeded)) == list(range(start, stop))  # each seeded by the fallback
+        _assert_kernel_tallies(tallies, params, t_end, seed, start, stop)
+
+    def test_lock_step_memory_is_bounded_by_one_seed_block(self):
+        # criterion 6's point, serial: the lock step holds one seed block of
+        # replicates at a time, so a chunk of five blocks peaks where one does
+        params, t_end = ModelParams(0.0, 1.0, 2.0), 5.0
+        one = _traced_peak(run_ensemble, params, t_end, montecarlo._SEED_BLOCK, 6)
+        five = _traced_peak(run_ensemble, params, t_end, 4 * montecarlo._SEED_BLOCK + 1, 6)
+        assert one < montecarlo._SEED_BLOCK * 4096  # about 2 kB per replicate of the block
+        assert five < 1.25 * one
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.just(0.0) | st.floats(0.0, 0.999),
+    theta=st.floats(1e-9, 5.0),
+    mu=st.sampled_from([0.0, 1.0, 1.0 + 1e-9]) | st.floats(0.0, 4.0),
+    t_end=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**64),
+    start=st.integers(0, 2**33),
+    count=st.integers(LOCK_BLOCK, LOCK_BLOCK + 64),
+)
+def test_lock_step_property_equals_kernel_loop(alpha, theta, mu, t_end, seed, start, count):
+    params = ModelParams(alpha, theta, mu)
+    chunk = (params, t_end, seed, "multiplicity", start, start + count, 10**6)
+    _assert_kernel_tallies(montecarlo._run_chunk(chunk), params, t_end, seed, start, start + count)
 
 
 def _traced_peak(fn, *args) -> int:
