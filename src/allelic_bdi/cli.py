@@ -22,11 +22,10 @@ from typing import Sequence
 from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
 from .errors import DomainError, PartitionParseError, RunawayError
-from .formulae import ModelParams, _neg_bin_pmfs, esf, nbin_time_param, psf
+from .formulae import ModelParams, _neg_bin_pmfs, _psf_rows, nbin_time_param, psf
 from .montecarlo import (
     ENGINES,
     _open_artifact,
-    _replicate_rng,
     growth_report,
     run_ensemble,
     tv_distance,
@@ -37,6 +36,7 @@ from .montecarlo import (
 from .partitions import MAX_ENUMERATION_SIZE, AllelicPartition, enumerate_partitions
 from .stationary import (
     PARTITION_BALANCE_MAX_SIZE,
+    _pi_rows,
     alpha0_marginal,
     mixture_consistency_scan,
     partition_balance_scan,
@@ -120,25 +120,21 @@ def cmd_exact(args) -> int:
         if not args.table:
             _need(args.partition is not None, f"{kind} requires --partition or --table")
             m = AllelicPartition.decode(args.partition)
-            if kind == "pi":
-                value = partition_stationary_pmf(m, params)
-            else:
-                n = args.n if args.n is not None else m.size
-                value = esf(n, args.theta, m) if kind == "esf" else psf(n, params, m)
+            n = args.n if args.n is not None else m.size
+            value = partition_stationary_pmf(m, params) if kind == "pi" else psf(n, params, m)
             print(f"{value:.12g}")
             return 0
         key_name = "partition"
         if kind == "pi":
-            rows = [
-                (m.encode(), partition_stationary_pmf(m, params))
-                for n in range(args.max_size + 1)
-                for m in enumerate_partitions(n)
-            ]
+            states = [m for n in range(args.max_size + 1) for m in enumerate_partitions(n)]
+            values = _pi_rows(params, states, args.max_size)
             meta["max_size"] = args.max_size
         else:
             _need(args.n is not None, f"{kind} --table requires --n")
-            rows = [(m.encode(), psf(args.n, params, m)) for m in enumerate_partitions(args.n)]
+            states = enumerate_partitions(args.n)
+            values = _psf_rows(params, states, args.n)
             meta["n"] = args.n
+        rows = [(m.encode(), value) for m, value in zip(states, values)]
 
     with _open_artifact(args.out, meta) as fh:
         fh.write(f"{key_name},value\n")
@@ -215,10 +211,10 @@ def cmd_simulate(args) -> int:
             raise DomainError(
                 "--trajectory requires a partition engine (multiplicity or branching)"
             )
+        import numpy as np  # imported here: exact and verify need none from this module
         engine_fn = simulate if args.engine == "multiplicity" else simulate_branching
-        trajectory = engine_fn(
-            params, args.t, _replicate_rng(args.seed, 0), max_events=args.max_events
-        )
+        rng = np.random.default_rng([args.seed, 0])
+        trajectory = engine_fn(params, args.t, rng, max_events=args.max_events)
         write_trajectory_csv(
             trajectory,
             args.trajectory,
@@ -398,7 +394,7 @@ def cmd_diagnose(args) -> int:
         "seed": args.seed,
         "power": args.power if args.power is not None else params.alpha,
     }
-    write_growth_csv(rows, sys.stdout if args.out is None else args.out, metadata=meta)
+    write_growth_csv(rows, args.out, metadata=meta)
     return 0
 
 
@@ -678,10 +674,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except PartitionParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (PartitionParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunawayError as exc:

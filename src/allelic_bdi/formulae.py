@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError
 
@@ -260,27 +260,42 @@ def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
     ((theta/alpha)_(k) / theta_(n) = (1/alpha) * (theta/alpha + 1)_(k-1)
     / (theta + 1)_(n-1)), which removes the 0/0 at theta = 0 and keeps every
     remaining factor positive on the whole parameter range.  At alpha = 0 the
-    Ewens formula is used directly (same code path as ``esf``).
+    Ewens formula is used (``esf``).  Its factor lists are built up to n, so
+    a table of many states calls :func:`_psf_rows` instead.
     """
-    if params.alpha == 0.0:
-        return esf(n, params.theta, m)
     if n < 0:
         raise DomainError("sample size must be >= 0")
     if m.size != n:
         return 0.0
-    if n == 0:
-        return 1.0
+    return _psf_rows(params, (m,), n)[0]
+
+
+def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: int) -> list[float]:
+    """psf(s(m), params, m) at each of ``states``, each with s(m) <= size: the one evaluator.
+
+    The factor lists are built once up to ``size`` and summed in the order
+    ((log n! - log alpha) + log (theta/alpha + 1)_(k-1)) - log (theta + 1)_(n-1),
+    then + (m_i log w_i - log m_i!) per entry.  At alpha = 0 it calls ``esf``.
+    """
     alpha, theta = params.alpha, params.theta
-    k = m.num_groups
-    log_p = (
-        log_factorial(n)
-        - math.log(alpha)
-        + log_ascending_factorial(theta / alpha + 1.0, k - 1).log_magnitude
-        - log_ascending_factorial(theta + 1.0, n - 1).log_magnitude
-    )
-    for i, mi in m:
-        log_p += mi * log_alpha_weight(alpha, i) - log_factorial(mi)
-    return math.exp(log_p)
+    if alpha == 0.0:
+        return [esf(m.size, theta, m) for m in states]
+    log_alpha = math.log(alpha)
+    lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(size)
+    rising = _ascending_prefix(theta + 1.0).log_magnitudes(size)
+    log_w = [0.0] + _log_alpha_weights(alpha, size)
+    log_factorial(size)
+    out = []
+    for m in states:
+        n = m.size
+        if not n:
+            out.append(1.0)  # the empty sample
+            continue
+        log_p = ((_LOG_FACTORIAL[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
+        for i, mi in m:
+            log_p += mi * log_w[i] - _LOG_FACTORIAL[mi]
+        out.append(math.exp(log_p))
+    return out
 
 
 def _require_weight_alpha(alpha: float) -> None:
@@ -293,8 +308,7 @@ def log_alpha_weight(alpha: float, i: int) -> float:
 
     log(alpha) + log (1-alpha)_(i-1) - log(i!), with the ascending factorial
     read from the prefix table at 1 - alpha: O(1) once the table covers
-    i - 1, where rebuilding the product per call cost O(min(i, 512)).  The
-    table entry is bit-identical to the rebuilt product, so the weight is too.
+    i - 1.
     """
     _require_weight_alpha(alpha)
     if i < 1:

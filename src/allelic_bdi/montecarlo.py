@@ -3,22 +3,22 @@
 Reproducibility contract: replicate ``i`` of a run with master seed ``S``
 always uses the stream ``numpy.random.default_rng([S, i])``, and merged
 tallies are plain integer sums, so results are bit-identical for fixed
-inputs no matter how replicates are partitioned across workers.  Single
-runs build that generator from the uint32 words numpy's ``SeedSequence``
-makes of ``[S, i]`` (:func:`_replicate_rng`).  Ensemble replicates are
-seeded a block at a time (:func:`_block_rngs`): numpy's seed hash runs on
-a whole block of ``[S, i]`` word arrays at once, each replicate's PCG64
-state is assigned to one reused generator, and every block is checked
-against ``default_rng`` and reseeded through :func:`_replicate_rng` if it
-differs.  Each replicate hands its generator to an engine kernel, which
-draws holding times and selectors in blocks of 32 (random stream 2,
-:data:`allelic_bdi.ctmc.RNG_STREAM`, stamped ``# rng_stream=2`` in every
-histogram and trajectory CSV), so replicate ``i`` ends where
-``simulate(params, t, default_rng([S, i]))`` ends; multiplicity replicates
-with theta > 0 advance a seed block at a time in lock step
-(:func:`_lock_step`) on the same draws.  Replicates record no path and
-tally the sorted entries of their final state; a partition object is built
-once per distinct state after the merge.
+inputs no matter how replicates are partitioned across workers.  A single
+run (the occupation run) calls ``default_rng([S, 0])`` itself.  Runs of many
+replicates (ensembles, and the urn runs of :func:`growth_report`) are seeded
+one seed block at a time (:func:`_block_rngs`): numpy's seed hash runs on a
+whole block of ``[S, i]`` word arrays at once, each replicate's PCG64 state
+is assigned to one reused generator, and every block is checked against
+``default_rng`` and reseeded with ``default_rng([S, i])`` replicate by
+replicate if it differs.  Each ensemble replicate hands its generator to an
+engine kernel, which draws holding times and selectors in blocks of 32
+(random stream 2, :data:`allelic_bdi.ctmc.RNG_STREAM`, stamped
+``# rng_stream=2`` in every histogram and trajectory CSV), so replicate
+``i`` ends where ``simulate(params, t, default_rng([S, i]))`` ends;
+multiplicity replicates with theta > 0 advance a seed block at a time in
+lock step (:func:`_lock_step`) on the same draws.  Replicates record no path
+and tally the sorted entries of their final state; a partition object is
+built once per distinct state after the merge.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from functools import partial
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
@@ -113,17 +112,6 @@ def _seed_words(n: int) -> list[int]:
         words.append(n & 0xFFFFFFFF)
         n >>= 32
     return words
-
-
-def _replicate_rng(seed: int, i: int) -> np.random.Generator:
-    """The generator of replicate ``i`` of master seed ``seed``.
-
-    Equal to ``np.random.default_rng([seed, i])``: numpy's ``SeedSequence``
-    turns the list ``[seed, i]`` into exactly this uint32 array, words of
-    ``seed`` first, and seeds from it; handing it the array skips the
-    per-element conversion.
-    """
-    return np.random.default_rng(np.array(_seed_words(seed) + _seed_words(i), dtype=np.uint32))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
@@ -213,7 +201,7 @@ def _block_rngs(seed: int, lo: int, hi: int) -> Callable[[int], np.random.Genera
     one PCG64 reused for the whole block, so a returned generator is only
     valid until the next call.  The first and last replicate of the block
     are checked against ``default_rng([seed, i])`` (:func:`_block_matches`);
-    on a mismatch every call seeds with :func:`_replicate_rng` instead.
+    on a mismatch every call returns a new ``default_rng([seed, i])`` instead.
     """
     bitgen = np.random.PCG64()
     seed_words = _seed_words(seed)
@@ -226,7 +214,7 @@ def _block_rngs(seed: int, lo: int, hi: int) -> Callable[[int], np.random.Genera
         states += _pcg64_states(entropy)
         first = last
     if not all(_block_matches(seed, i, states[i - lo], bitgen) for i in (lo, hi - 1)):
-        return partial(_replicate_rng, seed)
+        return lambda i: np.random.default_rng([seed, i])
     rng = np.random.Generator(bitgen)
 
     def rng_of(i: int) -> np.random.Generator:
@@ -596,7 +584,7 @@ def stationary_occupation(
         if j:  # a death in a group of size 1 leaves no group behind
             counts[j] = counts.get(j, 0) + 1
 
-    rng = _replicate_rng(seed, 0)
+    rng = np.random.default_rng([seed, 0])
     _multiplicity_kernel(params, horizon, rng, _EMPTY, max_events, observe)
     occupy(horizon)
     return EmpiricalDistribution(
@@ -642,7 +630,10 @@ def growth_report(
         raise DomainError("the seed must be >= 0")
     if power is None:
         power = params.alpha
-    traces = _group_count_traces(n_max, params, (_replicate_rng(seed, r) for r in range(runs)))
+    # run r draws from default_rng([seed, r]); each generator is used up before the next is made
+    blocks = ((lo, min(lo + _SEED_BLOCK, runs)) for lo in range(0, runs, _SEED_BLOCK))
+    rngs = (rng for lo, hi in blocks for rng in map(_block_rngs(seed, lo, hi), range(lo, hi)))
+    traces = _group_count_traces(n_max, params, rngs)
     rows = []
     for column, (n, _) in enumerate(traces[0]):
         counts = np.array([trace[column][1] for trace in traces], dtype=float)
@@ -668,19 +659,13 @@ def growth_report(
     return rows
 
 
-def _key_text(key) -> str:
+def _histogram_key(key) -> tuple[tuple[int, str], str]:
+    """(sort key, text) of a histogram key: partitions by size, then text; integers by value."""
     if isinstance(key, AllelicPartition):
-        return key.encode()
+        text = key.encode()
+        return (key.size, text), text
     if isinstance(key, (int, np.integer)):
-        return str(int(key))
-    raise DomainError(f"cannot serialize histogram key of type {type(key).__name__}")
-
-
-def _sort_key(key):
-    if isinstance(key, AllelicPartition):
-        return (key.size, key.encode())
-    if isinstance(key, (int, np.integer)):
-        return (int(key), "")
+        return (int(key), ""), str(int(key))
     raise DomainError(f"cannot serialize histogram key of type {type(key).__name__}")
 
 
@@ -725,10 +710,9 @@ def write_histogram_csv(
         header["seed"] = dist.seed
     with _open_artifact(file, {**header, **(metadata or {})}) as fh:
         fh.write("key,count,probability\n")
-        for key in sorted(dist.weights, key=_sort_key):
-            w = dist.weights[key]
+        for (_, text), w in sorted((_histogram_key(key), w) for key, w in dist.weights.items()):
             count = int(w) if float(w).is_integer() else repr(w)
-            fh.write(f"{_key_text(key)},{count},{w / dist.total!r}\n")
+            fh.write(f"{text},{count},{w / dist.total!r}\n")
 
 
 def write_growth_csv(

@@ -231,27 +231,24 @@ class AllelicPartition:
         return (AllelicPartition, (self._entries,))
 
 
-def _partitions_as_parts(n: int, max_part: int) -> Iterator[list[int]]:
-    if n == 0:
-        yield []
+def _entries(n: int, low: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Entries of every partition of ``n`` into sizes >= ``low``, in enumeration order.
+
+    The smallest size i runs up from ``low``, its count c down from n // i, and
+    the rest n - c i takes sizes above i: descending lexicographic in (m_low, ...).
+    """
+    if not n:
+        yield ()
         return
-    for p in range(min(n, max_part), 0, -1):
-        for rest in _partitions_as_parts(n - p, p):
-            yield [p] + rest
+    for i in range(low, n + 1):
+        for c in range(n // i, 0, -1):
+            rest = n - c * i
+            if not 0 < rest <= i:
+                for tail in _entries(rest, i + 1):
+                    yield ((i, c),) + tail
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(n: int) -> tuple[AllelicPartition, ...]:
-    out = []
-    for parts in _partitions_as_parts(n, n):
-        counts: dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        out.append(AllelicPartition(counts.items()))
-    out.sort(key=lambda m: m.dense(n), reverse=True)
-    return tuple(out)
-
-
 def enumerate_partitions(n: int) -> tuple[AllelicPartition, ...]:
     """All allelic partitions of total size ``n``, in a fixed order.
 
@@ -265,4 +262,4 @@ def enumerate_partitions(n: int) -> tuple[AllelicPartition, ...]:
         raise BoundExceededError(
             f"enumeration is capped at n = {MAX_ENUMERATION_SIZE} (requested {n})"
         )
-    return _enumerate_cached(n)
+    return tuple(map(AllelicPartition, _entries(n, 1)))

@@ -37,6 +37,7 @@ from .formulae import (
     SignedLogValue,
     _ascending_prefix,
     _log_alpha_weights,
+    _psf_rows,
     _require_finite,
     log_ascending_factorial,
     log_factorial,
@@ -120,6 +121,13 @@ def _log_pi_rows(
     return signs, logs
 
 
+def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
+    """pi at ``states``, each with s(m) <= size, from one ``_log_pi_rows`` pass."""
+    _require_partition_regime(params)
+    signs, logs = _log_pi_rows(params, states, size)
+    return [sign * math.exp(log_p) if sign else 0.0 for sign, log_p in zip(signs, logs)]
+
+
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     """The reversible law pi(m); requires alpha in (0, 1) and mu > 1.
 
@@ -127,9 +135,7 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     for theta > 0, where summing over all partitions with s(m) = n yields
     exactly lambda(n).  Costs O(s(m)): the factors are tabulated up to s(m).
     """
-    _require_partition_regime(params)
-    (sign,), (log_p,) = _log_pi_rows(params, (m,), m.size)
-    return sign * math.exp(log_p) if sign else 0.0
+    return _pi_rows(params, (m,), m.size)[0]
 
 
 def normalizing_constant(params: ModelParams) -> float:
@@ -146,14 +152,15 @@ def partition_stationary_truncated(
 
     Requires theta > 0, so the values are probabilities (every sign is +1);
     mass beyond the bound is not stored, and ``tv_distance`` counts it as tail.
+    Read from the prefix of the point's log pi table.
     """
     if params.theta <= 0.0:
         raise DomainError("the truncated stationary table requires theta > 0")
     _require_bound(bound)
     _require_partition_regime(params)
-    states = [m for n in range(bound + 1) for m in enumerate_partitions(n)]
-    _, logs = _log_pi_rows(params, states, bound)  # no move graph: nothing here scans
-    return {m: math.exp(log_p) for m, log_p in zip(states, logs)}
+    graph = _up_move_graph()
+    _, logs = _log_pi_table(params)
+    return {m: math.exp(log_p) for m, log_p in zip(graph.states[: graph.ends[bound]], logs)}
 
 
 @dataclass(frozen=True)
@@ -268,8 +275,8 @@ def _up_move_graph() -> _UpMoveGraph:
 def _log_pi_table(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_pi_rows`` pass.
 
-    Read by the partition scans; kept for the 4 most recent points, as
-    tuples, since every caller gets the same object."""
+    Read by the partition scans and the truncated table; kept for the 4 most
+    recent points, as tuples, since every caller gets the same object."""
     states = _up_move_graph().states
     return tuple(map(tuple, _log_pi_rows(params, states, PARTITION_BALANCE_MAX_SIZE + 1)))
 
@@ -330,43 +337,19 @@ def partition_balance_scan(
     return BalanceScan(worst, graph.states[worst_source].encode(), str(worst_event), pairs)
 
 
-def _psf_rows(params: ModelParams, bound: int) -> list[float]:
-    """psf(s(m), params, m) at the graph's states with s(m) <= bound, bit for bit.
-
-    Factor lists summed in ``psf``'s order: ((log n! - log alpha) + log (theta/alpha + 1)_(k-1))
-    - log (theta + 1)_(n-1), then + (m_i log w_i - log m_i!) per entry.
-    """
-    graph = _up_move_graph()
-    alpha, theta = params.alpha, params.theta
-    log_alpha = math.log(alpha)
-    lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(bound)
-    rising = _ascending_prefix(theta + 1.0).log_magnitudes(bound)
-    log_w = [0.0] + _log_alpha_weights(alpha, bound)
-    log_factorial(bound)
-    out = [1.0]  # the empty sample
-    for n in range(1, bound + 1):
-        head = _LOG_FACTORIAL[n] - log_alpha
-        for m in graph.states[graph.ends[n - 1] : graph.ends[n]]:
-            log_p = (head + lead[m.num_groups - 1]) - rising[n - 1]
-            for i, mi in m:
-                log_p += mi * log_w[i] - _LOG_FACTORIAL[mi]
-            out.append(math.exp(log_p))
-    return out
-
-
 def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     """Worst relative gap between pi and its mixture form over s(m) <= s_max.
 
     The mixture form is psf(s(m)) * lambda(s(m)) (the only surviving term of
     the size mixture); residuals are relative to the closed form, compared on
     signed values so theta < 0 is covered.  Both are read by state index,
-    from the point's log pi table and from ``_psf_rows``.
+    from the point's log pi table and from ``_psf_rows`` over the same states.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
     graph = _up_move_graph()
     signs, logs = _log_pi_table(params)
-    psfs = _psf_rows(params, s_max)
+    psfs = _psf_rows(params, graph.states[: graph.ends[s_max]], s_max)
     worst, worst_state = -1.0, ""
     for n in range(s_max + 1):
         lam = size_stationary_pmf(n, params.theta, params.mu)

@@ -121,8 +121,7 @@ def group_count_trace(
     needs no running sum.  Blocks of 10^5-step runs take one pass at
     alpha = 0, 4.3 on average at 0.5 and about 7 at 0.9 and above, so such
     a run costs about 1.2 ms at alpha = 0 and 4-7.5 ms at 0.5 and above on
-    one Xeon core (75-85 ms step by step), half of it at alpha = 0
-    drawing the uniforms.
+    one Xeon core, half of it at alpha = 0 drawing the uniforms.
     Memory is one block plus the recorded checkpoints.
     """
     return _group_count_traces(n_max, params, (rng,), checkpoints)[0]

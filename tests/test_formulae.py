@@ -34,6 +34,7 @@ from allelic_bdi.formulae import (
     _ascending_prefix,
     _log_alpha_weights,
     _neg_bin_pmfs,
+    _psf_rows,
 )
 from conftest import PSF_GRID, esf_fraction, psf_fraction
 
@@ -340,6 +341,48 @@ def test_psf_matches_rational_oracle(alpha, theta):
         for m in enumerate_partitions(n):
             expected = float(psf_fraction(n, alpha, theta, m))
             assert psf(n, params, m) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
+    """The Pitman formula of one state, each factor rebuilt on its own, as
+    ``psf`` evaluated it before it read ``_psf_rows``: the reference the rows
+    must reproduce bit for bit."""
+    alpha, theta = params.alpha, params.theta
+    if alpha == 0.0:
+        return esf(n, theta, m)
+    if m.size != n:
+        return 0.0
+    if n == 0:
+        return 1.0
+    log_p = (
+        log_factorial(n)
+        - math.log(alpha)
+        + reference_log_ascending_factorial(theta / alpha + 1.0, m.num_groups - 1).log_magnitude
+        - reference_log_ascending_factorial(theta + 1.0, n - 1).log_magnitude
+    )
+    for i, mi in m:
+        log_p += mi * reference_log_alpha_weight(alpha, i) - log_factorial(mi)
+    return math.exp(log_p)
+
+
+# theta in (-alpha, 0), at 0 and above 0, for alpha from 0 to near 1
+PSF_ROW_POINTS = [ModelParams(0.0, 0.5), ModelParams(0.0, 2.0)] + [
+    ModelParams(alpha, theta)
+    for alpha in (1e-9, 0.5, 0.999)
+    for theta in (-alpha * (1.0 - 1e-9), -alpha / 2.0, 0.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("params", PSF_ROW_POINTS, ids=str)
+def test_psf_rows_equal_the_per_state_reference(params):
+    states = [m for n in range(21) for m in enumerate_partitions(n)]
+    rows = _psf_rows(params, states, 20)  # one pass over every size at once
+    for m, value in zip(states, rows, strict=True):
+        expected = reference_psf(m.size, params, m)
+        assert value == expected, m
+        assert psf(m.size, params, m) == expected, m
+    top = enumerate_partitions(20)
+    assert _psf_rows(params, top, 20) == rows[-len(top) :]  # one size alone
 
 
 def test_psf_alpha_zero_is_esf():

@@ -35,6 +35,7 @@ from allelic_bdi import (
     write_histogram_csv,
 )
 from allelic_bdi import __version__
+from allelic_bdi.cli import main
 from conftest import AbsorbingClock, states_after_events
 
 
@@ -263,21 +264,60 @@ SEED_PAIRS = [(s, i) for s in SEED_EDGES for i in SEED_EDGES] + [
 ]
 
 
+def _count_default_rng(monkeypatch):
+    """The seed of every later ``np.random.default_rng`` call, in call order."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return seeds
+
+
 class TestReplicateSeeding:
     @pytest.mark.parametrize("seed,i", SEED_PAIRS)
-    def test_stream_is_default_rng_of_the_pair(self, seed, i):
-        ours = montecarlo._replicate_rng(seed, i)
-        oracle = np.random.default_rng([seed, i])
-        assert ours.bit_generator.state == oracle.bit_generator.state
-        assert ours.random(4).tolist() == oracle.random(4).tolist()
-        assert ours.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
-        assert ours.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
-        # the block-seeded generator of ensemble replicates
+    def test_stream_is_default_rng_of_the_pair(self, monkeypatch, seed, i):
+        seeds = _count_default_rng(monkeypatch)
         rng = montecarlo._block_rngs(seed, i, i + 1)(i)
-        fresh = np.random.default_rng([seed, i])
-        assert rng.bit_generator.state == fresh.bit_generator.state
-        assert rng.random(4).tolist() == fresh.random(4).tolist()
-        assert rng.standard_exponential(4).tolist() == fresh.standard_exponential(4).tolist()
+        assert seeds == [[seed, i], [seed, i]]  # the block's two checks, no fallback
+        oracle = np.random.default_rng([seed, i])
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.random(4).tolist() == oracle.random(4).tolist()
+        assert rng.exponential(0.3, 4).tolist() == oracle.exponential(0.3, 4).tolist()
+        assert rng.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
+        assert rng.standard_exponential(4).tolist() == oracle.standard_exponential(4).tolist()
+
+    def test_single_runs_seed_with_default_rng_of_seed_and_zero(self, monkeypatch, tmp_path):
+        seeds = _count_default_rng(monkeypatch)
+        stationary_occupation(ModelParams(0.5, 1.0, 2.0), 5.0, 1.0, 2**32 + 1)
+        assert seeds == [[2**32 + 1, 0]]
+        seeds.clear()
+        argv = ["simulate", "--theta", "1", "--t", "1", "--seed", "7"]
+        assert main(argv + ["--trajectory", str(tmp_path / "t.csv")]) == 0
+        assert seeds == [[7, 0]]
+
+    def test_growth_runs_draw_default_rng_of_the_pair_across_a_block_edge(self, monkeypatch):
+        params, n_max, seed = ModelParams(0.5, 1.0), 10, 2**32 + 1
+        runs = montecarlo._SEED_BLOCK + 1
+        expected = montecarlo._group_count_traces(
+            n_max, params, (np.random.default_rng([seed, r]) for r in range(runs))
+        )
+        traces = []
+        group_count_traces = montecarlo._group_count_traces
+
+        def recorded(*args):
+            traces.extend(group_count_traces(*args))
+            return traces
+
+        monkeypatch.setattr(montecarlo, "_group_count_traces", recorded)
+        seeds = _count_default_rng(monkeypatch)
+        growth_report(params, n_max, runs, seed)
+        last = montecarlo._SEED_BLOCK - 1
+        assert seeds == [[seed, 0], [seed, last], [seed, last + 1], [seed, last + 1]]  # checks
+        assert traces == expected
 
 
 # public engine and final state, the oracle of one ensemble replicate's outcome
@@ -419,17 +459,10 @@ class TestRunChunk:
     def test_block_that_fails_its_check_falls_back(self, monkeypatch, engine):
         seed, start, stop = 2**32 + 1, 2**32 - 5, 2**32 + 5
         expected = _chunk(engine, seed, start, stop)
-        fallback = []
-        replicate_rng = montecarlo._replicate_rng
-
-        def counted(seed, i):
-            fallback.append(i)
-            return replicate_rng(seed, i)
-
         monkeypatch.setattr(montecarlo, "_block_matches", lambda *args: False)
-        monkeypatch.setattr(montecarlo, "_replicate_rng", counted)
+        seeds = _count_default_rng(monkeypatch)
         tallies = _chunk(engine, seed, start, stop)
-        assert fallback == list(range(start, stop))
+        assert seeds == [[seed, i] for i in range(start, stop)]
         assert list(tallies.items()) == list(expected.items())
 
     def test_block_check_compares_the_state(self):
@@ -560,18 +593,12 @@ class TestRunChunk:
     def test_lock_step_block_that_fails_its_check_falls_back(self, monkeypatch):
         params, t_end, seed = ModelParams(0.0, 1.0, 2.0), 5.0, 2**32 + 1
         start, stop = 2**32 - 150, 2**32 + 150
-        seeded = []
-        replicate_rng = montecarlo._replicate_rng
-
-        def counted(seed, i):
-            seeded.append(i)
-            return replicate_rng(seed, i)
-
         monkeypatch.setattr(montecarlo, "_block_matches", lambda *args: False)
-        monkeypatch.setattr(montecarlo, "_replicate_rng", counted)
+        seeds = _count_default_rng(monkeypatch)
         tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop)
         assert blocks == [stop - start]
-        assert sorted(set(seeded)) == list(range(start, stop))  # each seeded by the fallback
+        assert sorted({i for _, i in seeds}) == list(range(start, stop))  # each by the fallback
+        assert {s for s, _ in seeds} == {seed}
         _assert_kernel_tallies(tallies, params, t_end, seed, start, stop)
 
     def test_lock_step_memory_is_bounded_by_one_seed_block(self):

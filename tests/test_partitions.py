@@ -150,6 +150,18 @@ def test_enumeration_matches_naive_recursion():
         assert len(enumerate_partitions(n)) == PARTITION_COUNTS[n]
 
 
+def reference_enumeration(n: int) -> list[AllelicPartition]:
+    """Every partition of n from its part list, sorted by the dense prefix
+    (m_1, ..., m_n), largest first: the documented order, reached by a sort."""
+    states = map(partition_of, ascending_partitions(n))
+    return sorted(states, key=lambda m: m.dense(n), reverse=True)
+
+
+def test_enumeration_order_equals_the_dense_sort_reference():
+    for n in range(31):
+        assert list(enumerate_partitions(n)) == reference_enumeration(n), n
+
+
 def test_enumeration_order_is_stable():
     order = [m.encode() for m in enumerate_partitions(3)]
     assert order == ["1^3", "1^1 2^1", "3^1"]

@@ -46,13 +46,12 @@ from allelic_bdi.cli import (
     SIZE_BALANCE_TOLERANCE,
     main,
 )
-from allelic_bdi.formulae import _ascending_prefix
+from allelic_bdi.formulae import _ascending_prefix, _psf_rows
 from allelic_bdi.partitions import TransitionEvent
 from allelic_bdi.stationary import (
     PARTITION_BALANCE_MAX_SIZE,
     BalanceScan,
     _log_pi_table,
-    _psf_rows,
     _up_move_graph,
 )
 
@@ -505,9 +504,10 @@ class TestTablesAreBitIdentical:
     @pytest.mark.parametrize("params", TABLE_POINTS, ids=str)
     def test_psf_rows(self, params):
         graph = _up_move_graph()
-        psfs = _psf_rows(params, PARTITION_BALANCE_MAX_SIZE)
-        assert len(psfs) == graph.ends[PARTITION_BALANCE_MAX_SIZE]
-        for m, p in zip(graph.states, psfs):
+        states = graph.states[: graph.ends[PARTITION_BALANCE_MAX_SIZE]]
+        psfs = _psf_rows(params, states, PARTITION_BALANCE_MAX_SIZE)
+        assert len(psfs) == len(states)
+        for m, p in zip(states, psfs):
             assert p == psf(m.size, params, m), m
 
     @pytest.mark.parametrize("params", [p for p in TABLE_POINTS if p.theta > 0.0], ids=str)
