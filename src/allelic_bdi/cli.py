@@ -494,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes, >= 1; never affects results (default: processor count)",
+        help="worker processes, >= 1: an ensemble is cut into seed blocks of 4,096 replicates "
+        "and a pool of min(this, blocks, usable CPUs) starts only for two or more blocks; "
+        "never affects results (default: processor count)",
     )
     sim.add_argument(
         "--max-events",

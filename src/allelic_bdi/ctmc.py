@@ -38,11 +38,9 @@ search returns the same size, so a faster search over sizes draws the same
 paths.  Round-off past the top of a class picks the top of the last class
 with mass.  A multiplicity event takes exactly one holding time and one
 selector, so its two blocks drain together and events ``32 b`` to
-``32 b + 31`` read block pair ``b``; ensembles rely on this to draw a
-replicate's leading pairs up front and advance many replicates together
-(:func:`allelic_bdi.montecarlo.run_ensemble`).  The branching kernel has no
-such fixed pairing, since a founding draw takes an extra selector, so its
-replicates run one at a time.
+``32 b + 31`` read block pair ``b``, which ensembles rely on
+(:func:`allelic_bdi.montecarlo.run_ensemble`); a branching founding draw
+takes an extra selector, so that kernel has no such pairing.
 
 Every kernel refuses a horizon that is not finite and >= 0, checks that
 each jump strictly advances the clock and raises :class:`RunawayError`,

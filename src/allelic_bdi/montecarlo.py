@@ -6,17 +6,14 @@ tallies are plain integer sums, so results are bit-identical for fixed
 inputs no matter how replicates are partitioned across workers.  A single
 run (the occupation run) calls ``default_rng([S, 0])`` itself.  Runs of many
 replicates (ensembles, and the urn runs of :func:`growth_report`) are seeded
-one seed block at a time (:func:`_block_rngs`): numpy's seed hash runs on a
-whole block of ``[S, i]`` word arrays at once, each replicate's PCG64 state
-is assigned to one reused generator, and every block is checked against
-``default_rng`` and reseeded with ``default_rng([S, i])`` replicate by
-replicate if it differs.  Each ensemble replicate hands its generator to an
-engine kernel, which draws holding times and selectors in blocks of 32
-(random stream 2, :data:`allelic_bdi.ctmc.RNG_STREAM`, stamped
-``# rng_stream=2`` in every histogram and trajectory CSV), so replicate
-``i`` ends where ``simulate(params, t, default_rng([S, i]))`` ends;
-multiplicity replicates with theta > 0 advance a seed block at a time in
-lock step (:func:`_lock_step`) on the same draws.  Replicates record no path
+a seed block at a time by :func:`_block_rngs`, which hashes the block at
+once and checks it against ``default_rng``.  Each ensemble replicate hands
+its generator to an engine kernel, which draws holding times and selectors
+in blocks of 32 (random stream 2, :data:`allelic_bdi.ctmc.RNG_STREAM`,
+stamped ``# rng_stream=2`` in every histogram and trajectory CSV), so
+replicate ``i`` ends where ``simulate(params, t, default_rng([S, i]))``
+ends.  :func:`run_ensemble` tells how an ensemble is cut into seed blocks,
+pooled and run in lock step on the same draws.  Replicates record no path
 and tally the sorted entries of their final state; a partition object is
 built once per distinct state after the merge.
 """
@@ -383,10 +380,7 @@ def _lock_step(
 def _run_chunk(args: tuple) -> dict:
     """Tallies of final states over one range of replicates, in first-occurrence order.
 
-    A seed block of at least ``_LOCK_STEP_BLOCK`` multiplicity replicates
-    with theta > 0 runs in lock step (:func:`_lock_step`); the kernels run
-    the replicates it leaves and all others one by one, in index order, so
-    the first guard to raise is the one a plain loop raises.
+    Each seed block of the range runs as :func:`run_ensemble` describes.
     """
     params, t_end, seed, engine, start, stop, max_events = args
     tallies: dict = {}
@@ -435,21 +429,26 @@ def run_ensemble(
     Partition engines tally final partitions (size and group marginals are
     derived views); the ``bdi`` engine tallies integer sizes.  The output is
     a deterministic function of (params, t_end, replicates, seed, engine)
-    alone - worker count only affects wall time.  The pool is capped at the
-    usable CPUs, since every worker process is started up front.
+    alone - worker count only affects wall time.
 
-    Replicates run a seed block (``_SEED_BLOCK``) at a time.  With the
-    multiplicity engine and theta > 0, a block of at least
-    ``_LOCK_STEP_BLOCK`` replicates runs in lock step: every replicate
-    draws its next block pair of holding times and selectors, and one numpy
-    step advances all running replicates by one event.  The replicates
-    still running decide how long: once fewer than ``_LOCK_STEP_MIN`` run,
-    or more than three in four of those running 16 events earlier still
-    run, the scalar kernel reruns the rest from the start of their streams,
-    in index order, as it does a replicate that stalls or reaches
-    ``max_events``.  Smaller blocks, theta <= 0 and the other engines run
-    one replicate at a time.  Both paths give the same tallies in the same
-    order.
+    An ensemble is cut only into seed blocks: replicates ``lo`` to
+    ``hi - 1``, with ``lo`` a multiple of ``_SEED_BLOCK`` (4,096).  A serial
+    run walks them in one :func:`_run_chunk`; a pooled run maps
+    :func:`_run_chunk` over them on min(workers, blocks, usable CPUs)
+    processes, all started up front, so a pool starts only for two or more
+    blocks and every block takes the same path whatever the worker count.
+    With the multiplicity engine and theta > 0, a block of at least
+    ``_LOCK_STEP_BLOCK`` replicates runs in lock step (:func:`_lock_step`):
+    every replicate draws its next block pair of holding times and
+    selectors, and one numpy step advances all running replicates by one
+    event.  The replicates still running decide how long: once fewer than
+    ``_LOCK_STEP_MIN`` run, or more than three in four of those running 16
+    events earlier still run, the scalar kernel reruns the rest from the
+    start of their streams, in index order, as it does a replicate that
+    stalls or reaches ``max_events``.  Smaller blocks, theta <= 0 and the
+    other engines run one replicate at a time, in index order.  Both paths
+    give the same tallies in the same order, and the first guard to raise
+    is the one a plain loop raises.
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
@@ -457,16 +456,16 @@ def run_ensemble(
         raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if seed < 0:
         raise DomainError("the seed must be >= 0")
-    workers = min(workers, max(1, replicates // 64), _usable_cpus())  # tiny runs stay serial
+    blocks = range(0, replicates, _SEED_BLOCK)
+    workers = min(workers, len(blocks), _usable_cpus())
     if workers <= 1:
         tallies = _run_chunk((params, t_end, seed, engine, 0, replicates, max_events))
     else:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 
-        chunk = max(1, -(-replicates // (workers * 4)))
         jobs = [
-            (params, t_end, seed, engine, lo, min(lo + chunk, replicates), max_events)
-            for lo in range(0, replicates, chunk)
+            (params, t_end, seed, engine, lo, min(lo + _SEED_BLOCK, replicates), max_events)
+            for lo in blocks
         ]
         tallies = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:

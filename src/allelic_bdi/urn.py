@@ -97,14 +97,15 @@ def group_count_trace(
 
     Step n (0-based) founds a group when u_n * (theta + n) < theta + alpha *
     k_n, with u_n the next uniform and k_n the count before the step; step 0
-    always does.  Uniforms come ``_BLOCK`` at a time, one ``rng.random``
-    call per block, and each block is solved in numpy.  The first pass holds
-    k at the block's opening count k0, so every step meets the one threshold
-    theta + alpha * k0.  If the groups it founds leave that threshold the
-    same float (always at alpha = 0, and whenever alpha * k rounds away
-    beside theta), the pass is already exact.  Otherwise the indicators are
-    recomputed from k and k from the indicators (an exclusive running sum)
-    until the indicators stop changing.
+    always does.  Uniforms come one ``rng.random`` call per block of up to
+    ``_BLOCK`` steps, so n steps draw exactly n uniforms, the stream of n
+    ``rng.random()`` calls; each block is solved in numpy.  The first pass
+    holds k at the block's opening count k0, so every step meets the one
+    threshold theta + alpha * k0.  If the groups it founds leave that
+    threshold the same float (always at alpha = 0, and whenever alpha * k
+    rounds away beside theta), the pass is already exact.  Otherwise the
+    indicators are recomputed from k and k from the indicators (an
+    exclusive running sum) until the indicators stop changing.
 
     Why this terminates and is exact: with alpha >= 0 the test is monotone
     in k, so the iterates rise towards the step-by-step sequence and never
@@ -164,10 +165,10 @@ def _group_count_traces(
         k0 = 0
         for start in range(0, n_max, _BLOCK):
             size = min(_BLOCK, n_max - start)
-            rng.random(out=u)
+            rng.random(out=u[:size])
             # scaled = u * (theta + n) over the block's steps n = start, ...
             np.add(steps[:size], start, out=level[:size])
-            level += theta
+            level[:size] += theta
             np.multiply(u[:size], level[:size], out=scaled[:size])
             new, again = flags[0, :size], flags[1, :size]
             # first pass: k = k0 at every step, so the threshold is one number
@@ -183,7 +184,7 @@ def _group_count_traces(
                     before -= new
                     before += k0
                     np.multiply(before, alpha, out=level[:size])
-                    level += theta
+                    level[:size] += theta
                     np.less(scaled[:size], level[:size], out=again)
                     if start == 0:
                         again[0] = True

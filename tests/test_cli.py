@@ -20,7 +20,7 @@ from allelic_bdi import (
     run_ensemble,
     tv_distance,
 )
-from allelic_bdi import __version__, cli
+from allelic_bdi import __version__, cli, montecarlo
 from allelic_bdi.cli import main
 
 
@@ -263,14 +263,16 @@ class TestSimulate:
             files[tag] = (summary.read_bytes(), hist.read_bytes(), traj.read_bytes())
         assert files["a"] == files["b"]
 
-    def test_worker_count_does_not_change_output(self, capsys, tmp_path):
+    def test_worker_count_does_not_change_output(self, capsys, tmp_path, monkeypatch):
+        # four seed blocks of 256, so two workers start a pool and each block runs in lock step
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 256)
         outputs = []
         for workers in ("1", "2"):
             summary = tmp_path / f"summary-{workers}.json"
             hist = tmp_path / f"hist-{workers}.csv"
             code, _, _ = run_cli(
                 capsys, "simulate", "--theta", "1", "--mu", "2", "--t", "1",
-                "--replicates", "256", "--seed", "23", "--workers", workers,
+                "--replicates", "1024", "--seed", "23", "--workers", workers,
                 "--summary", str(summary), "--histogram", str(hist),
             )
             assert code == 0

@@ -121,6 +121,36 @@ class TestTvDistance:
 # ---------------------------------------------------------------------------
 
 
+LOCK_BLOCK = montecarlo._LOCK_STEP_BLOCK
+
+
+def _recording_pool(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable and the process pool one that maps in this process.
+
+    The returned class records the pool sizes asked for and the jobs mapped.
+    """
+
+    class RecordingPool:
+        sizes, jobs = [], []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs.extend(jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    return RecordingPool
+
+
 class TestRunEnsemble:
     def test_deterministic(self):
         params = ModelParams(0.5, 1.0, 2.0)
@@ -148,36 +178,62 @@ class TestRunEnsemble:
         assert all(isinstance(k, AllelicPartition) for k in dist.weights)
 
     @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
-    def test_worker_count_does_not_change_results(self, engine):
+    def test_worker_count_does_not_change_results(self, monkeypatch, engine):
+        # four seed blocks, each in lock step with the multiplicity engine
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", LOCK_BLOCK)
         params = ModelParams(0.5, 1.0, 2.0)
-        serial = run_ensemble(params, 1.5, 256, 31, engine)
-        parallel = run_ensemble(params, 1.5, 256, 31, engine, workers=2)
+        serial = run_ensemble(params, 1.5, 4 * LOCK_BLOCK, 31, engine)
+        parallel = run_ensemble(params, 1.5, 4 * LOCK_BLOCK, 31, engine, workers=2)
         assert serial.weights == parallel.weights
 
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
-        class SerialPool:
-            """Records the pool size asked for and maps in this process."""
-
-            sizes = []
-
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        pool = _recording_pool(monkeypatch, cpus=3)
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 256)
         params = ModelParams(0.5, 1.0, 2.0)
-        pooled = run_ensemble(params, 1.5, 640, 31, workers=100_000)
-        assert SerialPool.sizes == [3]  # not 100,000, nor the 640 // 64 = 10 replicates allow
-        assert pooled.weights == run_ensemble(params, 1.5, 640, 31).weights
+        pooled = run_ensemble(params, 1.5, 1000, 31, workers=100_000)
+        assert pool.sizes == [3]  # not 100,000, nor the 4 seed blocks
+        assert pooled.weights == run_ensemble(params, 1.5, 1000, 31).weights
+
+    def test_a_pool_starts_only_for_two_seed_blocks(self, monkeypatch):
+        pool = _recording_pool(monkeypatch, cpus=8)
+        params, block = ModelParams(0.5, 1.0, 2.0), montecarlo._SEED_BLOCK
+        for replicates in (1, 1000, block):
+            run_ensemble(params, 0.5, replicates, 31, workers=8)
+        assert pool.sizes == []
+        run_ensemble(params, 0.5, block + 1, 31, workers=8)
+        assert pool.sizes == [2]
+
+    def test_pool_jobs_are_the_aligned_seed_blocks(self, monkeypatch):
+        pool = _recording_pool(monkeypatch, cpus=2)
+        params, block = ModelParams(0.5, 1.0, 2.0), montecarlo._SEED_BLOCK
+        pooled = run_ensemble(params, 0.5, 2 * block + 5, 31, workers=2)
+        ranges = [(0, block), (block, 2 * block), (2 * block, 2 * block + 5)]  # the last partial
+        cap = ctmc.DEFAULT_MAX_EVENTS
+        assert pool.jobs == [(params, 0.5, 31, "multiplicity", lo, hi, cap) for lo, hi in ranges]
+        assert pooled.weights == run_ensemble(params, 0.5, 2 * block + 5, 31).weights
+
+    def test_lock_step_gets_the_same_blocks_for_every_worker_count(self, monkeypatch):
+        pool = _recording_pool(monkeypatch, cpus=2)
+        block = 2 * LOCK_BLOCK
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", block)
+        blocks = []
+        lock_step = montecarlo._lock_step
+
+        def recorded(params, t_end, rng_of, lo, hi, max_events):
+            blocks.append((lo, hi))
+            return lock_step(params, t_end, rng_of, lo, hi, max_events)
+
+        monkeypatch.setattr(montecarlo, "_lock_step", recorded)
+        params, replicates = ModelParams(0.0, 1.0, 2.0), 3 * block + LOCK_BLOCK + 44
+        # the last block is partial but large enough for the lock step
+        expected = [(0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, replicates)]
+        tallies = []
+        for workers in (1, 2):
+            blocks.clear()
+            tallies.append(run_ensemble(params, 5.0, replicates, 31, workers=workers).weights)
+            assert blocks == expected
+        assert pool.sizes == [2]
+        assert tallies[0] == tallies[1]
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -219,7 +275,8 @@ class TestRunEnsemble:
         assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups) == (6, 3)
         assert str(exc.value).endswith("with population size 6 in 3 groups")
 
-    def test_event_cap_survives_the_pool(self):
+    def test_event_cap_survives_the_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 128)  # two seed blocks start a pool
         with pytest.raises(RunawayError) as exc:
             run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 256, 1, workers=2, max_events=50)
         assert "event cap" in str(exc.value)
@@ -401,7 +458,6 @@ class EdgeDraws:
         return self._draw(self.PICKS, size, out)
 
 
-LOCK_BLOCK = montecarlo._LOCK_STEP_BLOCK
 # multiplicity points at the edges of the domain; the horizons give replicates
 # from no event at all to more than two draw blocks of them
 LOCK_STEP_POINTS = [
@@ -563,8 +619,11 @@ class TestRunChunk:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("max_events", [1, 31, 32, 33, 63, 64])
-    def test_lock_step_event_cap_names_the_replicate_a_serial_loop_names(self, workers, max_events):
-        # 2,048 replicates make eight pooled chunks of one lock-step block each
+    def test_lock_step_event_cap_names_the_replicate_a_serial_loop_names(
+        self, monkeypatch, workers, max_events
+    ):
+        # 2,048 replicates make eight seed blocks, each run in lock step, on either worker count
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", LOCK_BLOCK)
         params, t_end, seed, replicates = ModelParams(0.0, 1.0, 2.0), 5.0, 21, 8 * LOCK_BLOCK
         for i in range(replicates):  # the serial loop stops at the first replicate past the cap
             try:

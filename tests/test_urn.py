@@ -142,22 +142,16 @@ def test_group_count_mean_matches_exact_expectation():
 def reference_trace(n_max, params, rng, checkpoints=None):
     """The step-by-step urn loop that ``group_count_trace`` must reproduce.
 
-    One uniform per step from blocks of ``_BLOCK`` draws; step n founds a
-    group when u * (theta + n) < theta + alpha * k, and step 0 always does.
+    One ``rng.random()`` call per step; step n founds a group when
+    u * (theta + n) < theta + alpha * k, and step 0 always does.
     """
     marks = default_checkpoints(n_max) if checkpoints is None else tuple(sorted(set(checkpoints)))
     mark_set = set(marks)
     theta, alpha = params.theta, params.alpha
     out = []
     k = 0
-    block = rng.random(_BLOCK)
-    bi = 0
     for n in range(n_max):
-        if bi == len(block):
-            block = rng.random(_BLOCK)
-            bi = 0
-        u = block[bi]
-        bi += 1
+        u = rng.random()
         if n == 0:
             k = 1
         elif u * (theta + n) < theta + alpha * k:
@@ -172,7 +166,7 @@ def assert_trace_matches_reference(n_max, params, seed, checkpoints=None):
     trace = group_count_trace(n_max, params, rng, checkpoints)
     assert trace == reference_trace(n_max, params, reference_rng, checkpoints)
     assert all(type(n) is int and type(k) is int for n, k in trace)
-    # the same number of blocks was drawn, so the stream continues identically
+    # one uniform was drawn per step, so the stream continues identically
     assert rng.random() == reference_rng.random()
 
 
