@@ -7,19 +7,23 @@ inputs no matter how replicates are partitioned across workers.  A single
 run (the occupation run) calls ``default_rng([S, 0])`` itself.  Runs of many
 replicates (ensembles, and the urn runs of :func:`growth_report`) are seeded
 a seed block at a time by :func:`_block_rngs`, which hashes the block at
-once and checks it against ``default_rng``.  Each ensemble replicate hands
-its generator to an engine kernel, which draws holding times and selectors
-in blocks of 32 (random stream 2, :data:`allelic_bdi.ctmc.RNG_STREAM`,
-stamped ``# rng_stream=2`` in every histogram and trajectory CSV), so
-replicate ``i`` ends where ``simulate(params, t, default_rng([S, i]))``
-ends.  :func:`run_ensemble` tells how an ensemble is cut into seed blocks,
-pooled and run in lock step on the same draws.  Replicates record no path
-and tally the sorted entries of their final state; a partition object is
-built once per distinct state after the merge.
+once into raw PCG64 words, loads them into one reused generator and checks
+the block's first and last replicate against ``default_rng``.  Each
+ensemble replicate hands its generator to an engine kernel, which draws
+holding times and selectors in blocks of 32 (random stream 2,
+:data:`allelic_bdi.ctmc.RNG_STREAM`, stamped ``# rng_stream=2`` in every
+histogram and trajectory CSV), so replicate ``i`` ends where
+``simulate(params, t, default_rng([S, i]))`` ends.  :func:`run_ensemble`
+tells how an ensemble is cut into seed blocks, pooled and run in lock step
+on the same draws, each replicate's block pairs loaded from and saved to
+its words.  Replicates record no path and tally the sorted entries of their
+final state; a partition object is built once per distinct state after the
+merge.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
@@ -119,7 +123,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 _SEED_BLOCK = 4096  # replicates hashed at once: bounds the block's arrays
 
 
@@ -137,8 +141,8 @@ def _word_columns(first: int, n: int) -> list[np.ndarray]:
     return columns
 
 
-def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of ``default_rng`` seeded from each row of ``entropy``.
+def _pcg64_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """Raw PCG64 words of ``default_rng`` seeded from each row of ``entropy``.
 
     ``entropy`` holds the uint32 entropy words as columns; every step is
     uint32 arithmetic on whole columns, so the rows are hashed at once.
@@ -172,59 +176,127 @@ def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
         h = h * _MULT_B & _MASK32
         value = value * h
         halves.append((value ^ (value >> 16)).astype(np.uint64))
-    s0, s1, s2, s3 = ((halves[j + 1] << 32 | halves[j]).tolist() for j in range(0, 8, 2))
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(s0, s1, s2, s3):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    return _pcg64_words(halves)
 
 
-def _pcg64_state(state: int, inc: int) -> dict:
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _pcg64_words(halves: list[np.ndarray]) -> np.ndarray:
+    """PCG64 words seeded from the uint32 words of ``generate_state(4, uint64)``.
 
-
-def _block_rngs(seed: int, lo: int, hi: int) -> Callable[[int], np.random.Generator]:
-    """The generator of replicate ``i``, for ``lo <= i < hi``, at the start of its stream.
-
-    Replicate ``i`` draws from the stream of ``default_rng([seed, i])``.  The
-    block (at most ``_SEED_BLOCK`` replicates) is hashed at once
-    (:func:`_pcg64_states`), and each call assigns replicate ``i``'s state to
-    one PCG64 reused for the whole block, so a returned generator is only
-    valid until the next call.  The first and last replicate of the block
-    are checked against ``default_rng([seed, i])`` (:func:`_block_matches`);
-    on a mismatch every call returns a new ``default_rng([seed, i])`` instead.
+    ``halves`` holds those eight words, low word first, in uint64 columns.
+    With s0, ..., s3 the four uint64 words, seed = s0 << 64 | s1 and
+    inc = (s2 << 64 | s3) << 1 | 1, and the state is
+    ((inc + seed) * _PCG64_MULT + inc) mod 2^128.  That is computed on 32-bit
+    limbs, low limb first, so no product or sum leaves uint64.  Returns a
+    ``(rows, 4)`` uint64 array: state low, state high, inc low, inc high.
     """
-    bitgen = np.random.PCG64()
+
+    def carry(limbs: list[np.ndarray]) -> list[np.ndarray]:
+        """Limbs below 2^32 of the number mod 2^128 that limbs below 2^63 make."""
+        for j in range(3):
+            limbs[j + 1] += limbs[j] >> 32
+            limbs[j] &= _MASK32
+        limbs[3] &= _MASK32
+        return limbs
+
+    seed, raw = halves[2:4] + halves[0:2], halves[6:8] + halves[4:6]
+    inc = [(raw[j] << 1 | (raw[j - 1] >> 31 if j else 1)) & _MASK32 for j in range(4)]
+    base = carry([a + b for a, b in zip(inc, seed)])
+    state = [limb.copy() for limb in inc]
+    for i in range(4):
+        for j in range(4 - i):
+            product = base[i] * (_PCG64_MULT >> 32 * j & _MASK32)
+            state[i + j] += product & _MASK32
+            if i + j < 3:
+                state[i + j + 1] += product >> 32
+    limbs = carry(state) + inc
+    return np.stack([limbs[j + 1] << 32 | limbs[j] for j in range(0, 8, 2)], axis=1)
+
+
+class _PCG64Words(ctypes.Structure):
+    """numpy's ``pcg64_random_t`` with native 128-bit integers: state, then inc, low word first."""
+
+    _fields_ = [("words", ctypes.c_uint64 * 4)]
+
+
+class _RawBlock:
+    """The streams of replicates ``lo``, ``lo + 1``, ... of a seed block, from raw PCG64 words.
+
+    Row ``i - lo`` of ``words`` (:func:`_pcg64_words`) starts replicate
+    ``i``'s stream.  One reused PCG64 draws for the whole block: a row's 32
+    bytes are copied into numpy's struct, and ``draw_pair`` copies them back
+    out to a copy of ``words``, so no ``state`` dict is built.  The ctypes
+    arrays keep ``words`` alive for as long as the block (or its bound
+    ``start``) is held.
+    """
+
+    def __init__(self, lo: int, words: np.ndarray):
+        rows = ctypes.c_uint64 * 4 * len(words)
+        self.lo = lo
+        self.starts = rows.from_buffer(words)  # never written
+        self.saved = rows.from_buffer_copy(words)  # each stream where its last pair ended
+        self.rng = np.random.Generator(np.random.PCG64())
+        # numpy's pcg64_state: a pointer to the pcg64_random_t, then the 32-bit
+        # has_uint32 and uinteger, which self.buffered covers
+        address = self.rng.bit_generator.ctypes.state_address
+        self.pcg = _PCG64Words.from_address(ctypes.c_void_p.from_address(address).value)
+        self.buffered = ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p))
+
+    def start(self, i: int) -> np.random.Generator:
+        """The generator at the start of replicate ``i``'s stream, valid until the next call."""
+        self.pcg.words = self.starts[i - self.lo]
+        self.buffered.value = 0  # no buffered 32-bit half, as the ``state`` setter leaves it
+        return self.rng
+
+    def draw_pair(self, i: int, exps: np.ndarray, unis: np.ndarray) -> None:
+        """Fill ``exps``, then ``unis``, from replicate ``i``'s stream where its last pair ended."""
+        r = i - self.lo
+        self.pcg.words = self.saved[r]
+        self.rng.standard_exponential(out=exps)  # whole 64-bit outputs: the buffer is untouched
+        self.rng.random(out=unis)
+        self.saved[r] = self.pcg.words
+
+
+class _Generators:
+    """A seed block's streams as generators made by ``start(i)``, one kept per replicate drawn."""
+
+    def __init__(self, start: Callable[[int], Any]):
+        self.start, self.running = start, {}
+
+    def draw_pair(self, i: int, exps: np.ndarray, unis: np.ndarray) -> None:
+        if i not in self.running:
+            self.running[i] = self.start(i)
+        self.running[i].standard_exponential(out=exps)
+        self.running[i].random(out=unis)
+
+
+def _block_rngs(seed: int, lo: int, hi: int) -> _RawBlock | _Generators:
+    """The streams of replicates ``lo <= i < hi``, each that of ``default_rng([seed, i])``.
+
+    The block (at most ``_SEED_BLOCK`` replicates) is hashed at once
+    (:func:`_pcg64_states`) into a :class:`_RawBlock`.  The struct layout it
+    writes is numpy's, so its first and last replicate are loaded raw and
+    compared with ``default_rng([seed, i])`` through the public ``state``
+    getter (:func:`_block_matches`); on a mismatch the block's streams are
+    :class:`_Generators` of ``default_rng([seed, i])`` instead.
+    """
     seed_words = _seed_words(seed)
-    states = []
+    words = []
     first = lo
     while first < hi:  # one run of replicate indices per word count
         last = min(hi, 1 << (32 * len(_seed_words(first))))
         columns = _word_columns(first, last - first)
         entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
-        states += _pcg64_states(entropy)
+        words.append(_pcg64_states(entropy))
         first = last
-    if not all(_block_matches(seed, i, states[i - lo], bitgen) for i in (lo, hi - 1)):
-        return lambda i: np.random.default_rng([seed, i])
-    rng = np.random.Generator(bitgen)
-
-    def rng_of(i: int) -> np.random.Generator:
-        bitgen.state = _pcg64_state(*states[i - lo])
-        return rng
-
-    return rng_of
+    block = _RawBlock(lo, np.concatenate(words))
+    if all(_block_matches(seed, i, block.start(i)) for i in (lo, hi - 1)):
+        return block
+    return _Generators(lambda i: np.random.default_rng([seed, i]))
 
 
-def _block_matches(seed: int, i: int, state: tuple[int, int], bitgen) -> bool:
-    """Whether ``bitgen`` set to ``state`` is ``default_rng([seed, i])``."""
-    bitgen.state = _pcg64_state(*state)
-    return bitgen.state == np.random.default_rng([seed, i]).bit_generator.state
+def _block_matches(seed: int, i: int, rng: np.random.Generator) -> bool:
+    """Whether ``rng`` is in the state of ``default_rng([seed, i])``."""
+    return rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
 
 
 def _replicate_outcome(
@@ -247,7 +319,7 @@ _LOCK_STEP_MIN = 16  # ... while this many of their replicates run
 def _lock_step(
     params: ModelParams,
     t_end: float,
-    rng_of: Callable[[int], np.random.Generator],
+    block: _RawBlock | _Generators,
     lo: int,
     hi: int,
     max_events: int,
@@ -256,17 +328,18 @@ def _lock_step(
 
     The kernel takes one holding time and one selector per event, so events
     ``32 b`` to ``32 b + 31`` of a replicate draw its block pair ``b``: an
-    exponential block, then a uniform block.  Each running replicate draws
-    pair ``b`` (from the start of its stream, skipping the pairs it has
-    used) before event ``32 b``.  Each numpy step then advances every running
-    replicate by one event with the kernel's float expressions.  A state is
-    a row of group counts by size; column 0 takes the updates of events
-    that add or remove a group.  The size in the chosen class is the first
-    whose cumulative integer weight exceeds the class index, the size the
-    kernel's walk returns, read from one running sum over the rows that
-    need a search.  Returns the entries in index order and, sorted, the
-    replicates it leaves to the kernel (see :func:`run_ensemble`), whose
-    entries are placeholders.
+    exponential block, then a uniform block.  Before event ``32 b`` each
+    running replicate draws pair ``b`` with ``block.draw_pair``, which goes
+    on from where its pair ``b - 1`` ended, so no pair is drawn twice and
+    ``block.start`` still gives the kernel each stream from its start.
+    Each numpy step then advances every running replicate by one event with
+    the kernel's float expressions.  A state is a row of group counts by
+    size; column 0 takes the updates of events that add or remove a group.
+    The size in the chosen class is the first whose cumulative integer
+    weight exceeds the class index, the size the kernel's walk returns, read
+    from one running sum over the rows that need a search.  Returns the
+    entries in index order and, sorted, the replicates it leaves to the
+    kernel (see :func:`run_ensemble`), whose entries are placeholders.
     """
     _check_horizon(t_end)
     theta, alpha, mu = params.theta, params.alpha, params.mu
@@ -274,7 +347,6 @@ def _lock_step(
     rows = hi - lo
     exps = np.empty((rows, _DRAW_BLOCK))  # the block pair being drawn, a row per replicate
     unis = np.empty_like(exps)
-    used = np.empty(_DRAW_BLOCK)
     counts = np.zeros((rows, 0), np.int64)  # counts[r, i]: groups of size i in row r
     run = np.arange(rows)  # the rows still running
     state = np.zeros((3, rows))  # their clocks, sizes and group counts
@@ -292,12 +364,7 @@ def _lock_step(
             col = n % _DRAW_BLOCK
             if not col:
                 for r, e, u in zip(run.tolist(), exps, unis):
-                    rng = rng_of(lo + r)
-                    for _ in range(n // _DRAW_BLOCK):
-                        rng.standard_exponential(out=used)
-                        rng.random(out=used)
-                    rng.standard_exponential(out=e)
-                    rng.random(out=u)
+                    block.draw_pair(lo + r, e, u)
                 hold, pick = exps[: len(run)].T.copy(), unis[: len(run)].T.copy()
                 slot = np.arange(len(run))  # each running row's column in hold and pick
             if big + 2 > counts.shape[1]:  # room for a size of big + 1
@@ -386,14 +453,15 @@ def _run_chunk(args: tuple) -> dict:
     tallies: dict = {}
     for lo in range(start, stop, _SEED_BLOCK):
         hi = min(lo + _SEED_BLOCK, stop)
-        rng_of = _block_rngs(seed, lo, hi)
+        block = _block_rngs(seed, lo, hi)
         if engine == "multiplicity" and params.theta > 0.0 and hi - lo >= _LOCK_STEP_BLOCK:
-            outcomes, left = _lock_step(params, t_end, rng_of, lo, hi, max_events)
+            outcomes, left = _lock_step(params, t_end, block, lo, hi, max_events)
         else:
             outcomes, left = [None] * (hi - lo), range(lo, hi)
         for i in left:
+            rng = block.start(i)
             try:
-                outcomes[i - lo] = _replicate_outcome(engine, params, t_end, rng_of(i), max_events)
+                outcomes[i - lo] = _replicate_outcome(engine, params, t_end, rng, max_events)
             except RunawayError as exc:
                 raise RunawayError(
                     f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
@@ -631,7 +699,7 @@ def growth_report(
         power = params.alpha
     # run r draws from default_rng([seed, r]); each generator is used up before the next is made
     blocks = ((lo, min(lo + _SEED_BLOCK, runs)) for lo in range(0, runs, _SEED_BLOCK))
-    rngs = (rng for lo, hi in blocks for rng in map(_block_rngs(seed, lo, hi), range(lo, hi)))
+    rngs = (rng for lo, hi in blocks for rng in map(_block_rngs(seed, lo, hi).start, range(lo, hi)))
     traces = _group_count_traces(n_max, params, rngs)
     rows = []
     for column, (n, _) in enumerate(traces[0]):

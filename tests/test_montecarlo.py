@@ -2,6 +2,7 @@
 distance, occupation measures, growth statistics and the CSV writers."""
 
 import concurrent.futures
+import gc
 import io
 import math
 import os
@@ -219,9 +220,9 @@ class TestRunEnsemble:
         blocks = []
         lock_step = montecarlo._lock_step
 
-        def recorded(params, t_end, rng_of, lo, hi, max_events):
+        def recorded(params, t_end, streams, lo, hi, max_events):
             blocks.append((lo, hi))
-            return lock_step(params, t_end, rng_of, lo, hi, max_events)
+            return lock_step(params, t_end, streams, lo, hi, max_events)
 
         monkeypatch.setattr(montecarlo, "_lock_step", recorded)
         params, replicates = ModelParams(0.0, 1.0, 2.0), 3 * block + LOCK_BLOCK + 44
@@ -334,11 +335,25 @@ def _count_default_rng(monkeypatch):
     return seeds
 
 
+MASK32, MASK64 = 2**32 - 1, 2**64 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+def _pcg64_seeding_step(seed, raw):
+    """numpy's pcg64_set_seed in exact integers: (state, inc) from the seed and raw increment."""
+    inc = (raw << 1 | 1) % 2**128
+    return ((inc + seed) * PCG64_MULT + inc) % 2**128, inc
+
+
+def _state_words(state, inc):
+    return [state & MASK64, state >> 64, inc & MASK64, inc >> 64]
+
+
 class TestReplicateSeeding:
     @pytest.mark.parametrize("seed,i", SEED_PAIRS)
     def test_stream_is_default_rng_of_the_pair(self, monkeypatch, seed, i):
         seeds = _count_default_rng(monkeypatch)
-        rng = montecarlo._block_rngs(seed, i, i + 1)(i)
+        rng = montecarlo._block_rngs(seed, i, i + 1).start(i)
         assert seeds == [[seed, i], [seed, i]]  # the block's two checks, no fallback
         oracle = np.random.default_rng([seed, i])
         assert rng.bit_generator.state == oracle.bit_generator.state
@@ -375,6 +390,94 @@ class TestReplicateSeeding:
         last = montecarlo._SEED_BLOCK - 1
         assert seeds == [[seed, 0], [seed, last], [seed, last + 1], [seed, last + 1]]  # checks
         assert traces == expected
+
+    @pytest.mark.parametrize(
+        "seed,lo,hi",
+        [
+            (5, 0, 300),  # one seed word
+            (2**32 + 1, 2**32 - 150, 2**32 + 150),  # two seed words, indices across 2^32
+            (2**64 + 3, 2**32 - 40, 2**32 + 40),  # three seed words
+            (2**150 // 7, 2**40 + 7, 2**40 + 200),  # five seed words
+            # all-ones entropy words: seeds and indices up to 2^32 - 1, 2^64 - 1, 2^96 - 1
+            (2**32 - 1, 2**32 - 100, 2**32),
+            (2**64 - 1, 2**64 - 60, 2**64),
+            (2**96 - 1, 2**32 - 60, 2**32 + 4),
+        ],
+    )
+    def test_block_words_equal_the_exact_seeding_step(self, seed, lo, hi):
+        # every row, where the run-time check reads only the first and the last
+        block = montecarlo._block_rngs(seed, lo, hi)
+        words = np.frombuffer(block.starts, np.uint64).reshape(-1, 4).tolist()
+        assert len(words) == hi - lo
+        for i, row in zip(range(lo, hi), words):
+            entropy = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            s0, s1, s2, s3 = (int(word) for word in entropy)
+            state, inc = _pcg64_seeding_step(s0 << 64 | s1, s2 << 64 | s3)
+            assert row == _state_words(state, inc)
+            oracle = np.random.default_rng([seed, i]).bit_generator.state["state"]
+            assert oracle == {"state": state, "inc": inc}
+
+    def test_pcg64_words_carry_through_every_limb(self):
+        # seeds built backwards from sums and products whose 32-bit limbs are
+        # all ones or all zeros, so every carry of the limb arithmetic is taken
+        inverse = pow(PCG64_MULT, -1, 2**128)
+        cases = [(2**128 - 1, 2**128 - 1), (0, 0), (2**127, 2**127 - 1)]  # (seed, raw increment)
+        for product in (2**128 - 1, 2**128 - 2**32, 2**96 - 1, 2**64 - 1, 2**32, 0):
+            for inc in (1, 2**128 - 1, 2**32 + 1, 2**64 - 1, 2**128 - 2**96 + 1):
+                base = product * inverse % 2**128  # base * PCG64_MULT = product, mod 2^128
+                for top in (0, 2**127):  # the bit that << 1 drops
+                    cases.append(((base - inc) % 2**128, inc >> 1 | top))
+        for base in (2**128 - 1, 2**96 - 1, 2**64, 1, 0):  # inc + seed at and past 2^128
+            cases += [((base - 1) % 2**128, 0), ((base + 1) % 2**128, 2**127 - 1)]
+        halves = [  # generate_state's uint32 words: s0 low, s0 high, ..., s3 high
+            np.array([number >> shift >> 32 * k & MASK32 for number in column], np.uint64)
+            for column in ([seed for seed, _ in cases], [raw for _, raw in cases])
+            for shift in (64, 0)
+            for k in (0, 1)
+        ]
+        words = montecarlo._pcg64_words(halves).tolist()
+        assert words == [_state_words(*_pcg64_seeding_step(seed, raw)) for seed, raw in cases]
+
+    def test_block_draws_each_stream_pair_by_pair(self):
+        seed, lo, hi = 2**32 + 1, 2**32 - 150, 2**32 + 150
+        block = montecarlo._block_rngs(seed, lo, hi)
+        assert isinstance(block, montecarlo._RawBlock)
+        oracles = {i: np.random.default_rng([seed, i]) for i in range(lo, hi)}
+        order, exps, unis = list(range(lo, hi)), np.empty(32), np.empty(32)
+        for k in range(3):  # three pairs per replicate, the replicates interleaved
+            random.Random(k).shuffle(order)
+            for i in order:
+                block.draw_pair(i, exps, unis)
+                assert exps.tolist() == oracles[i].standard_exponential(32).tolist()
+                assert unis.tolist() == oracles[i].random(32).tolist()
+        for i in range(lo, hi):  # the pairs are saved apart, so each stream still starts anew
+            assert montecarlo._block_matches(seed, i, block.start(i))
+        rng = block.start(lo)
+        rng.integers(2**32, dtype=np.uint32)  # buffers the other half of a 64-bit output
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert montecarlo._block_matches(seed, lo, block.start(lo))
+
+    def test_block_words_live_as_long_as_its_start(self):
+        # growth_report keeps only a block's bound start: the words it loads
+        # must outlive _block_rngs even when their memory is asked for again
+        seed, lo, hi = 2**32 + 1, 0, 150
+        block = montecarlo._block_rngs(seed, lo, hi)
+        assert isinstance(block, montecarlo._RawBlock)  # it passed its check, so no fallback
+        start = block.start
+        del block
+        gc.collect()
+        for _ in range(4):
+            churn = [np.full((hi - lo, 4), MASK64, np.uint64) for _ in range(8)]
+            del churn
+        for i in range(lo, hi):
+            oracle = np.random.default_rng([seed, i])
+            assert start(i).bit_generator.state == oracle.bit_generator.state
+        params = ModelParams(0.5, 1.0)
+        first = [repr(row) for row in growth_report(params, 300, hi, seed)]
+        churn = [np.full((hi - lo, 4), MASK64, np.uint64) for _ in range(8)]
+        del churn
+        gc.collect()
+        assert [repr(row) for row in growth_report(params, 300, hi, seed)] == first
 
 
 # public engine and final state, the oracle of one ensemble replicate's outcome
@@ -420,9 +523,9 @@ def _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop, max_events=1
     blocks = []
     lock_step = montecarlo._lock_step
 
-    def counted(params, t_end, rng_of, lo, hi, max_events):
+    def counted(params, t_end, streams, lo, hi, max_events):
         blocks.append(hi - lo)
-        return lock_step(params, t_end, rng_of, lo, hi, max_events)
+        return lock_step(params, t_end, streams, lo, hi, max_events)
 
     monkeypatch.setattr(montecarlo, "_lock_step", counted)
     tallies = montecarlo._run_chunk((params, t_end, seed, "multiplicity", start, stop, max_events))
@@ -456,6 +559,23 @@ class EdgeDraws:
 
     def random(self, size=None, out=None):
         return self._draw(self.PICKS, size, out)
+
+
+class RecordingStream:
+    """``default_rng([seed, i])`` that records each block it draws, in draw order."""
+
+    def __init__(self, seed, i):
+        self.rng, self.blocks = np.random.default_rng([seed, i]), []
+
+    def standard_exponential(self, size=None, out=None):
+        draws = self.rng.standard_exponential(size=size, out=out)
+        self.blocks.append(("exp", draws.tolist()))
+        return draws
+
+    def random(self, size=None, out=None):
+        draws = self.rng.random(size=size, out=out)
+        self.blocks.append(("uni", draws.tolist()))
+        return draws
 
 
 # multiplicity points at the edges of the domain; the horizons give replicates
@@ -525,9 +645,15 @@ class TestRunChunk:
         seed = 2**32 + 1
         words = [np.full(3, word, np.uint32) for word in montecarlo._seed_words(seed)]
         states = montecarlo._pcg64_states(words + montecarlo._word_columns(7, 3))  # i = 7, 8, 9
-        bitgen = np.random.PCG64()
-        assert montecarlo._block_matches(seed, 8, states[1], bitgen)
-        assert not montecarlo._block_matches(seed, 8, states[2], bitgen)
+        assert states.shape == (3, 4) and states.dtype == np.uint64
+        block = montecarlo._RawBlock(7, states)
+        assert montecarlo._block_matches(seed, 8, block.start(8))
+        assert not montecarlo._block_matches(seed, 8, block.start(9))
+        for column in range(4):  # each word of the row reaches the state that the check reads
+            changed = states.copy()
+            changed[1, column] ^= np.uint64(2**40)
+            block = montecarlo._RawBlock(7, changed)
+            assert not montecarlo._block_matches(seed, 8, block.start(8))
 
     def test_partition_keys_keep_first_occurrence_order(self):
         seed, replicates = 5, 300
@@ -561,6 +687,45 @@ class TestRunChunk:
         tallies, _ = _lock_step_chunk(monkeypatch, params, t_end, seed, 0, stop)
         _assert_kernel_tallies(tallies, params, t_end, seed, 0, stop)
 
+    def test_lock_step_draws_each_pair_once_in_stream_order(self, monkeypatch):
+        # at t = 6 about one criterion-6 replicate in six passes event 32 in
+        # lock step and about one in a hundred passes event 64
+        params, t_end, seed, stop = ModelParams(0.0, 1.0, 2.0), 6.0, 21, 2000
+        streams = {}  # replicate -> the streams made for it: the lock step's, then a rerun's
+
+        def make(i):
+            streams.setdefault(i, []).append(RecordingStream(seed, i))
+            return streams[i][-1]
+
+        monkeypatch.setattr(montecarlo, "_block_rngs", lambda *args: montecarlo._Generators(make))
+        left = []
+        lock_step = montecarlo._lock_step
+
+        def recorded(*args):
+            outcomes, rest = lock_step(*args)
+            left.extend(rest)
+            return outcomes, rest
+
+        monkeypatch.setattr(montecarlo, "_lock_step", recorded)
+        tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, 0, stop)
+        assert blocks == [stop]
+        _assert_kernel_tallies(tallies, params, t_end, seed, 0, stop)
+        pairs = {}
+        for i in range(stop):
+            assert len(streams[i]) == 1 + (i in left)  # a rerun starts a stream of its own
+            drawn = streams[i][0].blocks
+            oracle = np.random.default_rng([seed, i])
+            for j, (kind, draws) in enumerate(drawn):
+                fresh = oracle.random(32) if j % 2 else oracle.standard_exponential(32)
+                assert (kind, draws) == ("uni" if j % 2 else "exp", fresh.tolist())
+            assert len(drawn) % 2 == 0
+            pairs[i] = len(drawn) // 2
+            if i not in left:  # it ran to t_end in lock step: one pair per 32 holding times
+                events = len(simulate(params, t_end, np.random.default_rng([seed, i])))
+                assert pairs[i] == events // 32 + 1
+        assert sum(n >= 2 for n in pairs.values()) >= 100
+        assert sum(n >= 3 for n in pairs.values()) >= 10
+
     @pytest.mark.parametrize(
         "params,first",
         [
@@ -580,8 +745,8 @@ class TestRunChunk:
             key = ctmc._multiplicity_kernel(params, t_end, rng, ctmc._EMPTY, 10**4, None)
             expected[key] = expected.get(key, 0) + 1
         assert len(expected) > 1 or first  # a lone founder dies out at the subnormal theta
-        draws = lambda seed, lo, hi: lambda i: EdgeDraws(i, first)  # noqa: E731
-        monkeypatch.setattr(montecarlo, "_block_rngs", draws)
+        draws = montecarlo._Generators(lambda i: EdgeDraws(i, first))
+        monkeypatch.setattr(montecarlo, "_block_rngs", lambda *args: draws)
         tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, 0, start, stop, 10**4)
         assert blocks == [stop - start]
         assert list(tallies.items()) == list(expected.items())
@@ -644,8 +809,8 @@ class TestRunChunk:
 
     def test_lock_step_refuses_a_jump_that_does_not_advance_the_clock(self, monkeypatch):
         # every replicate's second holding time is lost to round-off
-        absorbing = lambda seed, lo, hi: lambda i: AbsorbingClock()  # noqa: E731
-        monkeypatch.setattr(montecarlo, "_block_rngs", absorbing)
+        absorbing = montecarlo._Generators(lambda i: AbsorbingClock())
+        monkeypatch.setattr(montecarlo, "_block_rngs", lambda *args: absorbing)
         with pytest.raises(DomainError, match="strictly increasing"):
             _lock_step_chunk(monkeypatch, ModelParams(0.5, 1.0, 0.5), 5.0, 1, 0, 300)
 
@@ -654,10 +819,22 @@ class TestRunChunk:
         start, stop = 2**32 - 150, 2**32 + 150
         monkeypatch.setattr(montecarlo, "_block_matches", lambda *args: False)
         seeds = _count_default_rng(monkeypatch)
+        made = []  # the seeds asked for when the lock step returns, and the replicates it leaves
+        lock_step = montecarlo._lock_step
+
+        def recorded(*args):
+            outcomes, left = lock_step(*args)
+            made.append((list(seeds), left))
+            return outcomes, left
+
+        monkeypatch.setattr(montecarlo, "_lock_step", recorded)
         tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop)
         assert blocks == [stop - start]
         assert sorted({i for _, i in seeds}) == list(range(start, stop))  # each by the fallback
         assert {s for s, _ in seeds} == {seed}
+        # one generator per running row, kept for its later pairs, then one per kernel rerun
+        assert made[0][0] == [[seed, i] for i in range(start, stop)]
+        assert seeds[stop - start :] == [[seed, i] for i in made[0][1]]
         _assert_kernel_tallies(tallies, params, t_end, seed, start, stop)
 
     def test_lock_step_memory_is_bounded_by_one_seed_block(self):
