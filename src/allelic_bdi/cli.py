@@ -60,6 +60,15 @@ SIZE_MU_GRID = (1.5, 2.0, 5.0)
 PARTITION_ALPHA_GRID = (0.1, 0.5, 0.9)
 PARTITION_MU_GRID = (1.2, 2.0, 5.0)
 
+# the flags each exact law requires, checked and written to a table header in this order
+LAW_FLAGS = {
+    "esf": ("theta",),
+    "psf": ("alpha", "theta"),
+    "pi": ("alpha", "theta", "mu"),
+    "lambda": ("theta", "mu"),
+    "bt": ("mu", "t"),
+}
+
 
 def _need(condition: bool, message: str) -> None:
     if not condition:
@@ -76,20 +85,20 @@ def _need_output_dir(flag: str, path: str | None) -> None:
 def cmd_exact(args) -> int:
     _need_output_dir("--out", args.out)
     kind = args.kind
-    if kind == "bt":
-        _need(args.mu is not None, "bt requires --mu")
-        _need(args.t is not None, "bt requires --t")
-        print(f"{nbin_time_param(args.mu, args.t):.12g}")
-        return 0
     if args.table and kind in ("pi", "lambda"):
         _need(args.max_size >= 0, "--max-size must be >= 0")
         if kind == "pi":  # refused before any evaluation, not at the first size past the cap
             cap = MAX_ENUMERATION_SIZE
             _need(args.max_size <= cap, f"--max-size must be <= {cap}, got {args.max_size}")
+    law = {flag: getattr(args, flag) for flag in LAW_FLAGS[kind]}
+    for flag, value in law.items():
+        _need(value is not None, f"{kind} requires --{flag}")
+    meta = {"kind": kind, **law}
 
+    if kind == "bt":
+        print(f"{nbin_time_param(args.mu, args.t):.12g}")
+        return 0
     if kind == "lambda":
-        _need(args.theta is not None, "lambda requires --theta")
-        _need(args.mu is not None, "lambda requires --mu")
         if not args.table:
             _need(args.n is not None, "lambda requires --n or --table")
             print(f"{size_stationary_pmf(args.n, args.theta, args.mu):.12g}")
@@ -99,24 +108,8 @@ def cmd_exact(args) -> int:
             (str(n), size_stationary_pmf(n, args.theta, args.mu))
             for n in range(args.max_size + 1)
         ]
-        meta = {"kind": "lambda", "theta": args.theta, "mu": args.mu}
     else:
-        if kind == "esf":
-            _need(args.theta is not None, "esf requires --theta")
-            params = ModelParams(0.0, args.theta)
-            meta = {"kind": kind, "theta": args.theta}
-        elif kind == "psf":
-            _need(args.alpha is not None, "psf requires --alpha")
-            _need(args.theta is not None, "psf requires --theta")
-            params = ModelParams(args.alpha, args.theta)
-            meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta}
-        else:  # pi
-            _need(args.alpha is not None, "pi requires --alpha")
-            _need(args.theta is not None, "pi requires --theta")
-            _need(args.mu is not None, "pi requires --mu")
-            params = ModelParams(args.alpha, args.theta, args.mu)
-            meta = {"kind": kind, "alpha": args.alpha, "theta": args.theta, "mu": args.mu}
-
+        params = ModelParams(**{"alpha": 0.0, **law})  # esf is psf at alpha = 0
         if not args.table:
             _need(args.partition is not None, f"{kind} requires --partition or --table")
             m = AllelicPartition.decode(args.partition)
@@ -258,19 +251,12 @@ def cmd_verify(args) -> int:
     _need_output_dir("--out", args.out)
     fault = args.inject_fault
 
-    size_thetas = [args.theta] if args.theta is not None else list(SIZE_THETA_GRID)
-    size_mus = [args.mu] if args.mu is not None else list(SIZE_MU_GRID)
-    alphas = [args.alpha] if args.alpha is not None else list(PARTITION_ALPHA_GRID)
-    part_mus = [args.mu] if args.mu is not None else list(PARTITION_MU_GRID)
-
-    def part_thetas(alpha: float) -> list[float]:
-        # one point inside (-alpha, 0), where the balance identities hold in
-        # signed form, plus two ordinary positive rates
-        return [args.theta] if args.theta is not None else [-alpha / 2.0, 0.5, 2.0]
+    def grid(pinned: float | None, default) -> list[float]:
+        return [pinned] if pinned is not None else list(default)
 
     size_points = []
-    for theta in size_thetas:
-        for mu in size_mus:
+    for theta in grid(args.theta, SIZE_THETA_GRID):
+        for mu in grid(args.mu, SIZE_MU_GRID):
             pmf = None
             if fault:
                 pmf = lambda n, th=theta, m=mu: size_stationary_pmf(n, th, m) * (
@@ -290,10 +276,15 @@ def cmd_verify(args) -> int:
     partition_points = []
     mixture_points = []
     mass_points = []
-    for alpha in alphas:
-        for theta in part_thetas(alpha):
+    series_points = []
+    part_mus = grid(args.mu, PARTITION_MU_GRID)
+    for alpha in grid(args.alpha, PARTITION_ALPHA_GRID):
+        # one theta inside (-alpha, 0), where the balance identities hold in
+        # signed form, plus two ordinary positive rates
+        for theta in grid(args.theta, (-alpha / 2.0, 0.5, 2.0)):
             for mu in part_mus:
                 params = ModelParams(alpha, theta, mu)
+                point = {"alpha": alpha, "theta": theta, "mu": mu}
                 pmf = None
                 if fault:
                     pmf = lambda m, p=params: partition_stationary_pmf(m, p) * (
@@ -302,9 +293,7 @@ def cmd_verify(args) -> int:
                 scan = partition_balance_scan(params, args.max_size, pmf)
                 partition_points.append(
                     {
-                        "alpha": alpha,
-                        "theta": theta,
-                        "mu": mu,
+                        **point,
                         "s_max": args.max_size,
                         "max_residual": scan.max_residual,
                         "worst_state": scan.worst_state,
@@ -314,9 +303,7 @@ def cmd_verify(args) -> int:
                 scan = mixture_consistency_scan(params, args.max_size)
                 mixture_points.append(
                     {
-                        "alpha": alpha,
-                        "theta": theta,
-                        "mu": mu,
+                        **point,
                         "s_max": args.max_size,
                         "max_residual": scan.max_residual,
                         "worst_state": scan.worst_state,
@@ -327,46 +314,36 @@ def cmd_verify(args) -> int:
                 )
                 mass_points.append(
                     {
-                        "alpha": alpha,
-                        "theta": theta,
-                        "mu": mu,
+                        **point,
                         "bound": PARTITION_BALANCE_MAX_SIZE,
                         "pi_sum": pi_sum,
                         "lambda_sum": lambda_sum,
                         "max_residual": abs(pi_sum - lambda_sum),
                     }
                 )
-
-    series_points = []
-    for alpha in alphas:
         for mu in part_mus:
-            gap = weight_series_gap(alpha, mu, args.series_terms)
             series_points.append(
                 {
                     "alpha": alpha,
                     "mu": mu,
                     "terms": args.series_terms,
-                    "max_residual": gap,
+                    "max_residual": weight_series_gap(alpha, mu, args.series_terms),
                 }
             )
 
-    def suite(name: str, tolerance: float, points: list[dict]) -> dict:
-        worst = max(p["max_residual"] for p in points)
-        return {
-            "name": name,
-            "tolerance": tolerance,
-            "points": points,
-            "max_residual": worst,
-            "pass": worst <= tolerance,
-        }
-
     suites = [
-        suite("size_detailed_balance", SIZE_BALANCE_TOLERANCE, size_points),
-        suite("partition_detailed_balance", PARTITION_BALANCE_TOLERANCE, partition_points),
-        suite("mixture_equality", MIXTURE_TOLERANCE, mixture_points),
-        suite("mass_consistency", MASS_TOLERANCE, mass_points),
-        suite("weight_series_identity", SERIES_TOLERANCE, series_points),
+        {"name": name, "tolerance": tolerance, "points": points}
+        for name, tolerance, points in (
+            ("size_detailed_balance", SIZE_BALANCE_TOLERANCE, size_points),
+            ("partition_detailed_balance", PARTITION_BALANCE_TOLERANCE, partition_points),
+            ("mixture_equality", MIXTURE_TOLERANCE, mixture_points),
+            ("mass_consistency", MASS_TOLERANCE, mass_points),
+            ("weight_series_identity", SERIES_TOLERANCE, series_points),
+        )
     ]
+    for suite in suites:
+        suite["max_residual"] = worst = max(p["max_residual"] for p in suite["points"])
+        suite["pass"] = worst <= suite["tolerance"]
     ok = all(s["pass"] for s in suites)
     report = {
         "artifact": "allelic-bdi",
@@ -423,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     exact.add_argument(
-        "kind", choices=("esf", "psf", "pi", "lambda", "bt"), help="which law to evaluate"
+        "kind", choices=tuple(LAW_FLAGS), help="which law to evaluate"
     )
     exact.add_argument("--n", type=int, help="sample or population size, an integer >= 0")
     exact.add_argument("--alpha", type=float, help="within-family skew, in [0, 1)")
@@ -508,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tv-max-size",
         type=int,
         default=12,
-        help="population-size bound of the partition TV comparison (default %(default)s)",
+        help="population-size bound of the partition TV comparison, capped at "
+        f"{PARTITION_BALANCE_MAX_SIZE} (default %(default)s)",
     )
     sim.add_argument("--histogram", help="write final-state tallies to this CSV file")
     sim.add_argument("--summary", help="write the JSON summary to this file (default: stdout)")

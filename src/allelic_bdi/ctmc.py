@@ -149,7 +149,13 @@ def _check_jump_times(times: Iterable[float], horizon: float) -> None:
         raise DomainError("jump times must not exceed the horizon")
 
 
-def _engine_path(start: AllelicPartition, events: list, t_end: float, final: tuple) -> Trajectory:
+def _recorded_path(
+    kernel: Callable, params: ModelParams, t_end: float, rng, initial, max_events: int
+) -> Trajectory:
+    """The path a partition ``kernel`` records from ``initial`` (empty if None), end state kept."""
+    start = _EMPTY if initial is None else initial
+    events: list[tuple[float, TransitionEvent]] = []
+    final = kernel(params, t_end, rng, start, max_events, events.append)
     path = Trajectory(start, tuple(events), t_end)
     object.__setattr__(path, "_final", AllelicPartition(final) if final else _EMPTY)
     return path
@@ -333,10 +339,7 @@ def simulate(
     left advanced by whole blocks.  ``tests/test_reproducibility.py`` pins
     seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
     """
-    start = _EMPTY if initial is None else initial
-    events: list[tuple[float, TransitionEvent]] = []
-    final = _multiplicity_kernel(params, t_end, rng, start, max_events, events.append)
-    return _engine_path(start, events, t_end, final)
+    return _recorded_path(_multiplicity_kernel, params, t_end, rng, initial, max_events)
 
 
 def _size_kernel(
@@ -553,10 +556,7 @@ def simulate_branching(
     that walk would;
     ``tests/test_reproducibility.py`` pins seeded outputs.
     """
-    start = _EMPTY if initial is None else initial
-    events: list[tuple[float, TransitionEvent]] = []
-    final = _branching_kernel(params, t_end, rng, start, max_events, events.append)
-    return _engine_path(start, events, t_end, final)
+    return _recorded_path(_branching_kernel, params, t_end, rng, initial, max_events)
 
 
 def _oldest_family(families: list[list[float]]) -> int:

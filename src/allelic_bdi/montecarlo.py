@@ -29,7 +29,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -48,10 +48,16 @@ from .ctmc import (
 )
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
-from .partitions import AllelicPartition, EventKind, TransitionEvent
+from .partitions import AllelicPartition, EventKind, TransitionEvent, _apply_event
 from .urn import _group_count_traces
 
-ENGINES = ("multiplicity", "branching", "bdi")
+# engine name -> (kernel, the empty state its replicates start from)
+_KERNELS = {
+    "multiplicity": (_multiplicity_kernel, _EMPTY),
+    "branching": (_branching_kernel, _EMPTY),
+    "bdi": (_size_kernel, 0),
+}
+ENGINES = tuple(_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,12 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
 _SEED_BLOCK = 4096  # replicates hashed at once: bounds the block's arrays
+
+
+def _seed_blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` of the seed blocks of replicates ``start <= i < stop`` (start 0 or a ``lo``)."""
+    for lo in range(start, stop, _SEED_BLOCK):
+        yield lo, min(lo + _SEED_BLOCK, stop)
 
 
 def _word_columns(first: int, n: int) -> list[np.ndarray]:
@@ -299,21 +311,7 @@ def _block_matches(seed: int, i: int, rng: np.random.Generator) -> bool:
     return rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
 
 
-def _replicate_outcome(
-    engine: str, params: ModelParams, t_end: float, rng: np.random.Generator, max_events: int
-):
-    """Final state of one replicate: sorted partition entries, or a size for ``bdi``."""
-    if engine == "multiplicity":
-        return _multiplicity_kernel(params, t_end, rng, _EMPTY, max_events, None)
-    if engine == "branching":
-        return _branching_kernel(params, t_end, rng, _EMPTY, max_events, None)
-    if engine == "bdi":
-        return _size_kernel(params, t_end, rng, 0, max_events, None)
-    raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
-_LOCK_STEP_BLOCK = 256  # seed blocks this large run in lock step ...
-_LOCK_STEP_MIN = 16  # ... while this many of their replicates run
+_LOCK_STEP_BLOCK = 256  # seed blocks this large run in lock step
 
 
 def _lock_step(
@@ -356,7 +354,7 @@ def _lock_step(
     # a holding time past the float range ends the run, as in the kernel;
     # s / k is nan in rows with no groups, which take the new-family branch
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(run) >= _LOCK_STEP_MIN and n < max_events:
+        while len(run) and n < max_events:
             if not n % 16:  # replicates that rarely end run faster one by one
                 if n and 4 * len(run) > 3 * earlier:
                     break
@@ -450,9 +448,9 @@ def _run_chunk(args: tuple) -> dict:
     Each seed block of the range runs as :func:`run_ensemble` describes.
     """
     params, t_end, seed, engine, start, stop, max_events = args
+    kernel, empty = _KERNELS[engine]
     tallies: dict = {}
-    for lo in range(start, stop, _SEED_BLOCK):
-        hi = min(lo + _SEED_BLOCK, stop)
+    for lo, hi in _seed_blocks(start, stop):
         block = _block_rngs(seed, lo, hi)
         if engine == "multiplicity" and params.theta > 0.0 and hi - lo >= _LOCK_STEP_BLOCK:
             outcomes, left = _lock_step(params, t_end, block, lo, hi, max_events)
@@ -461,7 +459,7 @@ def _run_chunk(args: tuple) -> dict:
         for i in left:
             rng = block.start(i)
             try:
-                outcomes[i - lo] = _replicate_outcome(engine, params, t_end, rng, max_events)
+                outcomes[i - lo] = kernel(params, t_end, rng, empty, max_events, None)
             except RunawayError as exc:
                 raise RunawayError(
                     f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
@@ -497,7 +495,7 @@ def run_ensemble(
     Partition engines tally final partitions (size and group marginals are
     derived views); the ``bdi`` engine tallies integer sizes.  The output is
     a deterministic function of (params, t_end, replicates, seed, engine)
-    alone - worker count only affects wall time.
+    alone - worker count (at least 1) only affects wall time.
 
     An ensemble is cut only into seed blocks: replicates ``lo`` to
     ``hi - 1``, with ``lo`` a multiple of ``_SEED_BLOCK`` (4,096).  A serial
@@ -509,10 +507,9 @@ def run_ensemble(
     ``_LOCK_STEP_BLOCK`` replicates runs in lock step (:func:`_lock_step`):
     every replicate draws its next block pair of holding times and
     selectors, and one numpy step advances all running replicates by one
-    event.  The replicates still running decide how long: once fewer than
-    ``_LOCK_STEP_MIN`` run, or more than three in four of those running 16
-    events earlier still run, the scalar kernel reruns the rest from the
-    start of their streams, in index order, as it does a replicate that
+    event.  Every 16 events, if more than three in four of the replicates
+    running 16 events earlier still run, the scalar kernel reruns them from
+    the start of their streams, in index order, as it does a replicate that
     stalls or reaches ``max_events``.  Smaller blocks, theta <= 0 and the
     other engines run one replicate at a time, in index order.  Both paths
     give the same tallies in the same order, and the first guard to raise
@@ -520,21 +517,20 @@ def run_ensemble(
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
-    if engine not in ENGINES:
+    if engine not in _KERNELS:
         raise DomainError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if seed < 0:
         raise DomainError("the seed must be >= 0")
-    blocks = range(0, replicates, _SEED_BLOCK)
+    if workers < 1:
+        raise DomainError("need at least one worker")
+    blocks = list(_seed_blocks(0, replicates))
     workers = min(workers, len(blocks), _usable_cpus())
     if workers <= 1:
         tallies = _run_chunk((params, t_end, seed, engine, 0, replicates, max_events))
     else:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 
-        jobs = [
-            (params, t_end, seed, engine, lo, min(lo + _SEED_BLOCK, replicates), max_events)
-            for lo in blocks
-        ]
+        jobs = [(params, t_end, seed, engine, lo, hi, max_events) for lo, hi in blocks]
         tallies = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, jobs):
@@ -639,17 +635,7 @@ def stationary_occupation(
     def observe(jump: tuple[float, TransitionEvent]) -> None:
         t, event = jump
         occupy(t)
-        if event.kind is EventKind.NEW_FAMILY:
-            counts[1] = counts.get(1, 0) + 1
-            return
-        i = event.index
-        if counts[i] == 1:
-            del counts[i]
-        else:
-            counts[i] -= 1
-        j = i + 1 if event.kind is EventKind.GROWTH else i - 1
-        if j:  # a death in a group of size 1 leaves no group behind
-            counts[j] = counts.get(j, 0) + 1
+        _apply_event(counts, event)
 
     rng = np.random.default_rng([seed, 0])
     _multiplicity_kernel(params, horizon, rng, _EMPTY, max_events, observe)
@@ -698,7 +684,7 @@ def growth_report(
     if power is None:
         power = params.alpha
     # run r draws from default_rng([seed, r]); each generator is used up before the next is made
-    blocks = ((lo, min(lo + _SEED_BLOCK, runs)) for lo in range(0, runs, _SEED_BLOCK))
+    blocks = _seed_blocks(0, runs)
     rngs = (rng for lo, hi in blocks for rng in map(_block_rngs(seed, lo, hi).start, range(lo, hi)))
     traces = _group_count_traces(n_max, params, rngs)
     rows = []
@@ -785,15 +771,12 @@ def write_histogram_csv(
 def write_growth_csv(
     rows: Iterable[GrowthRow], file: str | IO[str], metadata: Mapping[str, object] | None = None
 ) -> None:
+    """Write growth rows as CSV, one column per :class:`GrowthRow` field, with a metadata header."""
     with _open_artifact(file, metadata or {}) as fh:
-        fh.write(
-            "n,mean_groups,sd_groups,log_norm_mean,log_norm_cv,pow_norm_mean,pow_norm_cv\n"
-        )
+        fh.write(",".join(field.name for field in fields(GrowthRow)) + "\n")
         for row in rows:
-            fh.write(
-                f"{row.n},{row.mean_groups!r},{row.sd_groups!r},{row.log_norm_mean!r},"
-                f"{row.log_norm_cv!r},{row.pow_norm_mean!r},{row.pow_norm_cv!r}\n"
-            )
+            n, *stats = astuple(row)
+            fh.write(",".join([str(n), *map(repr, stats)]) + "\n")
 
 
 def write_trajectory_csv(

@@ -190,20 +190,10 @@ class AllelicPartition:
         group size with zero multiplicity.
         """
         counts = dict(self._entries)
-        if event.kind is EventKind.NEW_FAMILY:
-            counts[1] = counts.get(1, 0) + 1
-        else:
-            i = event.index
-            if counts.get(i, 0) < 1:
-                raise InapplicableEventError(f"no group of size {i} to act on in {self.encode()!r}")
-            if counts[i] == 1:
-                del counts[i]
-            else:
-                counts[i] -= 1
-            if event.kind is EventKind.GROWTH:
-                counts[i + 1] = counts.get(i + 1, 0) + 1
-            elif i > 1:
-                counts[i - 1] = counts.get(i - 1, 0) + 1
+        i = event.index
+        if i is not None and counts.get(i, 0) < 1:
+            raise InapplicableEventError(f"no group of size {i} to act on in {self.encode()!r}")
+        _apply_event(counts, event)
         return AllelicPartition(counts.items())
 
     def encode(self) -> str:
@@ -229,6 +219,21 @@ class AllelicPartition:
 
     def __reduce__(self):
         return (AllelicPartition, (self._entries,))
+
+
+def _apply_event(counts: dict[int, int], event: TransitionEvent) -> None:
+    """Apply ``event`` in place to ``counts`` (size -> multiplicity), which holds its group."""
+    if event.kind is EventKind.NEW_FAMILY:
+        counts[1] = counts.get(1, 0) + 1
+        return
+    i = event.index
+    if counts[i] == 1:
+        del counts[i]
+    else:
+        counts[i] -= 1
+    j = i + 1 if event.kind is EventKind.GROWTH else i - 1
+    if j:  # a death in a group of size 1 leaves no group behind
+        counts[j] = counts.get(j, 0) + 1
 
 
 def _entries(n: int, low: int) -> Iterator[tuple[tuple[int, int], ...]]:

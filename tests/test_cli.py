@@ -160,6 +160,18 @@ class TestExact:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "kind,flag", [(kind, flag) for kind, flags in cli.LAW_FLAGS.items() for flag in flags]
+    )
+    def test_each_law_names_the_flag_it_misses(self, capsys, kind, flag):
+        values = {"alpha": "0.5", "theta": "1", "mu": "2", "t": "1"}
+        argv = ["exact", kind]
+        for given in cli.LAW_FLAGS[kind]:
+            if given != flag:
+                argv += [f"--{given}", values[given]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {kind} requires --{flag}\n")
+
     def test_malformed_partition_reports_position(self, capsys):
         code, _, err = run_cli(
             capsys, "exact", "esf", "--theta", "1", "--partition", "1^"

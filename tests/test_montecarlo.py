@@ -254,6 +254,12 @@ class TestRunEnsemble:
         with pytest.raises(DomainError):
             run_ensemble(params, 1.0, 10, -1)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        # as the CLI refuses --workers 0, rather than running serially
+        with pytest.raises(DomainError, match="need at least one worker"):
+            run_ensemble(ModelParams(0.5, 1.0, 2.0), 1.0, 10, 1, workers=workers)
+
     def test_event_cap_propagates(self):
         with pytest.raises(RunawayError) as exc:
             run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 4, 1, max_events=50)
@@ -288,10 +294,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("engine", montecarlo.ENGINES)
     def test_replicates_refuse_a_jump_that_does_not_advance_the_clock(self, engine):
         # replicates record no path, so the kernel itself must check the clock
+        kernel, empty = montecarlo._KERNELS[engine]
         with pytest.raises(DomainError, match="strictly increasing"):
-            montecarlo._replicate_outcome(
-                engine, ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), 100
-            )
+            kernel(ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), empty, 100, None)
 
     def test_error_shrinks_with_replicates(self):
         # TV against the exact transient size law should fall roughly as
