@@ -68,6 +68,15 @@ LAW_FLAGS = {
     "lambda": ("theta", "mu"),
     "bt": ("mu", "t"),
 }
+# what each law reads besides its LAW_FLAGS, at a point and in a table (bt has none)
+LAW_INPUTS = {
+    "esf": (("partition", "n"), ("n", "out")),
+    "psf": (("partition", "n"), ("n", "out")),
+    "pi": (("partition",), ("max_size", "out")),
+    "lambda": (("n",), ("max_size", "out")),
+    "bt": ((), None),
+}
+TABLE_MAX_SIZE = 12  # the default --max-size of pi and lambda tables
 
 
 def _need(condition: bool, message: str) -> None:
@@ -83,13 +92,20 @@ def _need_output_dir(flag: str, path: str | None) -> None:
 
 
 def cmd_exact(args) -> int:
-    _need_output_dir("--out", args.out)
     kind = args.kind
+    reads = LAW_INPUTS[kind][args.table]
+    _need(reads is not None, f"{kind} has no table")
+    mode = f"{kind} --table" if args.table else kind
+    for flag in ("n", "alpha", "theta", "mu", "t", "partition", "max_size", "out"):
+        unread = flag not in LAW_FLAGS[kind] + reads and getattr(args, flag) is not None
+        _need(not unread, f"{mode} does not take --{flag.replace('_', '-')}")
+    _need_output_dir("--out", args.out)
+    max_size = TABLE_MAX_SIZE if args.max_size is None else args.max_size
     if args.table and kind in ("pi", "lambda"):
-        _need(args.max_size >= 0, "--max-size must be >= 0")
+        _need(max_size >= 0, "--max-size must be >= 0")
         if kind == "pi":  # refused before any evaluation, not at the first size past the cap
             cap = MAX_ENUMERATION_SIZE
-            _need(args.max_size <= cap, f"--max-size must be <= {cap}, got {args.max_size}")
+            _need(max_size <= cap, f"--max-size must be <= {cap}, got {max_size}")
     law = {flag: getattr(args, flag) for flag in LAW_FLAGS[kind]}
     for flag, value in law.items():
         _need(value is not None, f"{kind} requires --{flag}")
@@ -106,7 +122,7 @@ def cmd_exact(args) -> int:
         key_name = "n"
         rows = [
             (str(n), size_stationary_pmf(n, args.theta, args.mu))
-            for n in range(args.max_size + 1)
+            for n in range(max_size + 1)
         ]
     else:
         params = ModelParams(**{"alpha": 0.0, **law})  # esf is psf at alpha = 0
@@ -119,9 +135,9 @@ def cmd_exact(args) -> int:
             return 0
         key_name = "partition"
         if kind == "pi":
-            states = [m for n in range(args.max_size + 1) for m in enumerate_partitions(n)]
-            values = _pi_rows(params, states, args.max_size)
-            meta["max_size"] = args.max_size
+            states = [m for n in range(max_size + 1) for m in enumerate_partitions(n)]
+            values = _pi_rows(params, states, max_size)
+            meta["max_size"] = max_size
         else:
             _need(args.n is not None, f"{kind} --table requires --n")
             states = enumerate_partitions(args.n)
@@ -204,7 +220,7 @@ def cmd_simulate(args) -> int:
             raise DomainError(
                 "--trajectory requires a partition engine (multiplicity or branching)"
             )
-        import numpy as np  # imported here: exact and verify need none from this module
+        import numpy as np
         engine_fn = simulate if args.engine == "multiplicity" else simulate_branching
         rng = np.random.default_rng([args.seed, 0])
         trajectory = engine_fn(params, args.t, rng, max_events=args.max_events)
@@ -418,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument(
         "--max-size",
         type=int,
-        default=12,
-        help="population-size bound of pi/lambda tables (default %(default)s)",
+        help=f"population-size bound of pi/lambda tables (default {TABLE_MAX_SIZE})",
     )
     exact.add_argument("--out", help="write the table to this file instead of stdout")
     exact.add_argument("--config", help="JSON file of flag values; explicit flags win")
@@ -526,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-size",
         type=int,
         default=12,
-        help="partition-state bound s(m) <= N of the scans, at most 14 (default %(default)s)",
+        help="partition-state bound s(m) <= N of the scans, at most "
+        f"{PARTITION_BALANCE_MAX_SIZE} (default %(default)s)",
     )
     ver.add_argument(
         "--size-max",

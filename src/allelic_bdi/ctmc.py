@@ -57,8 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -67,7 +66,7 @@ import numpy as np
 
 from .errors import DomainError, RunawayError
 from .formulae import ModelParams
-from .partitions import AllelicPartition, EventKind, TransitionEvent
+from .partitions import AllelicPartition, EventKind, TransitionEvent, _apply_event
 
 DEFAULT_MAX_EVENTS = 10**8
 
@@ -86,15 +85,12 @@ class Trajectory:
     """A finite piece of one sample path of the multiplicity-level chain.
 
     ``events`` holds (jump time, event) pairs with strictly increasing times
-    in (0, horizon]; the state at any time is recovered by replaying them
-    from ``initial``.  Paths returned by the engines also carry the final
-    state the engine reached (not part of equality or the constructor).
+    in (0, horizon]; replaying them from ``initial`` gives the state at any time.
     """
 
     initial: AllelicPartition
     events: tuple[tuple[float, TransitionEvent], ...]
     horizon: float
-    _final: AllelicPartition | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_jump_times(map(itemgetter(0), self.events), self.horizon)
@@ -103,17 +99,14 @@ class Trajectory:
         return len(self.events)
 
     def final_state(self) -> AllelicPartition:
-        """The state at the horizon.
+        """The state at the horizon: ``initial`` replayed on one dict, an O(1) update per event.
 
-        O(1) on paths returned by :func:`simulate` and
-        :func:`simulate_branching`, which record the state they ended in;
-        paths built by hand replay their events from ``initial`` with
-        :meth:`AllelicPartition.apply_event`, O(events * distinct sizes).
-        Both give the same partition for the same events.
+        An event with no group to act on raises :class:`InapplicableEventError`.
         """
-        if self._final is not None:
-            return self._final
-        return reduce(AllelicPartition.apply_event, map(itemgetter(1), self.events), self.initial)
+        counts = self.initial.as_dict()
+        for _, event in self.events:
+            _apply_event(counts, event)
+        return AllelicPartition(counts.items())
 
 
 @dataclass(frozen=True)
@@ -152,13 +145,11 @@ def _check_jump_times(times: Iterable[float], horizon: float) -> None:
 def _recorded_path(
     kernel: Callable, params: ModelParams, t_end: float, rng, initial, max_events: int
 ) -> Trajectory:
-    """The path a partition ``kernel`` records from ``initial`` (empty if None), end state kept."""
+    """The path a partition ``kernel`` records from ``initial`` (empty if None)."""
     start = _EMPTY if initial is None else initial
     events: list[tuple[float, TransitionEvent]] = []
-    final = kernel(params, t_end, rng, start, max_events, events.append)
-    path = Trajectory(start, tuple(events), t_end)
-    object.__setattr__(path, "_final", AllelicPartition(final) if final else _EMPTY)
-    return path
+    kernel(params, t_end, rng, start, max_events, events.append)
+    return Trajectory(start, tuple(events), t_end)
 
 
 class _EventCache(dict):
@@ -328,7 +319,6 @@ def simulate(
     when a size appears or vanishes.  Recording the path adds one
     (time, shared event) pair per event; ensembles run the same kernel
     without recording, so their memory does not grow with the event count.
-    The returned path carries its final state, so ``final_state()`` is O(1).
 
     Bit-identity (random stream 2, see the module docstring): the path is a
     function of the generator's draws in blocks of 32, the class masses and
@@ -535,8 +525,7 @@ def simulate_branching(
     uniform victim, and births one at the aggregate birth rate plus a
     weighted parent choice, which is distributionally identical to
     per-individual clocks.  The returned trajectory has the same law as the
-    one produced by :func:`simulate` and carries its final state, so
-    ``final_state()`` is O(1).
+    one produced by :func:`simulate`.
 
     Cost per event: each family is an integer size, and one descent of a
     Fenwick tree over the families in founding order finds the parent or

@@ -284,23 +284,18 @@ class _Generators:
 def _block_rngs(seed: int, lo: int, hi: int) -> _RawBlock | _Generators:
     """The streams of replicates ``lo <= i < hi``, each that of ``default_rng([seed, i])``.
 
-    The block (at most ``_SEED_BLOCK`` replicates) is hashed at once
-    (:func:`_pcg64_states`) into a :class:`_RawBlock`.  The struct layout it
-    writes is numpy's, so its first and last replicate are loaded raw and
-    compared with ``default_rng([seed, i])`` through the public ``state``
-    getter (:func:`_block_matches`); on a mismatch the block's streams are
+    A block of :func:`_seed_blocks` starts at a multiple of ``_SEED_BLOCK``,
+    which divides 2^32, so all its indices have as many 32-bit words and it
+    is hashed at once (:func:`_pcg64_states`) into a :class:`_RawBlock`.
+    The struct layout it writes is numpy's, so its first and last replicate
+    are loaded raw and compared with ``default_rng([seed, i])`` through the
+    public ``state`` getter (:func:`_block_matches`); on a mismatch, as on
+    the last row of a block across a word count, the block's streams are
     :class:`_Generators` of ``default_rng([seed, i])`` instead.
     """
-    seed_words = _seed_words(seed)
-    words = []
-    first = lo
-    while first < hi:  # one run of replicate indices per word count
-        last = min(hi, 1 << (32 * len(_seed_words(first))))
-        columns = _word_columns(first, last - first)
-        entropy = [np.full_like(columns[0], word) for word in seed_words] + columns
-        words.append(_pcg64_states(entropy))
-        first = last
-    block = _RawBlock(lo, np.concatenate(words))
+    columns = _word_columns(lo, hi - lo)
+    entropy = [np.full_like(columns[0], word) for word in _seed_words(seed)] + columns
+    block = _RawBlock(lo, _pcg64_states(entropy))
     if all(_block_matches(seed, i, block.start(i)) for i in (lo, hi - 1)):
         return block
     return _Generators(lambda i: np.random.default_rng([seed, i]))
@@ -321,7 +316,7 @@ def _lock_step(
     lo: int,
     hi: int,
     max_events: int,
-) -> tuple[list, list[int]]:
+) -> list:
     """Final entries of multiplicity replicates ``lo`` to ``hi - 1`` of one seed block.
 
     The kernel takes one holding time and one selector per event, so events
@@ -336,8 +331,8 @@ def _lock_step(
     The size in the chosen class is the first whose cumulative integer
     weight exceeds the class index, the size the kernel's walk returns, read
     from one running sum over the rows that need a search.  Returns the
-    entries in index order and, sorted, the replicates it leaves to the
-    kernel (see :func:`run_ensemble`), whose entries are placeholders.
+    entries in index order, None for each replicate it leaves to the kernel
+    (see :func:`run_ensemble`).
     """
     _check_horizon(t_end)
     theta, alpha, mu = params.theta, params.alpha, params.mu
@@ -439,7 +434,9 @@ def _lock_step(
         if key is None:
             key = keys[row] = tuple([(i, c) for i, c in enumerate(row, 1) if c])
         outcomes.append(key)
-    return outcomes, sorted(lo + r for r in left + run.tolist())
+    for r in left + run.tolist():
+        outcomes[r] = None
+    return outcomes
 
 
 def _run_chunk(args: tuple) -> dict:
@@ -452,24 +449,22 @@ def _run_chunk(args: tuple) -> dict:
     tallies: dict = {}
     for lo, hi in _seed_blocks(start, stop):
         block = _block_rngs(seed, lo, hi)
+        outcomes = [None] * (hi - lo)  # None: the scalar kernel runs the replicate
         if engine == "multiplicity" and params.theta > 0.0 and hi - lo >= _LOCK_STEP_BLOCK:
-            outcomes, left = _lock_step(params, t_end, block, lo, hi, max_events)
-        else:
-            outcomes, left = [None] * (hi - lo), range(lo, hi)
-        for i in left:
-            rng = block.start(i)
-            try:
-                outcomes[i - lo] = kernel(params, t_end, rng, empty, max_events, None)
-            except RunawayError as exc:
-                raise RunawayError(
-                    f"replicate {i} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
-                    f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
-                    events=exc.events,
-                    time=exc.time,
-                    size=exc.size,
-                    groups=exc.groups,
-                ) from exc
-        for key in outcomes:
+            outcomes = _lock_step(params, t_end, block, lo, hi, max_events)
+        for i, key in enumerate(outcomes, lo):
+            if key is None:
+                try:
+                    key = kernel(params, t_end, block.start(i), empty, max_events, None)
+                except RunawayError as exc:
+                    raise RunawayError(
+                        f"replicate {i} of seed {seed} (alpha={params.alpha}, "
+                        f"theta={params.theta}, mu={params.mu}, t={t_end}, engine {engine}): {exc}",
+                        events=exc.events,
+                        time=exc.time,
+                        size=exc.size,
+                        groups=exc.groups,
+                    ) from exc
             tallies[key] = tallies.get(key, 0) + 1
     return tallies
 

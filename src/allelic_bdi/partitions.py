@@ -190,9 +190,6 @@ class AllelicPartition:
         group size with zero multiplicity.
         """
         counts = dict(self._entries)
-        i = event.index
-        if i is not None and counts.get(i, 0) < 1:
-            raise InapplicableEventError(f"no group of size {i} to act on in {self.encode()!r}")
         _apply_event(counts, event)
         return AllelicPartition(counts.items())
 
@@ -222,11 +219,14 @@ class AllelicPartition:
 
 
 def _apply_event(counts: dict[int, int], event: TransitionEvent) -> None:
-    """Apply ``event`` in place to ``counts`` (size -> multiplicity), which holds its group."""
+    """Apply ``event`` in place to ``counts`` (size -> multiplicity), unchanged when it raises."""
     if event.kind is EventKind.NEW_FAMILY:
         counts[1] = counts.get(1, 0) + 1
         return
     i = event.index
+    if i not in counts:
+        state = AllelicPartition(counts.items()).encode()
+        raise InapplicableEventError(f"no group of size {i} to act on in {state!r}")
     if counts[i] == 1:
         del counts[i]
     else:

@@ -152,15 +152,13 @@ def partition_stationary_truncated(
 
     Requires theta > 0, so the values are probabilities (every sign is +1);
     mass beyond the bound is not stored, and ``tv_distance`` counts it as tail.
-    Read from the prefix of the point's log pi table.
+    Evaluated in one ``_pi_rows`` pass, as ``exact pi --table`` is.
     """
     if params.theta <= 0.0:
         raise DomainError("the truncated stationary table requires theta > 0")
     _require_bound(bound)
-    _require_partition_regime(params)
-    graph = _up_move_graph()
-    _, logs = _log_pi_table(params)
-    return {m: math.exp(log_p) for m, log_p in zip(graph.states[: graph.ends[bound]], logs)}
+    states = [m for n in range(bound + 1) for m in enumerate_partitions(n)]
+    return dict(zip(states, _pi_rows(params, states, bound)))
 
 
 @dataclass(frozen=True)
@@ -231,15 +229,15 @@ class _UpMoveGraph(NamedTuple):
     ``ends[n]`` counts the states with s(m) <= n, so the states up to any
     bound are a prefix.  ``moves[j]`` lists the up moves of state j (for
     s(m) <= PARTITION_BALANCE_MAX_SIZE): the new family first, then the
-    growth of each group size in increasing order, each as (event, group
-    size i or 0 for a new family, count the up-rate is built from, target
-    index, size of the target's reversing death, the target's multiplicity
-    at that size).  None of it depends on the parameters.
+    growth of each group size in increasing order, each as (group size i or
+    0 for a new family, count the up-rate is built from, target index, the
+    target's multiplicity at size i + 1, where its reversing death acts).
+    None of it depends on the parameters.
     """
 
     states: tuple[AllelicPartition, ...]
     ends: tuple[int, ...]
-    moves: tuple[tuple[tuple[TransitionEvent, int, int, int, int, int], ...], ...]
+    moves: tuple[tuple[tuple[int, int, int, int], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -252,21 +250,19 @@ def _up_move_graph() -> _UpMoveGraph:
         ends.append(len(states))
     # targets are found by their entries, built from the source's sorted (size, count) pairs
     index = {m.entries: j for j, m in enumerate(states)}
-    events = [TransitionEvent.new_family()]
-    events += [TransitionEvent.growth(i) for i in range(1, PARTITION_BALANCE_MAX_SIZE + 1)]
     moves = []
     for m in states[: ends[PARTITION_BALANCE_MAX_SIZE]]:
         e = m.entries
         # a new family adds a group of size 1
         ones = e[0][1] + 1 if e and e[0][0] == 1 else 1
         target = ((1, ones),) + (e[1:] if ones > 1 else e)
-        out = [(events[0], 0, m.num_groups, index[target], 1, ones)]
+        out = [(0, m.num_groups, index[target], ones)]
         # growth at size i turns one group of size i into one of size i + 1
         for p, (i, c) in enumerate(e):
             grown = e[p + 1][1] + 1 if p + 1 < len(e) and e[p + 1][0] == i + 1 else 1
             shrunk = ((i, c - 1),) if c > 1 else ()
             target = e[:p] + shrunk + ((i + 1, grown),) + e[p + 1 + (grown > 1) :]
-            out.append((events[i], i, c, index[target], i + 1, grown))
+            out.append((i, c, index[target], grown))
         moves.append(tuple(out))
     return _UpMoveGraph(tuple(states), tuple(ends), tuple(moves))
 
@@ -275,8 +271,8 @@ def _up_move_graph() -> _UpMoveGraph:
 def _log_pi_table(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_pi_rows`` pass.
 
-    Read by the partition scans and the truncated table; kept for the 4 most
-    recent points, as tuples, since every caller gets the same object."""
+    Read by the three partition scans; kept for the 4 most recent points, as
+    tuples, since every caller gets the same object."""
     states = _up_move_graph().states
     return tuple(map(tuple, _log_pi_rows(params, states, PARTITION_BALANCE_MAX_SIZE + 1)))
 
@@ -310,17 +306,17 @@ def partition_balance_scan(
     else:
         values = [SignedLogValue.from_float(pmf(m)) for m in graph.states[: graph.ends[s_max + 1]]]
         signs, logs = [v.sign for v in values], [v.log_magnitude for v in values]
-    # by (i, count) and (rev_index, rev_count), all below s_max + 2
+    # by (i, count) and (i, rev_count), all below s_max + 2; the death acts at size i + 1
     alpha, theta, mu = params.alpha, params.theta, params.mu
     top = range(s_max + 2)
     q_up = [[theta + alpha * c for c in top]] + [[(i - alpha) * c for c in top] for i in top[1:]]
     up_sign = [[(q > 0.0) - (q < 0.0) for q in row] for row in q_up]
     log_up = [[math.log(abs(q)) if q else -math.inf for q in row] for row in q_up]
-    log_down = [[math.log(mu * r * c) if r * c else -math.inf for c in top] for r in top]
-    worst, worst_source, worst_event, pairs = -1.0, -1, None, 0
+    log_down = [[math.log(mu * (i + 1) * c) if c else -math.inf for c in top] for i in top]
+    worst, worst_source, worst_i, pairs = -1.0, -1, None, 0
     for source in range(graph.ends[s_max]):
         sign_m, log_m = signs[source], logs[source]
-        for event, i, count, target, rev_index, rev_count in graph.moves[source]:
+        for i, count, target, rev_count in graph.moves[source]:
             pairs += 1
             lhs_sign = sign_m * up_sign[i][count]
             sign_next = signs[target]
@@ -330,11 +326,14 @@ def partition_balance_scan(
                 residual = math.inf
             else:
                 lhs = log_m + log_up[i][count]
-                rhs = logs[target] + log_down[rev_index][rev_count]
+                rhs = logs[target] + log_down[i][rev_count]
                 residual = abs(math.expm1(lhs - rhs))
             if residual > worst:
-                worst, worst_source, worst_event = residual, source, event
-    return BalanceScan(worst, graph.states[worst_source].encode(), str(worst_event), pairs)
+                worst, worst_source, worst_i = residual, source, i
+    event = None  # stays None only if every residual was nan
+    if worst_i is not None:
+        event = TransitionEvent.growth(worst_i) if worst_i else TransitionEvent.new_family()
+    return BalanceScan(worst, graph.states[worst_source].encode(), str(event), pairs)
 
 
 def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:

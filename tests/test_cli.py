@@ -39,6 +39,25 @@ def table_rows(text):
 # exact
 # ---------------------------------------------------------------------------
 
+# every flag an exact law may read, with a value each law accepts
+EXACT_INPUTS = {
+    "n": "2", "alpha": "0.5", "theta": "1", "mu": "2", "t": "1", "partition": "1^2",
+    "max_size": "3", "out": None,
+}  # fmt: skip
+
+
+def flag_argv(flag, target):
+    value = str(target) if flag == "out" else EXACT_INPUTS[flag]
+    return [f"--{flag.replace('_', '-')}", value]
+
+
+def exact_argv(kind, table, target):
+    """An ``exact`` command giving every flag the law reads, writing a table to ``target``."""
+    argv = ["exact", kind] + (["--table"] if table else [])
+    for flag in cli.LAW_FLAGS[kind] + cli.LAW_INPUTS[kind][table]:
+        argv += flag_argv(flag, target)
+    return argv
+
 
 class TestExact:
     def test_esf_table(self, capsys):
@@ -171,6 +190,42 @@ class TestExact:
                 argv += [f"--{given}", values[given]]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {kind} requires --{flag}\n")
+
+    @pytest.mark.parametrize(
+        "kind,table,flag",
+        [
+            (kind, table, flag)
+            for kind in cli.LAW_FLAGS
+            for table in (False, True)
+            if cli.LAW_INPUTS[kind][table] is not None
+            for flag in EXACT_INPUTS
+            if flag not in cli.LAW_FLAGS[kind] + cli.LAW_INPUTS[kind][table]
+        ],
+    )
+    def test_each_law_refuses_a_flag_it_does_not_read(self, capsys, tmp_path, kind, table, flag):
+        target = tmp_path / "law.csv"
+        code, out, err = run_cli(capsys, *exact_argv(kind, table, target), *flag_argv(flag, target))
+        mode = f"{kind} --table" if table else kind
+        dashed = flag.replace("_", "-")
+        assert (code, out, err) == (2, "", f"error: {mode} does not take --{dashed}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "kind,table",
+        [(kind, table) for kind in cli.LAW_FLAGS for table in (False, True)
+         if cli.LAW_INPUTS[kind][table] is not None],  # fmt: skip
+    )
+    def test_each_law_takes_every_flag_it_reads(self, capsys, tmp_path, kind, table):
+        target = tmp_path / "law.csv"
+        code, out, err = run_cli(capsys, *exact_argv(kind, table, target))
+        assert (code, err) == (0, "")
+        assert target.exists() == table and (out == "") == table
+
+    def test_bt_has_no_table(self, capsys, tmp_path):
+        target = tmp_path / "bt.csv"
+        argv = ("exact", "bt", "--mu", "2", "--t", "1", "--table", "--out", str(target))
+        assert run_cli(capsys, *argv) == (2, "", "error: bt has no table\n")
+        assert not target.exists()
 
     def test_malformed_partition_reports_position(self, capsys):
         code, _, err = run_cli(

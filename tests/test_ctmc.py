@@ -18,6 +18,7 @@ from allelic_bdi import (
     AllelicPartition,
     DomainError,
     EventKind,
+    InapplicableEventError,
     ModelParams,
     RunawayError,
     SizeTrajectory,
@@ -32,7 +33,13 @@ from allelic_bdi import (
     write_trajectory_csv,
 )
 from allelic_bdi import __version__
-from allelic_bdi.ctmc import _DRAW_BLOCK, _branching_kernel, _multiplicity_kernel
+from allelic_bdi.ctmc import (
+    _DRAW_BLOCK,
+    _EMPTY,
+    DEFAULT_MAX_EVENTS,
+    _branching_kernel,
+    _multiplicity_kernel,
+)
 from conftest import (
     AbsorbingClock,
     group_sizes,
@@ -62,10 +69,19 @@ def _manual_trajectory():
 
 class TestTrajectory:
     def test_replay(self):
-        # a path built by hand has no recorded final state: it is replayed
         traj = _manual_trajectory()
         assert len(traj) == 3
         assert traj.final_state() == decode("1^1 2^1")
+
+    def test_replay_refuses_an_inapplicable_event(self):
+        # built by hand: the death at size 2 finds only a group of size 1
+        events = ((1.0, TransitionEvent.new_family()), (2.0, TransitionEvent.death(2)))
+        traj = Trajectory(AllelicPartition.empty(), events, 3.0)
+        with pytest.raises(InapplicableEventError) as replayed:
+            traj.final_state()
+        with pytest.raises(InapplicableEventError) as applied:
+            decode("1^1").apply_event(TransitionEvent.death(2))
+        assert str(replayed.value) == str(applied.value) == "no group of size 2 to act on in '1^1'"
 
     def test_eventless(self):
         traj = Trajectory(decode("2^1"), (), 3.0)
@@ -819,14 +835,17 @@ FINAL_STATE_CASES = [
 @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
 @pytest.mark.parametrize("params,t_end,sizes", FINAL_STATE_CASES)
 def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
+    # the entries a kernel returns against the replay of the events it recorded
+    kernel = _multiplicity_kernel if engine == "multiplicity" else _branching_kernel
+    engine_fn = simulate if engine == "multiplicity" else simulate_branching
+    start = _EMPTY if sizes is None else partition_of(sizes)
     for seed in range(20):
+        events = []
         rng = np.random.default_rng([seed, 77])
-        start = None if sizes is None else partition_of(sizes)
-        engine_fn = simulate if engine == "multiplicity" else simulate_branching
-        path = engine_fn(params, t_end, rng, initial=start)
-        replayed = Trajectory(path.initial, path.events, path.horizon)
-        assert replayed == path
-        assert path.final_state() == replayed.final_state()
+        final = kernel(params, t_end, rng, start, DEFAULT_MAX_EVENTS, events.append)
+        path = Trajectory(start, tuple(events), t_end)
+        assert path.final_state().entries == final
+        assert engine_fn(params, t_end, np.random.default_rng([seed, 77]), initial=start) == path
 
 
 # ---------------------------------------------------------------------------

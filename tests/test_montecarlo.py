@@ -400,13 +400,17 @@ class TestReplicateSeeding:
         "seed,lo,hi",
         [
             (5, 0, 300),  # one seed word
-            (2**32 + 1, 2**32 - 150, 2**32 + 150),  # two seed words, indices across 2^32
-            (2**64 + 3, 2**32 - 40, 2**32 + 40),  # three seed words
+            # two seed words, indices up to 2^32 and from it: a block has one word count
+            (2**32 + 1, 2**32 - 150, 2**32),
+            (2**32 + 1, 2**32, 2**32 + 150),
+            (2**64 + 3, 2**32 - 40, 2**32),  # three seed words
+            (2**64 + 3, 2**32, 2**32 + 40),
             (2**150 // 7, 2**40 + 7, 2**40 + 200),  # five seed words
             # all-ones entropy words: seeds and indices up to 2^32 - 1, 2^64 - 1, 2^96 - 1
             (2**32 - 1, 2**32 - 100, 2**32),
             (2**64 - 1, 2**64 - 60, 2**64),
-            (2**96 - 1, 2**32 - 60, 2**32 + 4),
+            (2**96 - 1, 2**32 - 60, 2**32),
+            (2**96 - 1, 2**32, 2**32 + 4),
         ],
     )
     def test_block_words_equal_the_exact_seeding_step(self, seed, lo, hi):
@@ -443,8 +447,28 @@ class TestReplicateSeeding:
         words = montecarlo._pcg64_words(halves).tolist()
         assert words == [_state_words(*_pcg64_seeding_step(seed, raw)) for seed, raw in cases]
 
-    def test_block_draws_each_stream_pair_by_pair(self):
-        seed, lo, hi = 2**32 + 1, 2**32 - 150, 2**32 + 150
+    def test_block_across_a_word_count_falls_back(self, monkeypatch):
+        # a seed block starts at a multiple of 4,096, which divides 2^32, so all
+        # its indices have one word count; a block across 2^32 is hashed at the
+        # first one's and fails its check on the last row
+        seed = 2**32 + 1
+        seeds = _count_default_rng(monkeypatch)
+        across = montecarlo._block_rngs(seed, 2**32 - 150, 2**32 + 150)
+        assert isinstance(across, montecarlo._Generators)
+        assert seeds == [[seed, 2**32 - 150], [seed, 2**32 + 149]]
+        for i in (2**32 - 1, 2**32):
+            oracle = np.random.default_rng([seed, i])
+            assert across.start(i).bit_generator.state == oracle.bit_generator.state
+        lo, hi = 2**32, 2**32 + 300
+        aligned = montecarlo._block_rngs(seed, lo, hi)
+        assert isinstance(aligned, montecarlo._RawBlock)
+        for i in range(lo, hi):
+            oracle = np.random.default_rng([seed, i])
+            assert aligned.start(i).bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("lo,hi", [(2**32 - 150, 2**32), (2**32, 2**32 + 150)])
+    def test_block_draws_each_stream_pair_by_pair(self, lo, hi):
+        seed = 2**32 + 1
         block = montecarlo._block_rngs(seed, lo, hi)
         assert isinstance(block, montecarlo._RawBlock)
         oracles = {i: np.random.default_rng([seed, i]) for i in range(lo, hi)}
@@ -596,11 +620,13 @@ LOCK_STEP_POINTS = [
     pytest.param(ModelParams(0.4, 5e-324, 2.0), 6.0, id="subnormal-theta"),
     pytest.param(ModelParams(0.5, 1.0, 1.5), 0.0, id="t0"),
 ]
-# block sizes on both sides of the lock-step rule, and a block across 2^32
+# block sizes on both sides of the lock-step rule, a block of two-word indices,
+# and a block across 2^32 (whose streams fall back to default_rng)
 LOCK_STEP_RANGES = [
     (7, 7 + LOCK_BLOCK - 1),
     (7, 7 + LOCK_BLOCK),
     (0, 300),
+    (2**32, 2**32 + 300),
     (2**32 - 150, 2**32 + 150),
 ]
 
@@ -707,9 +733,9 @@ class TestRunChunk:
         lock_step = montecarlo._lock_step
 
         def recorded(*args):
-            outcomes, rest = lock_step(*args)
-            left.extend(rest)
-            return outcomes, rest
+            outcomes = lock_step(*args)
+            left.extend(r for r, key in enumerate(outcomes) if key is None)  # lo is 0
+            return outcomes
 
         monkeypatch.setattr(montecarlo, "_lock_step", recorded)
         tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, 0, stop)
@@ -765,9 +791,9 @@ class TestRunChunk:
         lock_step = montecarlo._lock_step
 
         def counted(*args):
-            outcomes, rest = lock_step(*args)
-            left.append(len(rest))
-            return outcomes, rest
+            outcomes = lock_step(*args)
+            left.append(outcomes.count(None))
+            return outcomes
 
         monkeypatch.setattr(montecarlo, "_lock_step", counted)
         chunk = (params, t_end, seed, "multiplicity", 0, LOCK_BLOCK, 10**6)
@@ -828,9 +854,9 @@ class TestRunChunk:
         lock_step = montecarlo._lock_step
 
         def recorded(*args):
-            outcomes, left = lock_step(*args)
-            made.append((list(seeds), left))
-            return outcomes, left
+            outcomes = lock_step(*args)
+            made.append((list(seeds), [start + r for r, key in enumerate(outcomes) if key is None]))
+            return outcomes
 
         monkeypatch.setattr(montecarlo, "_lock_step", recorded)
         tallies, blocks = _lock_step_chunk(monkeypatch, params, t_end, seed, start, stop)

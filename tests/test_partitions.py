@@ -13,6 +13,7 @@ from allelic_bdi import (
     TransitionEvent,
     enumerate_partitions,
 )
+from allelic_bdi.partitions import _apply_event
 from conftest import ascending_partitions, group_sizes, partition_of
 
 # number of integer partitions of 0..12
@@ -109,6 +110,17 @@ def test_apply_death():
     assert AllelicPartition.decode("1^1").apply_event(
         TransitionEvent.death(1)
     ) == AllelicPartition.empty()
+
+
+def test_apply_event_in_place_leaves_the_counts_when_it_raises():
+    counts = {1: 2, 3: 1}
+    for event, size in ((TransitionEvent.growth(2), 2), (TransitionEvent.death(4), 4)):
+        with pytest.raises(InapplicableEventError) as exc:
+            _apply_event(counts, event)
+        assert str(exc.value) == f"no group of size {size} to act on in '1^2 3^1'"
+        assert counts == {1: 2, 3: 1}
+    _apply_event(counts, TransitionEvent.death(3))
+    assert counts == {1: 2, 2: 1}
 
 
 @given(group_sizes())

@@ -460,18 +460,19 @@ TABLE_POINTS = REVERSIBLE_GRID + [
 
 def reference_up_moves(states, bound):
     """The up moves of every state with s(m) <= bound, each target built with
-    ``apply_event`` and found by hashing the partition."""
+    ``apply_event`` and found by hashing the partition; the reversing death
+    acts at size i + 1."""
     index = {m: j for j, m in enumerate(states)}
     moves = []
     for m in states:
         if m.size > bound:
             break
-        row = [(TransitionEvent.new_family(), 0, m.num_groups, 1)]
-        row += [(TransitionEvent.growth(i), i, c, i + 1) for i, c in m]
+        row = [(TransitionEvent.new_family(), 0, m.num_groups)]
+        row += [(TransitionEvent.growth(i), i, c) for i, c in m]
         out = []
-        for event, i, count, rev_index in row:
+        for event, i, count in row:
             target = m.apply_event(event)
-            out.append((event, i, count, index[target], rev_index, target.multiplicity(rev_index)))
+            out.append((i, count, index[target], target.multiplicity(i + 1)))
         moves.append(tuple(out))
     return tuple(moves)
 
