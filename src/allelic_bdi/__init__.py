@@ -32,8 +32,6 @@ from .formulae import (
     log_factorial,
     nbin_time_param,
     neg_bin_pmf,
-    poisson_pmf,
-    poisson_product_prob,
     psf,
     transient_pmf,
 )
@@ -117,8 +115,6 @@ __all__ = [
     "partition_balance_scan",
     "partition_stationary_pmf",
     "partition_stationary_truncated",
-    "poisson_pmf",
-    "poisson_product_prob",
     "psf",
     "run_ensemble",
     "sample_psf",

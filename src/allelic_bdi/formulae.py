@@ -5,6 +5,18 @@ x*(x+1)*...*(x+n-1) are the only quantities that can go negative on the
 allowed parameter range (theta may sit in (-alpha, 0)), so they are returned
 as a sign plus log magnitude; all downstream probabilities recombine signs
 explicitly instead of exponentiating blindly.
+
+The chain's law at b in [0, 1) is negative multinomial (r = theta/alpha,
+w_i = alpha_weight(alpha, i), k = num_groups(m)):
+
+    P_b(m) = (1 - b)^theta * (r)_(k) * prod_i (w_i b^i)^{m_i} / m_i!,
+
+the NB(s; theta, b) mixture of Pitman formulae, as sum_i w_i b^i = 1 - (1 - b)^alpha.
+At alpha = 0 it is the Poisson product, m_i ~ Poisson(theta b^i / i)
+independently (Karlin and McGregor 1967).  b = nbin_time_param(mu, t) gives
+the time-t law from the empty state (``transient_pmf``), and b = 1/mu the
+reversible law pi of mu > 1 (``stationary``), a signed measure for theta in
+(-alpha, 0).  ``_log_law_rows`` is its one evaluator.
 """
 
 from __future__ import annotations
@@ -379,18 +391,6 @@ def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
     ]
 
 
-def poisson_pmf(x: int, rate: float) -> float:
-    """Poisson pmf; a zero rate degenerates to a point mass at 0."""
-    _require_finite(rate=rate)
-    if rate < 0.0:
-        raise DomainError("the Poisson rate must be >= 0")
-    if x < 0:
-        raise DomainError("the count must be >= 0")
-    if rate == 0.0:
-        return 1.0 if x == 0 else 0.0
-    return math.exp(x * math.log(rate) - rate - log_factorial(x))
-
-
 def nbin_time_param(mu: float, t: float) -> float:
     """Success parameter b(t) of the negative-binomial size marginal.
 
@@ -417,37 +417,65 @@ def nbin_time_param(mu: float, t: float) -> float:
     return min(b, math.nextafter(1.0, 0.0))
 
 
-def transient_pmf(m: "AllelicPartition", params: ModelParams, t: float) -> float:
-    """Time-t law of the chain started from the empty state.
+def _log_law_rows(
+    params: ModelParams, log_b: float, log1m_b: float, states: Iterable[AllelicPartition], size: int
+) -> tuple[list[int], list[float]]:
+    """Signs and log magnitudes of P_b at ``states``, each with s(m) <= size: the one evaluator.
 
-    P(X_t = m) = NB(s; theta, b(t)) * psf(s, params, m) with s = s(m) and
-    b(t) = nbin_time_param(mu, t): the size follows the negative-binomial
-    marginal of the birth-death-immigration process, and given the size the
-    partition follows the Pitman sampling formula.  Requires theta > 0; with
-    theta <= 0 the empty state never moves.
+    b is passed as log b (-inf at b = 0) and log(1 - b).  The point's factors
+    are listed once up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)|,
+    t_i = log w_i + i log b and log m!.  Then log P_b(m) = (start_k + (m_i t_i -
+    log m_i!)) + ... over the entries by size, signed as (theta/alpha)_(k), which
+    is zero (sign 0, log -inf) when theta = 0 and k >= 1.  At alpha = 0 there is
+    no lead, and t_i = (log theta + i log b) - log i (theta > 0).
     """
+    alpha, theta = params.alpha, params.theta
+    base = theta * log1m_b
+    if alpha:
+        lead = _ascending_prefix(theta / alpha)
+        signs_by_k = lead.signs(size)
+        start = [base] + [base + log_lead for log_lead in lead.log_magnitudes(size)[1:]]
+        terms = [0.0] + [w + i * log_b for i, w in enumerate(_log_alpha_weights(alpha, size), 1)]
+    else:
+        signs_by_k, start = [1] * (size + 1), [base] * (size + 1)
+        log_theta = math.log(theta)
+        terms = [0.0] + [(log_theta + i * log_b) - math.log(i) for i in range(1, size + 1)]
+    log_factorial(size)
+    signs, logs = [], []
+    for m in states:
+        k = m.num_groups
+        log_p = start[k]
+        for i, mi in m:
+            log_p += mi * terms[i] - _LOG_FACTORIAL[mi]
+        signs.append(signs_by_k[k])
+        logs.append(log_p)
+    return signs, logs
+
+
+def _law_rows(
+    params: ModelParams, log_b: float, log1m_b: float, states: Iterable[AllelicPartition], size: int
+) -> list[float]:
+    """P_b at ``states`` as signed floats, from one ``_log_law_rows`` pass."""
+    signs, logs = _log_law_rows(params, log_b, log1m_b, states, size)
+    return [sign * math.exp(log_p) if sign else 0.0 for sign, log_p in zip(signs, logs)]
+
+
+def _transient_rows(
+    params: ModelParams, t: float, states: Iterable[AllelicPartition], size: int
+) -> list[float]:
+    """``transient_pmf`` at ``states``, each with s(m) <= size, from one row pass."""
     if params.theta <= 0.0:
         raise DomainError("from the empty state the chain moves only when theta > 0")
-    n = m.size
-    return neg_bin_pmf(n, params.theta, nbin_time_param(params.mu, t)) * psf(n, params, m)
+    b = nbin_time_param(params.mu, t)
+    return _law_rows(params, math.log(b) if b else -math.inf, math.log1p(-b), states, size)
 
 
-def poisson_product_prob(m: "AllelicPartition", theta: float, b: float) -> float:
-    """Probability of ``m`` under independent Poisson multiplicities.
+def transient_pmf(m: AllelicPartition, params: ModelParams, t: float) -> float:
+    """Time-t law of the chain started from the empty state, for every mu >= 0.
 
-    m_i ~ Poisson(theta * b^i / i) independently over all i >= 1.  The
-    infinite product of the vacancy factors e^{-theta b^i / i} collapses to
-    (1-b)^theta, so only stored entries contribute beyond that.
+    P_b of the module docstring at b = nbin_time_param(mu, t): the size is
+    NB(s; theta, b), and given the size the partition follows the Pitman
+    sampling formula (at alpha = 0, independent Poisson multiplicities).
+    Requires theta > 0; with theta <= 0 the empty state never moves.
     """
-    _require_finite(theta=theta, b=b)
-    if theta <= 0.0:
-        raise DomainError("the Poisson-product law requires theta > 0")
-    if not 0.0 <= b < 1.0:
-        raise DomainError("b must lie in [0, 1)")
-    if b == 0.0:
-        return 1.0 if m.size == 0 else 0.0
-    log_p = theta * math.log1p(-b)
-    log_theta, log_b = math.log(theta), math.log(b)
-    for i, mi in m:
-        log_p += mi * (log_theta + i * log_b - math.log(i)) - log_factorial(mi)
-    return math.exp(log_p)
+    return _transient_rows(params, t, (m,), m.size)[0]

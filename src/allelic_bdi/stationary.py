@@ -4,17 +4,16 @@ The size process is reversible with respect to the negative-binomial law
 
     lambda(n) = theta_(n) / n! * mu^{-n} * (1 - 1/mu)^theta,
 
-and the partition-valued chain with alpha in (0, 1) with respect to
+and the partition-valued chain with alpha in (0, 1) with respect to pi,
+the negative-multinomial law of ``formulae``'s module docstring at
+b = 1/mu:
 
-    pi(m) = C * (theta/alpha)_(k) * prod_i Poisson(m_i; w_i * mu^{-i}),
-    C = exp(1 - (1 - 1/mu)^alpha) * (1 - 1/mu)^theta,
+    pi(m) = (1 - 1/mu)^theta * (theta/alpha)_(k) * prod_i (w_i mu^{-i})^{m_i} / m_i!,
 
-with w_i = alpha_weight(alpha, i).  The infinite product of Poisson vacancy
-factors collapses against C (the weight series sums to 1 - (1 - 1/mu)^alpha),
-so pi is evaluated from the stored entries alone.  Equivalently pi is the
-lambda-mixture of Pitman sampling formulae, which collapses to the single
-term at n = s(m); ``mixture_consistency_scan`` checks the closed form
-against that term.
+with w_i = alpha_weight(alpha, i), evaluated by ``formulae._log_law_rows``.
+Equivalently pi is the lambda-mixture of Pitman sampling formulae, which
+collapses to the single term at n = s(m); ``mixture_consistency_scan``
+checks the closed form against that term.
 
 For theta in (-alpha, 0) the same expressions satisfy the detailed-balance
 identities algebraically but carry a sign ((theta/alpha)_(k) < 0 for k >= 1),
@@ -32,17 +31,17 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import BoundExceededError, DomainError
 from .formulae import (
-    _LOG_FACTORIAL,
     ModelParams,
     SignedLogValue,
     _ascending_prefix,
+    _law_rows,
     _log_alpha_weights,
+    _log_law_rows,
     _psf_rows,
     _require_finite,
     log_ascending_factorial,
     log_factorial,
-    nbin_time_param,
-    poisson_product_prob,
+    transient_pmf,
 )
 from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
 
@@ -57,8 +56,9 @@ def _require_partition_regime(params: ModelParams) -> None:
     """The partition-level law needs alpha in (0, 1) and mu > 1."""
     if params.alpha == 0.0:
         raise DomainError(
-            "pi is parameterized by alpha in (0, 1); the alpha = 0 regime "
-            "is covered by the Poisson-product limit"
+            "pi is parameterized by alpha in (0, 1); at alpha = 0 the law is the "
+            "Poisson product, the alpha = 0 case of the negative-multinomial form "
+            "in formulae (transient_pmf, alpha0_marginal)"
         )
     params.require_reversible()
 
@@ -92,40 +92,15 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     )
 
 
-def _log_pi_rows(
-    params: ModelParams, states: Iterable[AllelicPartition], size: int
-) -> tuple[list[int], list[float]]:
-    """Signs and log magnitudes of pi at ``states``, each with s(m) <= size: the one evaluator.
-
-    The point's factors are listed once up to ``size``: (theta/alpha)_(k)
-    from its prefix table, t_i = log w_i - i log mu and log m!.  Then
-    log pi(m) = ((theta log(1 - 1/mu) + log|(theta/alpha)_(k)|) + (m_i t_i - log m_i!)) + ...
-    over the entries by size, signed as (theta/alpha)_(k), which is zero
-    (sign 0, log -inf) when theta = 0 and k >= 1.
-    """
-    alpha, theta, mu = params.alpha, params.theta, params.mu
-    base = theta * math.log1p(-1.0 / mu)
-    lead = _ascending_prefix(theta / alpha)
-    lead_signs, lead_logs = lead.signs(size), lead.log_magnitudes(size)
-    log_mu = math.log(mu)
-    terms = [0.0] + [w - i * log_mu for i, w in enumerate(_log_alpha_weights(alpha, size), 1)]
-    log_factorial(size)
-    signs, logs = [], []
-    for m in states:
-        k = m.num_groups
-        log_p = base + lead_logs[k] if k else base
-        for i, mi in m:
-            log_p += mi * terms[i] - _LOG_FACTORIAL[mi]
-        signs.append(lead_signs[k])
-        logs.append(log_p)
-    return signs, logs
+def _pi_b(mu: float) -> tuple[float, float]:
+    """pi's b = 1/mu as the evaluator takes it: log b = -log mu and log(1 - b)."""
+    return -math.log(mu), math.log1p(-1.0 / mu)
 
 
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
-    """pi at ``states``, each with s(m) <= size, from one ``_log_pi_rows`` pass."""
+    """pi at ``states``, each with s(m) <= size, from one ``_law_rows`` pass at b = 1/mu."""
     _require_partition_regime(params)
-    signs, logs = _log_pi_rows(params, states, size)
-    return [sign * math.exp(log_p) if sign else 0.0 for sign, log_p in zip(signs, logs)]
+    return _law_rows(params, *_pi_b(params.mu), states, size)
 
 
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
@@ -161,6 +136,11 @@ def partition_stationary_truncated(
     return dict(zip(states, _pi_rows(params, states, bound)))
 
 
+def _is_worse(residual: float, worst: float) -> bool:
+    """A scan's rule for a new worst residual: larger, or the first nan."""
+    return residual > worst or (math.isnan(residual) and not math.isnan(worst))
+
+
 @dataclass(frozen=True)
 class BalanceScan:
     """Worst-case outcome of a detailed-balance sweep."""
@@ -185,7 +165,7 @@ def size_balance_scan(
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
     infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
     deliberately perturbed table) is checked in plain floats.  The first worst
-    pair is reported, a nan counting as worst, as with ``np.argmax``.
+    pair is reported, a nan counting as worst (``_is_worse``), as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
     if n_max < 1:
@@ -212,7 +192,7 @@ def size_balance_scan(
         else:
             delta = (log_lam[n] + math.log(abs(rate))) - log_lam[n + 1]
             residual = abs(math.expm1(delta - math.log(mu * (n + 1.0))))
-        if residual > worst or (math.isnan(residual) and not math.isnan(worst)):
+        if _is_worse(residual, worst):
             worst, worst_n = residual, n
     return BalanceScan(
         max_residual=worst,
@@ -269,12 +249,13 @@ def _up_move_graph() -> _UpMoveGraph:
 
 @lru_cache(maxsize=4)
 def _log_pi_table(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_pi_rows`` pass.
+    """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_law_rows`` pass.
 
     Read by the three partition scans; kept for the 4 most recent points, as
     tuples, since every caller gets the same object."""
     states = _up_move_graph().states
-    return tuple(map(tuple, _log_pi_rows(params, states, PARTITION_BALANCE_MAX_SIZE + 1)))
+    rows = _log_law_rows(params, *_pi_b(params.mu), states, PARTITION_BALANCE_MAX_SIZE + 1)
+    return tuple(map(tuple, rows))
 
 
 def partition_balance_scan(
@@ -287,7 +268,8 @@ def partition_balance_scan(
     Each up transition (new family, or growth of a size-i group) is paired
     with its reversing death; relative residuals are computed on signed log
     values so the theta < 0 regime is covered.  A sign mismatch or one-sided
-    zero reports an infinite residual.  The new-family rate theta + alpha * k
+    zero reports an infinite residual, and the first worst pair is reported,
+    a nan counting as worst (``_is_worse``).  The new-family rate theta + alpha * k
     is used exactly as written even when nonpositive (possible only at the
     empty state with theta <= 0), because that is the expression the
     balance identity is stated with.
@@ -313,7 +295,7 @@ def partition_balance_scan(
     up_sign = [[(q > 0.0) - (q < 0.0) for q in row] for row in q_up]
     log_up = [[math.log(abs(q)) if q else -math.inf for q in row] for row in q_up]
     log_down = [[math.log(mu * (i + 1) * c) if c else -math.inf for c in top] for i in top]
-    worst, worst_source, worst_i, pairs = -1.0, -1, None, 0
+    worst, worst_source, worst_i, pairs = -1.0, 0, 0, 0
     for source in range(graph.ends[s_max]):
         sign_m, log_m = signs[source], logs[source]
         for i, count, target, rev_count in graph.moves[source]:
@@ -328,11 +310,9 @@ def partition_balance_scan(
                 lhs = log_m + log_up[i][count]
                 rhs = logs[target] + log_down[i][rev_count]
                 residual = abs(math.expm1(lhs - rhs))
-            if residual > worst:
+            if _is_worse(residual, worst):
                 worst, worst_source, worst_i = residual, source, i
-    event = None  # stays None only if every residual was nan
-    if worst_i is not None:
-        event = TransitionEvent.growth(worst_i) if worst_i else TransitionEvent.new_family()
+    event = TransitionEvent.growth(worst_i) if worst_i else TransitionEvent.new_family()
     return BalanceScan(worst, graph.states[worst_source].encode(), str(event), pairs)
 
 
@@ -343,6 +323,7 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     the size mixture); residuals are relative to the closed form, compared on
     signed values so theta < 0 is covered.  Both are read by state index,
     from the point's log pi table and from ``_psf_rows`` over the same states.
+    The first worst state is reported, a nan counting as worst.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
@@ -360,7 +341,7 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
                 residual = 0.0 if mixed == 0.0 else math.inf
             else:
                 residual = abs(mixed - closed) / abs(closed)
-            if residual > worst:
+            if _is_worse(residual, worst):
                 worst, worst_state = residual, graph.states[j].encode()
     return BalanceScan(worst, worst_state, "mixture-vs-closed-form", graph.ends[s_max])
 
@@ -416,13 +397,13 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
 
 
 def alpha0_marginal(m: AllelicPartition, theta: float, mu: float, t: float) -> float:
-    """Time-t law of the alpha = 0 chain from the empty state.
+    """Time-t law of the alpha = 0 chain from the empty state: ``transient_pmf`` at alpha = 0.
 
     The multiplicities are independent Poissons with rates
     theta * b(t)^i / i, b(t) = nbin_time_param(mu, t); valid for every
     mu >= 0, not only the reversible regime.
     """
-    return poisson_product_prob(m, theta, nbin_time_param(mu, t))
+    return transient_pmf(m, ModelParams(0.0, theta, mu), t)
 
 
 def alpha0_limit_rate(i: int, theta: float, mu: float) -> float:

@@ -1,9 +1,10 @@
 """Shared oracles and parameter grids.
 
 The oracles here are deliberately independent of the library's evaluation
-code paths: exact rational arithmetic for the sampling formulae and a naive
-ascending-parts recursion for partition enumeration, so agreement with the
-log-space implementations is meaningful evidence.
+code paths: exact rational arithmetic for the sampling formulae, the
+alpha = 0 Poisson product entry by entry, and a naive ascending-parts
+recursion for partition enumeration, so agreement with the log-space
+implementations is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from allelic_bdi import AllelicPartition, ModelParams
+from allelic_bdi import AllelicPartition, ModelParams, log_factorial
 from allelic_bdi.urn import _urn_step_distribution
 
 # property tests draw the same examples on every run and keep no example
@@ -115,6 +116,30 @@ def psf_fraction(n: int, alpha: Fraction, theta: Fraction, m: AllelicPartition) 
 
 def esf_fraction(n: int, theta: Fraction, m: AllelicPartition) -> Fraction:
     return psf_fraction(n, Fraction(0), theta, m)
+
+
+def poisson_pmf(x: int, rate: float) -> float:
+    """Poisson pmf; a zero rate degenerates to a point mass at 0."""
+    if rate == 0.0:
+        return 1.0 if x == 0 else 0.0
+    return math.exp(x * math.log(rate) - rate - log_factorial(x))
+
+
+def poisson_product_prob(m: AllelicPartition, theta: float, b: float) -> float:
+    """The alpha = 0 law: m_i ~ Poisson(theta * b^i / i) independently over i >= 1.
+
+    The infinite product of the vacancy factors e^{-theta b^i / i} collapses
+    to (1-b)^theta, so only stored entries contribute beyond that.  Summed in
+    log space per entry, independently of the library's row evaluator.
+    """
+    assert theta > 0.0 and 0.0 <= b < 1.0, (theta, b)
+    if b == 0.0:
+        return 1.0 if m.size == 0 else 0.0
+    log_p = theta * math.log1p(-b)
+    log_theta, log_b = math.log(theta), math.log(b)
+    for i, mi in m:
+        log_p += mi * (log_theta + i * log_b - math.log(i)) - log_factorial(mi)
+    return math.exp(log_p)
 
 
 def urn_marginal(n: int, params: ModelParams) -> dict[AllelicPartition, float]:

@@ -2,6 +2,7 @@
 ``main`` plus two subprocess smoke checks of the entry points."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,22 @@ class TestVerify:
         # the untouched identities still hold
         assert by_name["mixture_equality"]["pass"] is True
         assert by_name["weight_series_identity"]["pass"] is True
+
+    def test_nan_point_fails_its_suite(self, capsys, monkeypatch):
+        # max() keeps a nan only when it comes first: here it is the second point
+        gaps = iter([1e-14, math.nan, 1e-14])
+        monkeypatch.setattr(cli, "weight_series_gap", lambda *args: next(gaps))
+        code, out, _ = run_cli(
+            capsys, "verify", "--alpha", "0.5", "--theta", "1", "--max-size", "4",
+            "--size-max", "20",
+        )
+        assert code == 1
+        report = json.loads(out)
+        series = {suite["name"]: suite for suite in report["suites"]}["weight_series_identity"]
+        assert [p["mu"] for p in series["points"]] == list(cli.PARTITION_MU_GRID)
+        assert math.isnan(series["max_residual"]) and series["pass"] is False
+        assert report["pass"] is False
+        assert [s["pass"] for s in report["suites"]] == [True, True, True, True, False]
 
     @pytest.mark.parametrize(
         "argv",

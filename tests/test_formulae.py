@@ -12,6 +12,7 @@ from allelic_bdi import (
     DomainError,
     ModelParams,
     SignedLogValue,
+    alpha0_marginal,
     alpha_weight,
     enumerate_partitions,
     esf,
@@ -21,11 +22,10 @@ from allelic_bdi import (
     alpha0_limit_rate,
     nbin_time_param,
     neg_bin_pmf,
-    poisson_pmf,
-    poisson_product_prob,
     psf,
     size_balance_scan,
     size_stationary_pmf,
+    transient_pmf,
     weight_series_gap,
 )
 from allelic_bdi.formulae import (
@@ -35,8 +35,9 @@ from allelic_bdi.formulae import (
     _log_alpha_weights,
     _neg_bin_pmfs,
     _psf_rows,
+    _transient_rows,
 )
-from conftest import PSF_GRID, esf_fraction, psf_fraction
+from conftest import PSF_GRID, esf_fraction, poisson_pmf, poisson_product_prob, psf_fraction
 
 
 def test_model_params_validation():
@@ -63,6 +64,7 @@ def test_model_params_validation():
 
 NAN, INF = math.nan, math.inf
 ONE_PAIR = AllelicPartition.decode("2^1")
+ALPHA0 = ModelParams(0.0, 1.0, 2.0)
 
 
 # each of these returned nan, a finite value or inf instead of raising
@@ -78,9 +80,9 @@ NON_FINITE_CALLS = [
     (neg_bin_pmf, (1, INF, 0.5)),
     (esf, (2, INF, ONE_PAIR)),
     (esf, (2, NAN, ONE_PAIR)),
-    (poisson_product_prob, (ONE_PAIR, INF, 0.5)),
-    (poisson_pmf, (1, INF)),
-    (poisson_pmf, (1, NAN)),
+    (alpha0_marginal, (ONE_PAIR, INF, 2.0, 1.0)),
+    (transient_pmf, (ONE_PAIR, ALPHA0, INF)),
+    (transient_pmf, (ONE_PAIR, ALPHA0, NAN)),
     (size_balance_scan, (NAN, 2.0, 5)),
     (size_balance_scan, (1.0, INF, 5, lambda n: 1.0)),
     (weight_series_gap, (0.5, INF)),
@@ -483,13 +485,19 @@ def test_neg_bin_pmfs_domain():
             _neg_bin_pmfs(*args)
 
 
-def test_poisson_pmf():
-    assert poisson_pmf(0, 0.0) == 1.0
-    assert poisson_pmf(2, 0.0) == 0.0
-    assert poisson_pmf(3, 2.0) == pytest.approx(math.exp(-2.0) * 8.0 / 6.0, rel=1e-13)
-    assert sum(poisson_pmf(i, 3.7) for i in range(200)) == pytest.approx(1.0, abs=1e-12)
+def test_alpha0_law_values():
+    # theta = 2, b = 1/2 (mu = 0, t = log 2): P(1^3) = (1/2)^2 * (2 * 1/2)^3 / 3! = 1/24
+    params = ModelParams(0.0, 2.0, 0.0)
+    t = math.log(2.0)
+    assert transient_pmf(AllelicPartition.decode("1^3"), params, t) == pytest.approx(1 / 24, rel=1e-13)
+    # a zero time degenerates every rate to 0, a point mass at the empty state
+    assert transient_pmf(AllelicPartition.empty(), params, 0.0) == 1.0
+    assert transient_pmf(AllelicPartition.decode("1^2"), params, 0.0) == 0.0
+    # b = 1 - e^-0.1 < 0.1, so the mass past s = 20 is below 1e-18
+    total = sum(transient_pmf(m, params, 0.1) for n in range(21) for m in enumerate_partitions(n))
+    assert total == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(DomainError):
-        poisson_pmf(1, -1.0)
+        alpha0_marginal(ONE_PAIR, 1.0, -1.0, 1.0)  # a negative death rate
 
 
 def test_nbin_time_param_branches():
@@ -536,28 +544,82 @@ def test_nbin_time_param_monotone_and_bounded():
     assert nbin_time_param(5.0, 1000.0) == pytest.approx(0.2, abs=1e-12)
 
 
-def test_poisson_product_matches_naive_truncation():
-    theta, b = 1.3, 0.55
+def test_alpha0_marginal_matches_naive_truncation():
+    theta, mu, t = 1.3, 0.5, 1.0
+    b = nbin_time_param(mu, t)
     for n in range(9):
         for m in enumerate_partitions(n):
             naive = 1.0
             for i in range(1, 500):
                 naive *= poisson_pmf(m.multiplicity(i), theta * b**i / i)
-            assert poisson_product_prob(m, theta, b) == pytest.approx(naive, rel=1e-12)
+            assert alpha0_marginal(m, theta, mu, t) == pytest.approx(naive, rel=1e-12)
 
 
-def test_poisson_product_size_slices_are_negative_binomial():
+def test_alpha0_marginal_size_slices_are_negative_binomial():
     # summing the product law over all partitions of n gives NBin(n; theta, b)
-    theta, b = 0.8, 0.45
+    theta, mu, t = 0.8, 2.0, 0.7
+    b = nbin_time_param(mu, t)
     for n in range(11):
-        total = sum(poisson_product_prob(m, theta, b) for m in enumerate_partitions(n))
+        total = sum(alpha0_marginal(m, theta, mu, t) for m in enumerate_partitions(n))
         assert total == pytest.approx(neg_bin_pmf(n, theta, b), rel=1e-12)
 
 
-def test_poisson_product_edge_cases():
-    assert poisson_product_prob(AllelicPartition.empty(), 1.0, 0.0) == 1.0
-    assert poisson_product_prob(AllelicPartition.decode("1^1"), 1.0, 0.0) == 0.0
+def test_alpha0_marginal_edge_cases():
+    assert alpha0_marginal(AllelicPartition.empty(), 1.0, 2.0, 0.0) == 1.0
+    assert alpha0_marginal(AllelicPartition.decode("1^1"), 1.0, 2.0, 0.0) == 0.0
     with pytest.raises(DomainError):
-        poisson_product_prob(AllelicPartition.empty(), 0.0, 0.5)
+        alpha0_marginal(AllelicPartition.empty(), 0.0, 2.0, 0.5)
     with pytest.raises(DomainError):
-        poisson_product_prob(AllelicPartition.empty(), 1.0, 1.0)
+        alpha0_marginal(AllelicPartition.empty(), 1.0, 2.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the one law evaluator: P_b at b = nbin_time_param(mu, t), against oracles
+# ---------------------------------------------------------------------------
+
+STATES_TO_12 = [m for n in range(13) for m in enumerate_partitions(n)]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.0, 0.8, 3.0])
+def test_alpha0_rows_equal_the_poisson_product_oracle(mu, t):
+    params = ModelParams(0.0, 1.5, mu)
+    b = nbin_time_param(mu, t)
+    expected = [poisson_product_prob(m, 1.5, b) for m in STATES_TO_12]
+    assert _transient_rows(params, t, STATES_TO_12, 12) == expected
+    assert [alpha0_marginal(m, 1.5, mu, t) for m in STATES_TO_12] == expected
+
+
+@pytest.mark.parametrize(
+    "params,t",
+    [
+        (ModelParams(0.7, 0.4, 0.5), 1.5),
+        (ModelParams(0.2, 3.0, 1.0), 0.7),
+        (ModelParams(0.5, 1.0, 1.5), 3.0),
+        (ModelParams(0.9, 2.0, 0.0), 2.0),
+    ],
+    ids=str,
+)
+def test_time_t_rows_equal_the_mixture_of_pitman_formulae(params, t):
+    # NB(s; theta, b) * psf(s, m): the size mixture, through its own evaluators
+    nb = _neg_bin_pmfs(12, params.theta, nbin_time_param(params.mu, t))
+    mixed = [nb[m.size] * p for m, p in zip(STATES_TO_12, _psf_rows(params, STATES_TO_12, 12))]
+    rows = _transient_rows(params, t, STATES_TO_12, 12)
+    for m, got, want in zip(STATES_TO_12, rows, mixed, strict=True):
+        assert got == pytest.approx(want, rel=1e-13), m
+        assert transient_pmf(m, params, t) == got, m
+
+
+def test_group_count_slices_are_negative_binomial():
+    # K ~ NB(theta/alpha, q) with q = 1 - (1 - b)^alpha; at b ~ 0.05 the mass
+    # past s = 20 is below 1e-25, so the enumerated slices hold all of it
+    params, t = ModelParams(0.6, 1.2, 2.0), 0.05
+    b = nbin_time_param(params.mu, t)
+    q = -math.expm1(params.alpha * math.log1p(-b))
+    states = [m for n in range(21) for m in enumerate_partitions(n)]
+    slices = [0.0] * 21
+    for m, p in zip(states, _transient_rows(params, t, states, 20)):
+        slices[m.num_groups] += p
+    for k in range(8):
+        assert slices[k] == pytest.approx(neg_bin_pmf(k, params.theta / params.alpha, q), rel=1e-12)
+    assert sum(slices) == pytest.approx(1.0, abs=1e-14)
