@@ -6,17 +6,16 @@ allowed parameter range (theta may sit in (-alpha, 0)), so they are returned
 as a sign plus log magnitude; all downstream probabilities recombine signs
 explicitly instead of exponentiating blindly.
 
-The chain's law at b in [0, 1) is negative multinomial (r = theta/alpha,
-w_i = alpha_weight(alpha, i), k = num_groups(m)):
+The chain's law at b in [0, 1) is negative multinomial (w_i = alpha_weight(alpha, i)):
 
-    P_b(m) = (1 - b)^theta * (r)_(k) * prod_i (w_i b^i)^{m_i} / m_i!,
+    P_b(m) = (1 - b)^theta * (theta/alpha)_(k) * prod_i (w_i b^i)^{m_i} / m_i!,
 
 the NB(s; theta, b) mixture of Pitman formulae, as sum_i w_i b^i = 1 - (1 - b)^alpha.
-At alpha = 0 it is the Poisson product, m_i ~ Poisson(theta b^i / i)
-independently (Karlin and McGregor 1967).  b = nbin_time_param(mu, t) gives
-the time-t law from the empty state (``transient_pmf``), and b = 1/mu the
-reversible law pi of mu > 1 (``stationary``), a signed measure for theta in
-(-alpha, 0).  ``_log_law_rows`` is its one evaluator.
+At alpha = 0 it is the Poisson product, m_i ~ Poisson(theta b^i / i) independently
+(Karlin and McGregor 1967).  b = nbin_time_param(mu, t) gives the time-t law from
+the empty state (``transient_pmf``), and b = 1/mu the reversible law pi of mu > 1
+(``stationary``), a signed measure for theta in (-alpha, 0).  ``_log_law_rows``
+is its one evaluator.
 """
 
 from __future__ import annotations
@@ -227,11 +226,9 @@ def _ascending_prefix(x: float) -> _AscendingPrefix:
 def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
     """x * (x+1) * ... * (x+n-1) as a SignedLogValue; the empty product is 1.
 
-    Non-positive leading factors (possible while x + j < 0.5) are folded in
-    one by one, so the sign comes out right for negative ``x``; a factor that
-    is exactly zero short-circuits to the zero value.  Read from the prefix
-    table of ``x``: O(1) once the table reaches n, or n is past its head.
-    A nan or infinite ``x`` is refused before any table is built.
+    Read from the prefix table of ``x`` (``_AscendingPrefix`` gives the sign,
+    zero and tail rules): O(1) once the table reaches n, or n is past its
+    head.  A nan or infinite ``x`` is refused before any table is built.
     """
     if n < 0:
         raise DomainError("ascending factorial needs n >= 0")
@@ -239,25 +236,13 @@ def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
 
 
 def esf(n: int, theta: float, m: "AllelicPartition") -> float:
-    """Ewens sampling formula: the law of the partition of a sample of size n.
-
-    P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i!  on {s(m) = n},
-    where theta_(n) is the ascending factorial.  Requires theta > 0.
-    """
+    """Ewens sampling formula, ``psf`` at alpha = 0: the law of the partition of a
+    sample of size n, P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i! on
+    {s(m) = n}, with theta_(n) the ascending factorial.  Requires theta > 0."""
     _require_finite(theta=theta)
     if theta <= 0.0:
         raise DomainError("the Ewens sampling formula requires theta > 0")
-    if n < 0:
-        raise DomainError("sample size must be >= 0")
-    if m.size != n:
-        return 0.0
-    if n == 0:
-        return 1.0
-    log_p = log_factorial(n) - log_ascending_factorial(theta, n).log_magnitude
-    log_theta = math.log(theta)
-    for i, mi in m:
-        log_p += mi * (log_theta - math.log(i)) - log_factorial(mi)
-    return math.exp(log_p)
+    return psf(n, ModelParams(0.0, theta), m)
 
 
 def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
@@ -271,9 +256,9 @@ def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
     factors of the two ascending factorials are cancelled analytically
     ((theta/alpha)_(k) / theta_(n) = (1/alpha) * (theta/alpha + 1)_(k-1)
     / (theta + 1)_(n-1)), which removes the 0/0 at theta = 0 and keeps every
-    remaining factor positive on the whole parameter range.  At alpha = 0 the
-    Ewens formula is used (``esf``).  Its factor lists are built up to n, so
-    a table of many states calls :func:`_psf_rows` instead.
+    remaining factor positive on the whole parameter range.  At alpha = 0 it
+    is the Ewens formula ``esf``.  Its factor lists are built up to n, so a
+    table of many states calls :func:`_psf_rows` instead.
     """
     if n < 0:
         raise DomainError("sample size must be >= 0")
@@ -287,15 +272,19 @@ def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: i
 
     The factor lists are built once up to ``size`` and summed in the order
     ((log n! - log alpha) + log (theta/alpha + 1)_(k-1)) - log (theta + 1)_(n-1),
-    then + (m_i log w_i - log m_i!) per entry.  At alpha = 0 it calls ``esf``.
+    then + (m_i log w_i - log m_i!) per entry.
+    At alpha = 0 (Ewens) the order is (log n! - log theta_(n)), then
+    + (m_i (log theta - log i) - log m_i!) per entry.
     """
     alpha, theta = params.alpha, params.theta
-    if alpha == 0.0:
-        return [esf(m.size, theta, m) for m in states]
-    log_alpha = math.log(alpha)
-    lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(size)
-    rising = _ascending_prefix(theta + 1.0).log_magnitudes(size)
-    log_w = [0.0] + _log_alpha_weights(alpha, size)
+    if alpha:
+        log_alpha = math.log(alpha)
+        lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(size)
+        rising = _ascending_prefix(theta + 1.0).log_magnitudes(size)
+        log_w = [0.0] + _log_alpha_weights(alpha, size)
+    else:
+        rising = _ascending_prefix(theta).log_magnitudes(size)
+        log_w = [0.0] + [math.log(theta) - math.log(i) for i in range(1, size + 1)]
     log_factorial(size)
     out = []
     for m in states:
@@ -303,7 +292,10 @@ def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: i
         if not n:
             out.append(1.0)  # the empty sample
             continue
-        log_p = ((_LOG_FACTORIAL[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
+        if alpha:
+            log_p = ((_LOG_FACTORIAL[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
+        else:
+            log_p = _LOG_FACTORIAL[n] - rising[n]
         for i, mi in m:
             log_p += mi * log_w[i] - _LOG_FACTORIAL[mi]
         out.append(math.exp(log_p))
@@ -422,12 +414,12 @@ def _log_law_rows(
 ) -> tuple[list[int], list[float]]:
     """Signs and log magnitudes of P_b at ``states``, each with s(m) <= size: the one evaluator.
 
-    b is passed as log b (-inf at b = 0) and log(1 - b).  The point's factors
-    are listed once up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)|,
+    b is passed as log b (-inf at b = 0) and log(1 - b).  The factors are listed once
+    up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)| (prefix table),
     t_i = log w_i + i log b and log m!.  Then log P_b(m) = (start_k + (m_i t_i -
-    log m_i!)) + ... over the entries by size, signed as (theta/alpha)_(k), which
-    is zero (sign 0, log -inf) when theta = 0 and k >= 1.  At alpha = 0 there is
-    no lead, and t_i = (log theta + i log b) - log i (theta > 0).
+    log m_i!)) + ... over the entries by size, signed as (theta/alpha)_(k), which is
+    zero (sign 0, log -inf) when theta = 0 and k >= 1.  At alpha = 0 there is no
+    lead, and t_i = (log theta + i log b) - log i (theta > 0).
     """
     alpha, theta = params.alpha, params.theta
     base = theta * log1m_b
@@ -452,11 +444,8 @@ def _log_law_rows(
     return signs, logs
 
 
-def _law_rows(
-    params: ModelParams, log_b: float, log1m_b: float, states: Iterable[AllelicPartition], size: int
-) -> list[float]:
-    """P_b at ``states`` as signed floats, from one ``_log_law_rows`` pass."""
-    signs, logs = _log_law_rows(params, log_b, log1m_b, states, size)
+def _exp_rows(signs: list[int], logs: list[float]) -> list[float]:
+    """The signed floats of ``_log_law_rows``' signs and log magnitudes."""
     return [sign * math.exp(log_p) if sign else 0.0 for sign, log_p in zip(signs, logs)]
 
 
@@ -467,15 +456,15 @@ def _transient_rows(
     if params.theta <= 0.0:
         raise DomainError("from the empty state the chain moves only when theta > 0")
     b = nbin_time_param(params.mu, t)
-    return _law_rows(params, math.log(b) if b else -math.inf, math.log1p(-b), states, size)
+    log_b = math.log(b) if b else -math.inf
+    return _exp_rows(*_log_law_rows(params, log_b, math.log1p(-b), states, size))
 
 
 def transient_pmf(m: AllelicPartition, params: ModelParams, t: float) -> float:
     """Time-t law of the chain started from the empty state, for every mu >= 0.
 
-    P_b of the module docstring at b = nbin_time_param(mu, t): the size is
-    NB(s; theta, b), and given the size the partition follows the Pitman
-    sampling formula (at alpha = 0, independent Poisson multiplicities).
-    Requires theta > 0; with theta <= 0 the empty state never moves.
+    P_b at b = nbin_time_param(mu, t): the size is NB(s; theta, b), and given
+    it the partition follows the Pitman sampling formula.  Requires theta > 0;
+    with theta <= 0 the empty state never moves.
     """
     return _transient_rows(params, t, (m,), m.size)[0]

@@ -5,8 +5,7 @@ The size process is reversible with respect to the negative-binomial law
     lambda(n) = theta_(n) / n! * mu^{-n} * (1 - 1/mu)^theta,
 
 and the partition-valued chain with alpha in (0, 1) with respect to pi,
-the negative-multinomial law of ``formulae``'s module docstring at
-b = 1/mu:
+the negative-multinomial law of ``formulae`` at b = 1/mu:
 
     pi(m) = (1 - 1/mu)^theta * (theta/alpha)_(k) * prod_i (w_i mu^{-i})^{m_i} / m_i!,
 
@@ -34,7 +33,7 @@ from .formulae import (
     ModelParams,
     SignedLogValue,
     _ascending_prefix,
-    _law_rows,
+    _exp_rows,
     _log_alpha_weights,
     _log_law_rows,
     _psf_rows,
@@ -56,9 +55,8 @@ def _require_partition_regime(params: ModelParams) -> None:
     """The partition-level law needs alpha in (0, 1) and mu > 1."""
     if params.alpha == 0.0:
         raise DomainError(
-            "pi is parameterized by alpha in (0, 1); at alpha = 0 the law is the "
-            "Poisson product, the alpha = 0 case of the negative-multinomial form "
-            "in formulae (transient_pmf, alpha0_marginal)"
+            "pi is parameterized by alpha in (0, 1); at alpha = 0 the law is the Poisson "
+            "product, the alpha = 0 case of formulae's negative-multinomial form (transient_pmf)"
         )
     params.require_reversible()
 
@@ -98,9 +96,9 @@ def _pi_b(mu: float) -> tuple[float, float]:
 
 
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
-    """pi at ``states``, each with s(m) <= size, from one ``_law_rows`` pass at b = 1/mu."""
+    """pi at ``states``, each with s(m) <= size, from one ``_log_law_rows`` pass at b = 1/mu."""
     _require_partition_regime(params)
-    return _law_rows(params, *_pi_b(params.mu), states, size)
+    return _exp_rows(*_log_law_rows(params, *_pi_b(params.mu), states, size))
 
 
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
@@ -397,12 +395,8 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
 
 
 def alpha0_marginal(m: AllelicPartition, theta: float, mu: float, t: float) -> float:
-    """Time-t law of the alpha = 0 chain from the empty state: ``transient_pmf`` at alpha = 0.
-
-    The multiplicities are independent Poissons with rates
-    theta * b(t)^i / i, b(t) = nbin_time_param(mu, t); valid for every
-    mu >= 0, not only the reversible regime.
-    """
+    """``transient_pmf`` at alpha = 0, for every mu >= 0: from the empty state the
+    multiplicities at t are independent Poissons, m_i with rate theta * b(t)^i / i."""
     return transient_pmf(m, ModelParams(0.0, theta, mu), t)
 
 

@@ -13,6 +13,7 @@ from allelic_bdi import (
     MAX_ENUMERATION_SIZE,
     AllelicPartition,
     ModelParams,
+    alpha0_marginal,
     default_checkpoints,
     partition_stationary_pmf,
     enumerate_partitions,
@@ -267,6 +268,21 @@ class TestSimulate:
         assert 0.0 <= tv["size_vs_neg_binomial"] < 0.2
         assert 0.0 <= tv["partition_vs_poisson_product"] < 0.2
         assert tv["partition_truncation"] == 12
+
+    def test_summary_alpha_zero_table_is_the_per_state_law(self, capsys):
+        # the summary's one row pass equals alpha0_marginal state by state, bit for bit
+        code, out, _ = run_cli(
+            capsys, "simulate", "--theta", "1.5", "--mu", "0.5", "--t", "2",
+            "--replicates", "300", "--seed", "5", "--workers", "1", "--tv-max-size", "14",
+        )
+        assert code == 0
+        dist = run_ensemble(ModelParams(0.0, 1.5, 0.5), 2.0, 300, 5, workers=1)
+        empirical = {m: p for m, p in dist.probabilities().items() if m.size <= 14}
+        exact = {
+            m: alpha0_marginal(m, 1.5, 0.5, 2.0) for n in range(15) for m in enumerate_partitions(n)
+        }
+        tv = json.loads(out)["tv"]
+        assert tv["partition_vs_poisson_product"] == tv_distance(empirical, exact)
 
     def test_summary_reversible_partition_target(self, capsys):
         code, out, _ = run_cli(
