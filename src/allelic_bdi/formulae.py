@@ -195,19 +195,15 @@ class _AscendingPrefix:
             out.extend(map(self._past_head, range(len(out) - self._folded, n - self._folded + 1)))
         return out
 
-    def signs(self, n: int) -> list[int]:
-        """[at(j).sign for j in 0..n], without a SignedLogValue per entry."""
-        self._extend(n)
-        signs = self._signs[: n + 1]
-        return signs + [signs[-1]] * (n + 1 - len(signs))
-
     def running(self, n: int) -> tuple[list[int], list[float]]:
         """Signs and log magnitudes of entries 0..n, the running sum kept on past the head.
 
         Past the head entry j + 1 is entry j plus log(x + j), unstored, where ``at``
         reads the lgamma tail, off by up to ~4e-12 between consecutive entries.
         """
-        signs, logs = self.signs(n), self._logs[: n + 1]
+        self._extend(n)
+        signs, logs = self._signs[: n + 1], self._logs[: n + 1]
+        signs += [signs[-1]] * (n + 1 - len(signs))
         for j in range(len(logs) - 1, n):  # every factor past the head is positive
             logs.append(logs[-1] + math.log(self._x + j))
         return signs, logs
@@ -245,6 +241,22 @@ def esf(n: int, theta: float, m: "AllelicPartition") -> float:
     return psf(n, ModelParams(0.0, theta), m)
 
 
+def _lead_rows(theta: float, alpha: float, first: int, n: int) -> tuple[list[int], list[float]]:
+    """Signs and log magnitudes of (theta/alpha + first)_(k) for k = 0..n.
+
+    Factor j enters as log|theta + alpha j| - log alpha, never rounding theta/alpha
+    before j is added, so the lead moves by the new-family rate theta + alpha k as
+    written.  A zero factor (theta = 0 at j = 0) zeroes that entry and all later ones.
+    """
+    log_alpha = math.log(alpha)
+    signs, logs = [1], [0.0]
+    for j in range(first, first + n):
+        factor = theta + alpha * j
+        signs.append(signs[-1] * ((factor > 0.0) - (factor < 0.0)))
+        logs.append(logs[-1] + ((math.log(abs(factor)) if factor else -math.inf) - log_alpha))
+    return signs, logs
+
+
 def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
     """Pitman sampling formula, the two-parameter extension of ``esf``.
 
@@ -272,14 +284,14 @@ def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: i
 
     The factor lists are built once up to ``size`` and summed in the order
     ((log n! - log alpha) + log (theta/alpha + 1)_(k-1)) - log (theta + 1)_(n-1),
-    then + (m_i log w_i - log m_i!) per entry.
+    the lead from ``_lead_rows``, then + (m_i log w_i - log m_i!) per entry.
     At alpha = 0 (Ewens) the order is (log n! - log theta_(n)), then
     + (m_i (log theta - log i) - log m_i!) per entry.
     """
     alpha, theta = params.alpha, params.theta
     if alpha:
         log_alpha = math.log(alpha)
-        lead = _ascending_prefix(theta / alpha + 1.0).log_magnitudes(size)
+        lead = _lead_rows(theta, alpha, 1, size)[1]
         rising = _ascending_prefix(theta + 1.0).log_magnitudes(size)
         log_w = [0.0] + _log_alpha_weights(alpha, size)
     else:
@@ -415,7 +427,7 @@ def _log_law_rows(
     """Signs and log magnitudes of P_b at ``states``, each with s(m) <= size: the one evaluator.
 
     b is passed as log b (-inf at b = 0) and log(1 - b).  The factors are listed once
-    up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)| (prefix table),
+    up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)| (``_lead_rows``),
     t_i = log w_i + i log b and log m!.  Then log P_b(m) = (start_k + (m_i t_i -
     log m_i!)) + ... over the entries by size, signed as (theta/alpha)_(k), which is
     zero (sign 0, log -inf) when theta = 0 and k >= 1.  At alpha = 0 there is no
@@ -424,9 +436,8 @@ def _log_law_rows(
     alpha, theta = params.alpha, params.theta
     base = theta * log1m_b
     if alpha:
-        lead = _ascending_prefix(theta / alpha)
-        signs_by_k = lead.signs(size)
-        start = [base] + [base + log_lead for log_lead in lead.log_magnitudes(size)[1:]]
+        signs_by_k, lead = _lead_rows(theta, alpha, 0, size)
+        start = [base] + [base + log_lead for log_lead in lead[1:]]
         terms = [0.0] + [w + i * log_b for i, w in enumerate(_log_alpha_weights(alpha, size), 1)]
     else:
         signs_by_k, start = [1] * (size + 1), [base] * (size + 1)

@@ -118,6 +118,25 @@ def esf_fraction(n: int, theta: Fraction, m: AllelicPartition) -> Fraction:
     return psf_fraction(n, Fraction(0), theta, m)
 
 
+def reference_log_lead(theta: float, alpha: float, first: int, k: int) -> tuple[int, float]:
+    """(sign, log magnitude) of (theta/alpha + first)_(k), factor by factor.
+
+    Factor j is (theta + alpha j) / alpha, its log taken as
+    log|theta + alpha j| - log alpha and added in order of j, so theta/alpha
+    is never rounded on its own; the library's lead rows reproduce this bit
+    for bit.  A zero factor zeroes the product.
+    """
+    sign, log_mag = 1, 0.0
+    for j in range(first, first + k):
+        factor = theta + alpha * j
+        if factor == 0.0:
+            return 0, -math.inf
+        if factor < 0.0:
+            sign = -sign
+        log_mag += math.log(abs(factor)) - math.log(alpha)
+    return sign, log_mag
+
+
 def poisson_pmf(x: int, rate: float) -> float:
     """Poisson pmf; a zero rate degenerates to a point mass at 0."""
     if rate == 0.0:

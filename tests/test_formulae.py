@@ -37,7 +37,14 @@ from allelic_bdi.formulae import (
     _psf_rows,
     _transient_rows,
 )
-from conftest import PSF_GRID, esf_fraction, poisson_pmf, poisson_product_prob, psf_fraction
+from conftest import (
+    PSF_GRID,
+    esf_fraction,
+    poisson_pmf,
+    poisson_product_prob,
+    psf_fraction,
+    reference_log_lead,
+)
 
 
 def test_model_params_validation():
@@ -347,8 +354,8 @@ def test_psf_matches_rational_oracle(alpha, theta):
 
 def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
     """The Pitman formula of one state, each factor rebuilt on its own, as
-    ``psf`` evaluated it before it read ``_psf_rows``: the reference the rows
-    must reproduce bit for bit."""
+    ``psf`` evaluated it before it read ``_psf_rows`` (the lead, since then,
+    from theta + alpha j): the reference the rows must reproduce bit for bit."""
     alpha, theta = params.alpha, params.theta
     if alpha == 0.0:
         return esf(n, theta, m)
@@ -359,7 +366,7 @@ def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
     log_p = (
         log_factorial(n)
         - math.log(alpha)
-        + reference_log_ascending_factorial(theta / alpha + 1.0, m.num_groups - 1).log_magnitude
+        + reference_log_lead(theta, alpha, 1, m.num_groups - 1)[1]
         - reference_log_ascending_factorial(theta + 1.0, n - 1).log_magnitude
     )
     for i, mi in m:

@@ -155,8 +155,8 @@ SUMMARY_FLAGS = (
 )
 
 SUMMARY_SHA256 = {
-    "multiplicity": "1f60e8282c2a5294023f5b19521657bf23deaf1bf644c252ae889fd944d11e50",
-    "branching": "b5aa40eda47844ec258364faeb5add9f2f5abecf352622c0fcd3ed9c80eef2de",
+    "multiplicity": "bdcaa88e0ca77ff2bc9710166a2eaec4d531c942e3a4cb0f9e942e833f68131f",
+    "branching": "a931810ad05b2a35f4aec88e35784c062a0d4bc614a1696dc9f2d9e51c39445e",
     "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 
@@ -192,11 +192,11 @@ EXACT_SHA256 = {
     ),
     # the default grid: 10^4 series terms reach the log-gamma branch of the
     # ascending factorials, and alpha = 0.999 folds a leading factor below 0.5
-    "verify": "9b6010fa886b287dd8bc6f90a752014962ac75fd8452bf3eca27f41a203b963f",
-    "verify --alpha 0.999": "e9a114756812baf097bfe5b4b81d5a7c08cef902a1cd34b96476067ad72baf92",
+    "verify": "966073fd1d8099769716e1103d9f4845a3901371ed72f64f10c9c34a1c2d65f3",
+    "verify --alpha 0.999": "0b9f13b0fac80bd8e8892cafd6a0b0b82fe16e649c2fba48bd29d5f8124c1981",
     # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14
     "verify --alpha 0.3 --theta -0.29 --mu 1.01 --max-size 14": (
-        "7eda16a124905926c945c786bed7e7b838ee9ce99aeb277d6ffddaf9cc2b6e68"
+        "b9f02c40d30fa4b1620e3b6c02a18411f7dcd4b28e154cb6c383cb1918e3fe57"
     ),
 }
 

@@ -54,7 +54,7 @@ from allelic_bdi.stationary import (
     _up_move_graph,
 )
 
-from conftest import REVERSIBLE_GRID, poisson_pmf, poisson_product_prob
+from conftest import REVERSIBLE_GRID, poisson_pmf, poisson_product_prob, reference_log_lead
 
 POSITIVE_GRID = [p for p in REVERSIBLE_GRID if p.theta > 0.0]
 SIGNED_GRID = [p for p in REVERSIBLE_GRID if p.theta < 0.0]
@@ -350,11 +350,10 @@ def reference_log_pi(m, params):
     sign = 1
     k = m.num_groups
     if k:
-        lead = log_ascending_factorial(params.theta / params.alpha, k)
-        if lead.sign == 0:
+        sign, log_lead = reference_log_lead(params.theta, params.alpha, 0, k)
+        if sign == 0:
             return SignedLogValue.zero()
-        sign = lead.sign
-        log_p += lead.log_magnitude
+        log_p += log_lead
     log_mu = math.log(params.mu)
     for i, mi in m:
         log_p += mi * (log_alpha_weight(params.alpha, i) - i * log_mu) - log_factorial(mi)
@@ -472,7 +471,7 @@ class TestScansEqualReferenceWalks:
 
 
 # the verify grid, theta = 0 (pi vanishes off the empty state), and the
-# examples of the three strict-xfail edge tests below
+# examples of the three edge tests below
 TABLE_POINTS = REVERSIBLE_GRID + [
     ModelParams(0.3, 0.0, 1.5),
     ModelParams(0.9, -0.9 + 1e-9, 2.0),
@@ -600,21 +599,17 @@ def test_mixture_and_size_balance_hold_at_edge_points(params):
     assert scan.max_residual <= SIZE_BALANCE_TOLERANCE
 
 
-# The three checks below fail at edge points, each for a reason recorded in
-# CHANGES.md; the examples are such points.  They are strict, so a fix
-# that makes them pass must also remove the mark.
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="theta -> -alpha: (theta/alpha)_(k) rounds theta/alpha before adding 1, "
-    "while the new-family rate theta + alpha*k does not, so the two cancel differently",
-)
 @given(edge_points())
 @example(ModelParams(0.9, -0.9 + 1e-9, 2.0))
 def test_partition_balance_holds_at_edge_points(params):
+    # theta -> -alpha: the lead (theta/alpha)_(k) is built from theta + alpha j,
+    # the same floats as the new-family rate, so the two cancel
     assert partition_balance_scan(params, 12).max_residual <= PARTITION_BALANCE_TOLERANCE
+
+
+# The two checks below fail at edge points, each for a reason recorded in
+# CHANGES.md; the examples are such points.  They are strict, so a fix
+# that makes them pass must also remove the mark.
 
 
 @pytest.mark.xfail(
