@@ -134,11 +134,6 @@ def partition_stationary_truncated(
     return dict(zip(states, _pi_rows(params, states, bound)))
 
 
-def _is_worse(residual: float, worst: float) -> bool:
-    """A scan's rule for a new worst residual: larger, or the first nan."""
-    return residual > worst or (math.isnan(residual) and not math.isnan(worst))
-
-
 @dataclass(frozen=True)
 class BalanceScan:
     """Worst-case outcome of a detailed-balance sweep."""
@@ -163,7 +158,7 @@ def size_balance_scan(
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
     infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
     deliberately perturbed table) is checked in plain floats.  The first worst
-    pair is reported, a nan counting as worst (``_is_worse``), as with ``np.argmax``.
+    pair is reported, a nan counting as worst, as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
     if n_max < 1:
@@ -190,7 +185,7 @@ def size_balance_scan(
         else:
             delta = (log_lam[n] + math.log(abs(rate))) - log_lam[n + 1]
             residual = abs(math.expm1(delta - math.log(mu * (n + 1.0))))
-        if _is_worse(residual, worst):
+        if residual > worst or (math.isnan(residual) and not math.isnan(worst)):
             worst, worst_n = residual, n
     return BalanceScan(
         max_residual=worst,
@@ -267,7 +262,7 @@ def partition_balance_scan(
     with its reversing death; relative residuals are computed on signed log
     values so the theta < 0 regime is covered.  A sign mismatch or one-sided
     zero reports an infinite residual, and the first worst pair is reported,
-    a nan counting as worst (``_is_worse``).  The new-family rate theta + alpha * k
+    a nan counting as worst.  The new-family rate theta + alpha * k
     is used exactly as written even when nonpositive (possible only at the
     empty state with theta <= 0), because that is the expression the
     balance identity is stated with.
@@ -308,7 +303,8 @@ def partition_balance_scan(
                 lhs = log_m + log_up[i][count]
                 rhs = logs[target] + log_down[i][rev_count]
                 residual = abs(math.expm1(lhs - rhs))
-            if _is_worse(residual, worst):
+            # larger, or the first nan (the only float unequal to itself)
+            if residual > worst or (residual != residual and worst == worst):
                 worst, worst_source, worst_i = residual, source, i
     event = TransitionEvent.growth(worst_i) if worst_i else TransitionEvent.new_family()
     return BalanceScan(worst, graph.states[worst_source].encode(), str(event), pairs)
@@ -339,7 +335,7 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
                 residual = 0.0 if mixed == 0.0 else math.inf
             else:
                 residual = abs(mixed - closed) / abs(closed)
-            if _is_worse(residual, worst):
+            if residual > worst or (residual != residual and worst == worst):  # or the first nan
                 worst, worst_state = residual, graph.states[j].encode()
     return BalanceScan(worst, worst_state, "mixture-vs-closed-form", graph.ends[s_max])
 
