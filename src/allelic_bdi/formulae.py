@@ -235,8 +235,7 @@ def esf(n: int, theta: float, m: "AllelicPartition") -> float:
     """Ewens sampling formula, ``psf`` at alpha = 0: the law of the partition of a
     sample of size n, P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i! on
     {s(m) = n}, with theta_(n) the ascending factorial.  Requires theta > 0."""
-    _require_finite(theta=theta)
-    if theta <= 0.0:
+    if theta <= 0.0:  # ModelParams refuses nan and inf
         raise DomainError("the Ewens sampling formula requires theta > 0")
     return psf(n, ModelParams(0.0, theta), m)
 
