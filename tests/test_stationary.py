@@ -44,8 +44,8 @@ from allelic_bdi.cli import (
     SIZE_BALANCE_TOLERANCE,
     main,
 )
-from allelic_bdi.formulae import _ascending_prefix, _psf_rows
 from allelic_bdi import stationary
+from allelic_bdi.formulae import _ascending_prefix, _psf_rows
 from allelic_bdi.partitions import TransitionEvent
 from allelic_bdi.stationary import (
     PARTITION_BALANCE_MAX_SIZE,
