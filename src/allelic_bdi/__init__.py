@@ -2,8 +2,9 @@
 
 A three-parameter (alpha, theta, mu) continuous-time Markov chain on
 multiplicity vectors, with exact Ewens/Pitman sampling-formula evaluators,
-its reversible stationary laws in the mu > 1 regime, urn samplers, three
-simulation engines and Monte Carlo diagnostics.
+its reversible stationary laws in the mu > 1 regime, the urn's group-count
+growth, three simulation engines (two on partitions, one on the population
+size) and Monte Carlo diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -38,14 +39,11 @@ from .formulae import (
 from .urn import (
     default_checkpoints,
     group_count_trace,
-    sample_psf,
 )
 from .ctmc import (
     DEFAULT_MAX_EVENTS,
-    SizeTrajectory,
     Trajectory,
     simulate,
-    simulate_bdi,
     simulate_branching,
 )
 from .stationary import (
@@ -54,7 +52,6 @@ from .stationary import (
     alpha0_limit_rate,
     alpha0_marginal,
     mixture_consistency_scan,
-    normalizing_constant,
     partition_balance_scan,
     partition_stationary_pmf,
     partition_stationary_truncated,
@@ -93,7 +90,6 @@ __all__ = [
     "PartitionParseError",
     "RunawayError",
     "SignedLogValue",
-    "SizeTrajectory",
     "Trajectory",
     "TransitionEvent",
     "alpha0_limit_rate",
@@ -111,15 +107,12 @@ __all__ = [
     "mixture_consistency_scan",
     "nbin_time_param",
     "neg_bin_pmf",
-    "normalizing_constant",
     "partition_balance_scan",
     "partition_stationary_pmf",
     "partition_stationary_truncated",
     "psf",
     "run_ensemble",
-    "sample_psf",
     "simulate",
-    "simulate_bdi",
     "simulate_branching",
     "size_balance_scan",
     "size_stationary_pmf",

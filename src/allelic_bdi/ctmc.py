@@ -1,25 +1,26 @@
 """Continuous-time dynamics on allelic partitions.
 
-Three engines share one event vocabulary:
+Three kernels share one event vocabulary:
 
 * ``simulate`` - Gillespie simulation of the multiplicity-level chain, whose
   rates from state m are theta + alpha * k(m) for a new family,
   (i - alpha) * m_i for growth of a size-i group and mu * i * m_i for a death
   in one, for a total jump rate of theta + (1 + mu) * s(m).
-* ``simulate_bdi`` - the population-size process alone (birth theta + n,
-  death mu * n), a plain integer birth-death-immigration chain.
 * ``simulate_branching`` - an individual-level construction: unit-rate
   reproduction with the oldest member of each family founding a new family
   with probability alpha, exponential(mu) lifetimes, and immigration at rate
   theta.  It emits the induced multiplicity-level trajectory, which has the
   same law as ``simulate``.  A family is an integer size under a Fenwick
   tree, O(log families) per event; birth times are kept only for theta <= 0.
+* the population-size process alone (birth theta + n, death mu * n), a plain
+  integer birth-death-immigration chain, run only as the ``bdi`` engine of
+  ensembles.
 
 Each engine is one kernel that runs the chain and returns the final state
 (the sorted (size, count) entries of a partition, or an integer size).  A
-kernel takes a numpy ``Generator`` and hands each (time, event) pair to a
-``record`` callable only when it is given one: the three public functions
-record into a list and wrap it in a path; ensembles
+kernel takes a numpy ``Generator``; a partition kernel hands each
+(time, event) pair to a ``record`` callable only when it is given one: the
+two public functions record into a list and wrap it in a path; ensembles
 (:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing, and the
 occupation run adds up time per state as events arrive.
 
@@ -47,9 +48,9 @@ each jump strictly advances the clock and raises :class:`RunawayError`,
 naming the state it stopped in, past its event cap.  Event objects are
 immutable, one per (kind, size) in each recording run, freed with its path.
 
-From the empty state with theta <= 0 every engine has total rate zero and
-returns an eventless trajectory; starting such runs is refused at the CLI
-level instead.
+From the empty state with theta <= 0 every kernel has total rate zero and
+stays there (an eventless trajectory); starting such runs is refused at the
+CLI level instead.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -93,7 +93,14 @@ class Trajectory:
     horizon: float
 
     def __post_init__(self):
-        _check_jump_times(map(itemgetter(0), self.events), self.horizon)
+        _check_horizon(self.horizon)
+        prev = 0.0
+        for t, _ in self.events:
+            if not t > prev:
+                raise DomainError("jump times must be strictly increasing and positive")
+            prev = t
+        if prev > self.horizon:
+            raise DomainError("jump times must not exceed the horizon")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -109,37 +116,10 @@ class Trajectory:
         return AllelicPartition(counts.items())
 
 
-@dataclass(frozen=True)
-class SizeTrajectory:
-    """Sample path of the integer size process: values after each jump."""
-
-    times: tuple[float, ...]
-    values: tuple[int, ...]
-    horizon: float
-    initial: int = 0
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise DomainError("times and values must have equal length")
-        _check_jump_times(self.times, self.horizon)
-
-
 def _check_horizon(t_end: float) -> None:
-    """Refuse a negative, infinite or nan horizon (every engine and path type)."""
+    """Refuse a negative, infinite or nan horizon (every kernel and path)."""
     if not 0.0 <= t_end < math.inf:
         raise DomainError(f"the horizon must be finite and >= 0, got {t_end}")
-
-
-def _check_jump_times(times: Iterable[float], horizon: float) -> None:
-    """Refuse jump times that are not strictly increasing within (0, horizon]."""
-    _check_horizon(horizon)
-    prev = 0.0
-    for t in times:
-        if not t > prev:
-            raise DomainError("jump times must be strictly increasing and positive")
-        prev = t
-    if prev > horizon:
-        raise DomainError("jump times must not exceed the horizon")
 
 
 def _recorded_path(
@@ -202,7 +182,7 @@ def _multiplicity_kernel(
     rng: np.random.Generator,
     start: AllelicPartition,
     max_events: int,
-    record: Callable[[tuple], None] | None,
+    record: Callable[[tuple], None] | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Run the multiplicity-level chain; return the sorted entries at ``t_end``.
 
@@ -338,15 +318,12 @@ def _size_kernel(
     rng: np.random.Generator,
     initial: int,
     max_events: int,
-    record: Callable[[tuple], None] | None,
 ) -> int:
-    """Run the size process; return the size at ``t_end``.
+    """Run the size process from ``initial``; return the size at ``t_end``.
 
-    Passes each (time, size after the jump) pair to ``record`` unless it is None.
+    Draws holding times and selectors in blocks of 32, as the partition kernels do.
     """
     _check_horizon(t_end)
-    if initial < 0:
-        raise DomainError("the initial size must be >= 0")
     theta, mu = params.theta, params.mu
     hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     n = initial
@@ -367,28 +344,7 @@ def _size_kernel(
             raise _runaway("size-process", jumps, t, max_events, n, None)
         jumps += 1
         n = n + 1 if select() * total < birth else n - 1
-        if record is not None:
-            record((t, n))
     return n
-
-
-def simulate_bdi(
-    params: ModelParams,
-    t_end: float,
-    rng: np.random.Generator,
-    *,
-    initial: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> SizeTrajectory:
-    """Simulate the size process alone (birth theta + n, death mu * n).
-
-    Draws holding times and selectors in blocks of 32, as :func:`simulate` does.
-    """
-    jumps: list[tuple[float, int]] = []
-    _size_kernel(params, t_end, rng, initial, max_events, jumps.append)
-    times = tuple(t for t, _ in jumps)
-    values = tuple(n for _, n in jumps)
-    return SizeTrajectory(times, values, t_end, initial)
 
 
 def _branching_kernel(
@@ -397,7 +353,7 @@ def _branching_kernel(
     rng: np.random.Generator,
     start: AllelicPartition,
     max_events: int,
-    record: Callable[[tuple], None] | None,
+    record: Callable[[tuple], None] | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Run the individual-level construction; return the sorted entries at ``t_end``.
 

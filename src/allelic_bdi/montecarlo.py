@@ -455,7 +455,7 @@ def _run_chunk(args: tuple) -> dict:
         for i, key in enumerate(outcomes, lo):
             if key is None:
                 try:
-                    key = kernel(params, t_end, block.start(i), empty, max_events, None)
+                    key = kernel(params, t_end, block.start(i), empty, max_events)
                 except RunawayError as exc:
                     raise RunawayError(
                         f"replicate {i} of seed {seed} (alpha={params.alpha}, "

@@ -111,13 +111,6 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     return _pi_rows(params, (m,), m.size)[0]
 
 
-def normalizing_constant(params: ModelParams) -> float:
-    """C = exp(1 - (1 - 1/mu)^alpha) * (1 - 1/mu)^theta."""
-    _require_partition_regime(params)
-    base = -math.expm1(math.log1p(-1.0 / params.mu) * params.alpha)  # 1 - (1-1/mu)^alpha
-    return math.exp(base) * math.exp(params.theta * math.log1p(-1.0 / params.mu))
-
-
 def partition_stationary_truncated(
     params: ModelParams, bound: int
 ) -> dict[AllelicPartition, float]:
@@ -261,11 +254,11 @@ def partition_balance_scan(
     Each up transition (new family, or growth of a size-i group) is paired
     with its reversing death; relative residuals are computed on signed log
     values so the theta < 0 regime is covered.  A sign mismatch or one-sided
-    zero reports an infinite residual, and the first worst pair is reported,
-    a nan counting as worst.  The new-family rate theta + alpha * k
-    is used exactly as written even when nonpositive (possible only at the
-    empty state with theta <= 0), because that is the expression the
-    balance identity is stated with.
+    zero reports an infinite residual, or nan if either side is nan, and the
+    first worst pair is reported, a nan counting as worst.  The new-family
+    rate theta + alpha * k is used exactly as written even when nonpositive
+    (possible only at the empty state with theta <= 0), because that is the
+    expression the balance identity is stated with.
 
     The moves come from the up-move graph, signed log pi from the point's
     table (or a ``pmf`` call per state), and the rate logs from lists by
@@ -297,8 +290,8 @@ def partition_balance_scan(
             sign_next = signs[target]
             if lhs_sign == 0 and sign_next == 0:
                 residual = 0.0
-            elif lhs_sign != sign_next:
-                residual = math.inf
+            elif lhs_sign != sign_next:  # a nan pmf value has no sign: its residual is nan
+                residual = math.inf if log_m == log_m and logs[target] == logs[target] else math.nan
             else:
                 lhs = log_m + log_up[i][count]
                 rhs = logs[target] + log_down[i][rev_count]

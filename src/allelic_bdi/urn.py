@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 from .formulae import ModelParams
-from .partitions import AllelicPartition, TransitionEvent
 
 _BLOCK = 1 << 14
 
@@ -26,46 +25,6 @@ _BLOCK = 1 << 14
 def _check_urn_params(params: ModelParams) -> None:
     if params.alpha == 0.0 and params.theta <= 0.0:
         raise DomainError("the urn with alpha = 0 requires theta > 0")
-
-
-def _urn_step_distribution(
-    m: AllelicPartition, params: ModelParams
-) -> list[tuple[TransitionEvent, float]]:
-    """Distribution of the next urn move from ``m``.
-
-    Returned in a fixed order: the new-family event first, then growth events
-    by increasing group size.  From the empty state the first move is a new
-    family with probability one (for theta <= 0 the generic normalizer
-    theta + s(m) would be nonpositive there, so the case is taken literally).
-    """
-    _check_urn_params(params)
-    if m.size == 0:
-        return [(TransitionEvent.new_family(), 1.0)]
-    denom = params.theta + m.size  # > 0: size >= 1 and theta > -alpha > -1
-    out = [(TransitionEvent.new_family(), (params.theta + params.alpha * m.num_groups) / denom)]
-    for i, c in m:
-        out.append((TransitionEvent.growth(i), (i - params.alpha) * c / denom))
-    return out
-
-
-def sample_psf(n: int, params: ModelParams, rng: np.random.Generator) -> AllelicPartition:
-    """Draw one partition of size ``n`` by running the urn ``n`` steps."""
-    if n < 1:
-        raise DomainError("the sample size must be >= 1")
-    _check_urn_params(params)
-    m = AllelicPartition.empty()
-    for _ in range(n):
-        choices = _urn_step_distribution(m, params)
-        u = rng.random()
-        acc = 0.0
-        event = choices[-1][0]  # guard against u landing on accumulated round-off
-        for ev, p in choices:
-            acc += p
-            if u < acc:
-                event = ev
-                break
-        m = m.apply_event(event)
-    return m
 
 
 def default_checkpoints(n_max: int) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 The oracles here are deliberately independent of the library's evaluation
 code paths: exact rational arithmetic for the sampling formulae, the
-alpha = 0 Poisson product entry by entry, and a naive ascending-parts
-recursion for partition enumeration, so agreement with the log-space
-implementations is meaningful evidence.
+alpha = 0 Poisson product entry by entry, the urn's step law and its n-step
+marginal, the closed-form constant of pi's Poisson-product form, and a naive
+ascending-parts recursion for partition enumeration, so agreement with the
+log-space implementations is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from allelic_bdi import AllelicPartition, ModelParams, log_factorial
-from allelic_bdi.urn import _urn_step_distribution
+from allelic_bdi import AllelicPartition, ModelParams, TransitionEvent, log_factorial
 
 # property tests draw the same examples on every run and keep no example
 # database on disk; timing limits are left to the suite, not to hypothesis
@@ -161,13 +161,40 @@ def poisson_product_prob(m: AllelicPartition, theta: float, b: float) -> float:
     return math.exp(log_p)
 
 
+def normalizing_constant(params: ModelParams) -> float:
+    """C = exp(1 - (1 - 1/mu)^alpha) * (1 - 1/mu)^theta, pi's Poisson-product constant."""
+    assert 0.0 < params.alpha < 1.0 and params.mu > 1.0, params
+    base = -math.expm1(math.log1p(-1.0 / params.mu) * params.alpha)  # 1 - (1-1/mu)^alpha
+    return math.exp(base) * math.exp(params.theta * math.log1p(-1.0 / params.mu))
+
+
+def urn_step_distribution(
+    m: AllelicPartition, params: ModelParams
+) -> list[tuple[TransitionEvent, float]]:
+    """Distribution of the next urn move from ``m``.
+
+    Returned in a fixed order: the new-family event first, then growth events
+    by increasing group size.  From the empty state the first move is a new
+    family with probability one (for theta <= 0 the generic normalizer
+    theta + s(m) would be nonpositive there, so the case is taken literally).
+    """
+    assert params.alpha > 0.0 or params.theta > 0.0, params
+    if m.size == 0:
+        return [(TransitionEvent.new_family(), 1.0)]
+    denom = params.theta + m.size  # > 0: size >= 1 and theta > -alpha > -1
+    out = [(TransitionEvent.new_family(), (params.theta + params.alpha * m.num_groups) / denom)]
+    for i, c in m:
+        out.append((TransitionEvent.growth(i), (i - params.alpha) * c / denom))
+    return out
+
+
 def urn_marginal(n: int, params: ModelParams) -> dict[AllelicPartition, float]:
     """n-step law of the urn chain by direct dynamic programming."""
     dist = {AllelicPartition.empty(): 1.0}
     for _ in range(n):
         successor: dict[AllelicPartition, float] = {}
         for m, prob in dist.items():
-            for event, p in _urn_step_distribution(m, params):
+            for event, p in urn_step_distribution(m, params):
                 child = m.apply_event(event)
                 successor[child] = successor.get(child, 0.0) + prob * p
         dist = successor

@@ -21,13 +21,11 @@ from allelic_bdi import (
     InapplicableEventError,
     ModelParams,
     RunawayError,
-    SizeTrajectory,
     Trajectory,
     TransitionEvent,
     alpha0_marginal,
     enumerate_partitions,
     simulate,
-    simulate_bdi,
     simulate_branching,
     transient_pmf,
     write_trajectory_csv,
@@ -39,6 +37,7 @@ from allelic_bdi.ctmc import (
     DEFAULT_MAX_EVENTS,
     _branching_kernel,
     _multiplicity_kernel,
+    _size_kernel,
 )
 from conftest import (
     AbsorbingClock,
@@ -101,27 +100,13 @@ class TestTrajectory:
             Trajectory(e0, ((1.5, nf),), 1.0)  # beyond the horizon
 
 
-class TestSizeTrajectory:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SizeTrajectory((1.0,), (1, 2), 2.0)
-        with pytest.raises(DomainError):
-            SizeTrajectory((2.0, 1.0), (1, 2), 3.0)
-        with pytest.raises(DomainError):
-            SizeTrajectory((1.0, 1.0), (1, 2), 3.0)
-        with pytest.raises(DomainError):
-            SizeTrajectory((5.0,), (1,), 3.0)
-
-
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
 def test_path_types_refuse_bad_horizons(horizon):
     with pytest.raises(DomainError, match="horizon"):
         Trajectory(AllelicPartition.empty(), (), horizon)
-    with pytest.raises(DomainError, match="horizon"):
-        SizeTrajectory((), (), horizon)
 
 
-@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+@pytest.mark.parametrize("engine", [simulate, simulate_branching])
 @pytest.mark.parametrize("t_end", [math.nan, math.inf])
 def test_engines_refuse_non_finite_horizons(engine, t_end):
     # a small cap, so an engine that accepted the horizon fails fast instead of running on
@@ -129,13 +114,13 @@ def test_engines_refuse_non_finite_horizons(engine, t_end):
         engine(ModelParams(0.0, 1.0, 0.0), t_end, np.random.default_rng(1), max_events=1000)
 
 
-@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+@pytest.mark.parametrize("engine", [simulate, simulate_branching])
 def test_engines_refuse_a_jump_that_does_not_advance_the_clock(engine):
     with pytest.raises(DomainError, match="strictly increasing"):
         engine(ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock())
 
 
-@pytest.mark.parametrize("engine", [simulate, simulate_bdi, simulate_branching])
+@pytest.mark.parametrize("engine", [simulate, simulate_branching])
 @pytest.mark.parametrize("params", [ModelParams(0.5, 5.0, 0.0), ModelParams(0.3, 2.0, 0.9)])
 def test_event_cap_names_the_state_it_stopped_in(engine, params):
     with pytest.raises(RunawayError) as exc:
@@ -143,16 +128,11 @@ def test_event_cap_names_the_state_it_stopped_in(engine, params):
     assert exc.value.events == 50
     # the same draws, stopped just before the jump that hit the cap
     path = engine(params, math.nextafter(exc.value.time, 0.0), np.random.default_rng(9))
-    if engine is simulate_bdi:
-        assert len(path.times) == 50
-        assert (exc.value.size, exc.value.groups) == (path.values[-1], None)
-        assert str(exc.value).endswith(f"with population size {path.values[-1]}")
-    else:
-        assert len(path) == 50
-        state = path.final_state()
-        assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups)
-        text = f"with population size {state.size} in {state.num_groups} groups"
-        assert str(exc.value).endswith(text)
+    assert len(path) == 50
+    state = path.final_state()
+    assert (exc.value.size, exc.value.groups) == (state.size, state.num_groups)
+    text = f"with population size {state.size} in {state.num_groups} groups"
+    assert str(exc.value).endswith(text)
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +243,38 @@ class TestSimulate:
         assert abs(mean - expected) < 5.0 * se
 
 
-class TestSimulateBdi:
-    def test_deterministic_under_seed(self):
-        params = ModelParams(0.5, 1.0, 2.0)
-        a = simulate_bdi(params, 5.0, np.random.default_rng(42))
-        b = simulate_bdi(params, 5.0, np.random.default_rng(42))
-        assert a == b
+class TestSizeKernel:
+    """The size process, as the ``bdi`` engine of ensembles runs it."""
 
-    def test_steps_are_unit(self):
-        st = simulate_bdi(ModelParams(0.0, 2.0, 1.0), 5.0, np.random.default_rng(12))
-        assert len(st.times) > 0
-        prev = st.initial
-        for v in st.values:
-            assert abs(v - prev) == 1
-            assert v >= 0
-            prev = v
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_refuses_a_horizon_that_is_not_finite_and_nonnegative(self, t_end):
+        # a small cap, so a kernel that accepted the horizon fails fast instead of running on
+        with pytest.raises(DomainError, match="horizon"):
+            _size_kernel(ModelParams(0.0, 1.0, 0.0), t_end, np.random.default_rng(1), 0, 1000)
 
-    def test_initial_population(self):
+    @pytest.mark.parametrize("params", [ModelParams(0.5, 5.0, 0.0), ModelParams(0.3, 2.0, 0.9)])
+    def test_event_cap_names_the_size_it_stopped_at(self, params):
+        with pytest.raises(RunawayError) as exc:
+            _size_kernel(params, 200.0, np.random.default_rng(9), 0, 50)
+        assert exc.value.events == 50
+        # the same draws, stopped just before the jump that hit the cap
+        t_end = math.nextafter(exc.value.time, 0.0)
+        size = _size_kernel(params, t_end, np.random.default_rng(9), 0, 50)
+        assert (exc.value.size, exc.value.groups) == (size, None)
+        assert str(exc.value).endswith(f"with population size {size}")
+
+    def test_absorbed_at_zero_from_size_five(self):
         # theta = 0, mu = 2: strictly subcritical from 5, absorbed at 0 long
         # before t = 100, and the empty state is then frozen
-        st = simulate_bdi(ModelParams(0.5, 0.0, 2.0), 100.0, np.random.default_rng(2), initial=5)
-        assert st.initial == 5
-        assert st.values[-1] == 0
-        assert len(st.times) >= 5
-        assert 0 not in st.values[:-1]
-        with pytest.raises(DomainError):
-            simulate_bdi(ModelParams(0.0, 1.0, 1.0), 1.0, np.random.default_rng(2), initial=-1)
+        rng = np.random.default_rng(2)
+        assert _size_kernel(ModelParams(0.5, 0.0, 2.0), 100.0, rng, 5, 10**6) == 0
 
-    def test_frozen_when_theta_nonpositive(self):
-        st = simulate_bdi(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
-        assert st.times == st.values == ()
-        assert st.initial == 0
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(DomainError):
-            simulate_bdi(ModelParams(0.5, 1.0, 2.0), -1.0, np.random.default_rng(1))
-
-    def test_event_cap(self):
-        with pytest.raises(RunawayError) as exc:
-            simulate_bdi(ModelParams(0.5, 5.0, 0.0), 200.0, np.random.default_rng(9), max_events=50)
-        assert exc.value.events == 50
+    def test_frozen_at_zero_when_theta_nonpositive(self):
+        # total rate zero from the start: no jump, so not a single draw
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert _size_kernel(ModelParams(0.5, -0.25, 2.0), 10.0, rng, 0, 10**6) == 0
+        assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------

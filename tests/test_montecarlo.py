@@ -28,7 +28,6 @@ from allelic_bdi import (
     partition_stationary_truncated,
     run_ensemble,
     simulate,
-    simulate_bdi,
     simulate_branching,
     stationary_occupation,
     tv_distance,
@@ -296,7 +295,7 @@ class TestRunEnsemble:
         # replicates record no path, so the kernel itself must check the clock
         kernel, empty = montecarlo._KERNELS[engine]
         with pytest.raises(DomainError, match="strictly increasing"):
-            kernel(ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), empty, 100, None)
+            kernel(ModelParams(0.5, 1.0, 0.5), 5.0, AbsorbingClock(), empty, 100)
 
     def test_error_shrinks_with_replicates(self):
         # TV against the exact transient size law should fall roughly as
@@ -509,11 +508,11 @@ class TestReplicateSeeding:
         assert [repr(row) for row in growth_report(params, 300, hi, seed)] == first
 
 
-# public engine and final state, the oracle of one ensemble replicate's outcome
+# public engine and final state (for bdi, the size kernel): one replicate's outcome oracle
 ORACLE_ENGINES = {
     "multiplicity": lambda p, t, rng: simulate(p, t, rng).final_state().entries,
     "branching": lambda p, t, rng: simulate_branching(p, t, rng).final_state().entries,
-    "bdi": lambda p, t, rng: (simulate_bdi(p, t, rng).values or (0,))[-1],  # starts at 0
+    "bdi": lambda p, t, rng: ctmc._size_kernel(p, t, rng, 0, ctmc.DEFAULT_MAX_EVENTS),
 }
 CHUNK_PARAMS, CHUNK_T = ModelParams(0.5, 1.0, 1.5), 0.4  # a few events per replicate
 CHUNK_SEEDS = [0, 2**32 + 1, 2**64 + 3]

@@ -26,7 +26,6 @@ from allelic_bdi import (
     mixture_consistency_scan,
     nbin_time_param,
     neg_bin_pmf,
-    normalizing_constant,
     partition_balance_scan,
     partition_stationary_pmf,
     partition_stationary_truncated,
@@ -54,7 +53,13 @@ from allelic_bdi.stationary import (
     _up_move_graph,
 )
 
-from conftest import REVERSIBLE_GRID, poisson_pmf, poisson_product_prob, reference_log_lead
+from conftest import (
+    REVERSIBLE_GRID,
+    normalizing_constant,
+    poisson_pmf,
+    poisson_product_prob,
+    reference_log_lead,
+)
 
 POSITIVE_GRID = [p for p in REVERSIBLE_GRID if p.theta > 0.0]
 SIGNED_GRID = [p for p in REVERSIBLE_GRID if p.theta < 0.0]
@@ -164,19 +169,6 @@ class TestPartitionStationaryPmf:
             partition_stationary_pmf(decode("1^1"), ModelParams(0.0, 1.0, 2.0))
         with pytest.raises(DomainError):
             partition_stationary_pmf(decode("1^1"), ModelParams(0.5, 1.0, 1.0))
-
-
-class TestNormalizingConstant:
-    def test_frozen_value(self):
-        assert normalizing_constant(ModelParams(0.5, 1.0, 2.0)) == pytest.approx(
-            0.6701498320008805, rel=1e-14
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            normalizing_constant(ModelParams(0.0, 1.0, 2.0))
-        with pytest.raises(DomainError):
-            normalizing_constant(ModelParams(0.5, 1.0, 0.5))
 
 
 class TestMixtureForm:
@@ -333,6 +325,27 @@ class TestPartitionBalance:
             reference.pairs_checked,
         )
 
+    @pytest.mark.parametrize("theta", [1.0, -0.25])
+    def test_nan_at_one_state_is_not_a_sign_mismatch(self, theta):
+        # a nan has no sign: the first pair entering it reports nan, not inf,
+        # whether pi's sign there is +1 (theta > 0) or -1 (theta < 0)
+        params = ModelParams(0.5, theta, 2.0)
+        hole = decode("2^1")
+
+        def spoiled(m):
+            return math.nan if m == hole else partition_stationary_pmf(m, params)
+
+        scan = partition_balance_scan(params, 6, spoiled)
+        assert math.isnan(scan.max_residual)
+        assert (scan.worst_state, scan.worst_transition) == ("1^1", "growth@1")
+        reference = reference_partition_balance_scan(params, 6, spoiled)
+        assert math.isnan(reference.max_residual)
+        assert (scan.worst_state, scan.worst_transition, scan.pairs_checked) == (
+            reference.worst_state,
+            reference.worst_transition,
+            reference.pairs_checked,
+        )
+
     def test_domain(self):
         with pytest.raises(DomainError):
             partition_balance_scan(ModelParams(0.0, 1.0, 2.0), 5)
@@ -387,8 +400,9 @@ def reference_partition_balance_scan(params, s_max, pmf=None):
                 pairs += 1
                 if lhs.sign == 0 and rhs.sign == 0:
                     residual = 0.0
-                elif lhs.sign != rhs.sign:
-                    residual = math.inf
+                elif lhs.sign != rhs.sign:  # nan when a side is nan, whatever its sign
+                    nan_side = math.isnan(lhs.log_magnitude) or math.isnan(rhs.log_magnitude)
+                    residual = math.nan if nan_side else math.inf
                 else:
                     residual = abs(math.expm1(lhs.log_magnitude - rhs.log_magnitude))
                 if residual > worst or (math.isnan(residual) and not math.isnan(worst)):
