@@ -22,11 +22,6 @@ from .formulae import ModelParams
 _BLOCK = 1 << 14
 
 
-def _check_urn_params(params: ModelParams) -> None:
-    if params.alpha == 0.0 and params.theta <= 0.0:
-        raise DomainError("the urn with alpha = 0 requires theta > 0")
-
-
 def default_checkpoints(n_max: int) -> tuple[int, ...]:
     """Geometric checkpoint grid ceil(10^{j/4}) <= n_max, always ending at n_max."""
     points = set()
@@ -103,7 +98,8 @@ def _group_count_traces(
     """
     if n_max < 10:
         raise DomainError("the trace needs n_max >= 10")
-    _check_urn_params(params)
+    if params.alpha == 0.0 and params.theta <= 0.0:
+        raise DomainError("the urn with alpha = 0 requires theta > 0")
     if checkpoints is None:
         marks = default_checkpoints(n_max)
     else:
