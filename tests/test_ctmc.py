@@ -263,6 +263,11 @@ class TestSizeKernel:
         assert (exc.value.size, exc.value.groups) == (size, None)
         assert str(exc.value).endswith(f"with population size {size}")
 
+    def test_deterministic_under_seed(self):
+        params = ModelParams(0.5, 1.0, 2.0)
+        sizes = [_size_kernel(params, 5.0, np.random.default_rng(42), 0, 10**6) for _ in range(2)]
+        assert sizes[0] == sizes[1]
+
     def test_absorbed_at_zero_from_size_five(self):
         # theta = 0, mu = 2: strictly subcritical from 5, absorbed at 0 long
         # before t = 100, and the empty state is then frozen

@@ -291,6 +291,21 @@ class TestRunEnsemble:
         assert 1 <= exc.value.groups <= 50
 
     @pytest.mark.parametrize("engine", montecarlo.ENGINES)
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_every_engine_refuses_a_bad_horizon(self, engine, t_end):
+        # a small cap, so an engine that accepted the horizon fails fast instead of running on
+        with pytest.raises(DomainError, match="horizon must be finite"):
+            run_ensemble(ModelParams(0.0, 1.0, 0.0), t_end, 4, 1, engine, max_events=1000)
+
+    def test_bdi_event_cap_names_the_population_size(self):
+        # pure birth: the size process counts no groups, so the message ends at the size
+        with pytest.raises(RunawayError) as exc:
+            run_ensemble(ModelParams(0.5, 5.0, 0.0), 100.0, 4, 1, "bdi", max_events=50)
+        assert str(exc.value).startswith("replicate 0 of seed 1 (alpha=0.5, theta=5.0, mu=0.0")
+        assert (exc.value.events, exc.value.size, exc.value.groups) == (50, 50, None)
+        assert str(exc.value).endswith("with population size 50")
+
+    @pytest.mark.parametrize("engine", montecarlo.ENGINES)
     def test_replicates_refuse_a_jump_that_does_not_advance_the_clock(self, engine):
         # replicates record no path, so the kernel itself must check the clock
         kernel, empty = montecarlo._KERNELS[engine]
