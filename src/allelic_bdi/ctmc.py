@@ -11,7 +11,8 @@ Three kernels share one event vocabulary:
   with probability alpha, exponential(mu) lifetimes, and immigration at rate
   theta.  It emits the induced multiplicity-level trajectory, which has the
   same law as ``simulate``.  A family is an integer size under a Fenwick
-  tree, O(log families) per event; birth times are kept only for theta <= 0.
+  tree, O(log families) per event.  It takes theta >= 0 from a populated
+  start; ``simulate`` covers theta < 0.
 * the population-size process alone (birth theta + n, death mu * n), a plain
   integer birth-death-immigration chain, run only as the ``bdi`` engine of
   ensembles.
@@ -48,9 +49,9 @@ each jump strictly advances the clock and raises :class:`RunawayError`,
 naming the state it stopped in, past its event cap.  Event objects are
 immutable, one per (kind, size) in each recording run, freed with its path.
 
-From the empty state with theta <= 0 every kernel has total rate zero and
-stays there (an eventless trajectory); starting such runs is refused at the
-CLI level instead.
+From the empty state with theta <= 0 no kernel has a positive total rate,
+so each stays there (an eventless trajectory); starting such runs is
+refused at the CLI level instead.
 """
 
 from __future__ import annotations
@@ -364,36 +365,28 @@ def _branching_kernel(
     doubles when full), and its descent maps individual index ``pos`` to the
     family ``f`` and the position in it that a walk over the families in
     order gives, empty ones skipped (the ``locate`` oracle in
-    ``tests/test_ctmc.py``).  Per-family birth times are kept only for
-    theta <= 0, where the parent walk reads them.
+    ``tests/test_ctmc.py``).  Refuses theta < 0 from a populated start.
     """
     _check_horizon(t_end)
+    theta, alpha, mu = params.theta, params.alpha, params.mu
+    s = start.size
+    if theta < 0.0 and s:
+        raise DomainError(
+            f"the branching engine needs theta >= 0 from a populated start, got theta={theta}; "
+            "simulate runs theta < 0"
+        )
     sizes = [i for i, c in start for _ in range(c)]
     width = 1 << max(len(sizes) - 1, 0).bit_length()
     tree = [0, *sizes] + [0] * (width - len(sizes))
     for i in range(1, width):
         tree[i + (i & -i)] += tree[i]
-    theta, alpha, mu = params.theta, params.alpha, params.mu
-    families = None
-    if theta <= 0.0:
-        families, clock = [], 0.0
-        for size in sizes:
-            clock -= size  # distinct past birth times, oldest in the last family
-            families.append([clock + j for j in range(size)])
-    s = start.size
     hold, select = _draws(rng.standard_exponential), _draws(rng.random)
     if record is not None:  # this run's events, freed with its path
         growth, death = _EventCache(EventKind.GROWTH), _EventCache(EventKind.DEATH)
     t = 0.0
     n = 0
     while True:
-        if theta > 0.0:
-            immigration = theta
-            birth_total = float(s)
-        else:
-            immigration = 0.0
-            birth_total = s + theta if s else 0.0  # overall oldest births at rate 1 + theta
-        total = immigration + birth_total + mu * s
+        total = (theta + s) + mu * s  # with theta <= 0 the empty state stays put
         if total <= 0.0:
             break
         t_next = t + hold() / total
@@ -406,17 +399,11 @@ def _branching_kernel(
             raise _runaway("branching", n, t, max_events, s, sum(1 for x in sizes if x))
         n += 1
         u = select() * total
-        found = u < immigration  # an immigrant founds a family
-        grow = u < immigration + birth_total
+        found = u < theta  # an immigrant founds a family
+        grow = u < theta + s
         delta = 1 if grow else -1
-        if not found and grow and families is not None:
-            oldest = _oldest_family(families)
-            f, pos = _weighted_parent(families, oldest, u - immigration, theta)
-            if pos == 0:
-                p_new = alpha if f != oldest else (alpha + theta) / (1.0 + theta)
-                found = p_new > 0.0 and select() < p_new
-        elif not found:
-            v = u - immigration if grow else (u - immigration - birth_total) / mu
+        if not found:
+            v = u - theta if grow else (u - theta - s) / mu
             pos = int(v) if v < s else s - 1
             # descend to individual pos; the nodes it does not enter are the
             # ones that cover its slot, and they take delta on the way down
@@ -443,21 +430,13 @@ def _branching_kernel(
                 tree.append(tree[width])
                 width *= 2
             sizes.append(1)
-            if families is not None:
-                families.append([t])
+            f += 1
+            while f <= width:  # not added by a descent
+                tree[f] += 1
+                f += f & -f
         else:
             size = sizes[f]
             sizes[f] = size + delta
-            if families is not None:
-                if grow:
-                    families[f].append(t)
-                else:
-                    del families[f][pos]
-        if found or (grow and families is not None):  # not added by a descent
-            f += 1
-            while f <= width:
-                tree[f] += 1
-                f += f & -f
         s += delta
         if record is not None:
             record((t, _NEW_FAMILY if found else (growth if grow else death)[size]))
@@ -475,23 +454,19 @@ def simulate_branching(
     """Simulate the individual-level construction, emitting partition events.
 
     Starts from the empty state unless ``initial`` is given; its groups
-    become families in entry order, each family older than the one before.
+    become families in entry order.  From a populated start theta must be
+    >= 0 (:class:`DomainError` otherwise): :func:`simulate` runs theta < 0.
 
     Deaths use a single exponential clock at the aggregate rate mu * s plus a
-    uniform victim, and births one at the aggregate birth rate plus a
-    weighted parent choice, which is distributionally identical to
-    per-individual clocks.  The returned trajectory has the same law as the
-    one produced by :func:`simulate`.
+    uniform victim, and births one at the aggregate rate s plus a uniform
+    parent, which is distributionally identical to per-individual clocks.
+    The returned trajectory has the same law as the one produced by
+    :func:`simulate`.
 
     Cost per event: each family is an integer size, and one descent of a
     Fenwick tree over the families in founding order finds the parent or
     victim and its position, O(log families), adding the event's +1 or -1
-    on the way.  With theta > 0 (every run the CLI starts) nothing is stored
-    per individual.  With theta <= 0 the families also keep birth times and
-    the parent walk stays linear in the population: it accumulates the
-    overall oldest member's rate 1 + theta in floating point, and that sum
-    cannot be reproduced by an index lookup without changing which parent
-    is drawn.
+    on the way.  Nothing is stored per individual.
 
     Bit-identity: holding times and selectors come in blocks of 32 as in
     :func:`simulate` (a founding draw takes the next selector), and each
@@ -502,25 +477,4 @@ def simulate_branching(
     ``tests/test_reproducibility.py`` pins seeded outputs.
     """
     return _recorded_path(_branching_kernel, params, t_end, rng, initial, max_events)
-
-
-def _oldest_family(families: list[list[float]]) -> int:
-    """Index of the nonempty family holding the earliest-born member."""
-    return min((fi for fi, fam in enumerate(families) if fam), key=lambda fi: families[fi][0])
-
-
-def _weighted_parent(
-    families: list[list[float]], oldest: int, v: float, theta: float
-) -> tuple[int, int]:
-    # theta <= 0: every individual reproduces at unit rate except the overall
-    # oldest, whose rate is 1 + theta; empty families add nothing to the sum
-    acc = 0.0
-    last = (0, 0)
-    for fi, fam in enumerate(families):
-        for pos in range(len(fam)):
-            acc += 1.0 + theta if (fi == oldest and pos == 0) else 1.0
-            last = (fi, pos)
-            if v < acc:
-                return fi, pos
-    return last
 

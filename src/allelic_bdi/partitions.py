@@ -13,6 +13,7 @@ CSV export.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +52,7 @@ class TransitionEvent:
             if self.index is not None:
                 raise DomainError("a new-family event carries no group-size index")
         else:
-            if not isinstance(self.index, int) or self.index < 1:
+            if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
                 raise DomainError("growth and death events need a group-size index >= 1")
 
     @classmethod
@@ -80,15 +81,16 @@ class TransitionEvent:
 class AllelicPartition:
     """Immutable sparse multiplicity vector.
 
-    Entries are (group size, count) pairs with count >= 1, kept sorted by
-    size.  Instances are hashable and usable as dictionary keys; all mutation
-    goes through :meth:`apply_event`, which returns a new object.
+    Entries are (group size, count) pairs of integers (Python or numpy, not
+    bool) with count >= 1, kept sorted by size.  Instances are hashable and
+    usable as dictionary keys; all mutation goes through :meth:`apply_event`,
+    which returns a new object.
     """
 
     __slots__ = ("_entries", "_size", "_num_groups", "_hash")
 
     def __init__(self, entries: Iterable[tuple[int, int]] = ()):
-        items = sorted((int(i), int(c)) for i, c in entries)
+        items = sorted((_integer(i), _integer(c)) for i, c in entries)
         prev = 0
         for i, c in items:
             if i < 1:
@@ -216,6 +218,16 @@ class AllelicPartition:
 
     def __reduce__(self):
         return (AllelicPartition, (self._entries,))
+
+
+def _integer(x) -> int:
+    """``x`` as a Python int if it is a Python or numpy integer other than a bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"group sizes and multiplicities must be integers, got {x!r}")
 
 
 def _apply_event(counts: dict[int, int], event: TransitionEvent) -> None:

@@ -290,25 +290,16 @@ class TestSizeKernel:
 # A population is a list of families, each a list of member birth times in
 # increasing order, so index 0 is each family's oldest living member.  These
 # list walks are the oracles for the branching engine's start, its Fenwick
-# lookup and the rate table its per-individual clocks induce.
+# lookup and the rate table its per-individual clocks induce at theta >= 0.
 
 
 def families_from_sizes(sizes):
-    """Families of the given sizes with distinct past birth times.
-
-    Each family is older than the one before it, the rule
-    ``simulate_branching`` uses for its start.
-    """
+    """Families of the given sizes, in order, with distinct past birth times."""
     families, clock = [], 0.0
     for size in sizes:
         clock -= size
         families.append([clock + j for j in range(size)])
     return families
-
-
-def oldest_family(families):
-    """Index of the family holding the population's earliest birth time."""
-    return min(range(len(families)), key=lambda fi: families[fi][0])
 
 
 def locate(families, idx):
@@ -323,27 +314,22 @@ def locate(families, idx):
 def event_rates(families, params):
     """Multiplicity-level rate table induced by the per-individual clocks.
 
-    With theta > 0 immigrants found families at rate theta and every member
+    For theta >= 0: immigrants found families at rate theta and every member
     reproduces at unit rate, the offspring of a family's oldest member
-    founding a new family with probability alpha.  With theta <= 0 there is
-    no immigration; the overall oldest member produces joiners at rate
-    1 - alpha and founders at rate alpha + theta instead.  Summed over
-    individuals, so it can be compared with the paper's rates (``paper_rates``).
+    founding a new family with probability alpha.  Summed over individuals,
+    so it can be compared with the paper's rates (``paper_rates``).
     """
     theta, alpha, mu = params.theta, params.alpha, params.mu
-    new_family = theta if theta > 0.0 else 0.0
+    assert theta >= 0.0
+    new_family = theta
     growth, death = {}, {}
-    oldest = oldest_family(families) if families and theta <= 0.0 else None
-    for fi, fam in enumerate(families):
+    for fam in families:
         i = len(fam)
         if mu > 0.0:
             death[i] = death.get(i, 0.0) + mu * i
         growth[i] = growth.get(i, 0.0) + (i - 1)  # non-oldest members always join
         growth[i] += 1.0 - alpha  # the family's oldest joins at rate 1 - alpha
-        if fi == oldest:
-            new_family += alpha + theta  # overall-oldest founds at rate alpha + theta
-        else:
-            new_family += alpha
+        new_family += alpha  # and founds at rate alpha
     out = []
     if new_family > 0.0:
         out.append((TransitionEvent.new_family(), new_family))
@@ -370,8 +356,6 @@ class TestAgentPopulation:
     def test_families_from_sizes(self):
         families = families_from_sizes([3, 1, 2])
         assert families == [[-3.0, -2.0, -1.0], [-4.0], [-6.0, -5.0]]
-        # birth times decrease family by family, so the last family is oldest
-        assert oldest_family(families) == 2
 
     def test_locate(self):
         families = families_from_sizes([3, 1, 2])
@@ -389,7 +373,6 @@ class TestAgentPopulation:
             ModelParams(0.5, 1.0, 2.0),
             ModelParams(0.0, 2.0, 1.2),
             ModelParams(0.9, 0.5, 0.0),
-            ModelParams(0.5, -0.25, 2.0),
             ModelParams(0.5, 0.0, 1.5),
         ],
     )
@@ -404,6 +387,7 @@ class TestAgentPopulation:
 
     @given(group_sizes(), model_params())
     def test_event_rates_match_multiplicity_table_property(self, sizes, params):
+        assume(params.theta >= 0.0)  # the construction's domain from a populated start
         agent_table = event_rates(families_from_sizes(sizes), params)
         chain_table = paper_rates(partition_of(sizes), params)
         assert [ev for ev, _ in agent_table] == [ev for ev, _ in chain_table]
@@ -411,7 +395,7 @@ class TestAgentPopulation:
             assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_event_rates_empty_population(self):
-        assert event_rates([], ModelParams(0.5, -0.25, 2.0)) == []
+        assert event_rates([], ModelParams(0.5, 0.0, 2.0)) == []
         assert event_rates([], ModelParams(0.5, 1.5, 2.0)) == [
             (TransitionEvent.new_family(), 1.5)
         ]
@@ -734,13 +718,23 @@ class TestSimulateBranching:
         traj = simulate_branching(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
         assert traj.events == ()
 
-    def test_nonpositive_theta_from_populated_start(self):
+    def test_zero_theta_from_populated_start_runs_until_extinction(self):
         traj = simulate_branching(
-            ModelParams(0.5, -0.25, 2.0), 50.0, np.random.default_rng(11), initial=decode("2^2")
+            ModelParams(0.5, 0.0, 2.0), 50.0, np.random.default_rng(11), initial=decode("2^2")
         )
         assert len(traj) > 0
         _replay_is_consistent(traj)
         assert traj.final_state().size == 0
+
+    @pytest.mark.parametrize("theta", [-0.25, -1e-300])
+    def test_refuses_negative_theta_from_populated_start(self, theta):
+        # the multiplicity engine runs theta < 0 from any start, so the message names it
+        params, rng = ModelParams(0.5, theta, 2.0), np.random.default_rng(11)
+        with pytest.raises(DomainError, match="simulate runs theta < 0"):
+            simulate_branching(params, 5.0, rng, initial=decode("1^1"))
+        with pytest.raises(DomainError, match="simulate runs theta < 0"):
+            _branching_kernel(params, 5.0, rng, decode("2^2"), 100, None)
+        assert rng.random() == np.random.default_rng(11).random()  # refused before a draw
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(DomainError):
@@ -762,10 +756,18 @@ class TestSimulateBranching:
 # ---------------------------------------------------------------------------
 
 
-# theta < 0 takes the branching engine's list walk, theta > 0 its Fenwick tree
-@pytest.mark.parametrize("engine", [simulate, simulate_branching])
-@pytest.mark.parametrize("alpha,theta,mu", [(0.5, -0.25, 2.0), (0.3, 1.5, 0.8)])
-def test_first_jump_law_from_populated_start(engine, alpha, theta, mu):
+# theta < 0 only on the multiplicity engine: the branching engine refuses it
+@pytest.mark.parametrize(
+    "alpha,theta,mu,engine",
+    [
+        (0.5, -0.25, 2.0, simulate),
+        (0.5, 0.0, 2.0, simulate),
+        (0.5, 0.0, 2.0, simulate_branching),
+        (0.3, 1.5, 0.8, simulate),
+        (0.3, 1.5, 0.8, simulate_branching),
+    ],
+)
+def test_first_jump_law_from_populated_start(alpha, theta, mu, engine):
     # the paper's rates from m = 1^1 2^2 3^1 (s = 8, k = 4), written out here
     # rather than read from the library: a new family at theta + alpha * k, growth
     # of a size-i group at (i - alpha) * m_i, a death in one at mu * i * m_i
@@ -797,7 +799,8 @@ def test_first_jump_law_from_populated_start(engine, alpha, theta, mu):
 # ---------------------------------------------------------------------------
 
 # (params, horizon, initial family sizes): theta > 0 with mu = 0 and mu > 0,
-# theta <= 0 from a populated start, several-family starts on both signs
+# theta <= 0 from a populated start, several-family starts on both signs;
+# the branching engine runs only the theta >= 0 ones
 FINAL_STATE_CASES = [
     (ModelParams(0.5, 2.0, 0.0), 3.0, None),
     (ModelParams(0.0, 1.0, 2.0), 5.0, None),
@@ -809,8 +812,15 @@ FINAL_STATE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["multiplicity", "branching"])
-@pytest.mark.parametrize("params,t_end,sizes", FINAL_STATE_CASES)
+@pytest.mark.parametrize(
+    "engine,params,t_end,sizes",
+    [
+        (engine, *case)
+        for case in FINAL_STATE_CASES
+        for engine in ("multiplicity", "branching")
+        if engine == "multiplicity" or case[0].theta >= 0.0
+    ],
+)
 def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
     # the entries a kernel returns against the replay of the events it recorded
     kernel = _multiplicity_kernel if engine == "multiplicity" else _branching_kernel
@@ -837,17 +847,15 @@ def _blocks(draw):
 
 
 def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
-    """The individual-level construction over lists of birth times.
+    """The individual-level construction over lists of birth times, for theta >= 0.
 
     Every family is the list of its members' birth times, oldest first, in
     founding order (the groups of ``start`` in entry order first), and a
     family that dies out stays as an empty list.  The parent or victim is
-    found by the ``locate`` walk; with theta <= 0 the overall oldest member
-    reproduces at rate 1 + theta and the parent walk sums the rates member
-    by member.  Passes each (time, event) pair to ``record`` unless it is
-    None and returns the final entries and the number of walks that passed
-    an empty family; at the event cap it raises the RunawayError the
-    kernel should raise.
+    found by the ``locate`` walk.  Passes each (time, event) pair to
+    ``record`` unless it is None and returns the final entries and the
+    number of walks that passed an empty family; at the event cap it raises
+    the RunawayError the kernel should raise.
     """
     families = families_from_sizes(i for i, c in start for _ in range(c))
     theta, alpha, mu = params.theta, params.alpha, params.mu
@@ -862,9 +870,7 @@ def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
         return fi, pos
 
     while True:
-        immigration = theta if theta > 0.0 else 0.0
-        birth_total = float(s) if theta > 0.0 else (s + theta if s else 0.0)
-        total = immigration + birth_total + mu * s
+        total = theta + s + mu * s
         if total <= 0.0:
             break
         t_next = t + next(holds) / total
@@ -876,25 +882,14 @@ def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
             raise RunawayError("cap", n, t, s, groups)
         n += 1
         u = next(selectors) * total
-        if u < immigration:
+        if u < theta:  # an immigrant
             families.append([t])
             s += 1
             record((t, TransitionEvent.new_family()))
             continue
-        if u < immigration + birth_total:
-            v = u - immigration
-            if theta > 0.0:
-                fi, pos = walk(min(s - 1, int(v)))
-                p_new = alpha if pos == 0 else 0.0
-            else:
-                live = [fi for fi, fam in enumerate(families) if fam]
-                oldest = min(live, key=lambda fi: families[fi][0])
-                acc, fi, pos = 0.0, None, None
-                for fi, pos in ((fi, pos) for fi in live for pos in range(len(families[fi]))):
-                    acc += 1.0 + theta if (fi, pos) == (oldest, 0) else 1.0
-                    if v < acc:
-                        break
-                p_new = 0.0 if pos else (alpha if fi != oldest else (alpha + theta) / (1.0 + theta))
+        if u < theta + s:
+            fi, pos = walk(min(s - 1, int(u - theta)))
+            p_new = alpha if pos == 0 else 0.0
             s += 1
             if p_new > 0.0 and next(selectors) < p_new:
                 families.append([t])
@@ -903,7 +898,7 @@ def list_branching_kernel(params, t_end, rng, start, record, max_events=10**7):
                 record((t, TransitionEvent.growth(len(families[fi]))))
                 families[fi].append(t)
         else:
-            fi, pos = walk(min(s - 1, int((u - immigration - birth_total) / mu)))
+            fi, pos = walk(min(s - 1, int((u - theta - s) / mu)))
             record((t, TransitionEvent.death(len(families[fi]))))
             del families[fi][pos]
             s -= 1
@@ -926,14 +921,14 @@ def _both_runs(params, t_end, seed, sizes=(), max_events=10**7):
 
 # theta > 0 with mu = 0 (founders) and mu > 0 (extinct families, founder
 # deaths), a start of 11 families that fills part of a 16-slot tree, and the
-# theta <= 0 populated starts of FINAL_STATE_CASES
+# theta = 0 populated start of FINAL_STATE_CASES
 ORACLE_CASES = [
     (ModelParams(0.7, 3.0, 0.0), 3.5, ()),
     (ModelParams(0.9, 0.5, 0.0), 2.5, (1, 4, 2, 1)),
     (ModelParams(0.5, 2.0, 0.9), 6.0, ()),
     (ModelParams(0.6, 0.5, 1.1), 5.0, (1,) * 9 + (4, 3)),
     (ModelParams(0.0, 1.0, 2.0), 5.0, ()),
-] + [(p, t, sizes) for p, t, sizes in FINAL_STATE_CASES if p.theta <= 0.0]
+] + [(p, t, sizes) for p, t, sizes in FINAL_STATE_CASES if p.theta == 0.0]
 
 
 @pytest.mark.parametrize("params,t_end,sizes", ORACLE_CASES)
@@ -957,7 +952,7 @@ def test_branching_kernel_matches_list_oracle_over_wide_seeds():
 
 @pytest.mark.parametrize(
     "params,sizes",
-    [(ModelParams(0.5, 2.0, 0.9), ()), (ModelParams(0.5, -0.25, 0.5), (2, 3, 1, 2))],
+    [(ModelParams(0.5, 2.0, 0.9), ()), (ModelParams(0.5, 0.25, 0.5), (2, 3, 1, 2))],
 )
 def test_branching_runaway_reports_the_oracle_state(params, sizes):
     # the group count is taken from the integer sizes, extinct families excluded

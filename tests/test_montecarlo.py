@@ -177,6 +177,12 @@ class TestRunEnsemble:
         dist = run_ensemble(ModelParams(0.5, 1.0, 2.0), 1.0, 50, 7, engine="branching")
         assert all(isinstance(k, AllelicPartition) for k in dist.weights)
 
+    @pytest.mark.parametrize("theta", [0.0, -0.25])
+    def test_branching_engine_stays_empty_when_theta_nonpositive(self, theta):
+        # the empty start never moves, so no replicate reaches the theta < 0 refusal
+        dist = run_ensemble(ModelParams(0.5, theta, 2.0), 5.0, 50, 7, engine="branching")
+        assert dist.weights == {AllelicPartition.empty(): 50.0}
+
     @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
     def test_worker_count_does_not_change_results(self, monkeypatch, engine):
         # four seed blocks, each in lock step with the multiplicity engine

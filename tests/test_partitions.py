@@ -1,5 +1,6 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -39,6 +40,22 @@ def test_constructor_validation():
         AllelicPartition([(1, 1), (1, 2)])
     with pytest.raises(DomainError):
         AllelicPartition([(2, -1)])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(1.5, 2), (2.9, 1)], [(2, 1.0)], [("3", "1")], [(True, 1)], [(2, False)], [(2, None)]],
+)
+def test_constructor_refuses_entries_that_are_not_integers(entries):
+    # a float, a string or a bool is refused, not truncated or parsed
+    with pytest.raises(DomainError, match="must be integers"):
+        AllelicPartition(entries)
+
+
+def test_constructor_takes_numpy_integers_as_python_ints():
+    m = AllelicPartition([(np.int64(2), np.uint8(3)), (np.int32(1), 1)])
+    assert m == AllelicPartition.decode("1^1 2^3")
+    assert all(type(x) is int for entry in m.entries for x in entry)
 
 
 def test_counts_and_multiplicities():
@@ -145,6 +162,10 @@ def test_event_validation_and_text():
         TransitionEvent(EventKind.GROWTH, None)
     with pytest.raises(DomainError):
         TransitionEvent(EventKind.DEATH, 0)
+    with pytest.raises(DomainError):
+        TransitionEvent(EventKind.GROWTH, True)  # a bool is not a group size
+    with pytest.raises(DomainError):
+        TransitionEvent(EventKind.DEATH, 2.0)
     assert str(TransitionEvent.growth(2)) == "growth@2"
     assert str(TransitionEvent.new_family()) == "new_family"
     assert TransitionEvent.new_family().size_delta == 1
