@@ -36,10 +36,7 @@ from .formulae import (
     psf,
     transient_pmf,
 )
-from .urn import (
-    default_checkpoints,
-    group_count_trace,
-)
+from .urn import group_count_trace
 from .ctmc import (
     DEFAULT_MAX_EVENTS,
     Trajectory,
@@ -96,7 +93,6 @@ __all__ = [
     "alpha0_marginal",
     "alpha_weight",
     "conditional_given_size",
-    "default_checkpoints",
     "enumerate_partitions",
     "esf",
     "group_count_trace",

@@ -22,7 +22,15 @@ from typing import Sequence
 from . import __version__ as _pkg_version
 from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
 from .errors import DomainError, PartitionParseError, RunawayError
-from .formulae import ModelParams, _neg_bin_pmfs, _psf_rows, _transient_rows, nbin_time_param, psf
+from .formulae import (
+    ModelParams,
+    _neg_bin_pmfs,
+    _psf_rows,
+    _require_reversible,
+    _transient_rows,
+    nbin_time_param,
+    psf,
+)
 from .montecarlo import (
     ENGINES,
     _open_artifact,
@@ -255,8 +263,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.mu is not None and not args.mu > 1.0:
-        raise DomainError("reversible regime requires mu > 1")
+    if args.mu is not None:
+        _require_reversible(args.mu)
     if args.alpha is not None:
         _need(0.0 < args.alpha < 1.0, f"--alpha must lie in (0, 1), got {args.alpha}")
     _need(args.size_max >= 1, "--size-max must be >= 1")

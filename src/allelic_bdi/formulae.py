@@ -45,6 +45,12 @@ def _require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _require_reversible(mu: float) -> None:
+    """Refuse mu <= 1 (and nan): pi and lambda exist only in the reversible regime mu > 1."""
+    if not mu > 1.0:
+        raise DomainError("reversible regime requires mu > 1")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The three parameters of the model.
@@ -70,8 +76,7 @@ class ModelParams:
             raise DomainError(f"mu must be >= 0, got {self.mu}")
 
     def require_reversible(self) -> None:
-        if not self.mu > 1.0:
-            raise DomainError("reversible regime requires mu > 1")
+        _require_reversible(self.mu)
 
 
 @dataclass(frozen=True)

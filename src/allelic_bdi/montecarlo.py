@@ -778,8 +778,8 @@ def write_trajectory_csv(
     trajectory: Trajectory,
     file: str | IO[str],
     *,
-    params: ModelParams | None = None,
-    seed: int | None = None,
+    params: ModelParams,
+    seed: int,
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write a trajectory as CSV with a commented metadata header.
@@ -789,13 +789,15 @@ def write_trajectory_csv(
     from the events themselves without replaying partitions.  The header
     names the random stream (``rng_stream``) the engines draw.
     """
-    header: dict[str, object] = {"rng_stream": RNG_STREAM}
-    if params is not None:
-        header.update(alpha=params.alpha, theta=params.theta, mu=params.mu)
-    if seed is not None:
-        header["seed"] = seed
-    header["horizon"] = trajectory.horizon
-    header["initial"] = trajectory.initial.encode()
+    header = {
+        "rng_stream": RNG_STREAM,
+        "alpha": params.alpha,
+        "theta": params.theta,
+        "mu": params.mu,
+        "seed": seed,
+        "horizon": trajectory.horizon,
+        "initial": trajectory.initial.encode(),
+    }
     with _open_artifact(file, {**header, **(metadata or {})}) as fh:
         fh.write("time,event_kind,event_index,s,k\n")
         s, k = trajectory.initial.size, trajectory.initial.num_groups

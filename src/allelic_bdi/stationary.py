@@ -38,6 +38,7 @@ from .formulae import (
     _log_law_rows,
     _psf_rows,
     _require_finite,
+    _require_reversible,
     log_ascending_factorial,
     log_factorial,
     transient_pmf,
@@ -78,8 +79,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     values are the signed quantities that still satisfy detailed balance.
     """
     _require_finite(theta=theta, mu=mu)
-    if not mu > 1.0:
-        raise DomainError("reversible regime requires mu > 1")
+    _require_reversible(mu)
     if n < 0:
         raise DomainError("the population size must be >= 0")
     asc = log_ascending_factorial(theta, n)
@@ -156,8 +156,7 @@ def size_balance_scan(
     _require_finite(theta=theta, mu=mu)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if not mu > 1.0:
-        raise DomainError("reversible regime requires mu > 1")
+    _require_reversible(mu)
     if pmf is None:
         signs, log_asc = _ascending_prefix(theta).running(n_max)
         log_mu, tail = math.log(mu), theta * math.log1p(-1.0 / mu)

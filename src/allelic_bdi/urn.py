@@ -37,12 +37,9 @@ def default_checkpoints(n_max: int) -> tuple[int, ...]:
 
 
 def group_count_trace(
-    n_max: int,
-    params: ModelParams,
-    rng: np.random.Generator,
-    checkpoints: tuple[int, ...] | None = None,
+    n_max: int, params: ModelParams, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
-    """Group counts (n, k_n) along one urn run, recorded at checkpoints.
+    """Group counts (n, k_n) along one urn run, at each n of ``default_checkpoints(n_max)``.
 
     Only the pair (sample size, group count) is tracked: under the urn the
     group count is itself a Markov chain (a new group forms with probability
@@ -79,14 +76,11 @@ def group_count_trace(
     one Xeon core, half of it at alpha = 0 drawing the uniforms.
     Memory is one block plus the recorded checkpoints.
     """
-    return _group_count_traces(n_max, params, (rng,), checkpoints)[0]
+    return _group_count_traces(n_max, params, (rng,))[0]
 
 
 def _group_count_traces(
-    n_max: int,
-    params: ModelParams,
-    rngs: Iterable[np.random.Generator],
-    checkpoints: tuple[int, ...] | None = None,
+    n_max: int, params: ModelParams, rngs: Iterable[np.random.Generator]
 ) -> list[list[tuple[int, int]]]:
     """:func:`group_count_trace` of one run per generator, in order.
 
@@ -100,15 +94,7 @@ def _group_count_traces(
         raise DomainError("the trace needs n_max >= 10")
     if params.alpha == 0.0 and params.theta <= 0.0:
         raise DomainError("the urn with alpha = 0 requires theta > 0")
-    if checkpoints is None:
-        marks = default_checkpoints(n_max)
-    else:
-        checkpoints = tuple(checkpoints)
-        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in checkpoints):
-            raise DomainError("checkpoints must be integers")
-        marks = tuple(sorted({int(c) for c in checkpoints}))
-    if marks and (marks[0] < 1 or marks[-1] > n_max):
-        raise DomainError("checkpoints must lie in [1, n_max]")
+    marks = default_checkpoints(n_max)
     theta, alpha = params.theta, params.alpha
     steps = np.arange(_BLOCK, dtype=float)
     u, scaled, level = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)

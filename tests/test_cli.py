@@ -14,7 +14,6 @@ from allelic_bdi import (
     AllelicPartition,
     ModelParams,
     alpha0_marginal,
-    default_checkpoints,
     partition_stationary_pmf,
     enumerate_partitions,
     nbin_time_param,
@@ -24,6 +23,7 @@ from allelic_bdi import (
 )
 from allelic_bdi import __version__, cli, montecarlo
 from allelic_bdi.cli import main
+from allelic_bdi.urn import default_checkpoints
 
 
 def run_cli(capsys, *argv):

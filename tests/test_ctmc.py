@@ -1065,7 +1065,7 @@ class TestWriteTrajectoryCsv:
     def test_writes_to_path(self, tmp_path):
         traj = _manual_trajectory()
         target = tmp_path / "trajectory.csv"
-        write_trajectory_csv(traj, str(target))
+        write_trajectory_csv(traj, str(target), params=ModelParams(0.5, 1.0), seed=0)
         text = target.read_text()
         assert "time,event_kind,event_index,s,k" in text
         assert text.count("\n") == len(traj) + text.count("# ") + 1

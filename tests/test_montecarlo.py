@@ -21,7 +21,6 @@ from allelic_bdi import (
     EmpiricalDistribution,
     ModelParams,
     RunawayError,
-    default_checkpoints,
     growth_report,
     nbin_time_param,
     neg_bin_pmf,
@@ -36,6 +35,7 @@ from allelic_bdi import (
 )
 from allelic_bdi import __version__
 from allelic_bdi.cli import main
+from allelic_bdi.urn import default_checkpoints
 from conftest import AbsorbingClock, states_after_events
 
 
@@ -183,9 +183,10 @@ class TestRunEnsemble:
         dist = run_ensemble(ModelParams(0.5, theta, 2.0), 5.0, 50, 7, engine="branching")
         assert dist.weights == {AllelicPartition.empty(): 50.0}
 
-    @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
+    @pytest.mark.parametrize("engine", ["multiplicity", "branching", "bdi"])
     def test_worker_count_does_not_change_results(self, monkeypatch, engine):
-        # four seed blocks, each in lock step with the multiplicity engine
+        # four seed blocks (in lock step on the multiplicity engine); the pool
+        # merges partition keys, or the bdi engine's integer sizes, by Counter
         monkeypatch.setattr(montecarlo, "_SEED_BLOCK", LOCK_BLOCK)
         params = ModelParams(0.5, 1.0, 2.0)
         serial = run_ensemble(params, 1.5, 4 * LOCK_BLOCK, 31, engine)

@@ -109,6 +109,19 @@ class TestSizeStationaryPmf:
             size_stationary_pmf(-1, 1.0, 2.0)
 
 
+def test_mu_at_most_one_is_refused_with_one_message(capsys):
+    message = "reversible regime requires mu > 1"
+    for refuse in (
+        lambda: size_stationary_pmf(3, 1.0, 1.0),
+        lambda: size_balance_scan(1.0, 0.5, 10),
+        lambda: partition_stationary_pmf(decode("1^1"), ModelParams(0.5, 1.0, 1.0)),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            refuse()
+    assert main(["verify", "--mu", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # partition-level stationary law
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from allelic_bdi import (
     ModelParams,
     enumerate_partitions,
     esf,
+    growth_report,
     psf,
     tv_distance,
 )
@@ -91,6 +92,15 @@ def test_group_count_trace_shape_and_growth():
     assert all(1 <= k <= n for n, k in trace)
 
 
+@pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_trace_and_growth_report_record_exactly_the_default_checkpoints(n_max):
+    # beside a block boundary the grid's only mark there is n_max itself
+    params, marks = ModelParams(0.5, 1.0), list(default_checkpoints(n_max))
+    assert not {_BLOCK - 1, _BLOCK, _BLOCK + 1} & set(marks[:-1])
+    assert [n for n, _ in group_count_trace(n_max, params, np.random.default_rng(0))] == marks
+    assert [row.n for row in growth_report(params, n_max, 2, seed=0)] == marks
+
+
 def test_group_count_trace_determinism_and_bounds():
     params = ModelParams(0.0, 2.0)
     t1 = group_count_trace(200, params, np.random.default_rng([6, 0]))
@@ -117,14 +127,13 @@ def test_group_count_mean_matches_exact_expectation():
     assert abs(np.mean(finals) - expected) < 5.0 * standard_error
 
 
-def reference_trace(n_max, params, rng, checkpoints=None):
+def reference_trace(n_max, params, rng):
     """The step-by-step urn loop that ``group_count_trace`` must reproduce.
 
     One ``rng.random()`` call per step; step n founds a group when
     u * (theta + n) < theta + alpha * k, and step 0 always does.
     """
-    marks = default_checkpoints(n_max) if checkpoints is None else tuple(sorted(set(checkpoints)))
-    mark_set = set(marks)
+    mark_set = set(default_checkpoints(n_max))
     theta, alpha = params.theta, params.alpha
     out = []
     k = 0
@@ -139,10 +148,10 @@ def reference_trace(n_max, params, rng, checkpoints=None):
     return out
 
 
-def assert_trace_matches_reference(n_max, params, seed, checkpoints=None):
+def assert_trace_matches_reference(n_max, params, seed):
     rng, reference_rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
-    trace = group_count_trace(n_max, params, rng, checkpoints)
-    assert trace == reference_trace(n_max, params, reference_rng, checkpoints)
+    trace = group_count_trace(n_max, params, rng)
+    assert trace == reference_trace(n_max, params, reference_rng)
     assert all(type(n) is int and type(k) is int for n, k in trace)
     # one uniform was drawn per step, so the stream continues identically
     assert rng.random() == reference_rng.random()
@@ -164,11 +173,6 @@ def test_group_count_trace_equals_reference_loop(alpha, theta, n_max):
     params = ModelParams(alpha, theta)
     for seed in (0, 41):
         assert_trace_matches_reference(n_max, params, seed)
-    # custom checkpoints on both sides of each block boundary
-    marks = {1, 2, n_max}
-    for b in range(_BLOCK, n_max + 1, _BLOCK):
-        marks |= {b - 1, b, min(b + 1, n_max)}
-    assert_trace_matches_reference(n_max, params, 97, tuple(marks))
 
 
 @pytest.mark.parametrize("n_max", [10, _BLOCK + 1, 3 * _BLOCK + 7])
@@ -212,19 +216,3 @@ def test_blocks_whose_threshold_cannot_move_need_no_running_sum(monkeypatch, alp
     monkeypatch.undo()
     assert bool(calls) is iterates
     assert traces == [reference_trace(100_000, params, np.random.default_rng([s, 3])) for s in range(5)]
-
-
-@pytest.mark.parametrize("bad", [(10.5, 50), (True, 50), (50, 20.0), (np.True_,)])
-def test_group_count_trace_rejects_non_integer_checkpoints(bad):
-    with pytest.raises(DomainError, match="integers"):
-        group_count_trace(100, ModelParams(0.5, 1.0), np.random.default_rng(0), bad)
-
-
-def test_group_count_trace_checkpoint_range_and_integer_types():
-    params = ModelParams(0.5, 1.0)
-    for bad in ((0, 50), (50, 101)):
-        with pytest.raises(DomainError, match="lie in"):
-            group_count_trace(100, params, np.random.default_rng(0), bad)
-    trace = group_count_trace(100, params, np.random.default_rng(0), (np.int64(50), 7, 7))
-    assert [n for n, _ in trace] == [7, 50]
-    assert trace == group_count_trace(100, params, np.random.default_rng(0), (7, 50))
