@@ -207,7 +207,7 @@ def _multiplicity_kernel(
     t = 0.0
     n = 0
     while True:
-        total = theta + (1.0 + mu) * s if s else (theta if theta > 0.0 else 0.0)
+        total = theta + (1.0 + mu) * s  # with theta <= 0 the empty state stays put
         if total <= 0.0:
             break
         t_next = t + hold() / total
@@ -331,7 +331,7 @@ def _size_kernel(
     t = 0.0
     jumps = 0
     while True:
-        birth = theta + n if (n or theta > 0.0) else 0.0
+        birth = theta + n
         total = birth + mu * n
         if total <= 0.0:
             break

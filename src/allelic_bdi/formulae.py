@@ -4,7 +4,10 @@ Everything here is computed in log space.  Ascending factorials
 x*(x+1)*...*(x+n-1) are the only quantities that can go negative on the
 allowed parameter range (theta may sit in (-alpha, 0)), so they are returned
 as a sign plus log magnitude; all downstream probabilities recombine signs
-explicitly instead of exponentiating blindly.
+explicitly instead of exponentiating blindly.  Every factorial the laws read
+(theta_(n), (1 - alpha)_(i-1), (theta + 1)_(n-1) and n! = 1_(n)) comes from
+one kind of table, ``_AscendingPrefix``: log factors summed in order, kept
+up to the largest n read.
 
 The chain's law at b in [0, 1) is negative multinomial (w_i = alpha_weight(alpha, i)):
 
@@ -23,19 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import DomainError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from .partitions import AllelicPartition
-
-#: Ascending factorials with at most this many factors are accumulated term by
-#: term (absolute log error ~1e-14, needed by the detailed-balance checks);
-#: longer ones fall back to ``math.lgamma`` differences.
-_DIRECT_PRODUCT_LIMIT = 512
-
-_LOG_FACTORIAL = [0.0]
+from .partitions import AllelicPartition, _integer
 
 
 def _require_finite(**values: float) -> None:
@@ -43,6 +37,12 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _require_count(n: int, least: int, message: str) -> None:
+    """Refuse a count that is a bool or not an integer (``AllelicPartition``'s rule) or below least."""
+    if _integer(n, "counts") < least:
+        raise DomainError(message)
 
 
 def _require_reversible(mu: float) -> None:
@@ -106,112 +106,65 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_magnitude)
 
 
-def log_factorial(n: int) -> float:
-    """log(n!), cached cumulatively so repeated calls are O(1)."""
-    if n < 0:
-        raise DomainError("factorial argument must be >= 0")
-    while len(_LOG_FACTORIAL) <= n:
-        _LOG_FACTORIAL.append(_LOG_FACTORIAL[-1] + math.log(len(_LOG_FACTORIAL)))
-    return _LOG_FACTORIAL[n]
-
-
 class _AscendingPrefix:
     """The values ``log_ascending_factorial(x, n)`` for every n >= 0 at one x.
 
     Entry n + 1 is entry n with the factor x + n folded in, so the table is
     extended one index at a time, on demand, and a caller that walks n
     pays one logarithm per new index instead of rebuilding the product.
-    The arithmetic is the single-value definition's, which makes every
-    entry bit-identical to it:
+    One rule makes every entry:
 
-    * non-positive leading factors (x + j < 0.5) are folded in one by one,
-      so the sign comes out right for negative x, and a factor that is
-      exactly zero makes this entry and all later ones the zero value;
-    * after the J folded factors, entries up to J + _DIRECT_PRODUCT_LIMIT
-      add log(base + r), base = x + J, to the running sum in order, which
-      is the same float sequence as accumulating term by term from scratch
-      (absolute log error ~1e-14, needed by the detailed-balance checks);
-    * beyond that, entry n is entry J plus lgamma(base + n - J) -
-      lgamma(base), both from ``math.lgamma``, computed in O(1) and not
-      stored (lgamma(base) is computed once, when J is found); base >= 0.5,
-      so no argument meets a pole of the gamma function.
+    * leading factors below 0.5 are folded in one by one, so the sign comes
+      out right for negative x, and a factor that is exactly zero makes
+      that entry and all later ones the zero value, which ends the table;
+    * after the J folded factors, entry J + r + 1 is entry J + r plus
+      log(base + r), base = x + J, the float sequence of accumulating term
+      by term from scratch (absolute log error ~1e-14 near the start,
+      ~2e-10 at n = 10^4, as for log n!).
 
-    So at most J + _DIRECT_PRODUCT_LIMIT + 1 entries are kept, however far
-    n goes.  Extending is not thread-safe; the package's workers are
+    So a table keeps every entry up to the largest n read, or up to its
+    zero entry.  Extending is not thread-safe; the package's workers are
     processes.
     """
 
-    __slots__ = ("_x", "_signs", "_logs", "_folded", "_log_gamma_base")
+    __slots__ = ("_x", "_signs", "_logs", "_folded")
 
     def __init__(self, x: float):
         self._x = x
         self._signs = [1]
         self._logs = [0.0]
         self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
-        self._log_gamma_base = math.nan  # lgamma(x + J), once J is known
 
-    def _extend(self, n: int) -> None:
-        """Store the entries up to n, or up to the end of the stored head."""
+    def rows(self, n: int) -> tuple[list[int], list[float]]:
+        """The stored signs and log magnitudes, extended to reach entry n unless a zero ends them.
+
+        The lists themselves, not copies: callers only read them.
+        """
         x, signs, logs = self._x, self._signs, self._logs
-        while len(logs) <= n and signs[-1] != 0:
+        while self._folded is None and len(logs) <= n and signs[-1]:
             j = len(logs) - 1  # factor x + j turns entry j into entry j + 1
-            sign, log_mag = signs[j], logs[j]
-            if self._folded is None:
-                factor = x + j
-                if factor < 0.5:
-                    if factor == 0.0:
-                        sign, log_mag = 0, float("-inf")
-                    else:
-                        if factor < 0.0:
-                            sign = -sign
-                        log_mag += math.log(abs(factor))
-                    signs.append(sign)
-                    logs.append(log_mag)
-                    continue
+            factor = x + j
+            if factor >= 0.5:
                 self._folded = j
-                self._log_gamma_base = math.lgamma(x + j)
-            r = j - self._folded
-            if r == _DIRECT_PRODUCT_LIMIT:
-                return
-            signs.append(sign)
-            logs.append(log_mag + math.log((x + self._folded) + r))
-
-    def _past_head(self, remaining: int) -> float:
-        """Log magnitude of entry J + remaining."""
-        base = self._x + self._folded
-        return self._logs[self._folded] + (math.lgamma(base + remaining) - self._log_gamma_base)
+            elif factor == 0.0:
+                signs.append(0)
+                logs.append(-math.inf)
+            else:
+                signs.append(-signs[j] if factor < 0.0 else signs[j])
+                logs.append(logs[j] + math.log(abs(factor)))
+        if len(logs) <= n and signs[-1]:
+            folded, log_mag = self._folded, logs[-1]
+            base = x + folded
+            for r in range(len(logs) - 1 - folded, n - folded):
+                log_mag += math.log(base + r)
+                logs.append(log_mag)
+            signs.extend([signs[-1]] * (n + 1 - len(signs)))
+        return signs, logs
 
     def at(self, n: int) -> SignedLogValue:
         """x * (x+1) * ... * (x+n-1) as a SignedLogValue."""
-        self._extend(n)
-        if n < len(self._logs):
-            return SignedLogValue(self._signs[n], self._logs[n])
-        if self._signs[-1] == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self._signs[-1], self._past_head(n - self._folded))
-
-    def log_magnitudes(self, n: int) -> list[float]:
-        """[at(j).log_magnitude for j in 0..n], without a SignedLogValue per entry."""
-        self._extend(n)
-        out = self._logs[: n + 1]
-        if len(out) <= n:
-            if self._signs[-1] == 0:
-                return out + [float("-inf")] * (n + 1 - len(out))
-            out.extend(map(self._past_head, range(len(out) - self._folded, n - self._folded + 1)))
-        return out
-
-    def running(self, n: int) -> tuple[list[int], list[float]]:
-        """Signs and log magnitudes of entries 0..n, the running sum kept on past the head.
-
-        Past the head entry j + 1 is entry j plus log(x + j), unstored, where ``at``
-        reads the lgamma tail, off by up to ~4e-12 between consecutive entries.
-        """
-        self._extend(n)
-        signs, logs = self._signs[: n + 1], self._logs[: n + 1]
-        signs += [signs[-1]] * (n + 1 - len(signs))
-        for j in range(len(logs) - 1, n):  # every factor past the head is positive
-            logs.append(logs[-1] + math.log(self._x + j))
-        return signs, logs
+        signs, logs = self.rows(n)
+        return SignedLogValue(signs[n], logs[n]) if n < len(logs) else SignedLogValue.zero()
 
 
 @lru_cache(maxsize=64)
@@ -227,16 +180,26 @@ def _ascending_prefix(x: float) -> _AscendingPrefix:
 def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
     """x * (x+1) * ... * (x+n-1) as a SignedLogValue; the empty product is 1.
 
-    Read from the prefix table of ``x`` (``_AscendingPrefix`` gives the sign,
-    zero and tail rules): O(1) once the table reaches n, or n is past its
-    head.  A nan or infinite ``x`` is refused before any table is built.
+    Read from the prefix table of ``x`` (``_AscendingPrefix`` gives the sign
+    and zero rules): O(1) once the table reaches n.  A nan or infinite ``x``
+    is refused before any table is built.
     """
-    if n < 0:
-        raise DomainError("ascending factorial needs n >= 0")
+    _require_count(n, 0, "ascending factorial needs n >= 0")
     return _ascending_prefix(x).at(n)
 
 
-def esf(n: int, theta: float, m: "AllelicPartition") -> float:
+def _log_factorials(n: int) -> list[float]:
+    """log k! for k = 0..n at least: the log magnitudes of the prefix table at 1."""
+    return _ascending_prefix(1.0).rows(n)[1]
+
+
+def log_factorial(n: int) -> float:
+    """log(n!), read from the prefix table at 1, so repeated calls are O(1)."""
+    _require_count(n, 0, "factorial argument must be >= 0")
+    return _log_factorials(n)[n]
+
+
+def esf(n: int, theta: float, m: AllelicPartition) -> float:
     """Ewens sampling formula, ``psf`` at alpha = 0: the law of the partition of a
     sample of size n, P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i! on
     {s(m) = n}, with theta_(n) the ascending factorial.  Requires theta > 0."""
@@ -261,7 +224,7 @@ def _lead_rows(theta: float, alpha: float, first: int, n: int) -> tuple[list[int
     return signs, logs
 
 
-def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
+def psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
     """Pitman sampling formula, the two-parameter extension of ``esf``.
 
     Evaluated in the normalized form
@@ -283,7 +246,7 @@ def psf(n: int, params: ModelParams, m: "AllelicPartition") -> float:
     return _psf_rows(params, (m,), n)[0]
 
 
-def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: int) -> list[float]:
+def _psf_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
     """psf(s(m), params, m) at each of ``states``, each with s(m) <= size: the one evaluator.
 
     The factor lists are built once up to ``size`` and summed in the order
@@ -296,12 +259,12 @@ def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: i
     if alpha:
         log_alpha = math.log(alpha)
         lead = _lead_rows(theta, alpha, 1, size)[1]
-        rising = _ascending_prefix(theta + 1.0).log_magnitudes(size)
+        rising = _ascending_prefix(theta + 1.0).rows(size)[1]
         log_w = [0.0] + _log_alpha_weights(alpha, size)
     else:
-        rising = _ascending_prefix(theta).log_magnitudes(size)
+        rising = _ascending_prefix(theta).rows(size)[1]
         log_w = [0.0] + [math.log(theta) - math.log(i) for i in range(1, size + 1)]
-    log_factorial(size)
+    log_fact = _log_factorials(size)
     out = []
     for m in states:
         n = m.size
@@ -309,11 +272,11 @@ def _psf_rows(params: ModelParams, states: Iterable["AllelicPartition"], size: i
             out.append(1.0)  # the empty sample
             continue
         if alpha:
-            log_p = ((_LOG_FACTORIAL[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
+            log_p = ((log_fact[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
         else:
-            log_p = _LOG_FACTORIAL[n] - rising[n]
+            log_p = log_fact[n] - rising[n]
         for i, mi in m:
-            log_p += mi * log_w[i] - _LOG_FACTORIAL[mi]
+            log_p += mi * log_w[i] - log_fact[mi]
         out.append(math.exp(log_p))
     return out
 
@@ -331,8 +294,7 @@ def log_alpha_weight(alpha: float, i: int) -> float:
     i - 1.
     """
     _require_weight_alpha(alpha)
-    if i < 1:
-        raise DomainError("the weight index must be >= 1")
+    _require_count(i, 1, "the weight index must be >= 1")
     return (
         math.log(alpha)
         + _ascending_prefix(1.0 - alpha).at(i - 1).log_magnitude
@@ -344,9 +306,8 @@ def _log_alpha_weights(alpha: float, n: int) -> list[float]:
     """[log_alpha_weight(alpha, i) for i in 1..n] from one pass over the table."""
     _require_weight_alpha(alpha)
     log_alpha = math.log(alpha)
-    logs = _ascending_prefix(1.0 - alpha).log_magnitudes(n - 1)
-    log_factorial(n)
-    return [log_alpha + logs[i - 1] - _LOG_FACTORIAL[i] for i in range(1, n + 1)]
+    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(n - 1)[1], _log_factorials(n)
+    return [log_alpha + logs[i - 1] - log_fact[i] for i in range(1, n + 1)]
 
 
 def alpha_weight(alpha: float, i: int) -> float:
@@ -364,8 +325,7 @@ def _require_neg_bin(theta: float, b: float, n: int) -> None:
         raise DomainError("the negative-binomial shape theta must be > 0")
     if not 0.0 <= b < 1.0:
         raise DomainError("the negative-binomial parameter b must lie in [0, 1)")
-    if n < 0:
-        raise DomainError("the count must be >= 0")
+    _require_count(n, 0, "the count must be >= 0")
 
 
 def neg_bin_pmf(n: int, theta: float, b: float) -> float:
@@ -390,11 +350,10 @@ def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
     _require_neg_bin(theta, b, n_hi)
     if b == 0.0:
         return [1.0] + [0.0] * n_hi
-    log_rising = _ascending_prefix(theta).log_magnitudes(n_hi)
-    log_factorial(n_hi)
+    log_rising, log_fact = _ascending_prefix(theta).rows(n_hi)[1], _log_factorials(n_hi)
     tail, log_b = theta * math.log1p(-b), math.log(b)
     return [
-        math.exp(((log_rising[n] - _LOG_FACTORIAL[n]) + tail) + n * log_b)
+        math.exp(((log_rising[n] - log_fact[n]) + tail) + n * log_b)
         for n in range(n_hi + 1)
     ]
 
@@ -447,13 +406,13 @@ def _log_law_rows(
         signs_by_k, start = [1] * (size + 1), [base] * (size + 1)
         log_theta = math.log(theta)
         terms = [0.0] + [(log_theta + i * log_b) - math.log(i) for i in range(1, size + 1)]
-    log_factorial(size)
+    log_fact = _log_factorials(size)
     signs, logs = [], []
     for m in states:
         k = m.num_groups
         log_p = start[k]
         for i, mi in m:
-            log_p += mi * terms[i] - _LOG_FACTORIAL[mi]
+            log_p += mi * terms[i] - log_fact[mi]
         signs.append(signs_by_k[k])
         logs.append(log_p)
     return signs, logs

@@ -597,8 +597,6 @@ def stationary_occupation(
     horizon: float,
     burn_in: float,
     seed: int,
-    *,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> EmpiricalDistribution:
     """Occupation fractions of one long run after a burn-in (mu > 1).
 
@@ -633,7 +631,7 @@ def stationary_occupation(
         _apply_event(counts, event)
 
     rng = np.random.default_rng([seed, 0])
-    _multiplicity_kernel(params, horizon, rng, _EMPTY, max_events, observe)
+    _multiplicity_kernel(params, horizon, rng, _EMPTY, DEFAULT_MAX_EVENTS, observe)
     occupy(horizon)
     return EmpiricalDistribution(
         {AllelicPartition(key): w for key, w in weights.items()}, horizon - burn_in, None, seed

@@ -220,14 +220,14 @@ class AllelicPartition:
         return (AllelicPartition, (self._entries,))
 
 
-def _integer(x) -> int:
+def _integer(x, what: str = "group sizes and multiplicities") -> int:
     """``x`` as a Python int if it is a Python or numpy integer other than a bool."""
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise DomainError(f"group sizes and multiplicities must be integers, got {x!r}")
+    raise DomainError(f"{what} must be integers, got {x!r}")
 
 
 def _apply_event(counts: dict[int, int], event: TransitionEvent) -> None:

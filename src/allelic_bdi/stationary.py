@@ -35,8 +35,10 @@ from .formulae import (
     _ascending_prefix,
     _exp_rows,
     _log_alpha_weights,
+    _log_factorials,
     _log_law_rows,
     _psf_rows,
+    _require_count,
     _require_finite,
     _require_reversible,
     log_ascending_factorial,
@@ -80,8 +82,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     """
     _require_finite(theta=theta, mu=mu)
     _require_reversible(mu)
-    if n < 0:
-        raise DomainError("the population size must be >= 0")
+    _require_count(n, 0, "the population size must be >= 0")
     asc = log_ascending_factorial(theta, n)
     if asc.sign == 0:
         return 0.0
@@ -147,7 +148,7 @@ def size_balance_scan(
 
     Residuals are relative.  By default log lambda(n) is the expression of
     ``size_stationary_pmf`` on the signs and log theta_(n) of the prefix
-    table's ``running``, theta in (-alpha, 0] included, and the residual is
+    table that it reads, theta in (-alpha, 0] included, and the residual is
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
     infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
     deliberately perturbed table) is checked in plain floats.  The first worst
@@ -158,9 +159,11 @@ def size_balance_scan(
         raise DomainError("n_max must be >= 1")
     _require_reversible(mu)
     if pmf is None:
-        signs, log_asc = _ascending_prefix(theta).running(n_max)
-        log_mu, tail = math.log(mu), theta * math.log1p(-1.0 / mu)
-        log_lam = [log_asc[n] - log_factorial(n) - n * log_mu + tail for n in range(n_max + 1)]
+        signs, log_asc = _ascending_prefix(theta).rows(n_max)
+        top = min(len(log_asc), n_max + 1)  # entries past a zero factor are zero, and not stored
+        signs = signs[:top] + [0] * (n_max + 1 - top)
+        log_mu, tail, log_fact = math.log(mu), theta * math.log1p(-1.0 / mu), _log_factorials(n_max)
+        log_lam = [log_asc[n] - log_fact[n] - n * log_mu + tail for n in range(top)]
     worst, worst_n = -1.0, 0
     for n in range(n_max):
         rate = theta + n
@@ -369,8 +372,7 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     _require_finite(alpha=alpha, mu=mu)
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
-    if terms < 1:
-        raise DomainError("need at least one term")
+    _require_count(terms, 1, "need at least one term")
     log_mu = math.log(mu)
     last = min(terms, math.ceil(_EXP_UNDERFLOW / log_mu))
     log_weights = _log_alpha_weights(alpha, last)

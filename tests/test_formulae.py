@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import nbinom
 
 from allelic_bdi import (
     AllelicPartition,
@@ -29,7 +30,6 @@ from allelic_bdi import (
     weight_series_gap,
 )
 from allelic_bdi.formulae import (
-    _DIRECT_PRODUCT_LIMIT,
     _AscendingPrefix,
     _ascending_prefix,
     _log_alpha_weights,
@@ -116,6 +116,37 @@ def test_log_factorial_against_exact_integers():
         log_factorial(-1)
 
 
+def test_log_factorial_equals_the_cumulative_list():
+    # the running sum log k! = log (k-1)! + log k, kept in a list of its own
+    # before log k! became the prefix table at 1; log(1.0 + (k - 1)) == log(k)
+    cumulative = [0.0]
+    for k in range(1, 100_001):
+        cumulative.append(cumulative[-1] + math.log(k))
+    assert [log_factorial(n) for n in range(100_001)] == cumulative
+
+
+# each of these raised TypeError from list indexing, or (a bool) read entry 1
+NON_INTEGER_COUNT_CALLS = [
+    (log_factorial, (2.5,)),
+    (log_ascending_factorial, (1.5, 2.5)),
+    (log_ascending_factorial, (1.5, True)),
+    (neg_bin_pmf, (2.5, 1.0, 0.5)),
+    (size_stationary_pmf, (2.5, 1.0, 2.0)),
+    (alpha_weight, (0.5, 2.5)),
+    (weight_series_gap, (0.5, 2.0, 2.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    NON_INTEGER_COUNT_CALLS,
+    ids=[f"{fn.__name__}-{args[-1]}" for fn, args in NON_INTEGER_COUNT_CALLS],
+)
+def test_counts_must_be_integers(fn, args):
+    with pytest.raises(DomainError, match="counts must be integers"):
+        fn(*args)
+
+
 def test_log_ascending_factorial_small_exact():
     assert log_ascending_factorial(2.5, 0).sign == 1
     assert log_ascending_factorial(2.5, 0).log_magnitude == 0.0
@@ -148,7 +179,6 @@ def test_log_ascending_factorial_refuses_non_finite_base(x):
 
 
 def test_log_ascending_factorial_long_products_match_lgamma():
-    # spans the switch from direct summation to the log-gamma difference
     for n in (511, 512, 513, 2000):
         v = log_ascending_factorial(1.25, n)
         expected = math.lgamma(1.25 + n) - math.lgamma(1.25)
@@ -156,43 +186,35 @@ def test_log_ascending_factorial_long_products_match_lgamma():
         assert v.log_magnitude == pytest.approx(expected, rel=1e-12)
 
 
-def reference_log_ascending_factorial(x: float, n: int) -> SignedLogValue:
-    """The product rebuilt factor by factor for one n, as the library did
-    before it kept prefix tables; the reference the tables must reproduce
-    bit for bit.  Past the head it takes the same ``math.lgamma``
-    difference as the library, which ``test_prefix_tail_agrees_with_gammaln``
-    checks against scipy."""
-    if n == 0:
-        return SignedLogValue(1, 0.0)
+def reference_log_ascending_factorials(x: float, n_max: int) -> list[SignedLogValue]:
+    """The products for n = 0..n_max, factor by factor in one plain loop, as
+    the library once rebuilt each n (the sum for n is the first terms of the
+    sum for n_max): the reference the tables must reproduce bit for bit.
+    ``test_prefix_entries_agree_with_gammaln`` checks the sums against scipy."""
+    out = [SignedLogValue(1, 0.0)]
     sign = 1
     log_mag = 0.0
     j = 0
-    while j < n and x + j < 0.5:
+    while j < n_max and x + j < 0.5:
         factor = x + j
         if factor == 0.0:
-            return SignedLogValue.zero()
+            return out + [SignedLogValue.zero()] * (n_max - j)
         if factor < 0.0:
             sign = -sign
         log_mag += math.log(abs(factor))
+        out.append(SignedLogValue(sign, log_mag))
         j += 1
-    remaining = n - j
-    if remaining:
-        base = x + j
-        if remaining <= _DIRECT_PRODUCT_LIMIT:
-            for r in range(remaining):
-                log_mag += math.log(base + r)
-        else:
-            log_mag += math.lgamma(base + remaining) - math.lgamma(base)
-    return SignedLogValue(sign, log_mag)
+    base = x + j
+    for r in range(n_max - j):
+        log_mag += math.log(base + r)
+        out.append(SignedLogValue(sign, log_mag))
+    return out
 
 
-def reference_log_alpha_weight(alpha: float, i: int) -> float:
-    """log w_i with the ascending factorial rebuilt per index."""
-    return (
-        math.log(alpha)
-        + reference_log_ascending_factorial(1.0 - alpha, i - 1).log_magnitude
-        - log_factorial(i)
-    )
+def reference_log_alpha_weights(alpha: float, n: int) -> list[float]:
+    """log w_i for i = 1..n, from the reference ascending factorials."""
+    rising = reference_log_ascending_factorials(1.0 - alpha, n - 1)
+    return [math.log(alpha) + rising[i - 1].log_magnitude - log_factorial(i) for i in range(1, n + 1)]
 
 
 WEIGHT_ALPHAS = (1e-9, 0.1, 0.4999999, 0.5, 0.5000001, 0.9, 0.999)
@@ -209,7 +231,7 @@ PREFIX_STARTS = sorted(
     }
     | {-3.5, -2.0, -0.999, -1e-9, 0.0, 0.4999999, 0.5, 2.5}
 )
-# every n across the switch at the head's end, then a sweep up to 10^4
+# every n up to 600, then a sweep up to 10^4
 PREFIX_NS = list(range(0, 600)) + list(range(600, 10_001, 37)) + [10_000]
 
 
@@ -226,55 +248,45 @@ def test_ascending_prefix_equals_reference_loop(x):
     # cached table behind log_ascending_factorial must all agree bit for bit
     upward, far_first = _AscendingPrefix(x), _AscendingPrefix(x)
     far_first.at(10_000)
-    magnitudes = _AscendingPrefix(x).log_magnitudes(10_000)
+    signs, logs = _AscendingPrefix(x).rows(10_000)
+    reference = reference_log_ascending_factorials(x, 10_000)
     for n in PREFIX_NS:
-        expected = reference_log_ascending_factorial(x, n)
+        expected = reference[n]
         for got in (upward.at(n), far_first.at(n), log_ascending_factorial(x, n)):
             assert same_bits(got, expected), (x, n, got, expected)
-        assert magnitudes[n] == expected.log_magnitude or expected.sign == 0, (x, n)
+        if n < len(logs):  # entries past a zero factor are not stored
+            assert same_bits(SignedLogValue(signs[n], logs[n]), expected), (x, n)
+        else:
+            assert expected.sign == 0, (x, n)
 
 
 @pytest.mark.parametrize("x", PREFIX_STARTS)
-def test_prefix_tail_agrees_with_gammaln(x):
-    # scipy's log-gamma is an implementation independent of math.lgamma;
-    # past the head the two differences agree to a relative 1e-15
+def test_prefix_entries_agree_with_gammaln(x):
+    # scipy's log-gamma is an implementation independent of the running sum:
+    # up to n = 2 * 10^4, entry J + r is within 8.85e-15 of entry J +
+    # gammaln(base + r) - gammaln(base), relative to max(1, |entry|), at
+    # worst over these starts (x = 20/9); the bound 2e-14 leaves a 2x margin
     table = _AscendingPrefix(x)
-    magnitudes = np.array(table.log_magnitudes(10_000))
-    if table._signs[-1] == 0:
-        return  # an exact zero factor: no log-gamma entries
+    signs, logs = table.rows(20_000)
+    if signs[-1] == 0:
+        return  # an exact zero factor: no running entries
     folded = table._folded
     base = x + folded
-    remaining = np.arange(_DIRECT_PRODUCT_LIMIT + 1, 10_001 - folded, dtype=float)
-    expected = table._logs[folded] + (gammaln(base + remaining) - gammaln(base))
-    got = magnitudes[folded + _DIRECT_PRODUCT_LIMIT + 1 :]
+    expected = logs[folded] + (gammaln(base + np.arange(20_001 - folded)) - gammaln(base))
+    got = np.array(logs[folded:])
     assert len(got) == len(expected) > 0
-    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected)), x
+    assert np.all(np.abs(got - expected) <= 2e-14 * np.maximum(1.0, np.abs(expected))), x
 
 
-@pytest.mark.parametrize("x", PREFIX_STARTS)
-def test_running_keeps_the_head_sum_past_the_head(x):
-    # the stored head as it is, then entry j + 1 = entry j + log(x + j),
-    # with the signs of at() and nothing more stored
-    table = _AscendingPrefix(x)
-    signs, logs = table.running(2_000)
-    stored = len(table._logs)
-    assert len(signs) == len(logs) == 2_001 > stored
-    assert logs[:stored] == table._logs
-    assert signs == [table.at(j).sign for j in range(2_001)]
-    for j in range(stored - 1, 2_000):
-        assert logs[j + 1] == logs[j] + math.log(x + j), (x, j)
-    assert len(table._logs) == stored
-
-
-def test_ascending_prefix_storage_is_bounded():
+def test_ascending_prefix_stores_up_to_the_largest_n_read():
     for x in (0.25, -2.5):
         table = _AscendingPrefix(x)
-        table.at(10**7)
-        table.log_magnitudes(20_000)
-        folded = math.ceil(0.5 - x) if x < 0.5 else 0
-        assert len(table._logs) == folded + _DIRECT_PRODUCT_LIMIT + 1
+        for n, stored in ((5, 6), (20_000, 20_001), (700, 20_001)):
+            table.at(n)
+            assert len(table._signs) == len(table._logs) == stored, (x, n)
     zero = _AscendingPrefix(-2.0)
     assert zero.at(10**7) == SignedLogValue.zero()
+    assert zero.rows(10**7) == ([1, -1, 1, 0], [0.0, math.log(2.0), math.log(2.0), -math.inf])
     assert len(zero._logs) == 4  # entries 0..2, then the zero entry
     assert _ascending_prefix.cache_info().maxsize is not None
 
@@ -293,8 +305,9 @@ def test_nothing_is_tabulated_at_import():
 def test_log_alpha_weight_equals_reference(alpha):
     indices = list(range(1, 1200)) + list(range(1200, 10_001, 97)) + [10_000]
     table = _log_alpha_weights(alpha, 10_000)
+    reference = reference_log_alpha_weights(alpha, 10_000)
     for i in indices:
-        expected = reference_log_alpha_weight(alpha, i)
+        expected = reference[i - 1]
         assert log_alpha_weight(alpha, i) == expected, (alpha, i)
         assert table[i - 1] == expected, (alpha, i)
         assert alpha_weight(alpha, i) == math.exp(expected)
@@ -367,10 +380,11 @@ def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
         log_factorial(n)
         - math.log(alpha)
         + reference_log_lead(theta, alpha, 1, m.num_groups - 1)[1]
-        - reference_log_ascending_factorial(theta + 1.0, n - 1).log_magnitude
+        - reference_log_ascending_factorials(theta + 1.0, n - 1)[-1].log_magnitude
     )
+    log_w = reference_log_alpha_weights(alpha, n)
     for i, mi in m:
-        log_p += mi * reference_log_alpha_weight(alpha, i) - log_factorial(mi)
+        log_p += mi * log_w[i - 1] - log_factorial(mi)
     return math.exp(log_p)
 
 
@@ -470,7 +484,7 @@ def test_neg_bin_pmf_frozen_and_moments():
 @pytest.mark.parametrize(
     "n_hi,theta,b",
     [
-        (700, 3.25, 0.995),  # past the 512-entry head of the prefix table
+        (700, 3.25, 0.995),
         (900, 0.3125, 0.9),  # theta < 0.5: the leading factor is folded
         (40, 0.0625, 0.35),
         (13804, 10.0, 1.0 - math.exp(-6.5)),  # the size range of a summary at t = 6.5
@@ -490,6 +504,34 @@ def test_neg_bin_pmfs_domain():
     for args in ((3, 0.0, 0.5), (3, 1.0, 1.0), (-1, 1.0, 0.5), (3, math.nan, 0.5)):
         with pytest.raises(DomainError):
             _neg_bin_pmfs(*args)
+
+
+# every n through the old 512-entry seam, then a sweep up to 2 * 10^4
+NB_ORACLE_NS = np.array(list(range(1_100)) + list(range(1_100, 20_000, 13)) + [20_000])
+
+
+# neg_bin_pmf at b, and size_stationary_pmf at mu, the law at b = 1/mu
+NB_ORACLE_LAWS = [(neg_bin_pmf, b, b) for b in (0.5, 0.9, 0.999, 1.0 - math.exp(-6.5))] + [
+    (size_stationary_pmf, mu, 1.0 / mu) for mu in (1.001, 1.5, 2.0)
+]
+
+
+@pytest.mark.parametrize(
+    "law,arg,b", NB_ORACLE_LAWS, ids=[f"{law.__name__}-{arg:.6g}" for law, arg, _ in NB_ORACLE_LAWS]
+)
+@pytest.mark.parametrize("theta", [0.3125, 1.0, 2.5, 10.0])
+def test_negative_binomial_laws_match_scipy(theta, law, arg, b):
+    # scipy's nbinom.logpmf (p = 1 - b) is an oracle independent of the prefix
+    # tables.  The worst |log pmf - logpmf| over these points is 1.32e-9
+    # (1.35e-9 over every n <= 2 * 10^4), at theta = 0.3125, b = 0.999 and
+    # mu = 1.001 near n = 1.8 * 10^4, where the log magnitudes reach 1e5; the
+    # bound 2e-9 leaves a 1.5x margin.  Values below 1e-300 (subnormal or
+    # underflowed) are skipped.
+    got = np.array([law(int(n), theta, arg) for n in NB_ORACLE_NS])
+    kept = got > 1e-300
+    assert kept[:500].all()
+    want = nbinom.logpmf(NB_ORACLE_NS[kept], theta, 1.0 - b)
+    assert np.all(np.abs(np.log(got[kept]) - want) <= 2e-9)
 
 
 def test_alpha0_law_values():

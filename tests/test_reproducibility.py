@@ -190,13 +190,14 @@ EXACT_SHA256 = {
     "verify --alpha 0.5 --theta -0.25 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
         "4e0437f2b1de2f615cf506915c38447776683e47bd57255b3d539e2bd0ee49e4"
     ),
-    # the default grid: 10^4 series terms reach the log-gamma branch of the
-    # ascending factorials, and alpha = 0.999 folds a leading factor below 0.5
+    # the default grid: 10^4 series terms reach past n = 512, and alpha = 0.999
+    # folds a leading factor below 0.5
     "verify": "966073fd1d8099769716e1103d9f4845a3901371ed72f64f10c9c34a1c2d65f3",
     "verify --alpha 0.999": "0b9f13b0fac80bd8e8892cafd6a0b0b82fe16e649c2fba48bd29d5f8124c1981",
-    # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14
+    # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14;
+    # its weight series sums all 10^4 terms, so it reads the weights far past i = 512
     "verify --alpha 0.3 --theta -0.29 --mu 1.01 --max-size 14": (
-        "b9f02c40d30fa4b1620e3b6c02a18411f7dcd4b28e154cb6c383cb1918e3fe57"
+        "26a82a6dffc8ec81353fea2b914c1b8ff59335f09a58d70448d8c960c8bf7ba3"
     ),
 }
 

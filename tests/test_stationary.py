@@ -275,8 +275,8 @@ class TestSizeBalance:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5, -0.25])
     @pytest.mark.parametrize("mu", [1.5, 2.0, 5.0])
     def test_balances_past_the_prefix_head(self, theta, mu):
-        # n > 512 is past the stored head of the prefix table, whose lgamma
-        # tail is off by ~4e-12 between consecutive entries
+        # n > 512 is where the prefix table's log-gamma tail once began, off
+        # by ~4e-12 between consecutive entries
         assert size_balance_scan(theta, mu, 600).max_residual < 1e-12
 
     def test_first_nan_pair_is_reported(self):
@@ -573,8 +573,8 @@ class TestTablesAreBitIdentical:
 
     @pytest.mark.parametrize("params", TABLE_POINTS[-4:], ids=str)
     def test_single_states_past_the_table(self, params):
-        # past s = 15, and past the 512 stored entries of the leading factor
-        # (1^600) and of the weights (700^1)
+        # past s = 15, and past n = 512 (where the prefix tables once switched
+        # to a log-gamma tail) in the leading factor (1^600) and the weights (700^1)
         for text in ("1^16", "1^3 2^1 17^2", "5^3 30^1", "1^600", "700^1", "1^513 2^1"):
             m = decode(text)
             assert partition_stationary_pmf(m, params) == reference_log_pi(m, params).to_float()
