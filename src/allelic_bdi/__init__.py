@@ -29,8 +29,6 @@ from .formulae import (
     alpha_weight,
     esf,
     log_alpha_weight,
-    log_ascending_factorial,
-    log_factorial,
     nbin_time_param,
     neg_bin_pmf,
     psf,
@@ -98,8 +96,6 @@ __all__ = [
     "group_count_trace",
     "growth_report",
     "log_alpha_weight",
-    "log_ascending_factorial",
-    "log_factorial",
     "mixture_consistency_scan",
     "nbin_time_param",
     "neg_bin_pmf",

@@ -44,6 +44,7 @@ from .montecarlo import (
 from .partitions import MAX_ENUMERATION_SIZE, AllelicPartition, enumerate_partitions
 from .stationary import (
     PARTITION_BALANCE_MAX_SIZE,
+    _lambda_rows,
     _pi_rows,
     mixture_consistency_scan,
     partition_balance_scan,
@@ -126,11 +127,10 @@ def cmd_exact(args) -> int:
             _need(args.n is not None, "lambda requires --n or --table")
             print(f"{size_stationary_pmf(args.n, args.theta, args.mu):.12g}")
             return 0
+        _require_reversible(args.mu)
         key_name = "n"
-        rows = [
-            (str(n), size_stationary_pmf(n, args.theta, args.mu))
-            for n in range(max_size + 1)
-        ]
+        values = _lambda_rows(args.theta, args.mu, range(max_size + 1), max_size)
+        rows = [(str(n), value) for n, value in enumerate(values)]
     else:
         params = ModelParams(**{"alpha": 0.0, **law})  # esf is psf at alpha = 0
         if not args.table:

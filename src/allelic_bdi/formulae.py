@@ -18,7 +18,9 @@ At alpha = 0 it is the Poisson product, m_i ~ Poisson(theta b^i / i) independent
 (Karlin and McGregor 1967).  b = nbin_time_param(mu, t) gives the time-t law from
 the empty state (``transient_pmf``), and b = 1/mu the reversible law pi of mu > 1
 (``stationary``), a signed measure for theta in (-alpha, 0).  ``_log_law_rows``
-is its one evaluator.
+is its one evaluator.  Its size marginal NB(n; theta, b) = theta_(n) / n! *
+(1 - b)^theta * b^n (``neg_bin_pmf``, and lambda at b = 1/mu) has one evaluator
+too, ``_log_size_rows``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class SignedLogValue:
 
 
 class _AscendingPrefix:
-    """The values ``log_ascending_factorial(x, n)`` for every n >= 0 at one x.
+    """Sign and log magnitude of x * (x+1) * ... * (x+n-1) for every n >= 0 at one x.
 
     Entry n + 1 is entry n with the factor x + n folded in, so the table is
     extended one index at a time, on demand, and a caller that walks n
@@ -123,17 +125,19 @@ class _AscendingPrefix:
       ~2e-10 at n = 10^4, as for log n!).
 
     So a table keeps every entry up to the largest n read, or up to its
-    zero entry.  Extending is not thread-safe; the package's workers are
+    zero entry, and ``ratio_rows`` keeps log|x_(n) / n!| beside them for the
+    size law.  Extending is not thread-safe; the package's workers are
     processes.
     """
 
-    __slots__ = ("_x", "_signs", "_logs", "_folded")
+    __slots__ = ("_x", "_signs", "_logs", "_folded", "_ratios")
 
     def __init__(self, x: float):
         self._x = x
         self._signs = [1]
         self._logs = [0.0]
         self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
+        self._ratios = [0.0]
 
     def rows(self, n: int) -> tuple[list[int], list[float]]:
         """The stored signs and log magnitudes, extended to reach entry n unless a zero ends them.
@@ -161,10 +165,20 @@ class _AscendingPrefix:
             signs.extend([signs[-1]] * (n + 1 - len(signs)))
         return signs, logs
 
-    def at(self, n: int) -> SignedLogValue:
-        """x * (x+1) * ... * (x+n-1) as a SignedLogValue."""
-        signs, logs = self.rows(n)
-        return SignedLogValue(signs[n], logs[n]) if n < len(logs) else SignedLogValue.zero()
+    def ratio_rows(self, n: int) -> tuple[list[int], list[float]]:
+        """The stored signs, and log|x_(k) / k!| = log|x_(k)| - log k! for k = 0..n
+        at least, or up to the zero entry where a zero factor ends the table.
+
+        Each difference is taken once, from this table and the one at 1, and
+        kept, so a caller reading one k pays no subtraction.
+        """
+        ratios = self._ratios
+        if len(ratios) <= n:
+            logs = self.rows(n)[1]
+            top = min(len(logs), n + 1)
+            log_fact = _log_factorials(top - 1)
+            ratios += [logs[k] - log_fact[k] for k in range(len(ratios), top)]
+        return self._signs, ratios
 
 
 @lru_cache(maxsize=64)
@@ -177,26 +191,9 @@ def _ascending_prefix(x: float) -> _AscendingPrefix:
     return _AscendingPrefix(x)
 
 
-def log_ascending_factorial(x: float, n: int) -> SignedLogValue:
-    """x * (x+1) * ... * (x+n-1) as a SignedLogValue; the empty product is 1.
-
-    Read from the prefix table of ``x`` (``_AscendingPrefix`` gives the sign
-    and zero rules): O(1) once the table reaches n.  A nan or infinite ``x``
-    is refused before any table is built.
-    """
-    _require_count(n, 0, "ascending factorial needs n >= 0")
-    return _ascending_prefix(x).at(n)
-
-
 def _log_factorials(n: int) -> list[float]:
     """log k! for k = 0..n at least: the log magnitudes of the prefix table at 1."""
     return _ascending_prefix(1.0).rows(n)[1]
-
-
-def log_factorial(n: int) -> float:
-    """log(n!), read from the prefix table at 1, so repeated calls are O(1)."""
-    _require_count(n, 0, "factorial argument must be >= 0")
-    return _log_factorials(n)[n]
 
 
 def esf(n: int, theta: float, m: AllelicPartition) -> float:
@@ -289,17 +286,13 @@ def _require_weight_alpha(alpha: float) -> None:
 def log_alpha_weight(alpha: float, i: int) -> float:
     """log of alpha_weight(alpha, i); positive arguments throughout.
 
-    log(alpha) + log (1-alpha)_(i-1) - log(i!), with the ascending factorial
-    read from the prefix table at 1 - alpha: O(1) once the table covers
-    i - 1.
+    log(alpha) + log (1-alpha)_(i-1) - log(i!), read from the prefix tables at
+    1 - alpha and at 1: O(1) once they cover i.
     """
     _require_weight_alpha(alpha)
     _require_count(i, 1, "the weight index must be >= 1")
-    return (
-        math.log(alpha)
-        + _ascending_prefix(1.0 - alpha).at(i - 1).log_magnitude
-        - log_factorial(i)
-    )
+    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(i - 1)[1], _log_factorials(i)
+    return math.log(alpha) + logs[i - 1] - log_fact[i]
 
 
 def _log_alpha_weights(alpha: float, n: int) -> list[float]:
@@ -328,34 +321,49 @@ def _require_neg_bin(theta: float, b: float, n: int) -> None:
     _require_count(n, 0, "the count must be >= 0")
 
 
+def _log_size_rows(
+    theta: float, log_b: float, log1m_b: float, ns: range, size: int
+) -> tuple[list[int], list[float]]:
+    """Signs and log magnitudes of theta_(n) / n! * (1 - b)^theta * b^n at each n in
+    ``ns``, a range with every n <= size: the size law's one evaluator.
+
+    b is passed as ``_log_law_rows`` takes it: log b (-inf at b = 0) and log(1 - b).
+    Each row is ((log|theta_(n)| - log n!) + n log b) + theta log(1 - b), the
+    difference read from the prefix table at theta (``ratio_rows``), and signed
+    as theta_(n); past a zero factor the rows are zero (sign 0, log -inf).  The
+    row at n = 0 has no n log b term, which is nan at b = 0.
+    """
+    signs, ratios = _ascending_prefix(theta).ratio_rows(size)
+    if len(ratios) <= size:  # a zero factor ended the table: every row past it is zero
+        stored = range(ns.start, min(ns.stop, len(ratios)), ns.step)
+        signs, logs = _log_size_rows(theta, log_b, log1m_b, stored, len(ratios) - 1)
+        pad = len(ns) - len(stored)
+        return signs + [0] * pad, logs + [-math.inf] * pad
+    tail = theta * log1m_b
+    logs = [(ratios[n] + log_b * n) + tail for n in ns]
+    if 0 in ns:  # then it is the first n, as every n >= 0
+        logs[0] = ratios[0] + tail
+    return signs[ns.start : ns.stop : ns.step], logs
+
+
+def _log_b(b: float) -> tuple[float, float]:
+    """b as the evaluators take it: log b (-inf at b = 0) and log(1 - b)."""
+    return math.log(b) if b else -math.inf, math.log1p(-b)
+
+
 def neg_bin_pmf(n: int, theta: float, b: float) -> float:
-    """Negative-binomial pmf  theta_(n) / n! * (1-b)^theta * b^n  (theta > 0)."""
+    """Negative-binomial pmf  theta_(n) / n! * (1-b)^theta * b^n  (theta > 0).
+
+    One row of ``_log_size_rows``: O(1) once the prefix tables reach n.
+    """
     _require_neg_bin(theta, b, n)
-    if b == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(
-        log_ascending_factorial(theta, n).log_magnitude
-        - log_factorial(n)
-        + theta * math.log1p(-b)
-        + n * math.log(b)
-    )
+    return math.exp(_log_size_rows(theta, *_log_b(b), range(n, n + 1), n)[1][0])
 
 
 def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
-    """[neg_bin_pmf(n, theta, b) for n in 0..n_hi], bit for bit, in one pass.
-
-    Reads the prefix table of theta and the log-factorial table once, where
-    the per-n call looks both up again, and keeps its association order.
-    """
+    """[neg_bin_pmf(n, theta, b) for n in 0..n_hi], bit for bit, from one row pass."""
     _require_neg_bin(theta, b, n_hi)
-    if b == 0.0:
-        return [1.0] + [0.0] * n_hi
-    log_rising, log_fact = _ascending_prefix(theta).rows(n_hi)[1], _log_factorials(n_hi)
-    tail, log_b = theta * math.log1p(-b), math.log(b)
-    return [
-        math.exp(((log_rising[n] - log_fact[n]) + tail) + n * log_b)
-        for n in range(n_hi + 1)
-    ]
+    return list(map(math.exp, _log_size_rows(theta, *_log_b(b), range(n_hi + 1), n_hi)[1]))
 
 
 def nbin_time_param(mu: float, t: float) -> float:
@@ -419,7 +427,7 @@ def _log_law_rows(
 
 
 def _exp_rows(signs: list[int], logs: list[float]) -> list[float]:
-    """The signed floats of ``_log_law_rows``' signs and log magnitudes."""
+    """The signed floats of ``_log_law_rows``' or ``_log_size_rows``' signs and log magnitudes."""
     return [sign * math.exp(log_p) if sign else 0.0 for sign, log_p in zip(signs, logs)]
 
 
@@ -429,9 +437,7 @@ def _transient_rows(
     """``transient_pmf`` at ``states``, each with s(m) <= size, from one row pass."""
     if params.theta <= 0.0:
         raise DomainError("from the empty state the chain moves only when theta > 0")
-    b = nbin_time_param(params.mu, t)
-    log_b = math.log(b) if b else -math.inf
-    return _exp_rows(*_log_law_rows(params, log_b, math.log1p(-b), states, size))
+    return _exp_rows(*_log_law_rows(params, *_log_b(nbin_time_param(params.mu, t)), states, size))
 
 
 def transient_pmf(m: AllelicPartition, params: ModelParams, t: float) -> float:

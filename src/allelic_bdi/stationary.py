@@ -4,8 +4,9 @@ The size process is reversible with respect to the negative-binomial law
 
     lambda(n) = theta_(n) / n! * mu^{-n} * (1 - 1/mu)^theta,
 
-and the partition-valued chain with alpha in (0, 1) with respect to pi,
-the negative-multinomial law of ``formulae`` at b = 1/mu:
+evaluated by ``formulae._log_size_rows`` at b = 1/mu, and the
+partition-valued chain with alpha in (0, 1) with respect to pi, the
+negative-multinomial law of ``formulae`` at b = 1/mu:
 
     pi(m) = (1 - 1/mu)^theta * (theta/alpha)_(k) * prod_i (w_i mu^{-i})^{m_i} / m_i!,
 
@@ -32,17 +33,14 @@ from .errors import BoundExceededError, DomainError
 from .formulae import (
     ModelParams,
     SignedLogValue,
-    _ascending_prefix,
     _exp_rows,
     _log_alpha_weights,
-    _log_factorials,
     _log_law_rows,
+    _log_size_rows,
     _psf_rows,
     _require_count,
     _require_finite,
     _require_reversible,
-    log_ascending_factorial,
-    log_factorial,
     transient_pmf,
 )
 from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
@@ -66,12 +64,21 @@ def _require_partition_regime(params: ModelParams) -> None:
 
 def _require_bound(bound: int) -> None:
     """Tables and scans enumerate partitions with 0 <= s(m) <= bound."""
-    if bound < 0:
-        raise DomainError("the size bound must be >= 0")
+    _require_count(bound, 0, "the size bound must be >= 0")
     if bound > PARTITION_BALANCE_MAX_SIZE:
         raise BoundExceededError(
             f"stationary tables and scans are capped at s <= {PARTITION_BALANCE_MAX_SIZE}"
         )
+
+
+def _pi_b(mu: float) -> tuple[float, float]:
+    """pi's b = 1/mu as the evaluators take it: log b = -log mu and log(1 - b)."""
+    return -math.log(mu), math.log1p(-1.0 / mu)
+
+
+def _lambda_rows(theta: float, mu: float, ns: range, size: int) -> list[float]:
+    """lambda at each n in ``ns`` (every n <= size), from one ``_log_size_rows`` pass at b = 1/mu."""
+    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), ns, size))
 
 
 def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
@@ -83,17 +90,8 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     _require_finite(theta=theta, mu=mu)
     _require_reversible(mu)
     _require_count(n, 0, "the population size must be >= 0")
-    asc = log_ascending_factorial(theta, n)
-    if asc.sign == 0:
-        return 0.0
-    return asc.sign * math.exp(
-        asc.log_magnitude - log_factorial(n) - n * math.log(mu) + theta * math.log1p(-1.0 / mu)
-    )
-
-
-def _pi_b(mu: float) -> tuple[float, float]:
-    """pi's b = 1/mu as the evaluator takes it: log b = -log mu and log(1 - b)."""
-    return -math.log(mu), math.log1p(-1.0 / mu)
+    (sign,), (log_lam,) = _log_size_rows(theta, *_pi_b(mu), range(n, n + 1), n)
+    return sign * math.exp(log_lam) if sign else 0.0
 
 
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
@@ -146,24 +144,19 @@ def size_balance_scan(
 ) -> BalanceScan:
     """Check lambda(n) * (theta + n) = lambda(n+1) * mu * (n+1) for n < n_max.
 
-    Residuals are relative.  By default log lambda(n) is the expression of
-    ``size_stationary_pmf`` on the signs and log theta_(n) of the prefix
-    table that it reads, theta in (-alpha, 0] included, and the residual is
+    Residuals are relative.  By default the signs and log lambda(n) are one
+    ``_log_size_rows`` pass, the rows ``size_stationary_pmf`` reads, theta in
+    (-alpha, 0] included, and the residual is
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
     infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
     deliberately perturbed table) is checked in plain floats.  The first worst
     pair is reported, a nan counting as worst, as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    _require_count(n_max, 1, "n_max must be >= 1")
     _require_reversible(mu)
     if pmf is None:
-        signs, log_asc = _ascending_prefix(theta).rows(n_max)
-        top = min(len(log_asc), n_max + 1)  # entries past a zero factor are zero, and not stored
-        signs = signs[:top] + [0] * (n_max + 1 - top)
-        log_mu, tail, log_fact = math.log(mu), theta * math.log1p(-1.0 / mu), _log_factorials(n_max)
-        log_lam = [log_asc[n] - log_fact[n] - n * log_mu + tail for n in range(top)]
+        signs, log_lam = _log_size_rows(theta, *_pi_b(mu), range(n_max + 1), n_max)
     worst, worst_n = -1.0, 0
     for n in range(n_max):
         rate = theta + n
@@ -319,9 +312,9 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     graph = _up_move_graph()
     signs, logs = _log_pi_table(params)
     psfs = _psf_rows(params, graph.states[: graph.ends[s_max]], s_max)
+    lams = _lambda_rows(params.theta, params.mu, range(s_max + 1), s_max)
     worst, worst_state = -1.0, ""
-    for n in range(s_max + 1):
-        lam = size_stationary_pmf(n, params.theta, params.mu)
+    for n, lam in enumerate(lams):
         for j in range(graph.ends[n - 1] if n else 0, graph.ends[n]):
             sign = signs[j]
             closed = sign * math.exp(logs[j]) if sign else 0.0
@@ -340,14 +333,15 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
 
     The two sums agree exactly in real arithmetic because the Pitman formula
     is a probability distribution on each size slice; the observable gap is
-    pure floating-point error.  Signed for theta < 0.  The pi terms come
-    from the point's log pi table, in its order.
+    pure floating-point error.  Signed for theta < 0.  The lambda terms come
+    from one ``_lambda_rows`` pass, the pi terms from the point's log pi
+    table, each summed in its order.
     """
     _require_partition_regime(params)
     _require_bound(bound)
     lambda_sum = 0.0
-    for n in range(bound + 1):
-        lambda_sum += size_stationary_pmf(n, params.theta, params.mu)
+    for lam in _lambda_rows(params.theta, params.mu, range(bound + 1), bound):
+        lambda_sum += lam
     signs, logs = _log_pi_table(params)
     pi_sum = 0.0
     for j in range(_up_move_graph().ends[bound]):

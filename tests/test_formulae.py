@@ -18,14 +18,16 @@ from allelic_bdi import (
     enumerate_partitions,
     esf,
     log_alpha_weight,
-    log_ascending_factorial,
-    log_factorial,
     alpha0_limit_rate,
+    mixture_consistency_scan,
     nbin_time_param,
     neg_bin_pmf,
+    partition_balance_scan,
+    partition_stationary_truncated,
     psf,
     size_balance_scan,
     size_stationary_pmf,
+    stationary_mass_comparison,
     transient_pmf,
     weight_series_gap,
 )
@@ -33,6 +35,8 @@ from allelic_bdi.formulae import (
     _AscendingPrefix,
     _ascending_prefix,
     _log_alpha_weights,
+    _log_factorials,
+    _log_size_rows,
     _neg_bin_pmfs,
     _psf_rows,
     _transient_rows,
@@ -72,6 +76,7 @@ def test_model_params_validation():
 NAN, INF = math.nan, math.inf
 ONE_PAIR = AllelicPartition.decode("2^1")
 ALPHA0 = ModelParams(0.0, 1.0, 2.0)
+REVERSIBLE = ModelParams(0.5, 1.0, 2.0)
 
 
 # each of these returned nan, a finite value or inf instead of raising
@@ -108,79 +113,90 @@ def test_raw_rate_evaluators_refuse_non_finite_input(fn, args):
         fn(*args)
 
 
-def test_log_factorial_against_exact_integers():
+def test_log_factorials_against_exact_integers():
+    log_fact = _log_factorials(100_000)
     for n in (0, 1, 2, 5, 17, 60, 200):
-        assert log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-13)
-    assert log_factorial(100_000) == pytest.approx(math.lgamma(100_001), rel=1e-12)
-    with pytest.raises(DomainError):
-        log_factorial(-1)
+        assert log_fact[n] == pytest.approx(math.log(math.factorial(n)), rel=1e-13)
+    assert log_fact[100_000] == pytest.approx(math.lgamma(100_001), rel=1e-12)
 
 
-def test_log_factorial_equals_the_cumulative_list():
+def test_log_factorials_equal_the_cumulative_list():
     # the running sum log k! = log (k-1)! + log k, kept in a list of its own
     # before log k! became the prefix table at 1; log(1.0 + (k - 1)) == log(k)
     cumulative = [0.0]
     for k in range(1, 100_001):
         cumulative.append(cumulative[-1] + math.log(k))
-    assert [log_factorial(n) for n in range(100_001)] == cumulative
+    assert _log_factorials(100_000)[:100_001] == cumulative
 
 
-# each of these raised TypeError from list indexing, or (a bool) read entry 1
+# each of these raised TypeError from a comparison or list indexing, or (a
+# bool) read entry 1 or checked True pairs
 NON_INTEGER_COUNT_CALLS = [
-    (log_factorial, (2.5,)),
-    (log_ascending_factorial, (1.5, 2.5)),
-    (log_ascending_factorial, (1.5, True)),
     (neg_bin_pmf, (2.5, 1.0, 0.5)),
     (size_stationary_pmf, (2.5, 1.0, 2.0)),
     (alpha_weight, (0.5, 2.5)),
     (weight_series_gap, (0.5, 2.0, 2.5)),
+    (size_balance_scan, (1.0, 2.0, True)),
+    (size_balance_scan, (1.0, 2.0, 3.0)),
+    (partition_balance_scan, (REVERSIBLE, 3.0)),
+    (mixture_consistency_scan, (REVERSIBLE, 3.0)),
+    (stationary_mass_comparison, (REVERSIBLE, 3.0)),
+    (partition_stationary_truncated, (REVERSIBLE, 3.0)),
+    (partition_stationary_truncated, (REVERSIBLE, False)),
 ]
 
 
 @pytest.mark.parametrize(
     "fn,args",
     NON_INTEGER_COUNT_CALLS,
-    ids=[f"{fn.__name__}-{args[-1]}" for fn, args in NON_INTEGER_COUNT_CALLS],
+    ids=[f"{fn.__name__}-{args[-1]!r}" for fn, args in NON_INTEGER_COUNT_CALLS],
 )
 def test_counts_must_be_integers(fn, args):
     with pytest.raises(DomainError, match="counts must be integers"):
         fn(*args)
 
 
-def test_log_ascending_factorial_small_exact():
-    assert log_ascending_factorial(2.5, 0).sign == 1
-    assert log_ascending_factorial(2.5, 0).log_magnitude == 0.0
+def prefix_entry(table: _AscendingPrefix, n: int) -> SignedLogValue:
+    """Entry n of a prefix table, read with ``rows(n)``; past a zero factor, which
+    ends the stored entries, the zero value."""
+    signs, logs = table.rows(n)
+    return SignedLogValue(signs[n], logs[n]) if n < len(logs) else SignedLogValue.zero()
+
+
+def test_ascending_prefix_small_exact():
+    assert prefix_entry(_ascending_prefix(2.5), 0) == SignedLogValue(1, 0.0)
     # 2.5 * 3.5 * 4.5 = 39.375
-    v = log_ascending_factorial(2.5, 3)
+    v = prefix_entry(_ascending_prefix(2.5), 3)
     assert v.sign == 1
     assert v.log_magnitude == pytest.approx(math.log(39.375), rel=1e-14)
 
 
-def test_log_ascending_factorial_negative_start():
+def test_ascending_prefix_negative_start():
     # (-2.5)(-1.5)(-0.5)(0.5) = -0.9375
-    v = log_ascending_factorial(-2.5, 4)
+    v = prefix_entry(_ascending_prefix(-2.5), 4)
     assert v.sign == -1
     assert v.log_magnitude == pytest.approx(math.log(0.9375), rel=1e-13)
     # (-3)(-2)(-1) = -6
-    v = log_ascending_factorial(-3.0, 3)
+    v = prefix_entry(_ascending_prefix(-3.0), 3)
     assert v.sign == -1
     assert v.log_magnitude == pytest.approx(math.log(6.0), rel=1e-14)
-    # a factor hits zero exactly
-    assert log_ascending_factorial(-2.0, 5).sign == 0
-    assert log_ascending_factorial(0.0, 3).sign == 0
+    # a factor hits zero exactly: that entry is zero and ends the table
+    assert _ascending_prefix(-2.0).rows(5)[0] == [1, -1, 1, 0]
+    assert _ascending_prefix(0.0).rows(3) == ([1, 0], [0.0, -math.inf])
+    assert prefix_entry(_ascending_prefix(-2.0), 5) == SignedLogValue.zero()
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_log_ascending_factorial_refuses_non_finite_base(x):
+def test_ascending_prefix_refuses_non_finite_base(x):
     before = _ascending_prefix.cache_info().currsize
     with pytest.raises(DomainError, match="x must be finite"):
-        log_ascending_factorial(x, 3)
+        _ascending_prefix(x)
     assert _ascending_prefix.cache_info().currsize == before
 
 
-def test_log_ascending_factorial_long_products_match_lgamma():
+def test_ascending_prefix_long_products_match_lgamma():
     for n in (511, 512, 513, 2000):
-        v = log_ascending_factorial(1.25, n)
+        v = prefix_entry(_ascending_prefix(1.25), n)
         expected = math.lgamma(1.25 + n) - math.lgamma(1.25)
         assert v.sign == 1
         assert v.log_magnitude == pytest.approx(expected, rel=1e-12)
@@ -214,7 +230,11 @@ def reference_log_ascending_factorials(x: float, n_max: int) -> list[SignedLogVa
 def reference_log_alpha_weights(alpha: float, n: int) -> list[float]:
     """log w_i for i = 1..n, from the reference ascending factorials."""
     rising = reference_log_ascending_factorials(1.0 - alpha, n - 1)
-    return [math.log(alpha) + rising[i - 1].log_magnitude - log_factorial(i) for i in range(1, n + 1)]
+    fact = reference_log_ascending_factorials(1.0, n)
+    return [
+        math.log(alpha) + rising[i - 1].log_magnitude - fact[i].log_magnitude
+        for i in range(1, n + 1)
+    ]
 
 
 WEIGHT_ALPHAS = (1e-9, 0.1, 0.4999999, 0.5, 0.5000001, 0.9, 0.999)
@@ -245,15 +265,20 @@ def same_bits(a: SignedLogValue, b: SignedLogValue) -> bool:
 @pytest.mark.parametrize("x", PREFIX_STARTS)
 def test_ascending_prefix_equals_reference_loop(x):
     # a fresh table read upwards, one read from the far end first, and the
-    # cached table behind log_ascending_factorial must all agree bit for bit
+    # cached table at x must all agree bit for bit
     upward, far_first = _AscendingPrefix(x), _AscendingPrefix(x)
-    far_first.at(10_000)
+    far_first.rows(10_000)
     signs, logs = _AscendingPrefix(x).rows(10_000)
+    ratios = _AscendingPrefix(x).ratio_rows(10_000)[1]
     reference = reference_log_ascending_factorials(x, 10_000)
+    fact = reference_log_ascending_factorials(1.0, 10_000)
     for n in PREFIX_NS:
         expected = reference[n]
-        for got in (upward.at(n), far_first.at(n), log_ascending_factorial(x, n)):
+        for table in (upward, far_first, _ascending_prefix(x)):
+            got = prefix_entry(table, n)
             assert same_bits(got, expected), (x, n, got, expected)
+        if n < len(ratios):  # log|x_(n) / n!|, up to the zero entry
+            assert ratios[n] == expected.log_magnitude - fact[n].log_magnitude, (x, n)
         if n < len(logs):  # entries past a zero factor are not stored
             assert same_bits(SignedLogValue(signs[n], logs[n]), expected), (x, n)
         else:
@@ -282,10 +307,9 @@ def test_ascending_prefix_stores_up_to_the_largest_n_read():
     for x in (0.25, -2.5):
         table = _AscendingPrefix(x)
         for n, stored in ((5, 6), (20_000, 20_001), (700, 20_001)):
-            table.at(n)
+            table.rows(n)
             assert len(table._signs) == len(table._logs) == stored, (x, n)
     zero = _AscendingPrefix(-2.0)
-    assert zero.at(10**7) == SignedLogValue.zero()
     assert zero.rows(10**7) == ([1, -1, 1, 0], [0.0, math.log(2.0), math.log(2.0), -math.inf])
     assert len(zero._logs) == 4  # entries 0..2, then the zero entry
     assert _ascending_prefix.cache_info().maxsize is not None
@@ -376,15 +400,16 @@ def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
         return 0.0
     if n == 0:
         return 1.0
+    log_fact = _log_factorials(n)
     log_p = (
-        log_factorial(n)
+        log_fact[n]
         - math.log(alpha)
         + reference_log_lead(theta, alpha, 1, m.num_groups - 1)[1]
         - reference_log_ascending_factorials(theta + 1.0, n - 1)[-1].log_magnitude
     )
     log_w = reference_log_alpha_weights(alpha, n)
     for i, mi in m:
-        log_p += mi * log_w[i - 1] - log_factorial(mi)
+        log_p += mi * log_w[i - 1] - log_fact[mi]
     return math.exp(log_p)
 
 
@@ -498,6 +523,30 @@ def test_neg_bin_pmfs_bit_identical_to_neg_bin_pmf(n_hi, theta, b):
     want = [neg_bin_pmf(n, theta, b) for n in range(n_hi + 1)]
     assert got == want
     assert [math.copysign(1.0, p) for p in got] == [math.copysign(1.0, p) for p in want]
+
+
+@pytest.mark.parametrize("theta", [-3.0, -2.0, -0.5, 0.0, 0.3125, 2.5])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_size_rows_equal_their_one_row_reads(theta, b):
+    # any range of rows is the single-row reads, bit for bit and signs included;
+    # from the zero factor on (n >= 1 - theta at theta = 0, -2, -3) every row is zero
+    log_b, log1m_b = (math.log(b) if b else -math.inf), math.log1p(-b)
+    signs, logs = _log_size_rows(theta, log_b, log1m_b, range(41), 40)
+    assert not any(map(math.isnan, logs))
+    for n in range(41):
+        assert _log_size_rows(theta, log_b, log1m_b, range(n, n + 1), n) == ([signs[n]], [logs[n]])
+        if theta <= 0.0 and theta == int(theta) and n >= 1 - theta:
+            assert (signs[n], logs[n]) == (0, -math.inf), n
+    for ns in (range(3, 9), range(0, 41, 7), range(0)):
+        expected = ([signs[n] for n in ns], [logs[n] for n in ns])
+        assert _log_size_rows(theta, log_b, log1m_b, ns, 40) == expected
+
+
+def test_size_rows_past_a_zero_factor_build_no_long_table():
+    # a row far past theta = 0's zero factor is read without tabulating up to it
+    assert size_stationary_pmf(10**7, 0.0, 2.0) == 0.0
+    assert len(_ascending_prefix(0.0)._ratios) == 2
+    assert len(_ascending_prefix(1.0)._logs) < 10**7
 
 
 def test_neg_bin_pmfs_domain():

@@ -156,7 +156,7 @@ SUMMARY_FLAGS = (
 
 SUMMARY_SHA256 = {
     "multiplicity": "bdcaa88e0ca77ff2bc9710166a2eaec4d531c942e3a4cb0f9e942e833f68131f",
-    "branching": "a931810ad05b2a35f4aec88e35784c062a0d4bc614a1696dc9f2d9e51c39445e",
+    "branching": "1e10f8453d9e4443821af52b483d473deaba906b0ed5a40a760cd98a1b45358f",
     "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 

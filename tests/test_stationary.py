@@ -3,6 +3,7 @@ binomial size law, the partition-level law in its Poisson-product and mixture
 forms, detailed-balance scanners, and the alpha = 0 Poisson-product limit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from allelic_bdi import (
     conditional_given_size,
     enumerate_partitions,
     log_alpha_weight,
-    log_ascending_factorial,
-    log_factorial,
     mixture_consistency_scan,
     nbin_time_param,
     neg_bin_pmf,
@@ -44,7 +43,7 @@ from allelic_bdi.cli import (
     main,
 )
 from allelic_bdi import stationary
-from allelic_bdi.formulae import _ascending_prefix, _psf_rows
+from allelic_bdi.formulae import _ascending_prefix, _log_factorials, _neg_bin_pmfs, _psf_rows
 from allelic_bdi.partitions import TransitionEvent
 from allelic_bdi.stationary import (
     PARTITION_BALANCE_MAX_SIZE,
@@ -108,6 +107,23 @@ class TestSizeStationaryPmf:
         with pytest.raises(DomainError):
             size_stationary_pmf(-1, 1.0, 2.0)
 
+    @pytest.mark.parametrize("mu", [Fraction(5, 4), Fraction(2), Fraction(5)], ids=str)
+    @pytest.mark.parametrize(
+        "theta", [Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 4), Fraction(-15, 16),
+                  Fraction(1, 2), Fraction(5, 2)], ids=str)  # fmt: skip
+    def test_ratios_match_exact_rationals(self, theta, mu):
+        # lambda(n) / lambda(0) = theta_(n) / (n! mu^n), in exact rationals
+        # built factor by factor, an oracle independent of the prefix tables
+        # and signed for theta < 0.  The worst relative gap is 7.4e-14, at
+        # theta = -1/4, mu = 5, n = 60; the bound 2e-13 leaves a 2.7x margin.
+        lams = [size_stationary_pmf(n, float(theta), float(mu)) for n in range(61)]
+        exact = Fraction(1)
+        for n in range(1, 61):
+            exact *= (theta + n - 1) / (n * mu)
+            assert lams[n] / lams[0] == pytest.approx(float(exact), rel=2e-13), n
+        if theta > 0:  # at b = 0 the size law is the point mass at 0, with no nan
+            assert _neg_bin_pmfs(60, float(theta), 0.0) == [1.0] + [0.0] * 60
+
 
 def test_mu_at_most_one_is_refused_with_one_message(capsys):
     message = "reversible regime requires mu > 1"
@@ -166,9 +182,8 @@ class TestPartitionStationaryPmf:
         log_mu = math.log(params.mu)
         for n in range(7):
             for m in enumerate_partitions(n):
-                lead = log_ascending_factorial(
-                    params.theta / params.alpha, m.num_groups
-                ).to_float()
+                sign, log_lead = reference_log_lead(params.theta, params.alpha, 0, m.num_groups)
+                lead = sign * math.exp(log_lead)
                 prod = 1.0
                 for i in range(1, 501):
                     rate = alpha_weight(params.alpha, i) * math.exp(-i * log_mu)
@@ -382,7 +397,7 @@ def reference_log_pi(m, params):
         log_p += log_lead
     log_mu = math.log(params.mu)
     for i, mi in m:
-        log_p += mi * (log_alpha_weight(params.alpha, i) - i * log_mu) - log_factorial(mi)
+        log_p += mi * (log_alpha_weight(params.alpha, i) - i * log_mu) - _log_factorials(mi)[mi]
     return SignedLogValue(sign, log_p)
 
 
@@ -580,7 +595,7 @@ class TestTablesAreBitIdentical:
             assert partition_stationary_pmf(m, params) == reference_log_pi(m, params).to_float()
 
 
-def test_default_verify_builds_few_signed_log_values(monkeypatch, tmp_path):
+def test_default_verify_builds_no_signed_log_values(monkeypatch, tmp_path):
     # a count, not a timing: the scans read per-point lists, and a
     # SignedLogValue per state and move (69,390 per pass before) would show
     _log_pi_table.cache_clear()
@@ -595,7 +610,9 @@ def test_default_verify_builds_few_signed_log_values(monkeypatch, tmp_path):
 
     monkeypatch.setattr(SignedLogValue, "__init__", counting_init)
     assert main(["verify", "--out", str(tmp_path / "report.json")]) == 0
-    assert 0 < built < 3000
+    assert built == 0
+    SignedLogValue.from_float(-2.0)  # the counter sees every construction
+    assert built == 1
 
 
 # ---------------------------------------------------------------------------
