@@ -25,7 +25,6 @@ from .partitions import (
 )
 from .formulae import (
     ModelParams,
-    SignedLogValue,
     alpha_weight,
     esf,
     log_alpha_weight,
@@ -84,7 +83,6 @@ __all__ = [
     "PARTITION_BALANCE_MAX_SIZE",
     "PartitionParseError",
     "RunawayError",
-    "SignedLogValue",
     "Trajectory",
     "TransitionEvent",
     "alpha0_limit_rate",

@@ -9,14 +9,17 @@ explicitly instead of exponentiating blindly.  Every factorial the laws read
 one kind of table, ``_AscendingPrefix``: log factors summed in order, kept
 up to the largest n read.
 
-The chain's law at b in [0, 1) is negative multinomial (w_i = alpha_weight(alpha, i)):
+The chain's law at b in [0, 1), with w'_i = (1 - alpha)_(i-1) / i! (1/i at alpha = 0):
 
-    P_b(m) = (1 - b)^theta * (theta/alpha)_(k) * prod_i (w_i b^i)^{m_i} / m_i!,
+    P_b(m) = prod_{j<k} (theta + alpha j) * prod_i (w'_i b^i)^{m_i} / m_i! * (1 - b)^theta,
 
-the NB(s; theta, b) mixture of Pitman formulae, as sum_i w_i b^i = 1 - (1 - b)^alpha.
-At alpha = 0 it is the Poisson product, m_i ~ Poisson(theta b^i / i) independently
-(Karlin and McGregor 1967).  b = nbin_time_param(mu, t) gives the time-t law from
-the empty state (``transient_pmf``), and b = 1/mu the reversible law pi of mu > 1
+k = num_groups(m), the NB(s; theta, b) mixture of Pitman formulae, as
+sum_i alpha w'_i b^i = 1 - (1 - b)^alpha.  Each lead factor is a new-family
+rate as written, and no alpha is divided out, so the one arrangement holds at
+every alpha in [0, 1): at alpha = 0 it is the Poisson product, m_i ~
+Poisson(theta b^i / i) independently (Karlin and McGregor 1967).
+b = nbin_time_param(mu, t) gives the time-t law from the empty state
+(``transient_pmf``), and b = 1/mu the reversible law pi of mu > 1
 (``stationary``), a signed measure for theta in (-alpha, 0).  ``_log_law_rows``
 is its one evaluator.  Its size marginal NB(n; theta, b) = theta_(n) / n! *
 (1 - b)^theta * b^n (``neg_bin_pmf``, and lambda at b = 1/mu) has one evaluator
@@ -79,33 +82,6 @@ class ModelParams:
 
     def require_reversible(self) -> None:
         _require_reversible(self.mu)
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign in {-1, 0, +1} and log of its magnitude.
-
-    ``sign == 0`` means the value is exactly zero and ``log_magnitude`` is
-    meaningless (kept at -inf).
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def zero(cls) -> "SignedLogValue":
-        return cls(0, float("-inf"))
-
-    @classmethod
-    def from_float(cls, value: float) -> "SignedLogValue":
-        if value == 0.0:
-            return cls.zero()
-        return cls(1 if value > 0 else -1, math.log(abs(value)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
 
 
 class _AscendingPrefix:
@@ -206,19 +182,26 @@ def esf(n: int, theta: float, m: AllelicPartition) -> float:
 
 
 def _lead_rows(theta: float, alpha: float, first: int, n: int) -> tuple[list[int], list[float]]:
-    """Signs and log magnitudes of (theta/alpha + first)_(k) for k = 0..n.
+    """Signs and log magnitudes of prod_{first <= j < first + k} (theta + alpha j) for k = 0..n.
 
-    Factor j enters as log|theta + alpha j| - log alpha, never rounding theta/alpha
-    before j is added, so the lead moves by the new-family rate theta + alpha k as
-    written.  A zero factor (theta = 0 at j = 0) zeroes that entry and all later ones.
+    Factor j is the new-family rate theta + alpha j at j groups, its log added as
+    written, so no alpha is divided out and alpha = 0 (the factors are all theta)
+    needs no branch.  A zero factor (theta = 0 at j = 0) zeroes that entry and all
+    later ones.
     """
-    log_alpha = math.log(alpha)
     signs, logs = [1], [0.0]
     for j in range(first, first + n):
         factor = theta + alpha * j
         signs.append(signs[-1] * ((factor > 0.0) - (factor < 0.0)))
-        logs.append(logs[-1] + ((math.log(abs(factor)) if factor else -math.inf) - log_alpha))
+        logs.append(logs[-1] + (math.log(abs(factor)) if factor else -math.inf))
     return signs, logs
+
+
+def _log_weights(alpha: float, n: int) -> list[float]:
+    """log w'_i = log (1 - alpha)_(i-1) - log i! at index i = 1..n, from one pass over
+    the prefix tables at 1 - alpha and at 1; index 0 holds 0.0.  At alpha = 0, w'_i = 1/i."""
+    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(n - 1)[1], _log_factorials(n)
+    return [0.0] + [logs[i - 1] - log_fact[i] for i in range(1, n + 1)]
 
 
 def psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
@@ -226,18 +209,16 @@ def psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
 
     Evaluated in the normalized form
 
-        P(m) = n! * (theta/alpha)_(k) / theta_(n) * prod_i w_i^{m_i} / m_i!
+        P(m) = n! / theta_(n) * prod_{j<k} (theta + alpha j) * prod_i w'_i^{m_i} / m_i!
 
-    with k = num_groups(m) and w_i = alpha_weight(alpha, i).  The leading
-    factors of the two ascending factorials are cancelled analytically
-    ((theta/alpha)_(k) / theta_(n) = (1/alpha) * (theta/alpha + 1)_(k-1)
-    / (theta + 1)_(n-1)), which removes the 0/0 at theta = 0 and keeps every
-    remaining factor positive on the whole parameter range.  At alpha = 0 it
-    is the Ewens formula ``esf``.  Its factor lists are built up to n, so a
-    table of many states calls :func:`_psf_rows` instead.
+    with k = num_groups(m) and w'_i = (1 - alpha)_(i-1) / i!, at every alpha in
+    [0, 1); at alpha = 0 it is the Ewens formula ``esf``.  The j = 0 lead factor
+    cancels theta_(n)'s first ((theta + 1)_(n-1) is left), which removes the 0/0
+    at theta = 0 and keeps every remaining factor positive on the whole parameter
+    range.  Its factor lists are built up to n, so a table of many states calls
+    :func:`_psf_rows` instead.
     """
-    if n < 0:
-        raise DomainError("sample size must be >= 0")
+    _require_count(n, 0, "sample size must be >= 0")
     if m.size != n:
         return 0.0
     return _psf_rows(params, (m,), n)[0]
@@ -247,20 +228,13 @@ def _psf_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int
     """psf(s(m), params, m) at each of ``states``, each with s(m) <= size: the one evaluator.
 
     The factor lists are built once up to ``size`` and summed in the order
-    ((log n! - log alpha) + log (theta/alpha + 1)_(k-1)) - log (theta + 1)_(n-1),
-    the lead from ``_lead_rows``, then + (m_i log w_i - log m_i!) per entry.
-    At alpha = 0 (Ewens) the order is (log n! - log theta_(n)), then
-    + (m_i (log theta - log i) - log m_i!) per entry.
+    (log n! + log prod_{1<=j<k} (theta + alpha j)) - log (theta + 1)_(n-1), the
+    lead from ``_lead_rows``, then + (m_i log w'_i - log m_i!) per entry, with
+    the weights of ``_log_weights``.  One path serves every alpha, 0 included.
     """
-    alpha, theta = params.alpha, params.theta
-    if alpha:
-        log_alpha = math.log(alpha)
-        lead = _lead_rows(theta, alpha, 1, size)[1]
-        rising = _ascending_prefix(theta + 1.0).rows(size)[1]
-        log_w = [0.0] + _log_alpha_weights(alpha, size)
-    else:
-        rising = _ascending_prefix(theta).rows(size)[1]
-        log_w = [0.0] + [math.log(theta) - math.log(i) for i in range(1, size + 1)]
+    lead = _lead_rows(params.theta, params.alpha, 1, size)[1]
+    rising = _ascending_prefix(params.theta + 1.0).rows(size)[1]
+    log_w = _log_weights(params.alpha, size)
     log_fact = _log_factorials(size)
     out = []
     for m in states:
@@ -268,10 +242,7 @@ def _psf_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int
         if not n:
             out.append(1.0)  # the empty sample
             continue
-        if alpha:
-            log_p = ((log_fact[n] - log_alpha) + lead[m.num_groups - 1]) - rising[n - 1]
-        else:
-            log_p = log_fact[n] - rising[n]
+        log_p = (log_fact[n] + lead[m.num_groups - 1]) - rising[n - 1]
         for i, mi in m:
             log_p += mi * log_w[i] - log_fact[mi]
         out.append(math.exp(log_p))
@@ -286,21 +257,14 @@ def _require_weight_alpha(alpha: float) -> None:
 def log_alpha_weight(alpha: float, i: int) -> float:
     """log of alpha_weight(alpha, i); positive arguments throughout.
 
-    log(alpha) + log (1-alpha)_(i-1) - log(i!), read from the prefix tables at
-    1 - alpha and at 1: O(1) once they cover i.
+    log(alpha) + (log (1-alpha)_(i-1) - log(i!)), log alpha added to the entry
+    of ``_log_weights``, read from the prefix tables at 1 - alpha and at 1: O(1)
+    once they cover i.
     """
     _require_weight_alpha(alpha)
     _require_count(i, 1, "the weight index must be >= 1")
     logs, log_fact = _ascending_prefix(1.0 - alpha).rows(i - 1)[1], _log_factorials(i)
-    return math.log(alpha) + logs[i - 1] - log_fact[i]
-
-
-def _log_alpha_weights(alpha: float, n: int) -> list[float]:
-    """[log_alpha_weight(alpha, i) for i in 1..n] from one pass over the table."""
-    _require_weight_alpha(alpha)
-    log_alpha = math.log(alpha)
-    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(n - 1)[1], _log_factorials(n)
-    return [log_alpha + logs[i - 1] - log_fact[i] for i in range(1, n + 1)]
+    return math.log(alpha) + (logs[i - 1] - log_fact[i])
 
 
 def alpha_weight(alpha: float, i: int) -> float:
@@ -398,31 +362,25 @@ def _log_law_rows(
     """Signs and log magnitudes of P_b at ``states``, each with s(m) <= size: the one evaluator.
 
     b is passed as log b (-inf at b = 0) and log(1 - b).  The factors are listed once
-    up to ``size``: start_k = theta log(1 - b) + log|(theta/alpha)_(k)| (``_lead_rows``),
-    t_i = log w_i + i log b and log m!.  Then log P_b(m) = (start_k + (m_i t_i -
-    log m_i!)) + ... over the entries by size, signed as (theta/alpha)_(k), which is
-    zero (sign 0, log -inf) when theta = 0 and k >= 1.  At alpha = 0 there is no
-    lead, and t_i = (log theta + i log b) - log i (theta > 0).
+    up to ``size``: lead_k = log|prod_{j<k} (theta + alpha j)| (``_lead_rows``),
+    t_i = log w'_i + i log b (``_log_weights``) and log m!.  Then log P_b(m) =
+    ((lead_k + (m_i t_i - log m_i!)) + ... over the entries by size) + theta log(1 - b),
+    signed as the lead, which is zero (sign 0, log -inf) when theta = 0 and k >= 1.
+    One path serves every alpha, 0 included.
     """
-    alpha, theta = params.alpha, params.theta
-    base = theta * log1m_b
-    if alpha:
-        signs_by_k, lead = _lead_rows(theta, alpha, 0, size)
-        start = [base] + [base + log_lead for log_lead in lead[1:]]
-        terms = [0.0] + [w + i * log_b for i, w in enumerate(_log_alpha_weights(alpha, size), 1)]
-    else:
-        signs_by_k, start = [1] * (size + 1), [base] * (size + 1)
-        log_theta = math.log(theta)
-        terms = [0.0] + [(log_theta + i * log_b) - math.log(i) for i in range(1, size + 1)]
+    signs_by_k, lead = _lead_rows(params.theta, params.alpha, 0, size)
+    log_w = _log_weights(params.alpha, size)
+    terms = [0.0] + [log_w[i] + i * log_b for i in range(1, size + 1)]
+    tail = params.theta * log1m_b
     log_fact = _log_factorials(size)
     signs, logs = [], []
     for m in states:
         k = m.num_groups
-        log_p = start[k]
+        log_p = lead[k]
         for i, mi in m:
             log_p += mi * terms[i] - log_fact[mi]
         signs.append(signs_by_k[k])
-        logs.append(log_p)
+        logs.append(log_p + tail)
     return signs, logs
 
 

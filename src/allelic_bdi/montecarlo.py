@@ -47,7 +47,7 @@ from .ctmc import (
     _size_kernel,
 )
 from .errors import DomainError, RunawayError
-from .formulae import ModelParams
+from .formulae import ModelParams, _require_count
 from .partitions import AllelicPartition, EventKind, TransitionEvent, _apply_event
 from .urn import _group_count_traces
 
@@ -582,8 +582,7 @@ def conditional_given_size(dist, n: int) -> dict[AllelicPartition, float]:
     if the slice carries no mass.  Applied to the exact stationary table
     this recovers the Pitman sampling formula at n.
     """
-    if n < 0:
-        raise DomainError("the slice size must be >= 0")
+    _require_count(n, 0, "the slice size must be >= 0")
     probs = _probabilities(dist)
     slice_probs = {m: p for m, p in probs.items() if m.size == n and p > 0.0}
     total = sum(slice_probs.values())

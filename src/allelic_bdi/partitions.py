@@ -265,7 +265,7 @@ def _entries(n: int, low: int) -> Iterator[tuple[tuple[int, int], ...]]:
                     yield ((i, c),) + tail
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 3.0 and True are refused, not read as 3 and 1
 def enumerate_partitions(n: int) -> tuple[AllelicPartition, ...]:
     """All allelic partitions of total size ``n``, in a fixed order.
 
@@ -273,7 +273,7 @@ def enumerate_partitions(n: int) -> tuple[AllelicPartition, ...]:
     (m_1, ..., m_n), so "1^n" comes first and "n^1" last, and test fixtures
     can rely on it.  Bounded at ``MAX_ENUMERATION_SIZE``.
     """
-    if n < 0:
+    if _integer(n, "counts") < 0:
         raise DomainError("partition size must be >= 0")
     if n > MAX_ENUMERATION_SIZE:
         raise BoundExceededError(

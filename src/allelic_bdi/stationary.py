@@ -8,15 +8,16 @@ evaluated by ``formulae._log_size_rows`` at b = 1/mu, and the
 partition-valued chain with alpha in (0, 1) with respect to pi, the
 negative-multinomial law of ``formulae`` at b = 1/mu:
 
-    pi(m) = (1 - 1/mu)^theta * (theta/alpha)_(k) * prod_i (w_i mu^{-i})^{m_i} / m_i!,
+    pi(m) = prod_{j<k} (theta + alpha j) * prod_i (w'_i mu^{-i})^{m_i} / m_i! * (1 - 1/mu)^theta,
 
-with w_i = alpha_weight(alpha, i), evaluated by ``formulae._log_law_rows``.
+with w'_i = (1 - alpha)_(i-1) / i!, evaluated by ``formulae._log_law_rows`` in
+that order, the lead's factors the new-family rates as written.
 Equivalently pi is the lambda-mixture of Pitman sampling formulae, which
 collapses to the single term at n = s(m); ``mixture_consistency_scan``
 checks the closed form against that term.
 
 For theta in (-alpha, 0) the same expressions satisfy the detailed-balance
-identities algebraically but carry a sign ((theta/alpha)_(k) < 0 for k >= 1),
+identities algebraically but carry a sign (prod_{j<k} (theta + alpha j) < 0 for k >= 1),
 i.e. they form a signed measure rather than a probability distribution; the
 evaluators return those signed values and the balance checks handle them,
 while the probability-only helpers insist on theta > 0.
@@ -32,15 +33,15 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import BoundExceededError, DomainError
 from .formulae import (
     ModelParams,
-    SignedLogValue,
     _exp_rows,
-    _log_alpha_weights,
+    _log_weights,
     _log_law_rows,
     _log_size_rows,
     _psf_rows,
     _require_count,
     _require_finite,
     _require_reversible,
+    _require_weight_alpha,
     transient_pmf,
 )
 from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
@@ -258,8 +259,8 @@ def partition_balance_scan(
     The moves come from the up-move graph, signed log pi from the point's
     table (or a ``pmf`` call per state), and the rate logs from lists by
     (size, count) made once per point, so a pair costs list reads and an
-    expm1.  The residual |expm1((log|pi(m)| + log|q_up|) - (log|pi(m')| +
-    log q_down))| is bit-identical to multiplying SignedLogValues per move.
+    expm1: the residual |expm1((log|pi(m)| + log|q_up|) - (log|pi(m')| +
+    log q_down))|, the two sides' signs compared first.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
@@ -267,8 +268,10 @@ def partition_balance_scan(
     if pmf is None:
         signs, logs = _log_pi_table(params)
     else:
-        values = [SignedLogValue.from_float(pmf(m)) for m in graph.states[: graph.ends[s_max + 1]]]
-        signs, logs = [v.sign for v in values], [v.log_magnitude for v in values]
+        values = [pmf(m) for m in graph.states[: graph.ends[s_max + 1]]]
+        # a nonzero value is signed +1 if positive and -1 otherwise, nan (log nan) included
+        signs = [1 if v > 0.0 else -1 if v else 0 for v in values]
+        logs = [math.log(abs(v)) if v else -math.inf for v in values]
     # by (i, count) and (i, rev_count), all below s_max + 2; the death acts at size i + 1
     alpha, theta, mu = params.alpha, params.theta, params.mu
     top = range(s_max + 2)
@@ -351,7 +354,7 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
 
 
 def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
-    """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1.
+    """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1, w_i = alpha_weight(alpha, i).
 
     The series converges geometrically (ratio 1/mu), so a few hundred terms
     already put the truncation error below double precision.  Since
@@ -359,21 +362,22 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     (exp(x) rounds to 0.0 below about -745.1), and adding 0.0 to the
     running sum changes nothing; so only the first
     min(terms, ceil(746 / log mu)) terms are evaluated.  Their log weights
-    come from one pass over the prefix table at 1 - alpha; each is
-    bit-identical to ``log_alpha_weight`` and the terms are summed in the
+    are log alpha plus the entries of one ``_log_weights`` pass, each
+    bit-identical to ``log_alpha_weight``, and the terms are summed in the
     same order, so the gap equals the full term-by-term sum's bit for bit.
     """
     _require_finite(alpha=alpha, mu=mu)
+    _require_weight_alpha(alpha)
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
     _require_count(terms, 1, "need at least one term")
     log_mu = math.log(mu)
     last = min(terms, math.ceil(_EXP_UNDERFLOW / log_mu))
-    log_weights = _log_alpha_weights(alpha, last)
+    log_alpha, log_w = math.log(alpha), _log_weights(alpha, last)
     # smallest to largest so the partial sum accumulates without cancellation
     total = 0.0
     for i in range(last, 0, -1):
-        total += math.exp(log_weights[i - 1] - i * log_mu)
+        total += math.exp((log_alpha + log_w[i]) - i * log_mu)
     closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
     return abs(total - closed)
 
@@ -391,8 +395,7 @@ def alpha0_limit_rate(i: int, theta: float, mu: float) -> float:
     of the scaled process) and theta * mu^{-i} / i for mu > 1.
     """
     _require_finite(theta=theta, mu=mu)
-    if i < 1:
-        raise DomainError("the group size must be >= 1")
+    _require_count(i, 1, "the group size must be >= 1")
     if theta <= 0.0:
         raise DomainError("the limit rates require theta > 0")
     if mu < 0.0:

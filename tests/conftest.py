@@ -5,13 +5,15 @@ code paths: exact rational arithmetic for the sampling formulae, the
 alpha = 0 Poisson product entry by entry, the urn's step law and its n-step
 marginal, the closed-form constant of pi's Poisson-product form, and a naive
 ascending-parts recursion for partition enumeration, so agreement with the
-log-space implementations is meaningful evidence.
+log-space implementations is meaningful evidence.  ``SignedLogValue`` is the
+value type the bit-for-bit reference loops are written in.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -114,17 +116,58 @@ def psf_fraction(n: int, alpha: Fraction, theta: Fraction, m: AllelicPartition) 
     return value
 
 
+def law_fraction(alpha: Fraction, theta: Fraction, b: Fraction, m: AllelicPartition) -> Fraction:
+    """Exact rational P_b(m) / (1 - b)^theta = prod_{j<k} (theta + j alpha)
+    * prod_i (w'_i b^i)^{m_i} / m_i!, with w'_i = (1-alpha)_(i-1) / i!: the chain's
+    law without its normalizing factor, which is irrational in general."""
+    value = Fraction(1)
+    for j in range(m.num_groups):
+        value *= theta + j * alpha
+    for i, mi in m:
+        part = Fraction(1)
+        for j in range(1, i):
+            part *= j - alpha
+        value *= (part / math.factorial(i) * b**i) ** mi / math.factorial(mi)
+    return value
+
+
 def esf_fraction(n: int, theta: Fraction, m: AllelicPartition) -> Fraction:
     return psf_fraction(n, Fraction(0), theta, m)
 
 
-def reference_log_lead(theta: float, alpha: float, first: int, k: int) -> tuple[int, float]:
-    """(sign, log magnitude) of (theta/alpha + first)_(k), factor by factor.
+@dataclass(frozen=True)
+class SignedLogValue:
+    """A real number stored as sign in {-1, 0, +1} and log of its magnitude.
 
-    Factor j is (theta + alpha j) / alpha, its log taken as
-    log|theta + alpha j| - log alpha and added in order of j, so theta/alpha
-    is never rounded on its own; the library's lead rows reproduce this bit
-    for bit.  A zero factor zeroes the product.
+    ``sign == 0`` means the value is exactly zero and ``log_magnitude`` is
+    meaningless (kept at -inf).  A nan is stored as sign -1 and log nan.
+    """
+
+    sign: int
+    log_magnitude: float
+
+    @classmethod
+    def zero(cls) -> "SignedLogValue":
+        return cls(0, float("-inf"))
+
+    @classmethod
+    def from_float(cls, value: float) -> "SignedLogValue":
+        if value == 0.0:
+            return cls.zero()
+        return cls(1 if value > 0 else -1, math.log(abs(value)))
+
+    def to_float(self) -> float:
+        if self.sign == 0:
+            return 0.0
+        return self.sign * math.exp(self.log_magnitude)
+
+
+def reference_log_lead(theta: float, alpha: float, first: int, k: int) -> tuple[int, float]:
+    """(sign, log magnitude) of prod_{first <= j < first + k} (theta + alpha j), factor by factor.
+
+    Each factor's log is taken as log|theta + alpha j| and added in order of j;
+    the library's lead rows reproduce this bit for bit.  A zero factor zeroes
+    the product.
     """
     sign, log_mag = 1, 0.0
     for j in range(first, first + k):
@@ -133,7 +176,7 @@ def reference_log_lead(theta: float, alpha: float, first: int, k: int) -> tuple[
             return 0, -math.inf
         if factor < 0.0:
             sign = -sign
-        log_mag += math.log(abs(factor)) - math.log(alpha)
+        log_mag += math.log(abs(factor))
     return sign, log_mag
 
 

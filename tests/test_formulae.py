@@ -12,9 +12,9 @@ from allelic_bdi import (
     AllelicPartition,
     DomainError,
     ModelParams,
-    SignedLogValue,
     alpha0_marginal,
     alpha_weight,
+    conditional_given_size,
     enumerate_partitions,
     esf,
     log_alpha_weight,
@@ -34,16 +34,19 @@ from allelic_bdi import (
 from allelic_bdi.formulae import (
     _AscendingPrefix,
     _ascending_prefix,
-    _log_alpha_weights,
     _log_factorials,
+    _log_law_rows,
     _log_size_rows,
+    _log_weights,
     _neg_bin_pmfs,
     _psf_rows,
     _transient_rows,
 )
 from conftest import (
     PSF_GRID,
+    SignedLogValue,
     esf_fraction,
+    law_fraction,
     poisson_pmf,
     poisson_product_prob,
     psf_fraction,
@@ -77,6 +80,8 @@ NAN, INF = math.nan, math.inf
 ONE_PAIR = AllelicPartition.decode("2^1")
 ALPHA0 = ModelParams(0.0, 1.0, 2.0)
 REVERSIBLE = ModelParams(0.5, 1.0, 2.0)
+ONE = AllelicPartition.decode("1^1")
+TWO_SINGLES = AllelicPartition.decode("1^2")
 
 
 # each of these returned nan, a finite value or inf instead of raising
@@ -143,6 +148,12 @@ NON_INTEGER_COUNT_CALLS = [
     (stationary_mass_comparison, (REVERSIBLE, 3.0)),
     (partition_stationary_truncated, (REVERSIBLE, 3.0)),
     (partition_stationary_truncated, (REVERSIBLE, False)),
+    (psf, (2.0, ModelParams(0.5, 1.0), TWO_SINGLES)),
+    (psf, (True, ModelParams(0.5, 1.0), ONE)),
+    (esf, (2.0, 1.0, TWO_SINGLES)),
+    (enumerate_partitions, (3.0,)),
+    (alpha0_limit_rate, (1.5, 1.0, 2.0)),
+    (conditional_given_size, ({TWO_SINGLES: 1.0}, 2.0)),
 ]
 
 
@@ -227,14 +238,12 @@ def reference_log_ascending_factorials(x: float, n_max: int) -> list[SignedLogVa
     return out
 
 
-def reference_log_alpha_weights(alpha: float, n: int) -> list[float]:
-    """log w_i for i = 1..n, from the reference ascending factorials."""
+def reference_log_weights(alpha: float, n: int) -> list[float]:
+    """log w'_i = log (1 - alpha)_(i-1) - log i! for i = 1..n, from the reference
+    ascending factorials."""
     rising = reference_log_ascending_factorials(1.0 - alpha, n - 1)
     fact = reference_log_ascending_factorials(1.0, n)
-    return [
-        math.log(alpha) + rising[i - 1].log_magnitude - fact[i].log_magnitude
-        for i in range(1, n + 1)
-    ]
+    return [rising[i - 1].log_magnitude - fact[i].log_magnitude for i in range(1, n + 1)]
 
 
 WEIGHT_ALPHAS = (1e-9, 0.1, 0.4999999, 0.5, 0.5000001, 0.9, 0.999)
@@ -325,16 +334,23 @@ def test_nothing_is_tabulated_at_import():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-@pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+@pytest.mark.parametrize("alpha", (0.0,) + WEIGHT_ALPHAS)
 def test_log_alpha_weight_equals_reference(alpha):
+    # the one weight list, alpha = 0 (w'_i = 1/i) included; log_alpha_weight adds log alpha
     indices = list(range(1, 1200)) + list(range(1200, 10_001, 97)) + [10_000]
-    table = _log_alpha_weights(alpha, 10_000)
-    reference = reference_log_alpha_weights(alpha, 10_000)
+    table, log_fact = _log_weights(alpha, 10_000), _log_factorials(10_000)
+    reference = reference_log_weights(alpha, 10_000)
+    assert len(table) == 10_001 and table[0] == 0.0
     for i in indices:
-        expected = reference[i - 1]
-        assert log_alpha_weight(alpha, i) == expected, (alpha, i)
-        assert table[i - 1] == expected, (alpha, i)
-        assert alpha_weight(alpha, i) == math.exp(expected)
+        assert table[i] == reference[i - 1], (alpha, i)
+        if alpha:
+            expected = math.log(alpha) + reference[i - 1]
+            assert log_alpha_weight(alpha, i) == expected, (alpha, i)
+            assert alpha_weight(alpha, i) == math.exp(expected)
+        else:
+            # w'_i = 1/i, as a difference of two entries near log i!: within
+            # 1.24e-16 log i! of -log i at worst over i <= 10^4; 2.5e-16 is a 2x margin
+            assert abs(table[i] + math.log(i)) <= 2.5e-16 * max(1.0, log_fact[i]), i
 
 
 def test_signed_log_value_round_trip():
@@ -390,24 +406,19 @@ def test_psf_matches_rational_oracle(alpha, theta):
 
 
 def reference_psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
-    """The Pitman formula of one state, each factor rebuilt on its own, as
-    ``psf`` evaluated it before it read ``_psf_rows`` (the lead, since then,
-    from theta + alpha j): the reference the rows must reproduce bit for bit."""
+    """The Pitman formula of one state, each factor rebuilt on its own in the
+    order of ``_psf_rows``, one path at every alpha: the reference the rows
+    must reproduce bit for bit."""
     alpha, theta = params.alpha, params.theta
-    if alpha == 0.0:
-        return esf(n, theta, m)
     if m.size != n:
         return 0.0
     if n == 0:
         return 1.0
     log_fact = _log_factorials(n)
     log_p = (
-        log_fact[n]
-        - math.log(alpha)
-        + reference_log_lead(theta, alpha, 1, m.num_groups - 1)[1]
-        - reference_log_ascending_factorials(theta + 1.0, n - 1)[-1].log_magnitude
-    )
-    log_w = reference_log_alpha_weights(alpha, n)
+        log_fact[n] + reference_log_lead(theta, alpha, 1, m.num_groups - 1)[1]
+    ) - reference_log_ascending_factorials(theta + 1.0, n - 1)[-1].log_magnitude
+    log_w = reference_log_weights(alpha, n)
     for i, mi in m:
         log_p += mi * log_w[i - 1] - log_fact[mi]
     return math.exp(log_p)
@@ -684,8 +695,37 @@ def test_alpha0_rows_equal_the_poisson_product_oracle(mu, t):
     params = ModelParams(0.0, 1.5, mu)
     b = nbin_time_param(mu, t)
     expected = [poisson_product_prob(m, 1.5, b) for m in STATES_TO_12]
-    assert _transient_rows(params, t, STATES_TO_12, 12) == expected
-    assert [alpha0_marginal(m, 1.5, mu, t) for m in STATES_TO_12] == expected
+    # the rows read log w'_i = log (i-1)! - log i!, the oracle -log i; the worst
+    # relative gap over these points is 7.2e-15 (32 machine epsilons)
+    assert _transient_rows(params, t, STATES_TO_12, 12) == pytest.approx(expected, rel=2e-14)
+    assert [alpha0_marginal(m, 1.5, mu, t) for m in STATES_TO_12] == pytest.approx(
+        expected, rel=2e-14
+    )
+
+
+LAW_ORACLE_POINTS = [(Fraction(0), Fraction(2))] + [
+    (alpha, theta)
+    for alpha in (Fraction(1, 2), Fraction(9, 10))
+    for theta in (-alpha / 2, Fraction(0), Fraction(2))
+]
+STATES_TO_10 = [m for n in range(11) for m in enumerate_partitions(n)]
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(7, 8)], ids=str)
+@pytest.mark.parametrize("alpha,theta", LAW_ORACLE_POINTS, ids=str)
+def test_law_rows_match_rational_oracle(alpha, theta, b):
+    # log(1 - b) passed as 0 drops the factor (1 - b)^theta; the oracle is exact
+    # at the floats the rows read.  The worst relative error over these points
+    # is 6.58e-15, at (0.9, 2, 7/8) and 1^10; the bound 2e-14 leaves a 3x margin
+    params = ModelParams(float(alpha), float(theta))
+    signs, logs = _log_law_rows(params, math.log(b), 0.0, STATES_TO_10, 10)
+    for m, sign, log_p in zip(STATES_TO_10, signs, logs, strict=True):
+        exact = law_fraction(Fraction(params.alpha), Fraction(params.theta), b, m)
+        if not exact:
+            assert sign == 0, m
+            continue
+        got = Fraction(sign * math.exp(log_p))
+        assert abs(got - exact) <= Fraction(2e-14) * abs(exact), m
 
 
 @pytest.mark.parametrize(

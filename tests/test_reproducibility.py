@@ -155,8 +155,8 @@ SUMMARY_FLAGS = (
 )
 
 SUMMARY_SHA256 = {
-    "multiplicity": "bdcaa88e0ca77ff2bc9710166a2eaec4d531c942e3a4cb0f9e942e833f68131f",
-    "branching": "1e10f8453d9e4443821af52b483d473deaba906b0ed5a40a760cd98a1b45358f",
+    "multiplicity": "eb871b17d77378a2a04d99c03b2b157eeacf442c6f1db1ca28d9f0d005ee540e",
+    "branching": "191a3233f718ac10668127191d885287a4fa7cea2d9776573a01e484ce50f66a",
     "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 
@@ -184,20 +184,20 @@ EXACT_SHA256 = {
         "d16d5c86c34f34f6db27d408ff47229996365eba6976d70c4664a246814320ed"
     ),
     "verify --alpha 0.5 --theta 1 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
-        "d9f2dd9179d9f761a3e1351a8d2f94468d9f74bc255fbaf90e88bea2b21faa53"
+        "f3b812ddc6a0e4e1794dab1d87ab5f030dad9bc460021ba1c1cfcd8ecd7140f9"
     ),
     # theta < 0: the size suite scans the signed law lambda(n) < 0 for n >= 1
     "verify --alpha 0.5 --theta -0.25 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
-        "4e0437f2b1de2f615cf506915c38447776683e47bd57255b3d539e2bd0ee49e4"
+        "3a504c76cb8e80ef54046dc02caa86a07c70262dd66a1b0682aad8bb956b71db"
     ),
     # the default grid: 10^4 series terms reach past n = 512, and alpha = 0.999
     # folds a leading factor below 0.5
-    "verify": "966073fd1d8099769716e1103d9f4845a3901371ed72f64f10c9c34a1c2d65f3",
-    "verify --alpha 0.999": "0b9f13b0fac80bd8e8892cafd6a0b0b82fe16e649c2fba48bd29d5f8124c1981",
+    "verify": "40b530f993e8a516de5f382ddffd0f37733db40ee650a2b04611d330ff5e189d",
+    "verify --alpha 0.999": "317f3f933ee2c4fac1b8a9285795a8465a98678889249fe70add94d7faa385a7",
     # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14;
     # its weight series sums all 10^4 terms, so it reads the weights far past i = 512
     "verify --alpha 0.3 --theta -0.29 --mu 1.01 --max-size 14": (
-        "26a82a6dffc8ec81353fea2b914c1b8ff59335f09a58d70448d8c960c8bf7ba3"
+        "df770edb491d01893f0a73e841af9f14874267f8d16303a2d90dcd5b049bbdcd"
     ),
 }
 
