@@ -101,12 +101,13 @@ class _AscendingPrefix:
       ~2e-10 at n = 10^4, as for log n!).
 
     So a table keeps every entry up to the largest n read, or up to its
-    zero entry, and ``ratio_rows`` keeps log|x_(n) / n!| beside them for the
-    size law.  Extending is not thread-safe; the package's workers are
+    zero entry; ``ratio_rows`` keeps log|x_(n) / n!| beside them for the size
+    law, and ``weight_rows`` log(x_(i-1) / i!) for the partition law's weights
+    at x = 1 - alpha.  Extending is not thread-safe; the package's workers are
     processes.
     """
 
-    __slots__ = ("_x", "_signs", "_logs", "_folded", "_ratios")
+    __slots__ = ("_x", "_signs", "_logs", "_folded", "_ratios", "_weights")
 
     def __init__(self, x: float):
         self._x = x
@@ -114,6 +115,7 @@ class _AscendingPrefix:
         self._logs = [0.0]
         self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
         self._ratios = [0.0]
+        self._weights = [0.0]
 
     def rows(self, n: int) -> tuple[list[int], list[float]]:
         """The stored signs and log magnitudes, extended to reach entry n unless a zero ends them.
@@ -155,6 +157,18 @@ class _AscendingPrefix:
             log_fact = _log_factorials(top - 1)
             ratios += [logs[k] - log_fact[k] for k in range(len(ratios), top)]
         return self._signs, ratios
+
+    def weight_rows(self, n: int) -> list[float]:
+        """log(x_(i-1) / i!) = log(x_(i-1) / (i-1)!) - log i for i = 1..n at least (index 0
+        holds 0.0), x > 0, each entry taken once and kept.  At x = 1 every ratio is
+        exactly 0, so the entry is -log i to one rounding, where log x_(i-1) - log i!
+        would be ~1e-16 log i! off."""
+        weights = self._weights
+        if len(weights) <= n:
+            logs, log_fact = self.rows(n - 1)[1], _log_factorials(n - 1)
+            start = len(weights)
+            weights += [(logs[i - 1] - log_fact[i - 1]) - math.log(i) for i in range(start, n + 1)]
+        return weights
 
 
 @lru_cache(maxsize=64)
@@ -198,10 +212,10 @@ def _lead_rows(theta: float, alpha: float, first: int, n: int) -> tuple[list[int
 
 
 def _log_weights(alpha: float, n: int) -> list[float]:
-    """log w'_i = log (1 - alpha)_(i-1) - log i! at index i = 1..n, from one pass over
-    the prefix tables at 1 - alpha and at 1; index 0 holds 0.0.  At alpha = 0, w'_i = 1/i."""
-    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(n - 1)[1], _log_factorials(n)
-    return [0.0] + [logs[i - 1] - log_fact[i] for i in range(1, n + 1)]
+    """log w'_i = log((1 - alpha)_(i-1) / (i-1)!) - log i at index i = 1..n at least,
+    kept by the prefix table at 1 - alpha (``weight_rows``); index 0 holds 0.0.  At
+    alpha = 0, w'_i = 1/i, and the entry is -log i to one rounding."""
+    return _ascending_prefix(1.0 - alpha).weight_rows(n)
 
 
 def psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
@@ -257,14 +271,12 @@ def _require_weight_alpha(alpha: float) -> None:
 def log_alpha_weight(alpha: float, i: int) -> float:
     """log of alpha_weight(alpha, i); positive arguments throughout.
 
-    log(alpha) + (log (1-alpha)_(i-1) - log(i!)), log alpha added to the entry
-    of ``_log_weights``, read from the prefix tables at 1 - alpha and at 1: O(1)
-    once they cover i.
+    log(alpha) + log w'_i, log alpha added to the entry of ``_log_weights``: O(1)
+    once the weight list covers i.
     """
     _require_weight_alpha(alpha)
     _require_count(i, 1, "the weight index must be >= 1")
-    logs, log_fact = _ascending_prefix(1.0 - alpha).rows(i - 1)[1], _log_factorials(i)
-    return math.log(alpha) + (logs[i - 1] - log_fact[i])
+    return math.log(alpha) + _log_weights(alpha, i)[i]
 
 
 def alpha_weight(alpha: float, i: int) -> float:

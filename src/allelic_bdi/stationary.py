@@ -362,7 +362,7 @@ def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
     (exp(x) rounds to 0.0 below about -745.1), and adding 0.0 to the
     running sum changes nothing; so only the first
     min(terms, ceil(746 / log mu)) terms are evaluated.  Their log weights
-    are log alpha plus the entries of one ``_log_weights`` pass, each
+    are log alpha plus the entries of the ``_log_weights`` list, each
     bit-identical to ``log_alpha_weight``, and the terms are summed in the
     same order, so the gap equals the full term-by-term sum's bit for bit.
     """

@@ -155,8 +155,8 @@ SUMMARY_FLAGS = (
 )
 
 SUMMARY_SHA256 = {
-    "multiplicity": "eb871b17d77378a2a04d99c03b2b157eeacf442c6f1db1ca28d9f0d005ee540e",
-    "branching": "191a3233f718ac10668127191d885287a4fa7cea2d9776573a01e484ce50f66a",
+    "multiplicity": "61323d80a26e4d1450f4bc9b799b90da8158a0b9cfe23f13c38c268e5e7a6969",
+    "branching": "8f8374e89e7f114497c6426293baceb76ce19aaf1c494488569635312898f422",
     "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 
@@ -178,26 +178,26 @@ EXACT_SHA256 = {
         "dd77b360b974f4f69839584b56f1a5c66d8fa11b467fbc16d8e4c7b47f4eed77"
     ),
     "exact pi --alpha 0.5 --theta 1 --mu 2 --table --max-size 6": (
-        "2b734e9bee767d66b91c008c22ed0868c4c1ddb0194c3145b5b5e4f283f31fd1"
+        "86d13b85e186355f5e53f7e1d413e4386e29b37ff31c0dbd4d2f1128925fb043"
     ),
     "exact lambda --theta 1 --mu 2 --table --max-size 20": (
         "d16d5c86c34f34f6db27d408ff47229996365eba6976d70c4664a246814320ed"
     ),
     "verify --alpha 0.5 --theta 1 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
-        "f3b812ddc6a0e4e1794dab1d87ab5f030dad9bc460021ba1c1cfcd8ecd7140f9"
+        "1271d2c3e6e328167295b4715f53d9f2a7ff84a1b676f1850dfaac5ca392ca1a"
     ),
     # theta < 0: the size suite scans the signed law lambda(n) < 0 for n >= 1
     "verify --alpha 0.5 --theta -0.25 --mu 2 --max-size 6 --size-max 50 --series-terms 500": (
-        "3a504c76cb8e80ef54046dc02caa86a07c70262dd66a1b0682aad8bb956b71db"
+        "90d35f250651532ac0a3c65de54167d3e3ea5f6e81998437fe412bd7d9cc9648"
     ),
     # the default grid: 10^4 series terms reach past n = 512, and alpha = 0.999
     # folds a leading factor below 0.5
-    "verify": "40b530f993e8a516de5f382ddffd0f37733db40ee650a2b04611d330ff5e189d",
-    "verify --alpha 0.999": "317f3f933ee2c4fac1b8a9285795a8465a98678889249fe70add94d7faa385a7",
+    "verify": "8454116888294afd46266d0644d16fa50725174d526d1956c9205bb12463f99e",
+    "verify --alpha 0.999": "1e92adae981c0d0db3ecdf5e3a069a2dabd060a44c1e3ac78cedf4413f9a82b8",
     # a signed point (theta < 0) near mu = 1, scanned over the whole graph, s <= 14;
     # its weight series sums all 10^4 terms, so it reads the weights far past i = 512
     "verify --alpha 0.3 --theta -0.29 --mu 1.01 --max-size 14": (
-        "df770edb491d01893f0a73e841af9f14874267f8d16303a2d90dcd5b049bbdcd"
+        "059c4e9478ee452f861b6dd1b443608aebc1d3fc851155f0a68b0d92c4d5408b"
     ),
 }
 

@@ -385,8 +385,9 @@ class TestPartitionBalance:
 
 
 def log_weight(alpha, i):
-    """log w'_i = log (1 - alpha)_(i-1) - log i!, read from the two prefix tables."""
-    return _ascending_prefix(1.0 - alpha).rows(i - 1)[1][i - 1] - _log_factorials(i)[i]
+    """log w'_i = log((1 - alpha)_(i-1) / (i-1)!) - log i, the ratio read from the
+    prefix table at 1 - alpha."""
+    return _ascending_prefix(1.0 - alpha).ratio_rows(i - 1)[1][i - 1] - math.log(i)
 
 
 def reference_log_pi(m, params):
