@@ -49,7 +49,6 @@ from .stationary import (
     mixture_consistency_scan,
     partition_balance_scan,
     partition_stationary_pmf,
-    partition_stationary_truncated,
     size_balance_scan,
     size_stationary_pmf,
     stationary_mass_comparison,
@@ -177,14 +176,13 @@ def _simulate_summary(args, params: ModelParams, dist) -> dict:
     if group_dist is not None:
         bound = min(args.tv_max_size, PARTITION_BALANCE_MAX_SIZE)
         empirical = {m: p for m, p in dist.probabilities().items() if m.size <= bound}
-        if params.alpha == 0.0:
+        if params.alpha == 0.0 or params.mu > 1.0:
             states = [m for n in range(bound + 1) for m in enumerate_partitions(n)]
             exact = dict(zip(states, _transient_rows(params, args.t, states, bound)))
-            tv["partition_vs_poisson_product"] = tv_distance(empirical, exact)
-            tv["partition_truncation"] = bound
-        elif params.mu > 1.0:
-            exact = partition_stationary_truncated(params, bound)
-            tv["partition_vs_stationary"] = tv_distance(empirical, exact)
+            key = (
+                "partition_vs_poisson_product" if params.alpha == 0.0 else "partition_vs_transient"
+            )
+            tv[key] = tv_distance(empirical, exact)
             tv["partition_truncation"] = bound
 
     return {

@@ -11,8 +11,7 @@ Three kernels share one event vocabulary:
   with probability alpha, exponential(mu) lifetimes, and immigration at rate
   theta.  It emits the induced multiplicity-level trajectory, which has the
   same law as ``simulate``.  A family is an integer size under a Fenwick
-  tree, O(log families) per event.  It takes theta >= 0 from a populated
-  start; ``simulate`` covers theta < 0.
+  tree, O(log families) per event.
 * the population-size process alone (birth theta + n, death mu * n), a plain
   integer birth-death-immigration chain, run only as the ``bdi`` engine of
   ensembles.
@@ -124,13 +123,12 @@ def _check_horizon(t_end: float) -> None:
 
 
 def _recorded_path(
-    kernel: Callable, params: ModelParams, t_end: float, rng, initial, max_events: int
+    kernel: Callable, params: ModelParams, t_end: float, rng, max_events: int
 ) -> Trajectory:
-    """The path a partition ``kernel`` records from ``initial`` (empty if None)."""
-    start = _EMPTY if initial is None else initial
+    """The path a partition ``kernel`` records from the empty state."""
     events: list[tuple[float, TransitionEvent]] = []
-    kernel(params, t_end, rng, start, max_events, events.append)
-    return Trajectory(start, tuple(events), t_end)
+    kernel(params, t_end, rng, _EMPTY, max_events, events.append)
+    return Trajectory(_EMPTY, tuple(events), t_end)
 
 
 class _EventCache(dict):
@@ -285,21 +283,20 @@ def simulate(
     t_end: float,
     rng: np.random.Generator,
     *,
-    initial: AllelicPartition | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> Trajectory:
     """Gillespie simulation of the multiplicity-level chain on [0, t_end].
 
-    Starts from the empty state unless ``initial`` is given.  Each event
-    takes one holding time and one selector from blocks of 32 drawn in one
-    numpy call each, an O(1) update of the total rate theta + (1 + mu) * s,
-    an O(1) choice of the event class and a walk over the sorted support,
-    O(distinct sizes), to find the size in the class: from the bottom for
-    the uniform group, from the top for the member and death classes, whose
-    mass sits in large groups.  The support list changes (by bisect) only
-    when a size appears or vanishes.  Recording the path adds one
-    (time, shared event) pair per event; ensembles run the same kernel
-    without recording, so their memory does not grow with the event count.
+    Starts from the empty state.  Each event takes one holding time and one
+    selector from blocks of 32 drawn in one numpy call each, an O(1) update
+    of the total rate theta + (1 + mu) * s, an O(1) choice of the event
+    class and a walk over the sorted support, O(distinct sizes), to find the
+    size in the class: from the bottom for the uniform group, from the top
+    for the member and death classes, whose mass sits in large groups.  The
+    support list changes (by bisect) only when a size appears or vanishes.
+    Recording the path adds one (time, shared event) pair per event;
+    ensembles run the same kernel without recording, so their memory does
+    not grow with the event count.
 
     Bit-identity (random stream 2, see the module docstring): the path is a
     function of the generator's draws in blocks of 32, the class masses and
@@ -310,7 +307,7 @@ def simulate(
     left advanced by whole blocks.  ``tests/test_reproducibility.py`` pins
     seeded outputs.  Exceeding ``max_events`` raises :class:`RunawayError`.
     """
-    return _recorded_path(_multiplicity_kernel, params, t_end, rng, initial, max_events)
+    return _recorded_path(_multiplicity_kernel, params, t_end, rng, max_events)
 
 
 def _size_kernel(
@@ -372,8 +369,7 @@ def _branching_kernel(
     s = start.size
     if theta < 0.0 and s:
         raise DomainError(
-            f"the branching engine needs theta >= 0 from a populated start, got theta={theta}; "
-            "simulate runs theta < 0"
+            f"the branching engine needs theta >= 0 from a populated start, got theta={theta}"
         )
     sizes = [i for i, c in start for _ in range(c)]
     width = 1 << max(len(sizes) - 1, 0).bit_length()
@@ -448,14 +444,9 @@ def simulate_branching(
     t_end: float,
     rng: np.random.Generator,
     *,
-    initial: AllelicPartition | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> Trajectory:
-    """Simulate the individual-level construction, emitting partition events.
-
-    Starts from the empty state unless ``initial`` is given; its groups
-    become families in entry order.  From a populated start theta must be
-    >= 0 (:class:`DomainError` otherwise): :func:`simulate` runs theta < 0.
+    """Simulate the individual-level construction from the empty state.
 
     Deaths use a single exponential clock at the aggregate rate mu * s plus a
     uniform victim, and births one at the aggregate rate s plus a uniform
@@ -476,5 +467,5 @@ def simulate_branching(
     that walk would;
     ``tests/test_reproducibility.py`` pins seeded outputs.
     """
-    return _recorded_path(_branching_kernel, params, t_end, rng, initial, max_events)
+    return _recorded_path(_branching_kernel, params, t_end, rng, max_events)
 

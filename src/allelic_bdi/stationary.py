@@ -150,8 +150,9 @@ def size_balance_scan(
     (-alpha, 0] included, and the residual is
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
     infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
-    deliberately perturbed table) is checked in plain floats.  The first worst
-    pair is reported, a nan counting as worst, as with ``np.argmax``.
+    deliberately perturbed table) is checked in plain floats, a one-sided
+    zero again infinite.  The first worst pair is reported, a nan counting as
+    worst, as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
     _require_count(n_max, 1, "n_max must be >= 1")
@@ -163,8 +164,8 @@ def size_balance_scan(
         rate = theta + n
         if pmf is not None:
             lhs, rhs = pmf(n) * rate, pmf(n + 1) * mu * (n + 1)
-            if lhs == 0.0:
-                residual = 0.0 if rhs == 0.0 else math.inf
+            if lhs == 0.0 or rhs == 0.0:  # inf unless both are zero; nan if a side is nan
+                residual = 0.0 if lhs == rhs else abs(lhs - rhs) * math.inf
             else:
                 residual = abs(lhs - rhs) / abs(lhs)
         elif signs[n] * ((rate > 0.0) - (rate < 0.0)) != signs[n + 1]:

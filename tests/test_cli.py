@@ -19,6 +19,7 @@ from allelic_bdi import (
     nbin_time_param,
     neg_bin_pmf,
     run_ensemble,
+    transient_pmf,
     tv_distance,
 )
 from allelic_bdi import __version__, cli, montecarlo
@@ -285,13 +286,20 @@ class TestSimulate:
         assert tv["partition_vs_poisson_product"] == tv_distance(empirical, exact)
 
     def test_summary_reversible_partition_target(self, capsys):
+        # at alpha > 0, mu > 1 the ensemble is compared with the time-t law it samples
         code, out, _ = run_cli(
             capsys, "simulate", "--alpha", "0.5", "--theta", "1", "--mu", "2", "--t", "1",
             "--replicates", "100", "--seed", "5", "--workers", "1", "--tv-max-size", "8",
         )
         assert code == 0
+        params = ModelParams(0.5, 1.0, 2.0)
+        dist = run_ensemble(params, 1.0, 100, 5, workers=1)
+        empirical = {m: p for m, p in dist.probabilities().items() if m.size <= 8}
+        exact = {
+            m: transient_pmf(m, params, 1.0) for n in range(9) for m in enumerate_partitions(n)
+        }
         tv = json.loads(out)["tv"]
-        assert "partition_vs_stationary" in tv
+        assert tv["partition_vs_transient"] == tv_distance(empirical, exact)
         assert "partition_vs_poisson_product" not in tv
         assert tv["partition_truncation"] == 8
 

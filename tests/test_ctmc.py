@@ -157,6 +157,13 @@ def _first_jump_pvalue(engine, params, seed, runs):
     return stats.kstest(times, cdf).pvalue
 
 
+def _kernel_path(kernel, params, t_end, rng, start):
+    """The path a partition ``kernel`` records from ``start``."""
+    events = []
+    kernel(params, t_end, rng, start, DEFAULT_MAX_EVENTS, events.append)
+    return Trajectory(start, tuple(events), t_end)
+
+
 def _replay_is_consistent(traj):
     """Replay the event list and confirm sizes track the event deltas."""
     prev_size = traj.initial.size
@@ -204,7 +211,9 @@ class TestSimulate:
     def test_nonpositive_theta_runs_until_extinction(self):
         # with theta <= 0 the chain moves while populated and freezes at empty
         params = ModelParams(0.5, -0.25, 2.0)
-        traj = simulate(params, 50.0, np.random.default_rng(11), initial=decode("2^2"))
+        traj = _kernel_path(
+            _multiplicity_kernel, params, 50.0, np.random.default_rng(11), decode("2^2")
+        )
         assert len(traj) > 0
         _replay_is_consistent(traj)
         seen_empty = False
@@ -212,11 +221,6 @@ class TestSimulate:
             assert not seen_empty, "no events may follow the empty state"
             seen_empty = state.size == 0
         assert traj.final_state().size == 0  # at mu = 2 extinction is certain well before t = 50
-
-    def test_initial_state_respected(self):
-        start = decode("1^1 3^1")
-        traj = simulate(ModelParams(0.0, 1.0, 1.0), 2.0, np.random.default_rng(5), initial=start)
-        assert traj.initial == start
 
     def test_event_cap(self):
         with pytest.raises(RunawayError) as exc:
@@ -678,8 +682,8 @@ def test_in_class_choice_at_the_top_after_round_off(alpha, theta, mu, s, k, u):
 
 def test_draw_blocks_are_consumed_in_order():
     # holding time n and selector n of a run are entries n of the concatenated blocks
-    params, start = ModelParams(0.5, 1.0, 0.0), decode("1^1")
-    path = simulate(params, 4.5, np.random.default_rng(3), initial=start)  # pure birth
+    params, start = ModelParams(0.5, 1.0, 0.0), decode("1^1")  # pure birth
+    path = _kernel_path(_multiplicity_kernel, params, 4.5, np.random.default_rng(3), start)
     assert len(path) > 3 * _DRAW_BLOCK
     rng = np.random.default_rng(3)
     holds, selectors, t = [], [], 0.0
@@ -707,32 +711,22 @@ class TestSimulateBranching:
         assert len(traj) > 0
         _replay_is_consistent(traj)
 
-    def test_initial_state_respected(self):
-        start = decode("2^1 3^1")
-        traj = simulate_branching(
-            ModelParams(0.5, 1.0, 2.0), 2.0, np.random.default_rng(8), initial=start
-        )
-        assert traj.initial == start
-
     def test_frozen_at_empty_when_theta_nonpositive(self):
         traj = simulate_branching(ModelParams(0.5, -0.25, 2.0), 10.0, np.random.default_rng(3))
         assert traj.events == ()
 
     def test_zero_theta_from_populated_start_runs_until_extinction(self):
-        traj = simulate_branching(
-            ModelParams(0.5, 0.0, 2.0), 50.0, np.random.default_rng(11), initial=decode("2^2")
-        )
+        params, start = ModelParams(0.5, 0.0, 2.0), decode("2^2")
+        traj = _kernel_path(_branching_kernel, params, 50.0, np.random.default_rng(11), start)
         assert len(traj) > 0
         _replay_is_consistent(traj)
         assert traj.final_state().size == 0
 
     @pytest.mark.parametrize("theta", [-0.25, -1e-300])
     def test_refuses_negative_theta_from_populated_start(self, theta):
-        # the multiplicity engine runs theta < 0 from any start, so the message names it
+        # the multiplicity kernel runs theta < 0 from any start; this one refuses it
         params, rng = ModelParams(0.5, theta, 2.0), np.random.default_rng(11)
-        with pytest.raises(DomainError, match="simulate runs theta < 0"):
-            simulate_branching(params, 5.0, rng, initial=decode("1^1"))
-        with pytest.raises(DomainError, match="simulate runs theta < 0"):
+        with pytest.raises(DomainError, match="needs theta >= 0 from a populated start"):
             _branching_kernel(params, 5.0, rng, decode("2^2"), 100, None)
         assert rng.random() == np.random.default_rng(11).random()  # refused before a draw
 
@@ -758,16 +752,16 @@ class TestSimulateBranching:
 
 # theta < 0 only on the multiplicity engine: the branching engine refuses it
 @pytest.mark.parametrize(
-    "alpha,theta,mu,engine",
+    "alpha,theta,mu,kernel",
     [
-        (0.5, -0.25, 2.0, simulate),
-        (0.5, 0.0, 2.0, simulate),
-        (0.5, 0.0, 2.0, simulate_branching),
-        (0.3, 1.5, 0.8, simulate),
-        (0.3, 1.5, 0.8, simulate_branching),
+        (0.5, -0.25, 2.0, _multiplicity_kernel),
+        (0.5, 0.0, 2.0, _multiplicity_kernel),
+        (0.5, 0.0, 2.0, _branching_kernel),
+        (0.3, 1.5, 0.8, _multiplicity_kernel),
+        (0.3, 1.5, 0.8, _branching_kernel),
     ],
 )
-def test_first_jump_law_from_populated_start(alpha, theta, mu, engine):
+def test_first_jump_law_from_populated_start(alpha, theta, mu, kernel):
     # the paper's rates from m = 1^1 2^2 3^1 (s = 8, k = 4), written out here
     # rather than read from the library: a new family at theta + alpha * k, growth
     # of a size-i group at (i - alpha) * m_i, a death in one at mu * i * m_i
@@ -781,7 +775,7 @@ def test_first_jump_law_from_populated_start(alpha, theta, mu, engine):
     params, start = ModelParams(alpha, theta, mu), decode("1^1 2^2 3^1")
     times, counts = [], dict.fromkeys(table, 0)
     for i in range(4000):
-        path = engine(params, horizon, np.random.default_rng([913, i]), initial=start)
+        path = _kernel_path(kernel, params, horizon, np.random.default_rng([913, i]), start)
         if path.events:  # no jump by the horizon has probability e^-10
             t, ev = path.events[0]
             times.append(t)
@@ -832,7 +826,8 @@ def test_engine_final_state_equals_replay(engine, params, t_end, sizes):
         final = kernel(params, t_end, rng, start, DEFAULT_MAX_EVENTS, events.append)
         path = Trajectory(start, tuple(events), t_end)
         assert path.final_state().entries == final
-        assert engine_fn(params, t_end, np.random.default_rng([seed, 77]), initial=start) == path
+        if sizes is None:  # the public engines start from the empty state only
+            assert engine_fn(params, t_end, np.random.default_rng([seed, 77])) == path
 
 
 # ---------------------------------------------------------------------------

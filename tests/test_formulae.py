@@ -250,16 +250,18 @@ def reference_log_weights(alpha: float, n: int) -> list[float]:
 
 
 WEIGHT_ALPHAS = (1e-9, 0.1, 0.4999999, 0.5, 0.5000001, 0.9, 0.999)
-# the three tabulated starts at every (alpha, theta) of the verify grid and
-# at the weight alphas, plus negative starts, exact zero factors, and starts
-# either side of the fold threshold 0.5
+# the starts the library tabulates: theta and theta + 1 at every (alpha, theta)
+# of the verify grid, 1 - alpha at the weight alphas, and 1 for the factorials
+# (theta / alpha at alpha = theta = 0.5); plus theta / alpha and
+# theta / alpha + 1 on that grid, negative starts, exact zero factors, and
+# starts either side of the fold threshold 0.5
 PREFIX_STARTS = sorted(
     {1.0 - alpha for alpha in WEIGHT_ALPHAS}
     | {
         x
         for alpha in (0.1, 0.5, 0.9)
         for theta in (-alpha / 2.0, 0.5, 2.0)
-        for x in (theta / alpha, theta / alpha + 1.0)
+        for x in (theta, theta + 1.0, theta / alpha, theta / alpha + 1.0)
     }
     | {-3.5, -2.0, -0.999, -1e-9, 0.0, 0.4999999, 0.5, 2.5}
 )
@@ -438,6 +440,55 @@ def test_psf_rows_equal_the_per_state_reference(params):
         assert psf(m.size, params, m) == expected, m
     top = enumerate_partitions(20)
     assert _psf_rows(params, top, 20) == rows[-len(top) :]  # one size alone
+
+
+def group_count_law(alpha, theta, n_max):
+    """[P(K_n = k) for k <= n] for each n <= n_max: the law of the urn's group count.
+
+    The forward recursion p_{n+1}(k) = p_n(k) (n - alpha k) / (theta + n)
+    + p_n(k - 1) (theta + alpha (k - 1)) / (theta + n) from p_0 = [1]; it
+    shares no code with the library.
+    """
+    laws = [[1.0]]
+    for n in range(n_max):
+        nxt = [0.0] * (n + 2)
+        for k, p in enumerate(laws[-1]):
+            nxt[k] += p * (n - alpha * k) / (theta + n)  # an old group grows
+            nxt[k + 1] += p * (theta + alpha * k) / (theta + n)  # a new group
+        laws.append(nxt)
+    return laws
+
+
+# (alpha, theta): Hoppe urns, theta in (-alpha, 0), theta near 0 and alpha near 1
+GROUP_COUNT_POINTS = [(0.0, 1.0), (0.0, 2.5), (0.5, 1.0), (0.5, -0.25), (0.9, -0.5),
+                      (0.3, 1e-4), (0.999, 5.0)]  # fmt: skip
+
+
+@pytest.mark.parametrize("alpha,theta", GROUP_COUNT_POINTS)
+def test_group_count_law_is_the_psf_summed_by_group_count(alpha, theta):
+    # the worst gap over these points is 9.2e-15; the bound leaves a 2x margin
+    laws = group_count_law(alpha, theta, 20)
+    params = ModelParams(alpha, theta)
+    for n in range(21):
+        states = enumerate_partitions(n)
+        by_k = [0.0] * (n + 1)
+        for m, value in zip(states, _psf_rows(params, states, n)):
+            by_k[m.num_groups] += value
+        assert max(abs(a - b) for a, b in zip(by_k, laws[n], strict=True)) <= 2e-14, n
+
+
+@pytest.mark.parametrize("alpha,theta", GROUP_COUNT_POINTS)
+def test_group_count_law_has_the_closed_mean(alpha, theta):
+    # E K_n = (theta / alpha) ((theta + alpha)_(n) / (theta)_(n) - 1), and
+    # sum_{j<n} theta / (theta + j) at alpha = 0; to n = 200 the worst
+    # relative gap is 6.6e-15, and the bound leaves a 3x margin
+    ratio, harmonic = 1.0, 0.0  # (theta + alpha)_(n) / (theta)_(n), sum_{j<n} theta / (theta + j)
+    for j, law in enumerate(group_count_law(alpha, theta, 200)[1:]):  # the law of K_(j+1)
+        ratio *= (theta + alpha + j) / (theta + j)
+        harmonic += theta / (theta + j)
+        closed = theta / alpha * (ratio - 1.0) if alpha else harmonic
+        mean = sum(k * p for k, p in enumerate(law))
+        assert abs(mean - closed) <= 2e-14 * closed, j + 1
 
 
 def test_psf_alpha_zero_is_esf():

@@ -148,15 +148,15 @@ def test_diagnose_bytes_are_pinned(tmp_path, alpha, theta):
     assert sha256_of(report) == DIAGNOSE_SHA256[(alpha, theta)]
 
 
-# the reversible regime, so multiplicity and branching summaries carry a
-# partition_vs_stationary entry; bdi reports the size TV only
+# alpha > 0 with mu > 1, so multiplicity and branching summaries carry a
+# partition_vs_transient entry; bdi reports the size TV only
 SUMMARY_FLAGS = (
     "--alpha 0.5 --theta 2 --mu 1.5 --t 4 --replicates 300 --tv-max-size 8 --workers 1".split()
 )
 
 SUMMARY_SHA256 = {
-    "multiplicity": "61323d80a26e4d1450f4bc9b799b90da8158a0b9cfe23f13c38c268e5e7a6969",
-    "branching": "8f8374e89e7f114497c6426293baceb76ce19aaf1c494488569635312898f422",
+    "multiplicity": "10990ebe03b3a88628d8cdde195eeaf386e0067e783836181ed5297a2b09039f",
+    "branching": "464cca306c38c8eed1147754768004751a1c94b3fbac63a4e295d961ab313afa",
     "bdi": "0687a8a5b775e7c7529afb08fcc96546b7b374a4d34b4da9bc2a5debac5b5de0",
 }
 

@@ -280,7 +280,10 @@ class TestSizeBalance:
         def gapped(n):
             return 0.0 if n == 5 else size_stationary_pmf(n, theta, mu)
 
-        assert size_balance_scan(theta, mu, 10, gapped).max_residual == math.inf
+        scan = size_balance_scan(theta, mu, 10, gapped)
+        assert scan.max_residual == math.inf
+        # the pair into the zero is the first infinite one, as with the default rows
+        assert scan.worst_transition == "4->5"
 
     def test_signed_law_balances_without_a_pmf(self):
         # theta in (-alpha, 0): lambda(n) < 0 for n >= 1, and the scan reads it signed
@@ -294,7 +297,7 @@ class TestSizeBalance:
         assert size_balance_scan(theta, mu, 600).max_residual < 1e-12
 
     def test_first_nan_pair_is_reported(self):
-        # a zero at n = 1 gives residuals 1 and inf, a nan at n = 3 spoils
+        # a zero at n = 1 gives two infinite residuals, a nan at n = 3 spoils
         # pairs 2->3 and 3->4: the first nan wins, as with np.argmax
         def holed(n):
             return {1: 0.0, 3: math.nan}.get(n, size_stationary_pmf(n, 1.0, 2.0))
@@ -302,6 +305,16 @@ class TestSizeBalance:
         scan = size_balance_scan(1.0, 2.0, 10, holed)
         assert math.isnan(scan.max_residual)
         assert (scan.worst_state, scan.worst_transition) == ("2", "2->3")
+
+    def test_nan_next_to_a_zero_is_nan(self):
+        # a zero at n = 1 beside a nan at n = 2: the pair between them has no
+        # sign to compare, so it reports nan, as the partition scan does
+        def holed(n):
+            return {1: 0.0, 2: math.nan}.get(n, size_stationary_pmf(n, 1.0, 2.0))
+
+        scan = size_balance_scan(1.0, 2.0, 10, holed)
+        assert math.isnan(scan.max_residual)
+        assert scan.worst_transition == "1->2"
 
     def test_domain(self):
         with pytest.raises(DomainError):
