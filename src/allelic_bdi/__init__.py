@@ -64,7 +64,6 @@ from .montecarlo import (
     tv_distance,
     write_growth_csv,
     write_histogram_csv,
-    write_trajectory_csv,
 )
 
 __all__ = [
@@ -113,5 +112,4 @@ __all__ = [
     "weight_series_gap",
     "write_growth_csv",
     "write_histogram_csv",
-    "write_trajectory_csv",
 ]

@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from . import __version__ as _pkg_version
-from .ctmc import DEFAULT_MAX_EVENTS, simulate, simulate_branching
+from .ctmc import DEFAULT_MAX_EVENTS
 from .errors import DomainError, PartitionParseError, RunawayError
 from .formulae import (
     ModelParams,
@@ -34,12 +34,12 @@ from .formulae import (
 from .montecarlo import (
     ENGINES,
     _open_artifact,
+    _write_trajectory,
     growth_report,
     run_ensemble,
     tv_distance,
     write_growth_csv,
     write_histogram_csv,
-    write_trajectory_csv,
 )
 from .partitions import MAX_ENUMERATION_SIZE, AllelicPartition, enumerate_partitions
 from .stationary import (
@@ -222,17 +222,7 @@ def cmd_simulate(args) -> int:
             raise DomainError(
                 "--trajectory requires a partition engine (multiplicity or branching)"
             )
-        import numpy as np
-        engine_fn = simulate if args.engine == "multiplicity" else simulate_branching
-        rng = np.random.default_rng([args.seed, 0])
-        trajectory = engine_fn(params, args.t, rng, max_events=args.max_events)
-        write_trajectory_csv(
-            trajectory,
-            args.trajectory,
-            params=params,
-            seed=args.seed,
-            metadata={"engine": args.engine},
-        )
+        _write_trajectory(args.trajectory, params, args.t, args.seed, args.engine, args.max_events)
         if args.histogram is None and args.summary is None:
             return 0
 

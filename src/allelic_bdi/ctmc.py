@@ -21,8 +21,10 @@ Each engine is one kernel that runs the chain and returns the final state
 kernel takes a numpy ``Generator``; a partition kernel hands each
 (time, event) pair to a ``record`` callable only when it is given one: the
 two public functions record into a list and wrap it in a path; ensembles
-(:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing, and the
-occupation run adds up time per state as events arrive.
+(:func:`allelic_bdi.montecarlo.run_ensemble`) record nothing; and the two
+single runs observe events as they arrive, holding memory by state, not by
+event count: the occupation run adds up time per state, and
+``simulate --trajectory`` writes one CSV row per event.
 
 Random stream ``RNG_STREAM`` = 2: a kernel draws its holding times as
 ``standard_exponential(_DRAW_BLOCK)`` and its selectors as
@@ -70,9 +72,8 @@ from .partitions import AllelicPartition, EventKind, TransitionEvent, _apply_eve
 
 DEFAULT_MAX_EVENTS = 10**8
 
-#: Version of the random stream the kernels draw (stamped in every artifact
-#: written by ``write_histogram_csv`` and ``write_trajectory_csv``); it
-#: changes whenever a seed would give a different path.
+#: Version of the random stream the kernels draw (stamped in every histogram
+#: and trajectory CSV); it changes whenever a seed would give a different path.
 RNG_STREAM = 2
 
 #: Holding times and selectors are drawn this many at a time, each kind in

@@ -333,13 +333,13 @@ def neg_bin_pmf(n: int, theta: float, b: float) -> float:
     One row of ``_log_size_rows``: O(1) once the prefix tables reach n.
     """
     _require_neg_bin(theta, b, n)
-    return math.exp(_log_size_rows(theta, *_log_b(b), range(n, n + 1), n)[1][0])
+    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n, n + 1), n))[0]
 
 
 def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
     """[neg_bin_pmf(n, theta, b) for n in 0..n_hi], bit for bit, from one row pass."""
     _require_neg_bin(theta, b, n_hi)
-    return list(map(math.exp, _log_size_rows(theta, *_log_b(b), range(n_hi + 1), n_hi)[1]))
+    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n_hi + 1), n_hi))
 
 
 def nbin_time_param(mu: float, t: float) -> float:

@@ -4,7 +4,9 @@ Reproducibility contract: replicate ``i`` of a run with master seed ``S``
 always uses the stream ``numpy.random.default_rng([S, i])``, and merged
 tallies are plain integer sums, so results are bit-identical for fixed
 inputs no matter how replicates are partitioned across workers.  A single
-run (the occupation run) calls ``default_rng([S, 0])`` itself.  Runs of many
+run (the occupation run, ``simulate --trajectory``) calls
+``default_rng([S, 0])`` itself and observes the kernel's events as they
+arrive, holding memory by state, not by event count.  Runs of many
 replicates (ensembles, and the urn runs of :func:`growth_report`) are seeded
 a seed block at a time by :func:`_block_rngs`, which hashes the block at
 once into raw PCG64 words, loads them into one reused generator and checks
@@ -40,7 +42,6 @@ from .ctmc import (
     _DRAW_BLOCK,
     DEFAULT_MAX_EVENTS,
     RNG_STREAM,
-    Trajectory,
     _branching_kernel,
     _check_horizon,
     _multiplicity_kernel,
@@ -439,6 +440,17 @@ def _lock_step(
     return outcomes
 
 
+def _runaway_in(
+    exc: RunawayError, run: str, params: ModelParams, t_end: float, seed: int, engine: str
+) -> RunawayError:
+    """``exc`` with the run, seed, point and engine it tripped in named first."""
+    return RunawayError(
+        f"{run} of seed {seed} (alpha={params.alpha}, theta={params.theta}, "
+        f"mu={params.mu}, t={t_end}, engine {engine}): {exc}",
+        events=exc.events, time=exc.time, size=exc.size, groups=exc.groups,
+    )
+
+
 def _run_chunk(args: tuple) -> dict:
     """Tallies of final states over one range of replicates, in first-occurrence order.
 
@@ -457,14 +469,7 @@ def _run_chunk(args: tuple) -> dict:
                 try:
                     key = kernel(params, t_end, block.start(i), empty, max_events)
                 except RunawayError as exc:
-                    raise RunawayError(
-                        f"replicate {i} of seed {seed} (alpha={params.alpha}, "
-                        f"theta={params.theta}, mu={params.mu}, t={t_end}, engine {engine}): {exc}",
-                        events=exc.events,
-                        time=exc.time,
-                        size=exc.size,
-                        groups=exc.groups,
-                    ) from exc
+                    raise _runaway_in(exc, f"replicate {i}", params, t_end, seed, engine) from exc
             tallies[key] = tallies.get(key, 0) + 1
     return tallies
 
@@ -720,25 +725,29 @@ def _open_artifact(
 ) -> Iterator[IO[str]]:
     """A text handle on ``file`` for one artifact, header lines first.
 
-    ``file`` is a path (opened here and closed on exit), an open handle
-    (left open) or None for stdout.  With a ``header``, the lines
-    ``# artifact=allelic-bdi``, ``# version=...`` and one ``# key=value``
-    per header entry are written before the body.
+    ``file`` is a path (truncated, closed on exit, and deleted if the body
+    raises and it is a regular file), an open handle (left open) or None for
+    stdout.  With a ``header``, the lines ``# artifact=allelic-bdi``,
+    ``# version=...`` and one ``# key=value`` per header entry come first.
     """
     own = isinstance(file, str)
     if own:
         fh: IO[str] = open(file, "w", newline="")
     else:
         fh = sys.stdout if file is None else file
+    written = False
     try:
         if header is not None:
             meta = {"artifact": "allelic-bdi", "version": _pkg_version, **header}
             for key, value in meta.items():
                 fh.write(f"# {key}={value}\n")
         yield fh
+        written = True
     finally:
         if own:
             fh.close()
+            if not written and os.path.isfile(file):  # a failed run leaves no artifact
+                os.remove(file)
 
 
 def write_histogram_csv(
@@ -771,38 +780,39 @@ def write_growth_csv(
             fh.write(",".join([str(n), *map(repr, stats)]) + "\n")
 
 
-def write_trajectory_csv(
-    trajectory: Trajectory,
-    file: str | IO[str],
-    *,
-    params: ModelParams,
-    seed: int,
-    metadata: Mapping[str, object] | None = None,
+def _write_trajectory(
+    file: str, params: ModelParams, t_end: float, seed: int, engine: str, max_events: int
 ) -> None:
-    """Write a trajectory as CSV with a commented metadata header.
+    """Write the path of a partition ``engine`` from the stream ``[seed, 0]`` as CSV.
 
-    Columns are time, event_kind, event_index (empty for new-family events)
-    and the population size and group count after the event, both tracked
-    from the events themselves without replaying partitions.  The header
-    names the random stream (``rng_stream``) the engines draw.
+    The kernel runs from the empty state and hands each event to an observer
+    that writes its row: time, event_kind, event_index (empty for a new
+    family) and the size and group count after it.  The header names the
+    random stream (``rng_stream``) the engines draw.
     """
-    header = {
-        "rng_stream": RNG_STREAM,
-        "alpha": params.alpha,
-        "theta": params.theta,
-        "mu": params.mu,
-        "seed": seed,
-        "horizon": trajectory.horizon,
-        "initial": trajectory.initial.encode(),
-    }
-    with _open_artifact(file, {**header, **(metadata or {})}) as fh:
+    kernel, start = _KERNELS[engine]
+    header = dict(
+        rng_stream=RNG_STREAM, alpha=params.alpha, theta=params.theta, mu=params.mu, seed=seed,
+        horizon=t_end, initial=start.encode(), engine=engine,
+    )
+    with _open_artifact(file, header) as fh:
         fh.write("time,event_kind,event_index,s,k\n")
-        s, k = trajectory.initial.size, trajectory.initial.num_groups
-        for t, ev in trajectory.events:
-            s += ev.size_delta
-            if ev.kind is EventKind.NEW_FAMILY:
-                k += 1
-            elif ev.kind is EventKind.DEATH and ev.index == 1:
-                k -= 1
-            idx = "" if ev.index is None else str(ev.index)
-            fh.write(f"{t!r},{ev.kind.value},{idx},{s},{k}\n")
+        write = fh.write
+        s = k = 0  # the empty state
+
+        def write_row(jump: tuple[float, TransitionEvent]) -> None:
+            nonlocal s, k
+            t, event = jump
+            kind, index = event.kind, event.index
+            if kind is EventKind.DEATH:
+                s -= 1
+                k -= index == 1  # a group of one dies out
+            else:
+                s += 1
+                k += kind is EventKind.NEW_FAMILY
+            write(f"{t!r},{kind.value},{'' if index is None else index},{s},{k}\n")
+
+        try:
+            kernel(params, t_end, np.random.default_rng([seed, 0]), start, max_events, write_row)
+        except RunawayError as exc:
+            raise _runaway_in(exc, "trajectory", params, t_end, seed, engine) from exc

@@ -91,8 +91,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     _require_finite(theta=theta, mu=mu)
     _require_reversible(mu)
     _require_count(n, 0, "the population size must be >= 0")
-    (sign,), (log_lam,) = _log_size_rows(theta, *_pi_b(mu), range(n, n + 1), n)
-    return sign * math.exp(log_lam) if sign else 0.0
+    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), range(n, n + 1), n))[0]
 
 
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
@@ -137,6 +136,13 @@ class BalanceScan:
     pairs_checked: int
 
 
+def _signed_logs(values: list[float]) -> tuple[list[int], list[float]]:
+    """Signs and log magnitudes of a replacement pmf's values, as the scans read the laws."""
+    # a nonzero value is signed +1 if positive and -1 otherwise, nan (log nan) included
+    signs = [1 if v > 0.0 else -1 if v else 0 for v in values]
+    return signs, [math.log(abs(v)) if v else -math.inf for v in values]
+
+
 def size_balance_scan(
     theta: float,
     mu: float,
@@ -147,29 +153,25 @@ def size_balance_scan(
 
     Residuals are relative.  By default the signs and log lambda(n) are one
     ``_log_size_rows`` pass, the rows ``size_stationary_pmf`` reads, theta in
-    (-alpha, 0] included, and the residual is
+    (-alpha, 0] included; a replacement pmf (e.g. a deliberately perturbed
+    table) is read once per n by :func:`_signed_logs`.  The residual is
     |expm1(((log lambda(n) + log|theta + n|) - log lambda(n+1)) - log(mu (n+1)))|,
-    infinite on a sign mismatch or one-sided zero.  A replacement pmf (e.g. a
-    deliberately perturbed table) is checked in plain floats, a one-sided
-    zero again infinite.  The first worst pair is reported, a nan counting as
-    worst, as with ``np.argmax``.
+    infinite on a sign mismatch or one-sided zero (nan beside a nan).  The
+    first worst pair is reported, a nan counting as worst, as with ``np.argmax``.
     """
     _require_finite(theta=theta, mu=mu)
     _require_count(n_max, 1, "n_max must be >= 1")
     _require_reversible(mu)
     if pmf is None:
         signs, log_lam = _log_size_rows(theta, *_pi_b(mu), range(n_max + 1), n_max)
+    else:
+        signs, log_lam = _signed_logs([pmf(n) for n in range(n_max + 1)])
     worst, worst_n = -1.0, 0
     for n in range(n_max):
         rate = theta + n
-        if pmf is not None:
-            lhs, rhs = pmf(n) * rate, pmf(n + 1) * mu * (n + 1)
-            if lhs == 0.0 or rhs == 0.0:  # inf unless both are zero; nan if a side is nan
-                residual = 0.0 if lhs == rhs else abs(lhs - rhs) * math.inf
-            else:
-                residual = abs(lhs - rhs) / abs(lhs)
-        elif signs[n] * ((rate > 0.0) - (rate < 0.0)) != signs[n + 1]:
-            residual = math.inf
+        if signs[n] * ((rate > 0.0) - (rate < 0.0)) != signs[n + 1]:
+            lo, hi = log_lam[n], log_lam[n + 1]
+            residual = math.inf if lo == lo and hi == hi else math.nan  # a nan has no sign
         elif signs[n + 1] == 0:
             residual = 0.0
         else:
@@ -269,10 +271,7 @@ def partition_balance_scan(
     if pmf is None:
         signs, logs = _log_pi_table(params)
     else:
-        values = [pmf(m) for m in graph.states[: graph.ends[s_max + 1]]]
-        # a nonzero value is signed +1 if positive and -1 otherwise, nan (log nan) included
-        signs = [1 if v > 0.0 else -1 if v else 0 for v in values]
-        logs = [math.log(abs(v)) if v else -math.inf for v in values]
+        signs, logs = _signed_logs([pmf(m) for m in graph.states[: graph.ends[s_max + 1]]])
     # by (i, count) and (i, rev_count), all below s_max + 2; the death acts at size i + 1
     alpha, theta, mu = params.alpha, params.theta, params.mu
     top = range(s_max + 2)
@@ -314,14 +313,15 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     _require_partition_regime(params)
     _require_bound(s_max)
     graph = _up_move_graph()
+    end = graph.ends[s_max]
     signs, logs = _log_pi_table(params)
-    psfs = _psf_rows(params, graph.states[: graph.ends[s_max]], s_max)
+    closed_rows = _exp_rows(signs[:end], logs[:end])
+    psfs = _psf_rows(params, graph.states[:end], s_max)
     lams = _lambda_rows(params.theta, params.mu, range(s_max + 1), s_max)
     worst, worst_state = -1.0, ""
     for n, lam in enumerate(lams):
         for j in range(graph.ends[n - 1] if n else 0, graph.ends[n]):
-            sign = signs[j]
-            closed = sign * math.exp(logs[j]) if sign else 0.0
+            closed = closed_rows[j]
             mixed = psfs[j] * lam
             if closed == 0.0:
                 residual = 0.0 if mixed == 0.0 else math.inf
@@ -329,7 +329,7 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
                 residual = abs(mixed - closed) / abs(closed)
             if residual > worst or (residual != residual and worst == worst):  # or the first nan
                 worst, worst_state = residual, graph.states[j].encode()
-    return BalanceScan(worst, worst_state, "mixture-vs-closed-form", graph.ends[s_max])
+    return BalanceScan(worst, worst_state, "mixture-vs-closed-form", end)
 
 
 def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, float]:
@@ -346,11 +346,11 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
     lambda_sum = 0.0
     for lam in _lambda_rows(params.theta, params.mu, range(bound + 1), bound):
         lambda_sum += lam
+    end = _up_move_graph().ends[bound]
     signs, logs = _log_pi_table(params)
     pi_sum = 0.0
-    for j in range(_up_move_graph().ends[bound]):
-        sign = signs[j]
-        pi_sum += sign * math.exp(logs[j]) if sign else 0.0
+    for p in _exp_rows(signs[:end], logs[:end]):
+        pi_sum += p
     return pi_sum, lambda_sum
 
 

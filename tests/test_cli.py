@@ -5,26 +5,32 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from allelic_bdi import (
     MAX_ENUMERATION_SIZE,
     AllelicPartition,
     ModelParams,
+    RunawayError,
     alpha0_marginal,
     partition_stationary_pmf,
     enumerate_partitions,
     nbin_time_param,
     neg_bin_pmf,
     run_ensemble,
+    simulate,
+    simulate_branching,
     transient_pmf,
     tv_distance,
 )
 from allelic_bdi import __version__, cli, montecarlo
 from allelic_bdi.cli import main
 from allelic_bdi.urn import default_checkpoints
+from conftest import states_after_events
 
 
 def run_cli(capsys, *argv):
@@ -453,6 +459,84 @@ class TestSimulate:
     )
     def test_invalid_usage_exits_2(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 2
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize(
+        "engine,record", [("multiplicity", simulate), ("branching", simulate_branching)]
+    )
+    def test_rows_replay_the_engine(self, capsys, tmp_path, engine, record):
+        target = tmp_path / "p.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--theta", "2", "--mu", "0.8", "--t", "6",
+            "--seed", "21", "--engine", engine, "--trajectory", str(target),
+        )
+        assert code == 0 and out == ""
+        header, body = {}, []
+        for line in target.read_text().splitlines():
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                header[key] = value
+            else:
+                body.append(line)
+        assert header == {
+            "artifact": "allelic-bdi", "version": __version__, "rng_stream": "2",
+            "alpha": "0.5", "theta": "2.0", "mu": "0.8", "seed": "21", "horizon": "6.0",
+            "initial": "0", "engine": engine,
+        }  # fmt: skip
+        assert body[0] == "time,event_kind,event_index,s,k"
+
+        # the rows the recording engine's events and replayed states give
+        path = record(ModelParams(0.5, 2.0, 0.8), 6.0, np.random.default_rng([21, 0]))
+        assert len(path) > 20
+        expected = [
+            f"{t!r},{event.kind.value},{'' if event.index is None else event.index},"
+            f"{state.size},{state.num_groups}"
+            for (t, event), state in zip(path.events, states_after_events(path))
+        ]
+        assert body[1:] == expected
+        assert {row.split(",")[1] for row in expected} == {"new_family", "growth", "death"}
+
+    def test_memory_does_not_grow_with_events(self, capsys, tmp_path):
+        # about 123k events; recording the same run peaked at 11.8 MB of traced memory
+        argv = ["simulate", "--alpha", "0.5", "--theta", "2", "--mu", "1.5", "--t", "10000",
+                "--seed", "5", "--trajectory", str(tmp_path / "p.csv")]  # fmt: skip
+        assert main(argv) == 0  # imports and fills the caches the traced run reads
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "p.csv").read_text().count("\n") > 120_000
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_runaway_names_the_run_and_leaves_no_file(self, capsys, tmp_path, engine, existing):
+        target = tmp_path / "p.csv"
+        if existing:
+            target.write_text("an earlier artifact\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--theta", "1", "--t", "5", "--seed", "1", "--max-events", "5",
+            "--engine", engine, "--trajectory", str(target),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(
+            f"error: trajectory of seed 1 (alpha=0.0, theta=1.0, mu=0.0, t=5.0, engine {engine}): "
+            f"{engine} run exceeded the event cap of 5 "
+        )
+        assert not target.exists()
+
+    def test_runaway_keeps_the_kernel_state(self, tmp_path):
+        params = ModelParams(0.0, 1.0, 0.0)
+        with pytest.raises(RunawayError) as exc:
+            montecarlo._write_trajectory(str(tmp_path / "p.csv"), params, 5.0, 1, "branching", 5)
+        kernel_exc = exc.value.__cause__
+        assert (exc.value.events, exc.value.time, exc.value.size, exc.value.groups) == (
+            kernel_exc.events, kernel_exc.time, kernel_exc.size, kernel_exc.groups
+        )
+        assert exc.value.events == 5 and exc.value.groups is not None
 
 
 # ---------------------------------------------------------------------------

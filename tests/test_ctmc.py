@@ -2,7 +2,6 @@
 Gillespie simulation, the size process, and the individual-level construction."""
 
 import gc
-import io
 import math
 import tracemalloc
 from collections import Counter
@@ -28,9 +27,7 @@ from allelic_bdi import (
     simulate,
     simulate_branching,
     transient_pmf,
-    write_trajectory_csv,
 )
-from allelic_bdi import __version__
 from allelic_bdi.ctmc import (
     _DRAW_BLOCK,
     _EMPTY,
@@ -1012,55 +1009,3 @@ def test_recorded_events_are_freed_with_their_path(engine):
         tracemalloc.stop()
     assert sizes > 1000
     assert held < 10_000
-
-
-# ---------------------------------------------------------------------------
-# trajectory CSV
-# ---------------------------------------------------------------------------
-
-
-class TestWriteTrajectoryCsv:
-    def test_round_trip(self):
-        params = ModelParams(0.5, 1.0, 2.0)
-        traj = simulate(params, 3.0, np.random.default_rng(21))
-        assert len(traj) > 0
-        buf = io.StringIO()
-        write_trajectory_csv(traj, buf, params=params, seed=21, metadata={"note": "smoke"})
-        lines = buf.getvalue().splitlines()
-
-        header = {}
-        body = []
-        for line in lines:
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                header[key] = value
-            else:
-                body.append(line)
-        assert header["artifact"] == "allelic-bdi"
-        assert header["version"] == __version__
-        assert float(header["alpha"]) == 0.5
-        assert float(header["theta"]) == 1.0
-        assert float(header["mu"]) == 2.0
-        assert header["seed"] == "21"
-        assert float(header["horizon"]) == 3.0
-        assert header["initial"] == "0"
-        assert header["note"] == "smoke"
-
-        assert body[0] == "time,event_kind,event_index,s,k"
-        rows = [line.split(",") for line in body[1:]]
-        assert len(rows) == len(traj)
-        for row, (t, ev), state in zip(rows, traj.events, states_after_events(traj)):
-            assert float(row[0]) == t  # repr round-trips exactly
-            assert row[1] == ev.kind.value
-            assert row[2] == ("" if ev.index is None else str(ev.index))
-            assert int(row[3]) == state.size
-            assert int(row[4]) == state.num_groups
-        assert rows[0][1] == "new_family"  # the first event from empty is a new family
-
-    def test_writes_to_path(self, tmp_path):
-        traj = _manual_trajectory()
-        target = tmp_path / "trajectory.csv"
-        write_trajectory_csv(traj, str(target), params=ModelParams(0.5, 1.0), seed=0)
-        text = target.read_text()
-        assert "time,event_kind,event_index,s,k" in text
-        assert text.count("\n") == len(traj) + text.count("# ") + 1

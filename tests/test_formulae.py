@@ -809,3 +809,59 @@ def test_group_count_slices_are_negative_binomial():
     for k in range(8):
         assert slices[k] == pytest.approx(neg_bin_pmf(k, params.theta / params.alpha, q), rel=1e-12)
     assert sum(slices) == pytest.approx(1.0, abs=1e-14)
+
+
+def closed_b(mu, t):
+    """b(t) = (e^((1 - mu) t) - 1) / (e^((1 - mu) t) - mu) for mu != 1, apart from the library."""
+    x = math.exp((1.0 - mu) * t)
+    return (x - 1.0) / (x - mu)
+
+
+def closed_a12(alpha, mu, t):
+    """(a_1, a_2): given lambda ~ Gamma(theta / alpha, 1), m_i is Poisson(lambda a_i)."""
+    b = closed_b(mu, t)
+    q = 1.0 - (1.0 - b) ** alpha
+    return alpha * b / (1.0 - q), alpha * (1.0 - alpha) * b * b / (2.0 * (1.0 - q))
+
+
+@pytest.mark.parametrize(
+    "alpha,theta,mu,t,bound",
+    [
+        # measured relative gaps 1.2e-7 and 8.0e-7, from the NB mass past s = 14
+        # (3.3e-11 and 1.5e-10): a bound of 1e-5 relative is 12x the worst
+        (0.5, 1.0, 5.0, 3.0, 1e-5),
+        (0.7, 0.5, 4.0, 2.0, 1e-5),
+        # at alpha = 0 the multiplicities are independent: the truncated Cov
+        # reads -1.2e-11, and 1e-9 absolute leaves an 80x margin
+        (0.0, 1.0, 5.0, 3.0, 1e-9),
+    ],
+)
+def test_multiplicities_stay_dependent(alpha, theta, mu, t, bound):
+    # Cov(m_1, m_2) = r a_1 a_2 with r = theta / alpha, summed from
+    # transient_pmf over every partition with s <= 14
+    params = ModelParams(alpha, theta, mu)
+    e1 = e2 = e12 = 0.0
+    for n in range(15):
+        for m in enumerate_partitions(n):
+            p = transient_pmf(m, params, t)
+            counts = m.as_dict()
+            m1, m2 = counts.get(1, 0), counts.get(2, 0)
+            e1, e2, e12 = e1 + m1 * p, e2 + m2 * p, e12 + m1 * m2 * p
+    cov = e12 - e1 * e2
+    if alpha:
+        a1, a2 = closed_a12(alpha, mu, t)
+        closed = theta / alpha * a1 * a2
+        assert abs(cov - closed) <= bound * closed
+    else:
+        assert abs(cov) <= bound
+
+
+def test_closed_correlation_rises_with_time():
+    # Corr(m_1, m_2) = sqrt(a_1 a_2 / ((1 + a_1)(1 + a_2))) at (alpha, theta, mu) = (0.5, 1, 0.5)
+    # tends to 1: every m_i rides one Gamma intensity
+    corr = []
+    for t in (2.0, 6.0, 10.0, 20.0, 40.0):
+        a1, a2 = closed_a12(0.5, 0.5, t)
+        corr.append(math.sqrt(a1 * a2 / ((1.0 + a1) * (1.0 + a2))))
+    assert corr == sorted(corr)
+    assert corr == pytest.approx([0.248, 0.567, 0.781, 0.977, 0.9998], abs=5e-4)
