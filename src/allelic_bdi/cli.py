@@ -217,24 +217,27 @@ def cmd_simulate(args) -> int:
     _need_output_dir("--summary", args.summary)
     _need_output_dir("--trajectory", args.trajectory)
 
-    if args.trajectory is not None:
-        if args.engine == "bdi":
-            raise DomainError(
-                "--trajectory requires a partition engine (multiplicity or branching)"
-            )
-        _write_trajectory(args.trajectory, params, args.t, args.seed, args.engine, args.max_events)
-        if args.histogram is None and args.summary is None:
-            return 0
+    if args.trajectory is not None and args.engine == "bdi":
+        raise DomainError("--trajectory requires a partition engine (multiplicity or branching)")
 
-    dist = run_ensemble(
-        params,
-        args.t,
-        args.replicates,
-        args.seed,
-        args.engine,
-        workers=args.workers,
-        max_events=args.max_events,
-    )
+    # the ensemble, unless only a trajectory is asked for, runs before any file
+    # is written, so a replicate past the event cap leaves none; the trajectory
+    # redraws replicate 0's stream, which the ensemble has run within the cap
+    dist = None
+    if args.trajectory is None or args.histogram is not None or args.summary is not None:
+        dist = run_ensemble(
+            params,
+            args.t,
+            args.replicates,
+            args.seed,
+            args.engine,
+            workers=args.workers,
+            max_events=args.max_events,
+        )
+    if args.trajectory is not None:
+        _write_trajectory(args.trajectory, params, args.t, args.seed, args.engine, args.max_events)
+    if dist is None:
+        return 0
     if args.histogram is not None:
         meta = {
             "alpha": params.alpha,

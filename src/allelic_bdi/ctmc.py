@@ -37,11 +37,12 @@ non-founding member grows, since (i - alpha) * m_i = (1 - alpha) * m_i +
 (i - 1) * m_i) and mu * s (a uniform individual dies), and then into an
 integer index into that class, which picks the size against the integer
 weights m_i, (i - 1) * m_i or i * m_i over the sorted support.  Every exact
-search returns the same size, so a faster search over sizes draws the same
-paths.  Round-off past the top of a class picks the top of the last class
-with mass.  A multiplicity event takes exactly one holding time and one
-selector, so its two blocks drain together and events ``32 b`` to
-``32 b + 31`` read block pair ``b``, which ensembles rely on
+search returns the same size, so a faster search over sizes (such as a walk
+from the other end of the support) draws the same paths.  Round-off past
+the top of a class picks the top of the last class with mass.  A
+multiplicity event takes exactly one holding time and one selector, so its
+two blocks drain together and events ``32 b`` to ``32 b + 31`` read block
+pair ``b``, which ensembles rely on
 (:func:`allelic_bdi.montecarlo.run_ensemble`); a branching founding draw
 takes an extra selector, so that kernel has no such pairing.
 
@@ -241,9 +242,13 @@ def _multiplicity_kernel(
             if v < s - k or not mu > 0.0:  # a uniform non-founding member
                 if s == k:  # only by round-off with mu = 0: the top group
                     index = support[-1]
-                else:  # the index counted from the top: its mass sits in large groups
+                else:  # j counted from the top; from the bottom in the lowest quarter
                     j = s - k - 1 - int(v) if v < s - k else 0
-                    for index in reversed(support):
+                    if 4 * j < 3 * (s - k):
+                        walk = reversed(support)
+                    else:
+                        j, walk = s - k - 1 - j, support
+                    for index in walk:
                         j -= (index - 1) * counts[index]
                         if j < 0:
                             break
@@ -251,23 +256,33 @@ def _multiplicity_kernel(
                 grow = False
                 x = (v - (s - k)) / mu
                 j = s - 1 - int(x) if x < s else 0  # counted from the top, as above
-                for index in reversed(support):
+                if 2 * j < s:  # from the nearer end
+                    walk = reversed(support)
+                else:
+                    j, walk = s - 1 - j, support
+                for index in walk:
                     j -= index * counts[index]
                     if j < 0:
                         break
         c = counts[index]
         if c == 1:
             del counts[index]
-            del support[bisect_left(support, index)]
         else:
             counts[index] = c - 1
         j = index + 1 if grow else index - 1
         if j:
-            counts[j] = c = counts.get(j, 0) + 1
-            if c == 1:
-                insort(support, j)
+            counts[j] = d = counts.get(j, 0) + 1
+            if d == 1:
+                if c == 1:  # i's slot becomes j's: no size lies strictly between them
+                    support[bisect_left(support, index)] = j
+                else:
+                    insort(support, j)
+            elif c == 1:
+                del support[bisect_left(support, index)]
         else:
             k -= 1
+            if c == 1:
+                del support[0]  # size 1 is the bottom
         if grow:
             s += 1
             if record is not None:
@@ -292,9 +307,14 @@ def simulate(
     selector from blocks of 32 drawn in one numpy call each, an O(1) update
     of the total rate theta + (1 + mu) * s, an O(1) choice of the event
     class and a walk over the sorted support, O(distinct sizes), to find the
-    size in the class: from the bottom for the uniform group, from the top
-    for the member and death classes, whose mass sits in large groups.  The
-    support list changes (by bisect) only when a size appears or vanishes.
+    size in the class.  The uniform-group walk starts from the bottom.  The
+    death walk starts from the end nearer its index in cumulative weight.
+    The member walk starts from the top unless its index lies in the lowest
+    quarter of the class: size 1 has no member weight and small sizes little,
+    so low member mass spans many sizes.  The support list changes only when
+    a size appears or vanishes: when the last group of a size moves to an
+    absent neighbouring size, its entry is overwritten in place, and
+    otherwise an entry is inserted or deleted by bisect.
     Recording the path adds one (time, shared event) pair per event;
     ensembles run the same kernel without recording, so their memory does
     not grow with the event count.
@@ -407,12 +427,13 @@ def _branching_kernel(
             tree[width] += delta  # covers every slot, so it holds s > pos
             f, step = 0, width >> 1
             while step:
-                w = tree[f + step]
+                g = f + step
+                w = tree[g]
                 if w <= pos:
-                    f += step
+                    f = g
                     pos -= w
                 else:
-                    tree[f + step] = w + delta
+                    tree[g] = w + delta
                 step >>= 1
             if grow and pos == 0 and alpha > 0.0 and select() < alpha:
                 found = True  # the parent's family does not grow after all

@@ -528,6 +528,21 @@ class TestTrajectoryCsv:
         )
         assert not target.exists()
 
+    @pytest.mark.parametrize("engine", ["multiplicity", "branching"])
+    @pytest.mark.parametrize("artifact", ["--histogram", "--summary"])
+    def test_ensemble_runaway_leaves_no_trajectory(self, capsys, tmp_path, engine, artifact):
+        # replicate 0 stays within the cap and a later replicate trips it
+        argv = ["simulate", "--theta", "1", "--t", "3", "--seed", "1", "--replicates", "50",
+                "--workers", "1", "--max-events", "5", "--engine", engine]  # fmt: skip
+        alone = tmp_path / "alone.csv"
+        assert run_cli(capsys, *argv, "--trajectory", str(alone))[0] == 0
+        assert alone.exists()
+        target, other = tmp_path / "p.csv", tmp_path / "other"
+        code, out, err = run_cli(capsys, *argv, "--trajectory", str(target), artifact, str(other))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "event cap of 5" in err
+        assert not target.exists() and not other.exists()
+
     def test_runaway_keeps_the_kernel_state(self, tmp_path):
         params = ModelParams(0.0, 1.0, 0.0)
         with pytest.raises(RunawayError) as exc:

@@ -611,6 +611,35 @@ class TestRates:
                 ((_, event),) = events
                 assert m.apply_event(event) == AllelicPartition(final)
 
+    @pytest.mark.parametrize("params", [ModelParams(0.5, 1.0, 2.0), ModelParams(0.3, 2.0, 0.7)])
+    def test_events_are_applicable_in_wide_states(self, params):
+        # many distinct sizes, singleton sizes at the top, and a selector at
+        # every index of the member and death classes, so each walk runs from
+        # both ends and each support move happens
+        states = [state_with(202, 21), decode("1^1 2^2 4^1 5^1 9^1 10^1 17^1 30^1 31^1 64^1")]
+        moves = set()
+        for m in states:
+            s, k, counts = m.size, m.num_groups, m.as_dict()
+            total = params.theta + (1.0 + params.mu) * s
+            selectors = [(params.theta + k + j + 0.5) / total for j in range(s - k)]
+            selectors += [(params.theta + s + params.mu * (j + 0.5)) / total for j in range(s)]
+            for u in selectors:
+                events = []
+                final = _multiplicity_kernel(params, 1.0, OneJump(u), m, 10, events.append)
+                ((_, event),) = events
+                assert event == listed_choice(m, params, u)[0], (m, u)
+                assert m.apply_event(event) == AllelicPartition(final)
+                i = event.index
+                j = i + 1 if event.kind is EventKind.GROWTH else i - 1
+                moves.add((event.kind, counts[i] == 1, j in counts, j == 0))
+        assert moves >= {
+            (EventKind.GROWTH, True, False, False),  # a singleton size grows into an absent one
+            (EventKind.GROWTH, True, True, False),  # ... and into a present one
+            (EventKind.DEATH, True, False, False),  # a singleton size dies into an absent one
+            (EventKind.DEATH, True, False, True),  # the only group of size 1 dies
+            (EventKind.DEATH, False, False, True),  # one of several groups of size 1 dies
+        }
+
 
 def state_with(s, k):
     """A partition with k groups and s members, of several distinct sizes."""
@@ -1009,3 +1038,25 @@ def test_recorded_events_are_freed_with_their_path(engine):
         tracemalloc.stop()
     assert sizes > 1000
     assert held < 10_000
+
+
+def test_multiplicity_kernel_memory_follows_distinct_sizes():
+    # alpha = 0, theta = 0.1, pure birth: one family grows from 1,275 to 9,480
+    # members in a state of two distinct sizes; the kernel holds a dict and a
+    # list over the distinct sizes, and its traced peak read 2,552 and 2,264
+    # bytes (numpy 2.4), where a list indexed by size would hold 8 bytes per
+    # size up to the largest group
+    params = ModelParams(0.0, 0.1, 0.0)
+    _multiplicity_kernel(params, 3.0, np.random.default_rng(0), _EMPTY, 10**6)  # warmed up
+    peaks, finals = [], []
+    for t_end in (8.0, 10.0):
+        rng = np.random.default_rng([3, 0])  # built untraced
+        tracemalloc.start()
+        try:
+            finals.append(_multiplicity_kernel(params, t_end, rng, _EMPTY, 10**6))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert finals == [((6, 1), (1275, 1)), ((51, 1), (9480, 1))]
+    assert peaks[1] - peaks[0] < 256
+    assert max(peaks) < 4096
