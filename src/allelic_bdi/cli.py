@@ -27,6 +27,7 @@ from .formulae import (
     _neg_bin_pmfs,
     _psf_rows,
     _require_reversible,
+    _state_rows,
     _transient_rows,
     nbin_time_param,
     psf,
@@ -46,6 +47,7 @@ from .stationary import (
     PARTITION_BALANCE_MAX_SIZE,
     _lambda_rows,
     _pi_rows,
+    _require_bound,
     mixture_consistency_scan,
     partition_balance_scan,
     partition_stationary_pmf,
@@ -147,7 +149,7 @@ def cmd_exact(args) -> int:
         else:
             _need(args.n is not None, f"{kind} --table requires --n")
             states = enumerate_partitions(args.n)
-            values = _psf_rows(params, states, args.n)
+            values = _psf_rows(params, _state_rows(states), args.n)
             meta["n"] = args.n
         rows = [(m.encode(), value) for m, value in zip(states, values)]
 
@@ -259,6 +261,7 @@ def cmd_verify(args) -> int:
     if args.alpha is not None:
         _need(0.0 < args.alpha < 1.0, f"--alpha must lie in (0, 1), got {args.alpha}")
     _need(args.size_max >= 1, "--size-max must be >= 1")
+    _require_bound(args.max_size)  # before the size suite runs, with the scans' own message
     _need_output_dir("--out", args.out)
     fault = args.inject_fault
 
@@ -320,9 +323,7 @@ def cmd_verify(args) -> int:
                         "worst_state": scan.worst_state,
                     }
                 )
-                pi_sum, lambda_sum = stationary_mass_comparison(
-                    params, PARTITION_BALANCE_MAX_SIZE
-                )
+                pi_sum, lambda_sum = stationary_mass_comparison(params, PARTITION_BALANCE_MAX_SIZE)
                 mass_points.append(
                     {
                         **point,

@@ -21,9 +21,10 @@ Poisson(theta b^i / i) independently (Karlin and McGregor 1967).
 b = nbin_time_param(mu, t) gives the time-t law from the empty state
 (``transient_pmf``), and b = 1/mu the reversible law pi of mu > 1
 (``stationary``), a signed measure for theta in (-alpha, 0).  ``_log_law_rows``
-is its one evaluator.  Its size marginal NB(n; theta, b) = theta_(n) / n! *
-(1 - b)^theta * b^n (``neg_bin_pmf``, and lambda at b = 1/mu) has one evaluator
-too, ``_log_size_rows``.
+is its one evaluator (``_psf_rows`` the Pitman formula's), and both read a
+state as its plain row (s, k, entries).  Its size marginal NB(n; theta, b) =
+theta_(n) / n! * (1 - b)^theta * b^n (``neg_bin_pmf``, and lambda at b = 1/mu)
+has one evaluator too, ``_log_size_rows``.
 """
 
 from __future__ import annotations
@@ -186,6 +187,14 @@ def _log_factorials(n: int) -> list[float]:
     return _ascending_prefix(1.0).rows(n)[1]
 
 
+_StateRow = tuple[int, int, tuple[tuple[int, int], ...]]  # the evaluators' input: (s, k, entries)
+
+
+def _state_rows(states: Iterable[AllelicPartition]) -> list[_StateRow]:
+    """The plain row (m.size, m.num_groups, m.entries) of each state."""
+    return [(m.size, m.num_groups, m.entries) for m in states]
+
+
 def esf(n: int, theta: float, m: AllelicPartition) -> float:
     """Ewens sampling formula, ``psf`` at alpha = 0: the law of the partition of a
     sample of size n, P(m) = n! / theta_(n) * prod_i (theta / i)^{m_i} / m_i! on
@@ -235,11 +244,11 @@ def psf(n: int, params: ModelParams, m: AllelicPartition) -> float:
     _require_count(n, 0, "sample size must be >= 0")
     if m.size != n:
         return 0.0
-    return _psf_rows(params, (m,), n)[0]
+    return _psf_rows(params, _state_rows((m,)), n)[0]
 
 
-def _psf_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
-    """psf(s(m), params, m) at each of ``states``, each with s(m) <= size: the one evaluator.
+def _psf_rows(params: ModelParams, rows: Iterable[_StateRow], size: int) -> list[float]:
+    """psf(s, params, m) at each plain row (s, k, entries), each with s <= size: the one evaluator.
 
     The factor lists are built once up to ``size`` and summed in the order
     (log n! + log prod_{1<=j<k} (theta + alpha j)) - log (theta + 1)_(n-1), the
@@ -251,13 +260,12 @@ def _psf_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int
     log_w = _log_weights(params.alpha, size)
     log_fact = _log_factorials(size)
     out = []
-    for m in states:
-        n = m.size
+    for n, k, entries in rows:
         if not n:
             out.append(1.0)  # the empty sample
             continue
-        log_p = (log_fact[n] + lead[m.num_groups - 1]) - rising[n - 1]
-        for i, mi in m:
+        log_p = (log_fact[n] + lead[k - 1]) - rising[n - 1]
+        for i, mi in entries:
             log_p += mi * log_w[i] - log_fact[mi]
         out.append(math.exp(log_p))
     return out
@@ -369,9 +377,9 @@ def nbin_time_param(mu: float, t: float) -> float:
 
 
 def _log_law_rows(
-    params: ModelParams, log_b: float, log1m_b: float, states: Iterable[AllelicPartition], size: int
+    params: ModelParams, log_b: float, log1m_b: float, rows: Iterable[_StateRow], size: int
 ) -> tuple[list[int], list[float]]:
-    """Signs and log magnitudes of P_b at ``states``, each with s(m) <= size: the one evaluator.
+    """Signs and log magnitudes of P_b at plain rows (s, k, entries), s <= size: the one evaluator.
 
     b is passed as log b (-inf at b = 0) and log(1 - b).  The factors are listed once
     up to ``size``: lead_k = log|prod_{j<k} (theta + alpha j)| (``_lead_rows``),
@@ -386,10 +394,9 @@ def _log_law_rows(
     tail = params.theta * log1m_b
     log_fact = _log_factorials(size)
     signs, logs = [], []
-    for m in states:
-        k = m.num_groups
+    for _, k, entries in rows:
         log_p = lead[k]
-        for i, mi in m:
+        for i, mi in entries:
             log_p += mi * terms[i] - log_fact[mi]
         signs.append(signs_by_k[k])
         logs.append(log_p + tail)
@@ -407,7 +414,8 @@ def _transient_rows(
     """``transient_pmf`` at ``states``, each with s(m) <= size, from one row pass."""
     if params.theta <= 0.0:
         raise DomainError("from the empty state the chain moves only when theta > 0")
-    return _exp_rows(*_log_law_rows(params, *_log_b(nbin_time_param(params.mu, t)), states, size))
+    log_b = _log_b(nbin_time_param(params.mu, t))
+    return _exp_rows(*_log_law_rows(params, *log_b, _state_rows(states), size))
 
 
 def transient_pmf(m: AllelicPartition, params: ModelParams, t: float) -> float:

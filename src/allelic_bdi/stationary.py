@@ -13,8 +13,9 @@ negative-multinomial law of ``formulae`` at b = 1/mu:
 with w'_i = (1 - alpha)_(i-1) / i!, evaluated by ``formulae._log_law_rows`` in
 that order, the lead's factors the new-family rates as written.
 Equivalently pi is the lambda-mixture of Pitman sampling formulae, which
-collapses to the single term at n = s(m); ``mixture_consistency_scan``
-checks the closed form against that term.
+collapses to the single term at n = s(m); ``mixture_consistency_scan`` checks
+the closed form against that term.  The partition scans read one graph of the
+states and one table of pi per point, each built only to the largest size asked.
 
 For theta in (-alpha, 0) the same expressions satisfy the detailed-balance
 identities algebraically but carry a sign (prod_{j<k} (theta + alpha j) < 0 for k >= 1),
@@ -33,6 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import BoundExceededError, DomainError
 from .formulae import (
     ModelParams,
+    _StateRow,
     _exp_rows,
     _log_weights,
     _log_law_rows,
@@ -42,6 +44,7 @@ from .formulae import (
     _require_finite,
     _require_reversible,
     _require_weight_alpha,
+    _state_rows,
     transient_pmf,
 )
 from .partitions import AllelicPartition, TransitionEvent, enumerate_partitions
@@ -97,7 +100,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
     """pi at ``states``, each with s(m) <= size, from one ``_log_law_rows`` pass at b = 1/mu."""
     _require_partition_regime(params)
-    return _exp_rows(*_log_law_rows(params, *_pi_b(params.mu), states, size))
+    return _exp_rows(*_log_law_rows(params, *_pi_b(params.mu), _state_rows(states), size))
 
 
 def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
@@ -110,9 +113,7 @@ def partition_stationary_pmf(m: AllelicPartition, params: ModelParams) -> float:
     return _pi_rows(params, (m,), m.size)[0]
 
 
-def partition_stationary_truncated(
-    params: ModelParams, bound: int
-) -> dict[AllelicPartition, float]:
+def partition_stationary_truncated(params: ModelParams, bound: int) -> dict[AllelicPartition, float]:
     """pi tabulated as ``{m: pi(m)}`` over all partitions with s(m) <= bound.
 
     Requires theta > 0, so the values are probabilities (every sign is +1);
@@ -188,59 +189,81 @@ def size_balance_scan(
 
 
 class _UpMoveGraph(NamedTuple):
-    """Every state with s(m) <= PARTITION_BALANCE_MAX_SIZE + 1 and its up moves.
+    """States by size, their plain rows (s, k, entries) and up moves, built only up to the
+    largest size asked (``reach``); none of it depends on the parameters.
 
-    ``states`` runs by size, each size in ``enumerate_partitions`` order, and
-    ``ends[n]`` counts the states with s(m) <= n, so the states up to any
-    bound are a prefix.  ``moves[j]`` lists the up moves of state j (for
-    s(m) <= PARTITION_BALANCE_MAX_SIZE): the new family first, then the
-    growth of each group size in increasing order, each as (group size i or
-    0 for a new family, count the up-rate is built from, target index, the
-    target's multiplicity at size i + 1, where its reversing death acts).
-    None of it depends on the parameters.
+    ``states`` runs by size, each size in ``enumerate_partitions`` order, and ``ends[n]``
+    counts the states with s(m) <= n, so the states up to any bound are a prefix.
+    ``moves[j]`` lists the up moves of state j, for each state below the top size: the
+    new family first, then the growth of each group size in increasing order, each as
+    (group size i or 0 for a new family, count the up-rate is built from, target index,
+    the target's multiplicity at size i + 1, where its reversing death acts).
     """
 
-    states: tuple[AllelicPartition, ...]
-    ends: tuple[int, ...]
-    moves: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    states: list[AllelicPartition]
+    rows: list[_StateRow]
+    ends: list[int]
+    moves: list[tuple[tuple[int, int, int, int], ...]]
+    index: dict[tuple[tuple[int, int], ...], int]  # state index by entries
+
+    def reach(self, size: int) -> _UpMoveGraph:
+        """Extend to every state with s(m) <= size, and the moves of those below size."""
+        states, rows, ends, moves, index = self
+        while len(ends) <= size:
+            new = enumerate_partitions(len(ends))
+            index.update((m.entries, len(states) + j) for j, m in enumerate(new))
+            states += new
+            rows += _state_rows(new)
+            ends.append(len(states))
+        # targets are found by their entries, built from the source's sorted (size, count) pairs
+        for _, k, e in rows[len(moves) : ends[-2] if len(ends) > 1 else 0]:
+            # a new family adds a group of size 1
+            ones = e[0][1] + 1 if e and e[0][0] == 1 else 1
+            target = ((1, ones),) + (e[1:] if ones > 1 else e)
+            out = [(0, k, index[target], ones)]
+            # growth at size i turns one group of size i into one of size i + 1
+            for p, (i, c) in enumerate(e):
+                grown = e[p + 1][1] + 1 if p + 1 < len(e) and e[p + 1][0] == i + 1 else 1
+                shrunk = ((i, c - 1),) if c > 1 else ()
+                target = e[:p] + shrunk + ((i + 1, grown),) + e[p + 1 + (grown > 1) :]
+                out.append((i, c, index[target], grown))
+            moves.append(tuple(out))
+        return self
 
 
 @lru_cache(maxsize=None)
 def _up_move_graph() -> _UpMoveGraph:
-    """Built once per process; a scan reads each move's ends by index here and in the table."""
-    states: list[AllelicPartition] = []
-    ends = []
-    for n in range(PARTITION_BALANCE_MAX_SIZE + 2):
-        states.extend(enumerate_partitions(n))
-        ends.append(len(states))
-    # targets are found by their entries, built from the source's sorted (size, count) pairs
-    index = {m.entries: j for j, m in enumerate(states)}
-    moves = []
-    for m in states[: ends[PARTITION_BALANCE_MAX_SIZE]]:
-        e = m.entries
-        # a new family adds a group of size 1
-        ones = e[0][1] + 1 if e and e[0][0] == 1 else 1
-        target = ((1, ones),) + (e[1:] if ones > 1 else e)
-        out = [(0, m.num_groups, index[target], ones)]
-        # growth at size i turns one group of size i into one of size i + 1
-        for p, (i, c) in enumerate(e):
-            grown = e[p + 1][1] + 1 if p + 1 < len(e) and e[p + 1][0] == i + 1 else 1
-            shrunk = ((i, c - 1),) if c > 1 else ()
-            target = e[:p] + shrunk + ((i + 1, grown),) + e[p + 1 + (grown > 1) :]
-            out.append((i, c, index[target], grown))
-        moves.append(tuple(out))
-    return _UpMoveGraph(tuple(states), tuple(ends), tuple(moves))
+    """The process's one graph, empty until a scan reaches into it; extending is not thread-safe."""
+    return _UpMoveGraph([], [], [], [], {})
 
 
 @lru_cache(maxsize=4)
-def _log_pi_table(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Signs and log magnitudes of pi at the graph's 684 states, in one ``_log_law_rows`` pass.
+def _law_lists(params: ModelParams) -> tuple[list[int], list[float], list[float]]:
+    """The point's one law table, kept for the 4 most recent points; ``_law_table`` fills it."""
+    return [], [], []
 
-    Read by the three partition scans; kept for the 4 most recent points, as
-    tuples, since every caller gets the same object."""
-    states = _up_move_graph().states
-    rows = _log_law_rows(params, *_pi_b(params.mu), states, PARTITION_BALANCE_MAX_SIZE + 1)
-    return tuple(map(tuple, rows))
+
+def _law_table(params: ModelParams, size: int) -> tuple[list[int], list[float], list[float]]:
+    """pi's signs and log magnitudes (the balance scan's) and values (the mixture and mass
+    scans') at the graph's states with s(m) <= size at least, evaluated and exponentiated
+    once: a ``_log_law_rows`` pass adds only the states past those held, whose running
+    factor lists give each entry the float of one pass over every state."""
+    signs, logs, values = table = _law_lists(params)
+    graph = _up_move_graph().reach(size)
+    if len(signs) < graph.ends[size]:
+        rows = graph.rows[len(signs) : graph.ends[size]]
+        new_signs, new_logs = _log_law_rows(params, *_pi_b(params.mu), rows, size)
+        values += _exp_rows(new_signs, new_logs)  # first, as ``len(signs)`` marks what is held
+        signs += new_signs
+        logs += new_logs
+    return table
+
+
+@lru_cache(maxsize=4)
+def _psf_table(alpha: float, theta: float, s_max: int) -> tuple[float, ...]:
+    """psf at the graph's states with s(m) <= s_max, shared by the mu of one (alpha, theta)."""
+    graph = _up_move_graph().reach(s_max)
+    return tuple(_psf_rows(ModelParams(alpha, theta), graph.rows[: graph.ends[s_max]], s_max))
 
 
 def partition_balance_scan(
@@ -259,26 +282,31 @@ def partition_balance_scan(
     (possible only at the empty state with theta <= 0), because that is the
     expression the balance identity is stated with.
 
-    The moves come from the up-move graph, signed log pi from the point's
-    table (or a ``pmf`` call per state), and the rate logs from lists by
-    (size, count) made once per point, so a pair costs list reads and an
-    expm1: the residual |expm1((log|pi(m)| + log|q_up|) - (log|pi(m')| +
+    The moves come from the up-move graph, signed log pi from the point's law
+    table (or a ``pmf`` call per state), and the rate logs from lists by (size,
+    count) over the counts states with s(m) <= s_max + 1 have, so a pair costs
+    list reads and an expm1: |expm1((log|pi(m)| + log|q_up|) - (log|pi(m')| +
     log q_down))|, the two sides' signs compared first.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
-    graph = _up_move_graph()
+    top = s_max + 1  # the largest size a target has
+    graph = _up_move_graph().reach(top)
     if pmf is None:
-        signs, logs = _log_pi_table(params)
+        signs, logs, _ = _law_table(params, top)
     else:
-        signs, logs = _signed_logs([pmf(m) for m in graph.states[: graph.ends[s_max + 1]]])
-    # by (i, count) and (i, rev_count), all below s_max + 2; the death acts at size i + 1
+        signs, logs = _signed_logs([pmf(m) for m in graph.states[: graph.ends[top]]])
+    # by (i, count) and (i, rev_count), the death acting at size i + 1: a new family's
+    # counts are at most top, and those at group size i at most top // i
     alpha, theta, mu = params.alpha, params.theta, params.mu
-    top = range(s_max + 2)
-    q_up = [[theta + alpha * c for c in top]] + [[(i - alpha) * c for c in top] for i in top[1:]]
+    cells = [range(top + 1)] + [range(top // i + 1) for i in range(1, top + 1)]
+    q_up = [[theta + alpha * c for c in cells[0]]]
+    q_up += [[(i - alpha) * c for c in row] for i, row in enumerate(cells) if i]
     up_sign = [[(q > 0.0) - (q < 0.0) for q in row] for row in q_up]
     log_up = [[math.log(abs(q)) if q else -math.inf for q in row] for row in q_up]
-    log_down = [[math.log(mu * (i + 1) * c) if c else -math.inf for c in top] for i in top]
+    log_down = [
+        [math.log(mu * (i + 1) * c) if c else -math.inf for c in row] for i, row in enumerate(cells)
+    ]
     worst, worst_source, worst_i, pairs = -1.0, 0, 0, 0
     for source in range(graph.ends[s_max]):
         sign_m, log_m = signs[source], logs[source]
@@ -307,16 +335,16 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     The mixture form is psf(s(m)) * lambda(s(m)) (the only surviving term of
     the size mixture); residuals are relative to the closed form, compared on
     signed values so theta < 0 is covered.  Both are read by state index,
-    from the point's log pi table and from ``_psf_rows`` over the same states.
-    The first worst state is reported, a nan counting as worst.
+    from the point's law table and from the psf rows of its (alpha, theta)
+    over the same states.  The first worst state is reported, a nan counting
+    as worst.
     """
     _require_partition_regime(params)
     _require_bound(s_max)
-    graph = _up_move_graph()
+    graph = _up_move_graph().reach(s_max)
     end = graph.ends[s_max]
-    signs, logs = _log_pi_table(params)
-    closed_rows = _exp_rows(signs[:end], logs[:end])
-    psfs = _psf_rows(params, graph.states[:end], s_max)
+    closed_rows = _law_table(params, s_max)[2]
+    psfs = _psf_table(params.alpha, params.theta, s_max)
     lams = _lambda_rows(params.theta, params.mu, range(s_max + 1), s_max)
     worst, worst_state = -1.0, ""
     for n, lam in enumerate(lams):
@@ -338,18 +366,17 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
     The two sums agree exactly in real arithmetic because the Pitman formula
     is a probability distribution on each size slice; the observable gap is
     pure floating-point error.  Signed for theta < 0.  The lambda terms come
-    from one ``_lambda_rows`` pass, the pi terms from the point's log pi
-    table, each summed in its order.
+    from one ``_lambda_rows`` pass, the pi terms from the point's law table,
+    each summed in its order.
     """
     _require_partition_regime(params)
     _require_bound(bound)
     lambda_sum = 0.0
     for lam in _lambda_rows(params.theta, params.mu, range(bound + 1), bound):
         lambda_sum += lam
-    end = _up_move_graph().ends[bound]
-    signs, logs = _log_pi_table(params)
+    values = _law_table(params, bound)[2]
     pi_sum = 0.0
-    for p in _exp_rows(signs[:end], logs[:end]):
+    for p in values[: _up_move_graph().ends[bound]]:
         pi_sum += p
     return pi_sum, lambda_sum
 

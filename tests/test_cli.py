@@ -655,6 +655,19 @@ class TestVerify:
     def test_invalid_usage_exits_2(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 2
 
+    def test_oversized_max_size_is_refused_before_any_scan(self, capsys, tmp_path, monkeypatch):
+        # it used to run the whole size suite before the first partition scan refused it
+        def no_scan(*args):
+            raise AssertionError("a scan ran before --max-size was checked")
+
+        monkeypatch.setattr(cli, "size_balance_scan", no_scan)
+        cap = cli.PARTITION_BALANCE_MAX_SIZE
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--max-size", str(cap + 1), "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: stationary tables and scans are capped at s <= {cap}\n"
+        assert not target.exists()
+
 
     @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
     def test_alpha_outside_unit_interval_names_the_flag(self, capsys, alpha):

@@ -40,6 +40,7 @@ from allelic_bdi.formulae import (
     _log_weights,
     _neg_bin_pmfs,
     _psf_rows,
+    _state_rows,
     _transient_rows,
 )
 from conftest import (
@@ -334,7 +335,8 @@ def test_nothing_is_tabulated_at_import():
         "import allelic_bdi.cli, allelic_bdi.formulae as f, allelic_bdi.stationary as s;"
         "assert f._ascending_prefix.cache_info().currsize == 0;"
         "assert s._up_move_graph.cache_info().currsize == 0;"
-        "assert s._log_pi_table.cache_info().currsize == 0"
+        "assert s._law_lists.cache_info().currsize == 0;"
+        "assert s._psf_table.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -433,13 +435,13 @@ PSF_ROW_POINTS = [ModelParams(0.0, 0.5), ModelParams(0.0, 2.0)] + [
 @pytest.mark.parametrize("params", PSF_ROW_POINTS, ids=str)
 def test_psf_rows_equal_the_per_state_reference(params):
     states = [m for n in range(21) for m in enumerate_partitions(n)]
-    rows = _psf_rows(params, states, 20)  # one pass over every size at once
+    rows = _psf_rows(params, _state_rows(states), 20)  # one pass over every size at once
     for m, value in zip(states, rows, strict=True):
         expected = reference_psf(m.size, params, m)
         assert value == expected, m
         assert psf(m.size, params, m) == expected, m
     top = enumerate_partitions(20)
-    assert _psf_rows(params, top, 20) == rows[-len(top) :]  # one size alone
+    assert _psf_rows(params, _state_rows(top), 20) == rows[-len(top) :]  # one size alone
 
 
 def group_count_law(alpha, theta, n_max):
@@ -472,7 +474,7 @@ def test_group_count_law_is_the_psf_summed_by_group_count(alpha, theta):
     for n in range(21):
         states = enumerate_partitions(n)
         by_k = [0.0] * (n + 1)
-        for m, value in zip(states, _psf_rows(params, states, n)):
+        for m, value in zip(states, _psf_rows(params, _state_rows(states), n)):
             by_k[m.num_groups] += value
         assert max(abs(a - b) for a, b in zip(by_k, laws[n], strict=True)) <= 2e-14, n
 
@@ -766,7 +768,7 @@ def test_law_rows_match_rational_oracle(alpha, theta, b):
     # at the floats the rows read.  The worst relative error over these points
     # is 6.58e-15, at (0.9, 2, 7/8) and 1^10; the bound 2e-14 leaves a 3x margin
     params = ModelParams(float(alpha), float(theta))
-    signs, logs = _log_law_rows(params, math.log(b), 0.0, STATES_TO_10, 10)
+    signs, logs = _log_law_rows(params, math.log(b), 0.0, _state_rows(STATES_TO_10), 10)
     for m, sign, log_p in zip(STATES_TO_10, signs, logs, strict=True):
         exact = law_fraction(Fraction(params.alpha), Fraction(params.theta), b, m)
         if not exact:
@@ -789,7 +791,8 @@ def test_law_rows_match_rational_oracle(alpha, theta, b):
 def test_time_t_rows_equal_the_mixture_of_pitman_formulae(params, t):
     # NB(s; theta, b) * psf(s, m): the size mixture, through its own evaluators
     nb = _neg_bin_pmfs(12, params.theta, nbin_time_param(params.mu, t))
-    mixed = [nb[m.size] * p for m, p in zip(STATES_TO_12, _psf_rows(params, STATES_TO_12, 12))]
+    psfs = _psf_rows(params, _state_rows(STATES_TO_12), 12)
+    mixed = [nb[m.size] * p for m, p in zip(STATES_TO_12, psfs)]
     rows = _transient_rows(params, t, STATES_TO_12, 12)
     for m, got, want in zip(STATES_TO_12, rows, mixed, strict=True):
         assert got == pytest.approx(want, rel=1e-13), m

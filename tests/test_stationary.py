@@ -3,6 +3,8 @@ binomial size law, the partition-level law in its Poisson-product and mixture
 forms, detailed-balance scanners, and the alpha = 0 Poisson-product limit."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -42,12 +44,13 @@ from allelic_bdi.cli import (
     main,
 )
 from allelic_bdi import stationary
-from allelic_bdi.formulae import _ascending_prefix, _log_factorials, _neg_bin_pmfs, _psf_rows
+from allelic_bdi.formulae import _ascending_prefix, _log_factorials, _neg_bin_pmfs
 from allelic_bdi.partitions import TransitionEvent
 from allelic_bdi.stationary import (
     PARTITION_BALANCE_MAX_SIZE,
     BalanceScan,
-    _log_pi_table,
+    _law_lists,
+    _psf_table,
     _up_move_graph,
 )
 
@@ -211,10 +214,10 @@ class TestMixtureForm:
             assert scan.pairs_checked == 67  # partitions of 0..8
 
     def test_first_nan_state_is_reported(self, monkeypatch):
-        # the psf route returns nan from the third state on: that state is the worst
-        rows = stationary._psf_rows
+        # the psf rows are nan from the third state on: that state is the worst
+        rows = stationary._psf_table
         monkeypatch.setattr(
-            stationary, "_psf_rows", lambda *args: rows(*args)[:2] + [math.nan] * 1000
+            stationary, "_psf_table", lambda *args: rows(*args)[:2] + (math.nan,) * 1000
         )
         scan = mixture_consistency_scan(ModelParams(0.5, 1.0, 2.0), 6)
         assert math.isnan(scan.max_residual)
@@ -556,38 +559,68 @@ def reference_up_moves(states, bound):
 
 
 def test_up_move_graph_equals_apply_event_build():
-    graph = _up_move_graph()
+    graph = _up_move_graph().reach(PARTITION_BALANCE_MAX_SIZE + 1)
     expected_states = [m for n in range(PARTITION_BALANCE_MAX_SIZE + 2) for m in enumerate_partitions(n)]
-    assert list(graph.states) == expected_states
-    assert graph.ends == tuple(
+    assert graph.states == expected_states
+    assert graph.rows == [(m.size, m.num_groups, m.entries) for m in expected_states]
+    assert graph.ends == [
         sum(1 for m in expected_states if m.size <= n) for n in range(PARTITION_BALANCE_MAX_SIZE + 2)
-    )
-    assert graph.moves == reference_up_moves(graph.states, PARTITION_BALANCE_MAX_SIZE)
+    ]
+    assert tuple(graph.moves) == reference_up_moves(graph.states, PARTITION_BALANCE_MAX_SIZE)
     assert sum(map(len, graph.moves)) == 1771
+
+
+def test_up_move_graph_is_built_only_to_the_bound_asked():
+    # in a fresh process: a lone scan at s_max = 4 enumerates no size above 5
+    # and lists the moves of the states below 5; reaching the cap then gives
+    # the 684 states and 1,771 moves of the whole graph
+    code = (
+        "import allelic_bdi.stationary as s;"
+        "from allelic_bdi import ModelParams, enumerate_partitions, partition_balance_scan;"
+        "partition_balance_scan(ModelParams(0.5, 1.0, 2.0), 4);"
+        "g = s._up_move_graph();"
+        "assert max(m.size for m in g.states) == 5 and len(g.ends) == 6, g.ends;"
+        "assert enumerate_partitions.cache_info().currsize == 6;"
+        "assert len(g.moves) == g.ends[4];"
+        "assert len(s._law_lists(ModelParams(0.5, 1.0, 2.0))[0]) == g.ends[5];"
+        "g.reach(s.PARTITION_BALANCE_MAX_SIZE + 1);"
+        "assert (len(g.states), len(g.rows), len(g.moves)) == (684, 684, 508);"
+        "assert sum(map(len, g.moves)) == 1771"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestTablesAreBitIdentical:
     """The per-point tables the scans read, against the public evaluators, with ==."""
 
     @pytest.mark.parametrize("params", TABLE_POINTS, ids=str)
-    def test_log_pi_table(self, params):
-        states = _up_move_graph().states
-        signs, logs = _log_pi_table(params)
-        assert len(signs) == len(logs) == len(states)
-        assert states[-1].size == PARTITION_BALANCE_MAX_SIZE + 1
-        for m, sign, log_p in zip(states, signs, logs):
-            expected = reference_log_pi(m, params)
-            assert (sign, log_p) == (expected.sign, expected.log_magnitude), m
-            assert partition_stationary_pmf(m, params) == expected.to_float(), m
+    def test_law_table(self, params):
+        # the table a verify point leaves: its three scans read s(m) <= max(s_max + 1, 14),
+        # 508 states, and all 684 states up to s = 15 only at s_max = 14; one table each
+        graph = _up_move_graph().reach(PARTITION_BALANCE_MAX_SIZE + 1)
+        expected = [reference_log_pi(m, params) for m in graph.states]
+        pmfs = [partition_stationary_pmf(m, params) for m in graph.states]
+        for s_max in (0, 6, 12, PARTITION_BALANCE_MAX_SIZE):
+            _law_lists.cache_clear()
+            partition_balance_scan(params, s_max)
+            mixture_consistency_scan(params, s_max)
+            stationary_mass_comparison(params, PARTITION_BALANCE_MAX_SIZE)
+            assert _law_lists.cache_info().misses == 1
+            signs, logs, values = _law_lists(params)
+            held = graph.ends[max(s_max + 1, PARTITION_BALANCE_MAX_SIZE)]
+            assert len(signs) == len(logs) == len(values) == held == (684 if s_max == 14 else 508)
+            assert signs == [e.sign for e in expected[:held]]
+            assert logs == [e.log_magnitude for e in expected[:held]]
+            assert values == pmfs[:held] == [e.to_float() for e in expected[:held]]
 
     @pytest.mark.parametrize("params", TABLE_POINTS, ids=str)
-    def test_psf_rows(self, params):
-        graph = _up_move_graph()
+    def test_psf_table(self, params):
+        graph = _up_move_graph().reach(PARTITION_BALANCE_MAX_SIZE)
         states = graph.states[: graph.ends[PARTITION_BALANCE_MAX_SIZE]]
-        psfs = _psf_rows(params, states, PARTITION_BALANCE_MAX_SIZE)
-        assert len(psfs) == len(states)
-        for m, p in zip(states, psfs):
-            assert p == psf(m.size, params, m), m
+        expected = [psf(m.size, params, m) for m in states]
+        for s_max in (0, 6, 12, PARTITION_BALANCE_MAX_SIZE):
+            psfs = _psf_table(params.alpha, params.theta, s_max)
+            assert list(psfs) == expected[: graph.ends[s_max]]
 
     @pytest.mark.parametrize("params", [p for p in TABLE_POINTS if p.theta > 0.0], ids=str)
     def test_truncated_table(self, params):
