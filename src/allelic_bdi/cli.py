@@ -130,7 +130,7 @@ def cmd_exact(args) -> int:
             return 0
         _require_reversible(args.mu)
         key_name = "n"
-        values = _lambda_rows(args.theta, args.mu, range(max_size + 1), max_size)
+        values = _lambda_rows(args.theta, args.mu, range(max_size + 1))
         rows = [(str(n), value) for n, value in enumerate(values)]
     else:
         params = ModelParams(**{"alpha": 0.0, **law})  # esf is psf at alpha = 0
@@ -662,6 +662,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(raw))
+        if args.config is not None:  # a second --config, a "config" key or an abbreviation
+            raise DomainError("one --config file is read: give it once, in full, naming no other")
         _need_finite_floats(args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version

@@ -24,7 +24,7 @@ b = nbin_time_param(mu, t) gives the time-t law from the empty state
 is its one evaluator (``_psf_rows`` the Pitman formula's), and both read a
 state as its plain row (s, k, entries).  Its size marginal NB(n; theta, b) =
 theta_(n) / n! * (1 - b)^theta * b^n (``neg_bin_pmf``, and lambda at b = 1/mu)
-has one evaluator too, ``_log_size_rows``.
+has one evaluator too, ``_log_size_rows``, reading the tables at theta and at 1.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class ModelParams:
         if not self.mu >= 0.0:
             raise DomainError(f"mu must be >= 0, got {self.mu}")
 
-    def require_reversible(self) -> None:
-        _require_reversible(self.mu)
-
 
 class _AscendingPrefix:
     """Sign and log magnitude of x * (x+1) * ... * (x+n-1) for every n >= 0 at one x.
@@ -102,20 +99,18 @@ class _AscendingPrefix:
       ~2e-10 at n = 10^4, as for log n!).
 
     So a table keeps every entry up to the largest n read, or up to its
-    zero entry; ``ratio_rows`` keeps log|x_(n) / n!| beside them for the size
-    law, and ``weight_rows`` log(x_(i-1) / i!) for the partition law's weights
-    at x = 1 - alpha.  Extending is not thread-safe; the package's workers are
-    processes.
+    zero entry, and ``weight_rows`` keeps log(x_(i-1) / i!) beside them for the
+    partition law's weights at x = 1 - alpha.  Extending is not thread-safe; the
+    package's workers are processes.
     """
 
-    __slots__ = ("_x", "_signs", "_logs", "_folded", "_ratios", "_weights")
+    __slots__ = ("_x", "_signs", "_logs", "_folded", "_weights")
 
     def __init__(self, x: float):
         self._x = x
         self._signs = [1]
         self._logs = [0.0]
         self._folded: int | None = None  # J, once a factor x + J >= 0.5 ends the fold
-        self._ratios = [0.0]
         self._weights = [0.0]
 
     def rows(self, n: int) -> tuple[list[int], list[float]]:
@@ -143,21 +138,6 @@ class _AscendingPrefix:
                 logs.append(log_mag)
             signs.extend([signs[-1]] * (n + 1 - len(signs)))
         return signs, logs
-
-    def ratio_rows(self, n: int) -> tuple[list[int], list[float]]:
-        """The stored signs, and log|x_(k) / k!| = log|x_(k)| - log k! for k = 0..n
-        at least, or up to the zero entry where a zero factor ends the table.
-
-        Each difference is taken once, from this table and the one at 1, and
-        kept, so a caller reading one k pays no subtraction.
-        """
-        ratios = self._ratios
-        if len(ratios) <= n:
-            logs = self.rows(n)[1]
-            top = min(len(logs), n + 1)
-            log_fact = _log_factorials(top - 1)
-            ratios += [logs[k] - log_fact[k] for k in range(len(ratios), top)]
-        return self._signs, ratios
 
     def weight_rows(self, n: int) -> list[float]:
         """log(x_(i-1) / i!) = log(x_(i-1) / (i-1)!) - log i for i = 1..n at least (index 0
@@ -306,28 +286,26 @@ def _require_neg_bin(theta: float, b: float, n: int) -> None:
 
 
 def _log_size_rows(
-    theta: float, log_b: float, log1m_b: float, ns: range, size: int
+    theta: float, log_b: float, log1m_b: float, ns: range
 ) -> tuple[list[int], list[float]]:
     """Signs and log magnitudes of theta_(n) / n! * (1 - b)^theta * b^n at each n in
-    ``ns``, a range with every n <= size: the size law's one evaluator.
+    ``ns``, a contiguous, non-empty range: the size law's one evaluator.
 
     b is passed as ``_log_law_rows`` takes it: log b (-inf at b = 0) and log(1 - b).
-    Each row is ((log|theta_(n)| - log n!) + n log b) + theta log(1 - b), the
-    difference read from the prefix table at theta (``ratio_rows``), and signed
-    as theta_(n); past a zero factor the rows are zero (sign 0, log -inf).  The
-    row at n = 0 has no n log b term, which is nan at b = 0.
+    Each row is ((log|theta_(n)| - log n!) + n log b) + theta log(1 - b), read from
+    the prefix tables at theta and at 1, and signed as theta_(n); past a zero factor
+    the rows are zero (sign 0, log -inf).  The row at n = 0 has no n log b term,
+    which is nan at b = 0.
     """
-    signs, ratios = _ascending_prefix(theta).ratio_rows(size)
-    if len(ratios) <= size:  # a zero factor ended the table: every row past it is zero
-        stored = range(ns.start, min(ns.stop, len(ratios)), ns.step)
-        signs, logs = _log_size_rows(theta, log_b, log1m_b, stored, len(ratios) - 1)
-        pad = len(ns) - len(stored)
-        return signs + [0] * pad, logs + [-math.inf] * pad
+    signs, logs = _ascending_prefix(theta).rows(ns[-1])
+    stop = min(ns.stop, len(logs))  # a zero factor ends the table: every row past it is zero
+    log_fact = _log_factorials(stop - 1)
     tail = theta * log1m_b
-    logs = [(ratios[n] + log_b * n) + tail for n in ns]
-    if 0 in ns:  # then it is the first n, as every n >= 0
-        logs[0] = ratios[0] + tail
-    return signs[ns.start : ns.stop : ns.step], logs
+    rows = [((logs[n] - log_fact[n]) + log_b * n) + tail for n in range(ns.start, stop)]
+    if ns.start == 0:
+        rows[0] = (logs[0] - log_fact[0]) + tail
+    pad = len(ns) - len(rows)
+    return signs[ns.start : stop] + [0] * pad, rows + [-math.inf] * pad
 
 
 def _log_b(b: float) -> tuple[float, float]:
@@ -341,13 +319,13 @@ def neg_bin_pmf(n: int, theta: float, b: float) -> float:
     One row of ``_log_size_rows``: O(1) once the prefix tables reach n.
     """
     _require_neg_bin(theta, b, n)
-    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n, n + 1), n))[0]
+    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n, n + 1)))[0]
 
 
 def _neg_bin_pmfs(n_hi: int, theta: float, b: float) -> list[float]:
     """[neg_bin_pmf(n, theta, b) for n in 0..n_hi], bit for bit, from one row pass."""
     _require_neg_bin(theta, b, n_hi)
-    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n_hi + 1), n_hi))
+    return _exp_rows(*_log_size_rows(theta, *_log_b(b), range(n_hi + 1)))
 
 
 def nbin_time_param(mu: float, t: float) -> float:

@@ -48,7 +48,7 @@ from .ctmc import (
     _size_kernel,
 )
 from .errors import DomainError, RunawayError
-from .formulae import ModelParams, _require_count
+from .formulae import ModelParams, _require_count, _require_reversible
 from .partitions import AllelicPartition, EventKind, TransitionEvent, _apply_event
 from .urn import _group_count_traces
 
@@ -290,9 +290,10 @@ def _block_rngs(seed: int, lo: int, hi: int) -> _RawBlock | _Generators:
     is hashed at once (:func:`_pcg64_states`) into a :class:`_RawBlock`.
     The struct layout it writes is numpy's, so its first and last replicate
     are loaded raw and compared with ``default_rng([seed, i])`` through the
-    public ``state`` getter (:func:`_block_matches`); on a mismatch, as on
-    the last row of a block across a word count, the block's streams are
-    :class:`_Generators` of ``default_rng([seed, i])`` instead.
+    public ``state`` getter (:func:`_block_matches`); on a mismatch the
+    block's streams are :class:`_Generators` of ``default_rng([seed, i])``
+    instead.  That fallback guards against a numpy whose seeding or struct
+    layout differs: no block the program builds crosses a word count.
     """
     columns = _word_columns(lo, hi - lo)
     entropy = [np.full_like(columns[0], word) for word in _seed_words(seed)] + columns
@@ -611,7 +612,7 @@ def stationary_occupation(
     memory is O(distinct states) rather than O(events), and a partition
     object is built once per distinct state.
     """
-    params.require_reversible()
+    _require_reversible(params.mu)
     if not 0.0 <= burn_in < horizon:
         raise DomainError("need 0 <= burn_in < horizon")
     if seed < 0:

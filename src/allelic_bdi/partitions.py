@@ -67,11 +67,6 @@ class TransitionEvent:
     def death(cls, index: int) -> "TransitionEvent":
         return cls(EventKind.DEATH, index)
 
-    @property
-    def size_delta(self) -> int:
-        """Change in total population size when the event is applied."""
-        return -1 if self.kind is EventKind.DEATH else 1
-
     def __str__(self):
         if self.kind is EventKind.NEW_FAMILY:
             return "new_family"
@@ -173,15 +168,6 @@ class AllelicPartition:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._entries)
-
-    def dense(self, length: int | None = None) -> tuple[int, ...]:
-        """Dense prefix (m_1, ..., m_L); L defaults to the population size."""
-        n = self._size if length is None else length
-        out = [0] * n
-        for i, c in self._entries:
-            if i <= n:
-                out[i - 1] = c
-        return tuple(out)
 
     # -- dynamics ----------------------------------------------------------
 

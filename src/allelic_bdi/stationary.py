@@ -63,7 +63,7 @@ def _require_partition_regime(params: ModelParams) -> None:
             "pi is parameterized by alpha in (0, 1); at alpha = 0 the law is the Poisson "
             "product, the alpha = 0 case of formulae's negative-multinomial form (transient_pmf)"
         )
-    params.require_reversible()
+    _require_reversible(params.mu)
 
 
 def _require_bound(bound: int) -> None:
@@ -80,9 +80,10 @@ def _pi_b(mu: float) -> tuple[float, float]:
     return -math.log(mu), math.log1p(-1.0 / mu)
 
 
-def _lambda_rows(theta: float, mu: float, ns: range, size: int) -> list[float]:
-    """lambda at each n in ``ns`` (every n <= size), from one ``_log_size_rows`` pass at b = 1/mu."""
-    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), ns, size))
+def _lambda_rows(theta: float, mu: float, ns: range) -> list[float]:
+    """lambda at each n in ``ns``, a contiguous, non-empty range, from one
+    ``_log_size_rows`` pass at b = 1/mu."""
+    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), ns))
 
 
 def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
@@ -94,7 +95,7 @@ def size_stationary_pmf(n: int, theta: float, mu: float) -> float:
     _require_finite(theta=theta, mu=mu)
     _require_reversible(mu)
     _require_count(n, 0, "the population size must be >= 0")
-    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), range(n, n + 1), n))[0]
+    return _exp_rows(*_log_size_rows(theta, *_pi_b(mu), range(n, n + 1)))[0]
 
 
 def _pi_rows(params: ModelParams, states: Iterable[AllelicPartition], size: int) -> list[float]:
@@ -164,7 +165,7 @@ def size_balance_scan(
     _require_count(n_max, 1, "n_max must be >= 1")
     _require_reversible(mu)
     if pmf is None:
-        signs, log_lam = _log_size_rows(theta, *_pi_b(mu), range(n_max + 1), n_max)
+        signs, log_lam = _log_size_rows(theta, *_pi_b(mu), range(n_max + 1))
     else:
         signs, log_lam = _signed_logs([pmf(n) for n in range(n_max + 1)])
     worst, worst_n = -1.0, 0
@@ -345,7 +346,7 @@ def mixture_consistency_scan(params: ModelParams, s_max: int) -> BalanceScan:
     end = graph.ends[s_max]
     closed_rows = _law_table(params, s_max)[2]
     psfs = _psf_table(params.alpha, params.theta, s_max)
-    lams = _lambda_rows(params.theta, params.mu, range(s_max + 1), s_max)
+    lams = _lambda_rows(params.theta, params.mu, range(s_max + 1))
     worst, worst_state = -1.0, ""
     for n, lam in enumerate(lams):
         for j in range(graph.ends[n - 1] if n else 0, graph.ends[n]):
@@ -372,7 +373,7 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
     _require_partition_regime(params)
     _require_bound(bound)
     lambda_sum = 0.0
-    for lam in _lambda_rows(params.theta, params.mu, range(bound + 1), bound):
+    for lam in _lambda_rows(params.theta, params.mu, range(bound + 1)):
         lambda_sum += lam
     values = _law_table(params, bound)[2]
     pi_sum = 0.0

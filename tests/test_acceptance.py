@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
+"""Acceptance gate: thirteen end-to-end checks, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; each check asserts, so a plain pytest run fails loudly too.  The
@@ -6,6 +6,7 @@ stochastic criteria pin master seeds and are bit-reproducible.
 """
 
 import io
+import math
 import time
 
 import numpy as np
@@ -328,3 +329,95 @@ def test_criterion_12_exact_transient_law(engine_ensembles):
         f"{tvs['branching']:.4f} (branching), tol {EXACT_LAW_TV_BOUND} "
         f"(bootstrap 99.9th percentile {quantile:.4f}), R = 10^5 each",
     )
+
+
+# criterion 13's bounds, fixed before either fixture was compared with the
+# closed forms: per statistic, the 99.9th percentile of |statistic - exact|
+# over 10^4 ensembles of R = 10^5 drawn from the exact joint law of (m_1, m_2)
+# is, for (E m_1, E m_2, Cov(m_1, m_2)), 0.01241, 0.00429 and 0.00659 at
+# (0.5, 1, 1.5, 3) and 0.00765, 0.00353 and 0.00251 at (0, 1, 2, 5)
+# (recomputed below by _bootstrap_moment_quantiles), each rounded up
+MOMENT_BOUNDS = {0.5: (0.013, 0.0043, 0.0066), 0.0: (0.0077, 0.0036, 0.0026)}
+
+
+def _joint_m12_law(alpha: float, theta: float, mu: float, t: float):
+    """The exact joint law of (m_1, m_2) at t from the empty state, on the triangle
+    m_1 + m_2 <= N with the least N that leaves out less than 1e-12 of the mass,
+    as (cells, probabilities, (E m_1, E m_2, Cov(m_1, m_2))).
+
+    With b = b(t), r = theta / alpha, q = 1 - (1 - b)^alpha and a_i = w_i b^i / (1 - q)
+    (w_1 = alpha, w_2 = alpha (1 - alpha) / 2), the m_i are Poisson(lambda a_i) given
+    lambda ~ Gamma(r, 1), so P(a, b) = Gamma(r + a + b) / (Gamma(r) a! b!) a_1^a a_2^b /
+    (1 + a_1 + a_2)^(r + a + b), E m_i = r a_i and Cov = r a_1 a_2; at alpha = 0 they
+    are independent Poisson(theta b^i / i) and Cov = 0.
+    """
+    b = math.expm1((1.0 - mu) * t) / (math.exp((1.0 - mu) * t) - mu)  # mu != 1, written out
+    if alpha == 0.0:
+        rate_1, rate_2 = theta * b, theta * b * b / 2.0
+        exact = (rate_1, rate_2, 0.0)
+
+        def log_p(i, j):
+            return (i * math.log(rate_1) - rate_1 - math.lgamma(i + 1)) + (
+                j * math.log(rate_2) - rate_2 - math.lgamma(j + 1)
+            )
+    else:
+        r, one_m_q = theta / alpha, (1.0 - b) ** alpha
+        a_1, a_2 = alpha * b / one_m_q, alpha * (1.0 - alpha) / 2.0 * b * b / one_m_q
+        exact = (r * a_1, r * a_2, r * a_1 * a_2)
+
+        def log_p(i, j):
+            return (
+                math.lgamma(r + i + j) - math.lgamma(r) - math.lgamma(i + 1) - math.lgamma(j + 1)
+                + i * math.log(a_1) + j * math.log(a_2) - (r + i + j) * math.log1p(a_1 + a_2)
+            )  # fmt: skip
+    cells, probs, n = [], [], 0
+    while not probs or 1.0 - math.fsum(probs) >= 1e-12:  # add the diagonal m_1 + m_2 = n
+        cells += [(i, n - i) for i in range(n + 1)]
+        probs += [math.exp(log_p(i, n - i)) for i in range(n + 1)]
+        n += 1
+    return np.array(cells, dtype=float), np.array(probs), exact
+
+
+def _moment_statistics(counts, cells, replicates: int):
+    """Empirical E m_1, E m_2 and Cov(m_1, m_2) (over R) from tallies on ``cells``."""
+    m_1, m_2 = cells[:, 0], cells[:, 1]
+    mean_1, mean_2 = counts @ m_1 / replicates, counts @ m_2 / replicates
+    return mean_1, mean_2, counts @ (m_1 * m_2) / replicates - mean_1 * mean_2
+
+
+def _bootstrap_moment_quantiles(cells, probs, exact, replicates: int, q: float):
+    """Quantile ``q`` of each |statistic - exact| over 10^4 multinomial ensembles from the law."""
+    rng = np.random.default_rng(20261020)
+    gaps = []
+    for _ in range(10):  # 10^3 ensembles at a time, to keep the count matrix small
+        counts = rng.multinomial(replicates, probs / probs.sum(), size=1_000)
+        gaps.append(np.abs(np.array(_moment_statistics(counts, cells, replicates)).T - exact))
+    return tuple(float(v) for v in np.quantile(np.concatenate(gaps), q, axis=0))
+
+
+def test_criterion_13_multiplicity_moments(desk_ensemble, engine_ensembles):
+    fixtures = {
+        (0.5, 1.0, 1.5, 3.0): engine_ensembles[1],
+        (0.0, 1.0, 2.0, 5.0): {"multiplicity": desk_ensemble[0]},
+    }
+    ok, lines = True, []
+    for point, ensembles in fixtures.items():
+        cells, probs, exact = _joint_m12_law(*point)
+        assert np.allclose(_moment_statistics(probs, cells, 1), exact, rtol=0, atol=1e-10)
+        bounds = MOMENT_BOUNDS[point[0]]
+        quantiles = _bootstrap_moment_quantiles(cells, probs, np.array(exact), 100_000, 0.999)
+        ok &= all(q <= bound for q, bound in zip(quantiles, bounds))
+        index = {tuple(cell): k for k, cell in enumerate(cells.astype(int).tolist())}
+        for engine, dist in ensembles.items():
+            counts = np.zeros(len(cells))
+            for m, weight in dist.weights.items():
+                counts[index[m.multiplicity(1), m.multiplicity(2)]] += weight  # off the grid raises
+            got = _moment_statistics(counts, cells, dist.replicates)
+            ok &= all(abs(g - e) < bound for g, e, bound in zip(got, exact, bounds))
+            lines.append(
+                f"{point} {engine}: E m_1 = {got[0]:.5f} vs {exact[0]:.5f}, E m_2 = {got[1]:.5f} "
+                f"vs {exact[1]:.5f}, Cov = {got[2]:.5f} vs {exact[2]:.5f} (tol {bounds}, "
+                f"bootstrap 99.9th percentiles {tuple(round(q, 5) for q in quantiles)})"
+            )
+    detail = "; ".join(lines) + ", R = 10^5"
+    _report(13, "multiplicity moments and their dependence at t", ok, detail)

@@ -874,6 +874,33 @@ class TestConfig:
         assert code == 2
         assert "cannot read config file" in err
 
+    @pytest.mark.parametrize(
+        "second",
+        [("--config", "c2.json"), ("--config=c2.json",), ("--conf", "c2.json")],
+    )
+    def test_second_config_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch, second):
+        # argparse would keep the second path unread and run at alpha = 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c1.json").write_text(json.dumps({"theta": 1}))
+        (tmp_path / "c2.json").write_text(json.dumps({"alpha": 0.5}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--t", "1", "--seed", "1", "--replicates", "5",
+            "--workers", "1", "--summary", "s.json", "--config", "c1.json", *second,
+        )  # fmt: skip
+        assert (code, out) == (2, "")
+        assert err.startswith("error: one --config file is read")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_config_key_in_a_config_file_exits_2(self, capsys, tmp_path):
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps({"alpha": 0.5}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 1, "config": str(inner)}))
+        code, out, err = run_cli(capsys, "exact", "lambda", "--config", str(cfg),
+                                 "--mu", "2", "--n", "3")  # fmt: skip
+        assert (code, out) == (2, "")
+        assert err.startswith("error: one --config file is read")
+
     def test_config_before_subcommand_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"theta": 1}))

@@ -161,6 +161,11 @@ def _kernel_path(kernel, params, t_end, rng, start):
     return Trajectory(start, tuple(events), t_end)
 
 
+def _size_delta(event):
+    """The change in population size an event makes: -1 for a death, else +1."""
+    return -1 if event.kind is EventKind.DEATH else 1
+
+
 def _replay_is_consistent(traj):
     """Replay the event list and confirm sizes track the event deltas."""
     prev_size = traj.initial.size
@@ -168,7 +173,7 @@ def _replay_is_consistent(traj):
     states = states_after_events(traj)
     for (t, ev), state in zip(traj.events, states):
         assert t > last_time
-        assert state.size == prev_size + ev.size_delta
+        assert state.size == prev_size + _size_delta(ev)
         prev_size, last_time = state.size, t
     assert traj.final_state() == (states[-1] if states else traj.initial)
 

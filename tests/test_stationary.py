@@ -33,6 +33,7 @@ from allelic_bdi import (
     size_balance_scan,
     size_stationary_pmf,
     stationary_mass_comparison,
+    stationary_occupation,
     weight_series_gap,
 )
 from allelic_bdi.cli import (
@@ -134,6 +135,7 @@ def test_mu_at_most_one_is_refused_with_one_message(capsys):
         lambda: size_stationary_pmf(3, 1.0, 1.0),
         lambda: size_balance_scan(1.0, 0.5, 10),
         lambda: partition_stationary_pmf(decode("1^1"), ModelParams(0.5, 1.0, 1.0)),
+        lambda: stationary_occupation(ModelParams(0.5, 1.0, 1.0), 5.0, 1.0, 0),
     ):
         with pytest.raises(DomainError, match=f"^{message}$"):
             refuse()
@@ -401,9 +403,10 @@ class TestPartitionBalance:
 
 
 def log_weight(alpha, i):
-    """log w'_i = log((1 - alpha)_(i-1) / (i-1)!) - log i, the ratio read from the
-    prefix table at 1 - alpha."""
-    return _ascending_prefix(1.0 - alpha).ratio_rows(i - 1)[1][i - 1] - math.log(i)
+    """log w'_i = (log (1 - alpha)_(i-1) - log (i-1)!) - log i, from the prefix tables at
+    1 - alpha and at 1."""
+    log_rising = _ascending_prefix(1.0 - alpha).rows(i - 1)[1][i - 1]
+    return (log_rising - _log_factorials(i - 1)[i - 1]) - math.log(i)
 
 
 def reference_log_pi(m, params):
