@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__ as _pkg_version
@@ -35,6 +36,7 @@ from .formulae import (
 from .montecarlo import (
     ENGINES,
     _open_artifact,
+    _write_report,
     _write_trajectory,
     growth_report,
     run_ensemble,
@@ -62,6 +64,14 @@ PARTITION_BALANCE_TOLERANCE = 1e-11
 MIXTURE_TOLERANCE = 1e-12
 MASS_TOLERANCE = 1e-8
 SERIES_TOLERANCE = 1e-10
+# verify's suites in report order, each with the tolerance its largest residual must meet
+VERIFY_SUITES = {
+    "size_detailed_balance": SIZE_BALANCE_TOLERANCE,
+    "partition_detailed_balance": PARTITION_BALANCE_TOLERANCE,
+    "mixture_equality": MIXTURE_TOLERANCE,
+    "mass_consistency": MASS_TOLERANCE,
+    "weight_series_identity": SERIES_TOLERANCE,
+}
 
 # default verification grids; a --alpha/--theta/--mu flag pins one dimension
 SIZE_THETA_GRID = (0.5, 1.0, 2.5)
@@ -188,10 +198,7 @@ def _simulate_summary(args, params: ModelParams, dist) -> dict:
             tv["partition_truncation"] = bound
 
     return {
-        "artifact": "allelic-bdi",
-        "version": _pkg_version,
-        "command": "simulate",
-        "parameters": {"alpha": params.alpha, "theta": params.theta, "mu": params.mu},
+        "parameters": asdict(params),
         "t": args.t,
         "replicates": args.replicates,
         "seed": args.seed,
@@ -241,17 +248,9 @@ def cmd_simulate(args) -> int:
     if dist is None:
         return 0
     if args.histogram is not None:
-        meta = {
-            "alpha": params.alpha,
-            "theta": params.theta,
-            "mu": params.mu,
-            "t": args.t,
-            "engine": args.engine,
-        }
+        meta = {**asdict(params), "t": args.t, "engine": args.engine}
         write_histogram_csv(dist, args.histogram, metadata=meta)
-    with _open_artifact(args.summary) as fh:
-        json.dump(_simulate_summary(args, params, dist), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.summary, "simulate", _simulate_summary(args, params, dist))
     return 0
 
 
@@ -261,14 +260,20 @@ def cmd_verify(args) -> int:
     if args.alpha is not None:
         _need(0.0 < args.alpha < 1.0, f"--alpha must lie in (0, 1), got {args.alpha}")
     _need(args.size_max >= 1, "--size-max must be >= 1")
+    _need(args.series_terms >= 1, "--series-terms must be >= 1")
     _require_bound(args.max_size)  # before the size suite runs, with the scans' own message
     _need_output_dir("--out", args.out)
     fault = args.inject_fault
+    points: dict[str, list[dict]] = {name: [] for name in VERIFY_SUITES}
 
     def grid(pinned: float | None, default) -> list[float]:
         return [pinned] if pinned is not None else list(default)
 
-    size_points = []
+    def record(suite: str, point: dict, scan, *where: str) -> None:
+        """Add ``point`` to ``suite`` with the scan's largest residual and the fields ``where``."""
+        worst = {name: getattr(scan, name) for name in where}
+        points[suite].append({**point, "max_residual": scan.max_residual, **worst})
+
     for theta in grid(args.theta, SIZE_THETA_GRID):
         for mu in grid(args.mu, SIZE_MU_GRID):
             pmf = None
@@ -277,20 +282,9 @@ def cmd_verify(args) -> int:
                     1.01 if n == 3 else 1.0
                 )
             scan = size_balance_scan(theta, mu, args.size_max, pmf)
-            size_points.append(
-                {
-                    "theta": theta,
-                    "mu": mu,
-                    "n_max": args.size_max,
-                    "max_residual": scan.max_residual,
-                    "worst_transition": scan.worst_transition,
-                }
-            )
+            point = {"theta": theta, "mu": mu, "n_max": args.size_max}
+            record("size_detailed_balance", point, scan, "worst_transition")
 
-    partition_points = []
-    mixture_points = []
-    mass_points = []
-    series_points = []
     part_mus = grid(args.mu, PARTITION_MU_GRID)
     for alpha in grid(args.alpha, PARTITION_ALPHA_GRID):
         # one theta inside (-alpha, 0), where the balance identities hold in
@@ -299,32 +293,18 @@ def cmd_verify(args) -> int:
             for mu in part_mus:
                 params = ModelParams(alpha, theta, mu)
                 point = {"alpha": alpha, "theta": theta, "mu": mu}
+                sized = {**point, "s_max": args.max_size}
                 pmf = None
                 if fault:
                     pmf = lambda m, p=params: partition_stationary_pmf(m, p) * (
                         1.01 if m.num_groups % 2 else 1.0
                     )
                 scan = partition_balance_scan(params, args.max_size, pmf)
-                partition_points.append(
-                    {
-                        **point,
-                        "s_max": args.max_size,
-                        "max_residual": scan.max_residual,
-                        "worst_state": scan.worst_state,
-                        "worst_transition": scan.worst_transition,
-                    }
-                )
+                record("partition_detailed_balance", sized, scan, "worst_state", "worst_transition")
                 scan = mixture_consistency_scan(params, args.max_size)
-                mixture_points.append(
-                    {
-                        **point,
-                        "s_max": args.max_size,
-                        "max_residual": scan.max_residual,
-                        "worst_state": scan.worst_state,
-                    }
-                )
+                record("mixture_equality", sized, scan, "worst_state")
                 pi_sum, lambda_sum = stationary_mass_comparison(params, PARTITION_BALANCE_MAX_SIZE)
-                mass_points.append(
+                points["mass_consistency"].append(
                     {
                         **point,
                         "bound": PARTITION_BALANCE_MAX_SIZE,
@@ -334,43 +314,19 @@ def cmd_verify(args) -> int:
                     }
                 )
         for mu in part_mus:
-            series_points.append(
-                {
-                    "alpha": alpha,
-                    "mu": mu,
-                    "terms": args.series_terms,
-                    "max_residual": weight_series_gap(alpha, mu, args.series_terms),
-                }
-            )
+            gap = weight_series_gap(alpha, mu, args.series_terms)
+            point = {"alpha": alpha, "mu": mu, "terms": args.series_terms, "max_residual": gap}
+            points["weight_series_identity"].append(point)
 
-    suites = [
-        {"name": name, "tolerance": tolerance, "points": points}
-        for name, tolerance, points in (
-            ("size_detailed_balance", SIZE_BALANCE_TOLERANCE, size_points),
-            ("partition_detailed_balance", PARTITION_BALANCE_TOLERANCE, partition_points),
-            ("mixture_equality", MIXTURE_TOLERANCE, mixture_points),
-            ("mass_consistency", MASS_TOLERANCE, mass_points),
-            ("weight_series_identity", SERIES_TOLERANCE, series_points),
-        )
-    ]
-    for suite in suites:
-        residuals = [p["max_residual"] for p in suite["points"]]
+    suites = []
+    for name, tolerance in VERIFY_SUITES.items():
+        residuals = [p["max_residual"] for p in points[name]]
         # a nan point is the suite's worst, and nan <= tolerance fails it
         worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
-        suite["max_residual"] = worst
-        suite["pass"] = worst <= suite["tolerance"]
+        suite = {"name": name, "tolerance": tolerance, "points": points[name]}
+        suites.append({**suite, "max_residual": worst, "pass": worst <= tolerance})
     ok = all(s["pass"] for s in suites)
-    report = {
-        "artifact": "allelic-bdi",
-        "version": _pkg_version,
-        "command": "verify",
-        "fault_injected": fault,
-        "suites": suites,
-        "pass": ok,
-    }
-    with _open_artifact(args.out) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.out, "verify", {"fault_injected": fault, "suites": suites, "pass": ok})
     return 0 if ok else 1
 
 

@@ -26,12 +26,13 @@ merge.
 from __future__ import annotations
 
 import ctypes
+import json
 import math
 import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -59,6 +60,7 @@ _KERNELS = {
     "bdi": (_size_kernel, 0),
 }
 ENGINES = tuple(_KERNELS)
+_STAMP = {"artifact": "allelic-bdi", "version": _pkg_version}  # written into every artifact
 
 
 @dataclass(frozen=True)
@@ -739,8 +741,7 @@ def _open_artifact(
     written = False
     try:
         if header is not None:
-            meta = {"artifact": "allelic-bdi", "version": _pkg_version, **header}
-            for key, value in meta.items():
+            for key, value in {**_STAMP, **header}.items():
                 fh.write(f"# {key}={value}\n")
         yield fh
         written = True
@@ -749,6 +750,17 @@ def _open_artifact(
             fh.close()
             if not written and os.path.isfile(file):  # a failed run leaves no artifact
                 os.remove(file)
+
+
+def _write_report(file: str | IO[str] | None, command: str, body: Mapping[str, object]) -> None:
+    """Write ``body`` to ``file`` (as :func:`_open_artifact` takes it) as ``command``'s JSON report.
+
+    The report adds the stamp and ``command`` to ``body``; its keys are
+    sorted, indented by two, and it ends in a newline.
+    """
+    with _open_artifact(file) as fh:
+        json.dump({**_STAMP, "command": command, **body}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_histogram_csv(
@@ -793,8 +805,8 @@ def _write_trajectory(
     """
     kernel, start = _KERNELS[engine]
     header = dict(
-        rng_stream=RNG_STREAM, alpha=params.alpha, theta=params.theta, mu=params.mu, seed=seed,
-        horizon=t_end, initial=start.encode(), engine=engine,
+        rng_stream=RNG_STREAM, **asdict(params), seed=seed, horizon=t_end, initial=start.encode(),
+        engine=engine,
     )
     with _open_artifact(file, header) as fh:
         fh.write("time,event_kind,event_index,s,k\n")

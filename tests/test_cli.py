@@ -559,6 +559,16 @@ class TestTrajectoryCsv:
 # ---------------------------------------------------------------------------
 
 
+# every scan verify runs; each is patched to raise in the tests of what is refused before any work
+VERIFY_SCANS = (
+    "size_balance_scan",
+    "partition_balance_scan",
+    "mixture_consistency_scan",
+    "stationary_mass_comparison",
+    "weight_series_gap",
+)
+
+
 class TestVerify:
     def test_pinned_point_passes(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -668,6 +678,23 @@ class TestVerify:
         assert err == f"error: stationary tables and scans are capped at s <= {cap}\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    def test_too_few_series_terms_refused_before_any_scan(
+        self, capsys, tmp_path, monkeypatch, terms
+    ):
+        # it used to run the size suite and the first alpha's partition, mixture
+        # and mass scans before the series refused it, naming no flag
+        def no_scan(*args):
+            raise AssertionError("a scan ran before --series-terms was checked")
+
+        for name in VERIFY_SCANS:
+            monkeypatch.setattr(cli, name, no_scan)
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--series-terms", terms, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == "error: --series-terms must be >= 1\n"
+        assert not target.exists()
+
 
     @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
     def test_alpha_outside_unit_interval_names_the_flag(self, capsys, alpha):
@@ -763,6 +790,29 @@ def test_unopenable_output_exits_2_naming_the_path(capsys, tmp_path, command, wh
     code, _, err = run_cli(capsys, *UNOPENABLE_OUTPUTS[command], path)
     assert code == 2
     assert err.startswith("error: ") and path in err
+
+
+# the work each command would do first, patched to raise: a missing --out
+# directory must be refused before any of it runs
+FIRST_WORK = {
+    "exact": ("_lambda_rows",),
+    "verify": VERIFY_SCANS,
+    "diagnose": ("growth_report",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_WORK))
+def test_missing_output_directory_refused_before_any_work(capsys, tmp_path, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before checking --out")
+
+    for name in FIRST_WORK[command]:
+        monkeypatch.setattr(cli, name, no_work)
+    path = str(tmp_path / "missing" / "out")
+    code, out, err = run_cli(capsys, *UNOPENABLE_OUTPUTS[command], path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out ") and path in err
+    assert not (tmp_path / "missing").exists()
 
 
 # ---------------------------------------------------------------------------
