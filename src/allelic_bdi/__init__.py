@@ -25,9 +25,7 @@ from .partitions import (
 )
 from .formulae import (
     ModelParams,
-    alpha_weight,
     esf,
-    log_alpha_weight,
     nbin_time_param,
     neg_bin_pmf,
     psf,
@@ -86,13 +84,11 @@ __all__ = [
     "TransitionEvent",
     "alpha0_limit_rate",
     "alpha0_marginal",
-    "alpha_weight",
     "conditional_given_size",
     "enumerate_partitions",
     "esf",
     "group_count_trace",
     "growth_report",
-    "log_alpha_weight",
     "mixture_consistency_scan",
     "nbin_time_param",
     "neg_bin_pmf",

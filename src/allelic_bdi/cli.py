@@ -103,13 +103,6 @@ def _need(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _need_output_dir(flag: str, path: str | None) -> None:
-    """Refuse an output path whose directory does not exist, before any work."""
-    if path is not None:
-        parent = os.path.dirname(path) or os.curdir
-        _need(os.path.isdir(parent), f"{flag} {path!r}: no directory {parent!r}")
-
-
 def cmd_exact(args) -> int:
     kind = args.kind
     reads = LAW_INPUTS[kind][args.table]
@@ -118,7 +111,6 @@ def cmd_exact(args) -> int:
     for flag in ("n", "alpha", "theta", "mu", "t", "partition", "max_size", "out"):
         unread = flag not in LAW_FLAGS[kind] + reads and getattr(args, flag) is not None
         _need(not unread, f"{mode} does not take --{flag.replace('_', '-')}")
-    _need_output_dir("--out", args.out)
     max_size = TABLE_MAX_SIZE if args.max_size is None else args.max_size
     if args.table and kind in ("pi", "lambda"):
         _need(max_size >= 0, "--max-size must be >= 0")
@@ -222,9 +214,6 @@ def cmd_simulate(args) -> int:
     _need(args.seed >= 0, "--seed must be >= 0")
     _need(args.tv_max_size >= 0, "--tv-max-size must be >= 0")
     _need(args.max_events >= 1, "--max-events must be >= 1")
-    _need_output_dir("--histogram", args.histogram)
-    _need_output_dir("--summary", args.summary)
-    _need_output_dir("--trajectory", args.trajectory)
 
     if args.trajectory is not None and args.engine == "bdi":
         raise DomainError("--trajectory requires a partition engine (multiplicity or branching)")
@@ -259,10 +248,12 @@ def cmd_verify(args) -> int:
         _require_reversible(args.mu)
     if args.alpha is not None:
         _need(0.0 < args.alpha < 1.0, f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.theta is not None:  # every partition point needs theta > -alpha: the least alpha binds
+        least = args.alpha if args.alpha is not None else min(PARTITION_ALPHA_GRID)
+        _need(args.theta > -least, f"--theta must exceed -alpha = {-least}, got {args.theta}")
     _need(args.size_max >= 1, "--size-max must be >= 1")
     _need(args.series_terms >= 1, "--series-terms must be >= 1")
     _require_bound(args.max_size)  # before the size suite runs, with the scans' own message
-    _need_output_dir("--out", args.out)
     fault = args.inject_fault
     points: dict[str, list[dict]] = {name: [] for name in VERIFY_SUITES}
 
@@ -332,7 +323,6 @@ def cmd_verify(args) -> int:
 
 def cmd_diagnose(args) -> int:
     params = ModelParams(args.alpha, args.theta)
-    _need_output_dir("--out", args.out)
     rows = growth_report(params, args.n_max, args.runs, args.seed, power=args.power)
     meta = {
         "alpha": args.alpha,
@@ -613,6 +603,16 @@ def _need_finite_floats(args: argparse.Namespace) -> None:
             raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
+def _need_output_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an output path in a missing directory or naming a directory."""
+    for name in ("out", "histogram", "summary", "trajectory"):
+        path = getattr(args, name, None)
+        if path is not None:
+            parent = os.path.dirname(path) or os.curdir
+            _need(os.path.isdir(parent), f"--{name} {path!r}: no directory {parent!r}")
+            _need(not os.path.isdir(path), f"--{name} {path!r}: is a directory")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -621,6 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config is not None:  # a second --config, a "config" key or an abbreviation
             raise DomainError("one --config file is read: give it once, in full, naming no other")
         _need_finite_floats(args)
+        _need_output_paths(args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --help/--version
         code = exc.code

@@ -251,31 +251,6 @@ def _psf_rows(params: ModelParams, rows: Iterable[_StateRow], size: int) -> list
     return out
 
 
-def _require_weight_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha weights are defined for alpha in (0, 1)")
-
-
-def log_alpha_weight(alpha: float, i: int) -> float:
-    """log of alpha_weight(alpha, i); positive arguments throughout.
-
-    log(alpha) + log w'_i, log alpha added to the entry of ``_log_weights``: O(1)
-    once the weight list covers i.
-    """
-    _require_weight_alpha(alpha)
-    _require_count(i, 1, "the weight index must be >= 1")
-    return math.log(alpha) + _log_weights(alpha, i)[i]
-
-
-def alpha_weight(alpha: float, i: int) -> float:
-    """The size-biased weight sequence w_i = alpha * (1-alpha)_(i-1) / i!.
-
-    w_1 = alpha, and w_{i+1} / w_i = (i - alpha) / (i + 1); the sequence sums
-    to 1 over i >= 1 with a heavy i^{-(1+alpha)} tail.
-    """
-    return math.exp(log_alpha_weight(alpha, i))
-
-
 def _require_neg_bin(theta: float, b: float, n: int) -> None:
     _require_finite(theta=theta, b=b)
     if theta <= 0.0:

@@ -638,7 +638,10 @@ def stationary_occupation(
         _apply_event(counts, event)
 
     rng = np.random.default_rng([seed, 0])
-    _multiplicity_kernel(params, horizon, rng, _EMPTY, DEFAULT_MAX_EVENTS, observe)
+    try:
+        _multiplicity_kernel(params, horizon, rng, _EMPTY, DEFAULT_MAX_EVENTS, observe)
+    except RunawayError as exc:
+        raise _runaway_in(exc, "occupation run", params, horizon, seed, "multiplicity") from exc
     occupy(horizon)
     return EmpiricalDistribution(
         {AllelicPartition(key): w for key, w in weights.items()}, horizon - burn_in, None, seed

@@ -43,7 +43,6 @@ from .formulae import (
     _require_count,
     _require_finite,
     _require_reversible,
-    _require_weight_alpha,
     _state_rows,
     transient_pmf,
 )
@@ -383,20 +382,20 @@ def stationary_mass_comparison(params: ModelParams, bound: int) -> tuple[float, 
 
 
 def weight_series_gap(alpha: float, mu: float, terms: int = 10_000) -> float:
-    """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1, w_i = alpha_weight(alpha, i).
+    """|sum_{i<=terms} w_i mu^{-i} - (1 - (1-1/mu)^alpha)| for mu > 1, with the paper's
+    weights w_i = alpha (1 - alpha)_(i-1) / i!: log w_i is log alpha + ``_log_weights``' entry i.
 
     The series converges geometrically (ratio 1/mu), so a few hundred terms
     already put the truncation error below double precision.  Since
     w_i <= 1, every term with i * log(mu) >= 746 underflows to exactly 0.0
     (exp(x) rounds to 0.0 below about -745.1), and adding 0.0 to the
     running sum changes nothing; so only the first
-    min(terms, ceil(746 / log mu)) terms are evaluated.  Their log weights
-    are log alpha plus the entries of the ``_log_weights`` list, each
-    bit-identical to ``log_alpha_weight``, and the terms are summed in the
-    same order, so the gap equals the full term-by-term sum's bit for bit.
+    min(terms, ceil(746 / log mu)) terms are evaluated, summed in the full
+    sum's order, and the gap equals the full term-by-term sum's bit for bit.
     """
     _require_finite(alpha=alpha, mu=mu)
-    _require_weight_alpha(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha weights are defined for alpha in (0, 1)")
     if not mu > 1.0:
         raise DomainError("the weight series identity requires mu > 1")
     _require_count(terms, 1, "need at least one term")

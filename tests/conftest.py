@@ -22,6 +22,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from allelic_bdi import AllelicPartition, ModelParams, TransitionEvent
+from allelic_bdi.formulae import _log_weights
 
 # property tests draw the same examples on every run and keep no example
 # database on disk; timing limits are left to the suite, not to hypothesis
@@ -187,6 +188,12 @@ def reference_log_factorial(x: int) -> float:
     for k in range(1, x + 1):
         total += math.log(k)
     return total
+
+
+def log_paper_weight(alpha: float, i: int) -> float:
+    """log w_i = log alpha + log w'_i, the paper's weight read from the package's one
+    weight list, ``formulae._log_weights``, as ``weight_series_gap`` reads it."""
+    return math.log(alpha) + _log_weights(alpha, i)[i]
 
 
 def poisson_pmf(x: int, rate: float) -> float:

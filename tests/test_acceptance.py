@@ -331,18 +331,25 @@ def test_criterion_12_exact_transient_law(engine_ensembles):
     )
 
 
-# criterion 13's bounds, fixed before either fixture was compared with the
-# closed forms: per statistic, the 99.9th percentile of |statistic - exact|
-# over 10^4 ensembles of R = 10^5 drawn from the exact joint law of (m_1, m_2)
-# is, for (E m_1, E m_2, Cov(m_1, m_2)), 0.01241, 0.00429 and 0.00659 at
-# (0.5, 1, 1.5, 3) and 0.00765, 0.00353 and 0.00251 at (0, 1, 2, 5)
+# criterion 13's bounds, keyed by (alpha, theta, mu, t), each fixed before its
+# ensemble was compared with the closed forms: per statistic, the 99.9th
+# percentile of |statistic - exact| over 10^4 ensembles of the point's R drawn
+# from the exact joint law of (m_1, m_2) is, for (E m_1, E m_2, Cov(m_1, m_2)),
+# at R = 10^5, 0.01241, 0.00429 and 0.00659 at (0.5, 1, 1.5, 3) and 0.00765,
+# 0.00353 and 0.00251 at (0, 1, 2, 5); at R = 2 x 10^4, 0.04005, 0.01390 and
+# 0.03381 at (0.5, 1, 0.5, 2) and 0.05034, 0.01720 and 0.05663 at (0.5, 1, 1, 6)
 # (recomputed below by _bootstrap_moment_quantiles), each rounded up
-MOMENT_BOUNDS = {0.5: (0.013, 0.0043, 0.0066), 0.0: (0.0077, 0.0036, 0.0026)}
+MOMENT_BOUNDS = {
+    (0.5, 1.0, 1.5, 3.0): (0.013, 0.0043, 0.0066),
+    (0.0, 1.0, 2.0, 5.0): (0.0077, 0.0036, 0.0026),
+    (0.5, 1.0, 0.5, 2.0): (0.041, 0.014, 0.034),
+    (0.5, 1.0, 1.0, 6.0): (0.051, 0.018, 0.057),
+}
 
 
 def _joint_m12_law(alpha: float, theta: float, mu: float, t: float):
     """The exact joint law of (m_1, m_2) at t from the empty state, on the triangle
-    m_1 + m_2 <= N with the least N that leaves out less than 1e-12 of the mass,
+    m_1 + m_2 <= N with the least N that leaves out less than 1e-13 of the mass,
     as (cells, probabilities, (E m_1, E m_2, Cov(m_1, m_2))).
 
     With b = b(t), r = theta / alpha, q = 1 - (1 - b)^alpha and a_i = w_i b^i / (1 - q)
@@ -351,7 +358,10 @@ def _joint_m12_law(alpha: float, theta: float, mu: float, t: float):
     (1 + a_1 + a_2)^(r + a + b), E m_i = r a_i and Cov = r a_1 a_2; at alpha = 0 they
     are independent Poisson(theta b^i / i) and Cov = 0.
     """
-    b = math.expm1((1.0 - mu) * t) / (math.exp((1.0 - mu) * t) - mu)  # mu != 1, written out
+    if mu == 1.0:
+        b = t / (1.0 + t)  # written out, as below, not read from nbin_time_param
+    else:
+        b = math.expm1((1.0 - mu) * t) / (math.exp((1.0 - mu) * t) - mu)
     if alpha == 0.0:
         rate_1, rate_2 = theta * b, theta * b * b / 2.0
         exact = (rate_1, rate_2, 0.0)
@@ -371,7 +381,7 @@ def _joint_m12_law(alpha: float, theta: float, mu: float, t: float):
                 + i * math.log(a_1) + j * math.log(a_2) - (r + i + j) * math.log1p(a_1 + a_2)
             )  # fmt: skip
     cells, probs, n = [], [], 0
-    while not probs or 1.0 - math.fsum(probs) >= 1e-12:  # add the diagonal m_1 + m_2 = n
+    while not probs or 1.0 - math.fsum(probs) >= 1e-13:  # add the diagonal m_1 + m_2 = n
         cells += [(i, n - i) for i in range(n + 1)]
         probs += [math.exp(log_p(i, n - i)) for i in range(n + 1)]
         n += 1
@@ -396,16 +406,23 @@ def _bootstrap_moment_quantiles(cells, probs, exact, replicates: int, q: float):
 
 
 def test_criterion_13_multiplicity_moments(desk_ensemble, engine_ensembles):
+    # mu < 1 and mu = 1, where no stationary law exists, at R = 2 x 10^4 each
+    seeds = {(0.5, 1.0, 0.5, 2.0): 303, (0.5, 1.0, 1.0, 6.0): 404}
     fixtures = {
         (0.5, 1.0, 1.5, 3.0): engine_ensembles[1],
         (0.0, 1.0, 2.0, 5.0): {"multiplicity": desk_ensemble[0]},
+        **{
+            point: {"multiplicity": run_ensemble(ModelParams(*point[:3]), point[3], 20_000, seed)}
+            for point, seed in seeds.items()
+        },
     }
     ok, lines = True, []
     for point, ensembles in fixtures.items():
         cells, probs, exact = _joint_m12_law(*point)
         assert np.allclose(_moment_statistics(probs, cells, 1), exact, rtol=0, atol=1e-10)
-        bounds = MOMENT_BOUNDS[point[0]]
-        quantiles = _bootstrap_moment_quantiles(cells, probs, np.array(exact), 100_000, 0.999)
+        bounds = MOMENT_BOUNDS[point]
+        replicates = next(iter(ensembles.values())).replicates
+        quantiles = _bootstrap_moment_quantiles(cells, probs, np.array(exact), replicates, 0.999)
         ok &= all(q <= bound for q, bound in zip(quantiles, bounds))
         index = {tuple(cell): k for k, cell in enumerate(cells.astype(int).tolist())}
         for engine, dist in ensembles.items():
@@ -417,7 +434,8 @@ def test_criterion_13_multiplicity_moments(desk_ensemble, engine_ensembles):
             lines.append(
                 f"{point} {engine}: E m_1 = {got[0]:.5f} vs {exact[0]:.5f}, E m_2 = {got[1]:.5f} "
                 f"vs {exact[1]:.5f}, Cov = {got[2]:.5f} vs {exact[2]:.5f} (tol {bounds}, "
-                f"bootstrap 99.9th percentiles {tuple(round(q, 5) for q in quantiles)})"
+                f"bootstrap 99.9th percentiles {tuple(round(q, 5) for q in quantiles)}, "
+                f"R = {dist.replicates})"
             )
-    detail = "; ".join(lines) + ", R = 10^5"
+    detail = "; ".join(lines)
     _report(13, "multiplicity moments and their dependence at t", ok, detail)

@@ -696,6 +696,31 @@ class TestVerify:
         assert not target.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("--theta", "-0.3"), "-0.1"),  # below -alpha at the grid's least alpha, 0.1
+            (("--theta", "-0.1"), "-0.1"),
+            (("--alpha", "0.5", "--theta", "-0.5"), "-0.5"),
+        ],
+        ids=["grid", "grid boundary", "pinned alpha"],
+    )
+    def test_theta_at_or_below_minus_alpha_refused_before_any_scan(
+        self, capsys, tmp_path, monkeypatch, argv, bound
+    ):
+        # it used to run the size suite, then fail at the first partition point
+        # with ModelParams' message, naming no flag
+        def no_scan(*args):
+            raise AssertionError("a scan ran before --theta was checked")
+
+        for name in VERIFY_SCANS:
+            monkeypatch.setattr(cli, name, no_scan)
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: --theta must exceed -alpha = {bound}, got {argv[-1]}\n"
+        assert not target.exists()
+
     @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
     def test_alpha_outside_unit_interval_names_the_flag(self, capsys, alpha):
         code, _, err = run_cli(capsys, "verify", "--alpha", alpha, "--max-size", "4")
@@ -792,27 +817,64 @@ def test_unopenable_output_exits_2_naming_the_path(capsys, tmp_path, command, wh
     assert err.startswith("error: ") and path in err
 
 
-# the work each command would do first, patched to raise: a missing --out
-# directory must be refused before any of it runs
+# the work each command would do first, patched to raise: an output path in a
+# missing directory, or naming a directory, must be refused before any of it runs
 FIRST_WORK = {
     "exact": ("_lambda_rows",),
+    "simulate": ("run_ensemble", "_write_trajectory"),
     "verify": VERIFY_SCANS,
     "diagnose": ("growth_report",),
 }
+# every output flag of every command
+OUTPUT_FLAGS = [
+    ("exact", "--out"),
+    ("simulate", "--histogram"),
+    ("simulate", "--summary"),
+    ("simulate", "--trajectory"),
+    ("verify", "--out"),
+    ("diagnose", "--out"),
+]
 
 
-@pytest.mark.parametrize("command", sorted(FIRST_WORK))
-def test_missing_output_directory_refused_before_any_work(capsys, tmp_path, monkeypatch, command):
+def forbid_work(monkeypatch, command):
     def no_work(*args, **kwargs):
-        raise AssertionError(f"{command} worked before checking --out")
+        raise AssertionError(f"{command} worked before checking its output paths")
 
     for name in FIRST_WORK[command]:
         monkeypatch.setattr(cli, name, no_work)
-    path = str(tmp_path / "missing" / "out")
-    code, out, err = run_cli(capsys, *UNOPENABLE_OUTPUTS[command], path)
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS, ids=[" ".join(c) for c in OUTPUT_FLAGS])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_missing_output_directory_refused_before_any_work(
+    capsys, tmp_path, monkeypatch, command, flag, where
+):
+    # a path naming a directory used to pass: verify ran every scan, and
+    # simulate its ensemble, before the write failed
+    forbid_work(monkeypatch, command)
+    (tmp_path / "dir").mkdir()
+    if where == "missing directory":
+        path = str(tmp_path / "missing" / "out")
+        reason = f"no directory {str(tmp_path / 'missing')!r}"
+    else:
+        path, reason = str(tmp_path / "dir"), "is a directory"
+    code, out, err = run_cli(capsys, *UNOPENABLE_OUTPUTS[command][:-1], flag, path)
     assert code == 2 and out == ""
-    assert err.startswith("error: --out ") and path in err
-    assert not (tmp_path / "missing").exists()
+    assert err == f"error: {flag} {path!r}: {reason}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]  # no file written
+
+
+def test_refused_summary_leaves_no_histogram(capsys, tmp_path, monkeypatch):
+    # it ran the ensemble and wrote ok.csv, then failed on the directory and left ok.csv
+    forbid_work(monkeypatch, "simulate")
+    histogram = tmp_path / "ok.csv"
+    code, out, err = run_cli(
+        capsys, *UNOPENABLE_OUTPUTS["simulate"][:-1], "--histogram", str(histogram),
+        "--summary", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --summary {str(tmp_path)!r}: is a directory\n"
+    assert not histogram.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ from allelic_bdi import (
     DomainError,
     ModelParams,
     alpha0_marginal,
-    alpha_weight,
     conditional_given_size,
     enumerate_partitions,
     esf,
-    log_alpha_weight,
     alpha0_limit_rate,
     mixture_consistency_scan,
     nbin_time_param,
@@ -48,6 +46,7 @@ from conftest import (
     SignedLogValue,
     esf_fraction,
     law_fraction,
+    log_paper_weight,
     poisson_pmf,
     poisson_product_prob,
     psf_fraction,
@@ -137,7 +136,6 @@ def test_log_factorials_equal_the_cumulative_list():
 NON_INTEGER_COUNT_CALLS = [
     (neg_bin_pmf, (2.5, 1.0, 0.5)),
     (size_stationary_pmf, (2.5, 1.0, 2.0)),
-    (alpha_weight, (0.5, 2.5)),
     (weight_series_gap, (0.5, 2.0, 2.5)),
     (size_balance_scan, (1.0, 2.0, True)),
     (size_balance_scan, (1.0, 2.0, 3.0)),
@@ -349,7 +347,7 @@ def test_nothing_is_tabulated_at_import():
 
 @pytest.mark.parametrize("alpha", (0.0,) + WEIGHT_ALPHAS)
 def test_log_alpha_weight_equals_reference(alpha):
-    # the one weight list, alpha = 0 (w'_i = 1/i) included; log_alpha_weight adds log alpha
+    # the one weight list, alpha = 0 (w'_i = 1/i) included; log w_i adds log alpha
     indices = list(range(1, 1200)) + list(range(1200, 10_001, 97)) + [10_000]
     table = _log_weights(alpha, 10_000)
     reference = reference_log_weights(alpha, 10_000)
@@ -358,8 +356,7 @@ def test_log_alpha_weight_equals_reference(alpha):
         assert table[i] == reference[i - 1], (alpha, i)
         if alpha:
             expected = math.log(alpha) + reference[i - 1]
-            assert log_alpha_weight(alpha, i) == expected, (alpha, i)
-            assert alpha_weight(alpha, i) == math.exp(expected)
+            assert log_paper_weight(alpha, i) == expected, (alpha, i)
         else:
             # w'_i = 1/i: every ratio of the table at 1 is exactly 0, so -log i
             assert table[i] == -math.log(i), i
@@ -522,16 +519,21 @@ def test_psf_positive_throughout_negative_theta():
             assert psf(n, params, m) > 0.0
 
 
+def alpha_weight(alpha: float, i: int) -> float:
+    """The paper's weight w_i = alpha (1 - alpha)_(i-1) / i!, from the one weight list."""
+    return math.exp(log_paper_weight(alpha, i))
+
+
 def test_alpha_weight_base_and_recurrence():
     for alpha in (0.1, 0.5, 0.9):
         assert alpha_weight(alpha, 1) == pytest.approx(alpha, rel=1e-14)
         for i in range(1, 200):
             ratio = alpha_weight(alpha, i + 1) / alpha_weight(alpha, i)
             assert ratio == pytest.approx((i - alpha) / (i + 1), rel=1e-12)
-    with pytest.raises(DomainError):
-        alpha_weight(0.0, 1)
-    with pytest.raises(DomainError):
-        alpha_weight(0.5, 0)
+    # the weights' one public reader refuses alpha outside (0, 1)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"alpha weights are defined for alpha in \(0, 1\)"):
+            weight_series_gap(alpha, 2.0)
 
 
 def test_alpha_weight_partial_sums_have_power_law_tail():

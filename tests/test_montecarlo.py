@@ -986,6 +986,18 @@ class TestStationaryOccupation:
         occupation_peak = _traced_peak(stationary_occupation, params, horizon, 100.0, seed)
         assert occupation_peak * 4 < path_peak
 
+    def test_event_cap_names_the_run(self, monkeypatch):
+        # the kernel's own error named no run, seed or point, as an ensemble's does
+        monkeypatch.setattr(montecarlo, "DEFAULT_MAX_EVENTS", 50)
+        with pytest.raises(RunawayError) as exc:
+            stationary_occupation(ModelParams(0.5, 1.0, 2.0), 1000.0, 10.0, 8)
+        assert str(exc.value).startswith(
+            "occupation run of seed 8 (alpha=0.5, theta=1.0, mu=2.0, t=1000.0, "
+            "engine multiplicity): "
+        )
+        assert "event cap" in str(exc.value)
+        assert exc.value.events == 50 and exc.value.time < 1000.0
+
     def test_validation(self):
         good = ModelParams(0.5, 1.0, 2.0)
         with pytest.raises(DomainError):

@@ -19,10 +19,8 @@ from allelic_bdi import (
     ModelParams,
     alpha0_limit_rate,
     alpha0_marginal,
-    alpha_weight,
     conditional_given_size,
     enumerate_partitions,
-    log_alpha_weight,
     mixture_consistency_scan,
     nbin_time_param,
     neg_bin_pmf,
@@ -58,6 +56,7 @@ from allelic_bdi.stationary import (
 from conftest import (
     REVERSIBLE_GRID,
     SignedLogValue,
+    log_paper_weight,
     normalizing_constant,
     poisson_pmf,
     poisson_product_prob,
@@ -190,7 +189,7 @@ class TestPartitionStationaryPmf:
                 lead = math.prod(params.theta / params.alpha + j for j in range(m.num_groups))
                 prod = 1.0
                 for i in range(1, 501):
-                    rate = alpha_weight(params.alpha, i) * math.exp(-i * log_mu)
+                    rate = math.exp(log_paper_weight(params.alpha, i)) * math.exp(-i * log_mu)
                     prod *= poisson_pmf(m.multiplicity(i), rate)
                 expected = c * lead * prod
                 actual = partition_stationary_pmf(m, params)
@@ -513,7 +512,7 @@ class TestScansEqualReferenceWalks:
         terms = 1500  # past the 513-entry head of the table
         total = 0.0
         for i in range(terms, 0, -1):
-            total += math.exp(log_alpha_weight(alpha, i) - i * math.log(mu))
+            total += math.exp(log_paper_weight(alpha, i) - i * math.log(mu))
         closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
         assert weight_series_gap(alpha, mu, terms) == abs(total - closed)
 
@@ -527,7 +526,7 @@ class TestScansEqualReferenceWalks:
             log_mu = math.log(mu)
             total = 0.0
             for i in range(terms, 0, -1):
-                total += math.exp(log_alpha_weight(alpha, i) - i * log_mu)
+                total += math.exp(log_paper_weight(alpha, i) - i * log_mu)
             closed = -math.expm1(alpha * math.log1p(-1.0 / mu))
             assert weight_series_gap(alpha, mu, terms) == abs(total - closed), mu
 
